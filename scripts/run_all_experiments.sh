@@ -91,8 +91,9 @@ echo "=== BENCH_metric ==="
   tee "$OUT/BENCH_metric.txt"
 
 # Early-abandon cascade vs exhaustive dense path (transform + PredictBatch,
-# per metric, 1 and 8 threads). bench_eab writes the JSON itself and exits
-# nonzero if the pruned and exhaustive outputs are not bitwise identical.
+# favourable and prune-hostile data, per metric, 1 and 8 threads).
+# bench_eab writes the JSON itself and exits nonzero if the pruned and
+# exhaustive outputs are not bitwise identical.
 echo "=== BENCH_eab ==="
 "$BENCH/bench_eab" --out="$OUT/BENCH_eab.json" | tee "$OUT/BENCH_eab.txt"
 

@@ -40,6 +40,8 @@ struct EngineMetrics {
   obs::Counter& eab_lb_pruned;
   obs::Counter& eab_abandoned;
   obs::Counter& eab_full;
+  // Min queries TransformBatch routed past the cascade after a bail-out.
+  obs::Counter& eab_backoff_skips;
   // Per-metric slice of profiles_computed ("engine.profiles.<name>"), so a
   // mixed-metric run's obs output attributes work to metrics. The total
   // above is always bumped too, keeping historic dashboards intact.
@@ -62,6 +64,7 @@ EngineMetrics& Metrics() {
                           registry.GetCounter("engine.eab.lb_pruned"),
                           registry.GetCounter("engine.eab.abandoned"),
                           registry.GetCounter("engine.eab.full"),
+                          registry.GetCounter("engine.eab.backoff_skips"),
                           {},
                           {}};
     static constexpr const char* kEabStages[4] = {"candidates", "lb_pruned",
@@ -102,6 +105,38 @@ void ForwardFftInto(std::span<const double> s, size_t padded, bool reversed,
 }
 
 }  // namespace
+
+// --------------------------------------------------------- series artefacts
+
+void SeriesArtefacts::Reset(std::span<const double> series) {
+  series_ = series;
+  prefix_.clear();
+  stats_.clear();
+  ffts_.clear();
+}
+
+const std::vector<double>& SeriesArtefacts::Prefix() {
+  if (prefix_.empty()) PrefixSquaresInto(series_, prefix_);
+  return prefix_;
+}
+
+const RollingStats& SeriesArtefacts::Stats(size_t window) {
+  for (const auto& [w, stats] : stats_) {
+    if (w == window) return stats;
+  }
+  return stats_.emplace_back(window, ComputeRollingStats(series_, window))
+      .second;
+}
+
+const std::vector<std::complex<double>>& SeriesArtefacts::Fft(size_t padded) {
+  for (const auto& [size, fft] : ffts_) {
+    if (size == padded) return fft;
+  }
+  auto& fresh = ffts_.emplace_back(padded, std::vector<std::complex<double>>())
+                    .second;
+  ForwardFftInto(series_, padded, /*reversed=*/false, fresh);
+  return fresh;
+}
 
 // ------------------------------------------------------------------- caches
 
@@ -224,10 +259,13 @@ void DistanceEngine::BumpEab(MetricId metric, const simd::EabCounters& c) {
 // Fills ws.dots with the sliding dot products of `query` against `series`,
 // replicating the naive/FFT dispatch of core/distance.cc exactly. When a
 // side is cacheable its forward FFT is fetched from (or inserted into) the
-// engine cache; the arithmetic is identical either way.
+// engine cache, and `series_art` (non-null only when it holds `series`)
+// supplies the series transform of a transform row; the arithmetic is
+// identical either way.
 void DistanceEngine::SlidingDotsInto(std::span<const double> query,
                                      std::span<const double> series,
                                      bool cache_query, bool cache_series,
+                                     SeriesArtefacts* series_art,
                                      DistanceWorkspace& ws) {
   const size_t m = query.size();
   const size_t n = series.size();
@@ -241,7 +279,9 @@ void DistanceEngine::SlidingDotsInto(std::span<const double> query,
 
   const size_t padded = NextPowerOfTwo(n + m);
   const std::vector<std::complex<double>>* fs =
-      CachedFft(series, padded, /*reversed=*/false, cache_series);
+      series_art != nullptr
+          ? &series_art->Fft(padded)
+          : CachedFft(series, padded, /*reversed=*/false, cache_series);
   if (fs == nullptr) {
     ForwardFftInto(series, padded, /*reversed=*/false, ws.fft_sig);
     fs = &ws.fft_sig;
@@ -264,13 +304,16 @@ void DistanceEngine::SlidingDotsInto(std::span<const double> query,
 double DistanceEngine::DotMinImpl(std::span<const double> a,
                                   std::span<const double> b, bool cache_a,
                                   bool cache_b, const MetricPolicy& policy,
-                                  DistanceWorkspace& ws, size_t seed,
-                                  size_t* argmin_out) {
+                                  DistanceWorkspace& ws, const MinCall& call,
+                                  MinOutcome* outcome) {
   const bool a_shorter = a.size() <= b.size();
   const std::span<const double> query = a_shorter ? a : b;
   const std::span<const double> series = a_shorter ? b : a;
   const bool cache_q = a_shorter ? cache_a : cache_b;
   const bool cache_s = a_shorter ? cache_b : cache_a;
+  SeriesArtefacts* const art =
+      call.series != nullptr && call.series->Holds(series) ? call.series
+                                                           : nullptr;
   const size_t m = query.size();
   const size_t n = series.size();
   IPS_CHECK(m >= 1);
@@ -282,7 +325,8 @@ double DistanceEngine::DotMinImpl(std::span<const double> a,
   // Metrics whose registered kernel cannot win (eab_profitable false, e.g.
   // cosine's prune-nothing Cauchy-Schwarz scan) bail to the dense path up
   // front, before paying any cascade setup.
-  const bool eab = early_abandon_ && policy.min_early_abandon != nullptr &&
+  const bool eab = call.cascade && early_abandon_ &&
+                   policy.min_early_abandon != nullptr &&
                    policy.eab_profitable &&
                    (m < kFftCutoff || !ShouldUseFftSlidingProducts(m, n));
 
@@ -302,7 +346,8 @@ double DistanceEngine::DotMinImpl(std::span<const double> a,
     for (double v : query) qq += v * v;
   }
 
-  const std::vector<double>* sq = CachedPrefix(series, cache_s);
+  const std::vector<double>* sq =
+      art != nullptr ? &art->Prefix() : CachedPrefix(series, cache_s);
   if (sq == nullptr) {
     PrefixSquaresInto(series, ws.prefix);
     sq = &ws.prefix;
@@ -317,19 +362,20 @@ double DistanceEngine::DotMinImpl(std::span<const double> a,
     ea.qq = qq;
     ea.sqp = sq->data();
     ea.qpre = qpre;
-    ea.seed = seed;
+    ea.seed = call.seed;
     simd::EabCounters ec;
     const simd::EabResult res = policy.min_early_abandon(ea, ec);
     BumpEab(policy.id, ec);
     if (!res.bailed_out) {
-      if (argmin_out != nullptr) *argmin_out = res.argmin;
+      if (outcome != nullptr) outcome->argmin = res.argmin;
       return res.min;
     }
     // Bailed out: pruning was losing to the vectorised dense kernel.
     // Fall through to the dense path (identical result either way).
+    if (outcome != nullptr) outcome->bailed_out = true;
   }
 
-  SlidingDotsInto(query, series, cache_q, cache_s, ws);
+  SlidingDotsInto(query, series, cache_q, cache_s, art, ws);
 
   MetricProfileArgs args;
   args.dots = ws.dots.data();
@@ -364,7 +410,7 @@ void DistanceEngine::DotProfileImpl(std::span<const double> query,
     PrefixSquaresInto(series, ws.prefix);
     sq = &ws.prefix;
   }
-  SlidingDotsInto(query, series, cache_query, cache_series, ws);
+  SlidingDotsInto(query, series, cache_query, cache_series, nullptr, ws);
 
   out.resize(n - m + 1);
   MetricProfileArgs args;
@@ -379,23 +425,28 @@ void DistanceEngine::DotProfileImpl(std::span<const double> query,
 double DistanceEngine::ZNormMinImpl(std::span<const double> a,
                                     std::span<const double> b, bool cache_a,
                                     bool cache_b, DistanceWorkspace& ws,
-                                    size_t seed, size_t* argmin_out) {
+                                    const MinCall& call, MinOutcome* outcome) {
   const bool a_shorter = a.size() <= b.size();
   const std::span<const double> query = a_shorter ? a : b;
   const std::span<const double> series = a_shorter ? b : a;
   const bool cache_q = a_shorter ? cache_a : cache_b;
   const bool cache_s = a_shorter ? cache_b : cache_a;
+  SeriesArtefacts* const art =
+      call.series != nullptr && call.series->Holds(series) ? call.series
+                                                           : nullptr;
   const size_t m = query.size();
   const size_t n = series.size();
   IPS_CHECK(m >= 1);
   const MetricPolicy& policy = GetMetric(MetricId::kZNormEuclidean);
   BumpProfiles(policy.id);
 
-  const bool eab = early_abandon_ && policy.min_early_abandon != nullptr &&
+  const bool eab = call.cascade && early_abandon_ &&
+                   policy.min_early_abandon != nullptr &&
                    policy.eab_profitable &&
                    (m < kFftCutoff || !ShouldUseFftSlidingProducts(m, n));
 
-  const RollingStats* stats = CachedStats(series, m, cache_s);
+  const RollingStats* stats =
+      art != nullptr ? &art->Stats(m) : CachedStats(series, m, cache_s);
   RollingStats local_stats;
   if (stats == nullptr) {
     local_stats = ComputeRollingStats(series, m);
@@ -430,7 +481,8 @@ double DistanceEngine::ZNormMinImpl(std::span<const double> a,
   }
 
   if (eab) {
-    const std::vector<double>* sq = CachedPrefix(series, cache_s);
+    const std::vector<double>* sq =
+        art != nullptr ? &art->Prefix() : CachedPrefix(series, cache_s);
     if (sq == nullptr) {
       PrefixSquaresInto(series, ws.prefix);
       sq = &ws.prefix;
@@ -446,19 +498,20 @@ double DistanceEngine::ZNormMinImpl(std::span<const double> a,
     ea.query_flat = query_flat;
     ea.zq_sum = zq_sum;
     ea.zq_sumsq = zq_sumsq;
-    ea.seed = seed;
+    ea.seed = call.seed;
     simd::EabCounters ec;
     const simd::EabResult res = policy.min_early_abandon(ea, ec);
     BumpEab(policy.id, ec);
     if (!res.bailed_out) {
-      if (argmin_out != nullptr) *argmin_out = res.argmin;
+      if (outcome != nullptr) outcome->argmin = res.argmin;
       return res.min;
     }
+    if (outcome != nullptr) outcome->bailed_out = true;
   }
 
   // The FFT of the z-normalised query is only cacheable when the values
   // live in the engine-owned ZnQuery entry (a stable address).
-  SlidingDotsInto(q, series, cache_q, cache_s, ws);
+  SlidingDotsInto(q, series, cache_q, cache_s, art, ws);
 
   return simd::ZNormMinFromDots(ws.dots.data(), stats->stds.data(), n - m + 1,
                                 m, query_flat);
@@ -495,7 +548,7 @@ void DistanceEngine::ZNormProfileImpl(std::span<const double> query,
                              [](double v) { return v == 0.0; });
   }
 
-  SlidingDotsInto(q, series, cache_query, cache_series, ws);
+  SlidingDotsInto(q, series, cache_query, cache_series, nullptr, ws);
 
   out.resize(n - m + 1);
   simd::ZNormProfileFromDots(ws.dots.data(), stats->stds.data(), out.size(),
@@ -505,13 +558,13 @@ void DistanceEngine::ZNormProfileImpl(std::span<const double> query,
 double DistanceEngine::MinImpl(std::span<const double> a,
                                std::span<const double> b, bool cache_a,
                                bool cache_b, MetricId metric,
-                               DistanceWorkspace& ws, size_t seed,
-                               size_t* argmin_out) {
+                               DistanceWorkspace& ws, const MinCall& call,
+                               MinOutcome* outcome) {
   if (metric == MetricId::kZNormEuclidean) {
-    return ZNormMinImpl(a, b, cache_a, cache_b, ws, seed, argmin_out);
+    return ZNormMinImpl(a, b, cache_a, cache_b, ws, call, outcome);
   }
-  return DotMinImpl(a, b, cache_a, cache_b, GetMetric(metric), ws, seed,
-                    argmin_out);
+  return DotMinImpl(a, b, cache_a, cache_b, GetMetric(metric), ws, call,
+                    outcome);
 }
 
 void DistanceEngine::ProfileImpl(std::span<const double> query,
@@ -551,19 +604,21 @@ double DistanceEngine::SubsequenceMin(std::span<const double> a,
                                       bool cache_b) {
   return DotMinImpl(a, b, /*cache_a=*/false, cache_b,
                     GetMetric(MetricId::kRawSquaredEuclidean),
-                    LocalWorkspace());
+                    LocalWorkspace(), MinCall{}, nullptr);
 }
 
 double DistanceEngine::SubsequenceMinZNorm(std::span<const double> a,
                                            std::span<const double> b,
                                            bool cache_b) {
-  return ZNormMinImpl(a, b, /*cache_a=*/false, cache_b, LocalWorkspace());
+  return ZNormMinImpl(a, b, /*cache_a=*/false, cache_b, LocalWorkspace(),
+                      MinCall{}, nullptr);
 }
 
 double DistanceEngine::SubsequenceMinMetric(std::span<const double> a,
                                             std::span<const double> b,
                                             MetricId metric, bool cache_b) {
-  return MinImpl(a, b, /*cache_a=*/false, cache_b, metric, LocalWorkspace());
+  return MinImpl(a, b, /*cache_a=*/false, cache_b, metric, LocalWorkspace(),
+                 MinCall{}, nullptr);
 }
 
 std::vector<double> DistanceEngine::ProfileAgainstSeries(
@@ -592,7 +647,7 @@ std::vector<double> DistanceEngine::MinAgainstDataset(
   std::vector<double> out(data.size());
   ParallelItems(data.size(), [&](size_t i, DistanceWorkspace& ws) {
     out[i] = MinImpl(query, data.At(i).view(), /*cache_a=*/false,
-                     /*cache_b=*/true, metric, ws);
+                     /*cache_b=*/true, metric, ws, MinCall{}, nullptr);
   });
   return out;
 }
@@ -605,7 +660,7 @@ std::vector<double> DistanceEngine::MinForPairs(
   ParallelItems(pairs.size(), [&](size_t t, DistanceWorkspace& ws) {
     const auto [qi, si] = pairs[t];
     out[t] = MinImpl(views[qi], views[si], /*cache_a=*/true,
-                     /*cache_b=*/true, metric, ws);
+                     /*cache_b=*/true, metric, ws, MinCall{}, nullptr);
   });
   return out;
 }
@@ -642,6 +697,41 @@ std::vector<double> DistanceEngine::PairwiseSubsequenceMin(
   return matrix;
 }
 
+void DistanceEngine::TransformRowInto(
+    std::span<const double> series, const std::vector<Subsequence>& shapelets,
+    MetricId metric, DistanceWorkspace& ws, bool carry,
+    std::vector<double>& row) {
+  row.resize(shapelets.size());
+  // The series is never cached (it may be a temporary, and a cache entry
+  // per transformed series would live as long as the engine): its
+  // artefacts are built once into ws.row and shared by every shapelet.
+  ws.row.Reset(series);
+  for (size_t s = 0; s < shapelets.size(); ++s) {
+    MinCall call;
+    call.series = &ws.row;
+    if (carry) {
+      call.seed = ws.eab_seed_hints[s];
+      call.cascade = ws.eab_backoff[s] == 0;
+    }
+    MinOutcome outcome;
+    // Argument order matches TransformSeries: (series, shapelet).
+    row[s] = MinImpl(series, shapelets[s].view(), /*cache_a=*/false,
+                     /*cache_b=*/true, metric, ws, call, &outcome);
+    if (!carry) continue;
+    if (outcome.argmin != simd::kEabNoSeed) {
+      ws.eab_seed_hints[s] = outcome.argmin;
+    }
+    if (outcome.bailed_out) {
+      ws.eab_backoff[s] = kEabBackoffSeries;
+    } else if (!call.cascade) {
+      --ws.eab_backoff[s];
+      eab_backoff_skips_.fetch_add(1, std::memory_order_relaxed);
+      Metrics().eab_backoff_skips.Add(1);
+    }
+  }
+  ws.row.Reset({});
+}
+
 std::vector<std::vector<double>> DistanceEngine::TransformBatch(
     const DatasetView& data, const std::vector<Subsequence>& shapelets,
     MetricId metric) {
@@ -654,24 +744,21 @@ std::vector<std::vector<double>> DistanceEngine::TransformBatch(
   // reorders visits and rows stay bitwise identical.
   data.ForEachChunk([&](size_t first, std::span<const SeriesView> chunk) {
     ParallelItems(chunk.size(), [&](size_t k, DistanceWorkspace& ws) {
-      std::vector<double>& row = rows[first + k];
-      row.resize(shapelets.size());
-      // Seed each shapelet's best-so-far search from its winning alignment
-      // in the previous series this worker transformed: similar series tend
-      // to match a shapelet in similar places, so the early-abandon path
-      // starts near the true minimum. Purely a visit-order hint --
-      // out-of-range hints are ignored by the kernels and results are
-      // bitwise identical whatever the seeds are.
+      // Per-shapelet state carried from the previous series this worker
+      // transformed. Seed hints: similar series tend to match a shapelet
+      // in similar places, so the early-abandon path starts near the true
+      // minimum. Backoff: data the cascade cannot prune for one series it
+      // usually cannot prune for the next either, so after a bail-out the
+      // shapelet skips the cascade's setup and failed scans for
+      // kEabBackoffSeries series, then probes it again. Both only choose
+      // a visit order or a path; rows are bitwise identical whatever they
+      // hold.
       if (ws.eab_seed_hints.size() != shapelets.size()) {
         ws.eab_seed_hints.assign(shapelets.size(), simd::kEabNoSeed);
+        ws.eab_backoff.assign(shapelets.size(), 0);
       }
-      const std::span<const double> series = chunk[k].view();
-      for (size_t s = 0; s < shapelets.size(); ++s) {
-        // Argument order matches TransformSeries: (series, shapelet).
-        row[s] = MinImpl(series, shapelets[s].view(), /*cache_a=*/true,
-                         /*cache_b=*/true, metric, ws, ws.eab_seed_hints[s],
-                         &ws.eab_seed_hints[s]);
-      }
+      TransformRowInto(chunk[k].view(), shapelets, metric, ws, /*carry=*/true,
+                       rows[first + k]);
     });
   });
   return rows;
@@ -681,12 +768,9 @@ std::vector<double> DistanceEngine::TransformOne(
     std::span<const double> series, const std::vector<Subsequence>& shapelets,
     MetricId metric) {
   IPS_CHECK(!shapelets.empty());
-  DistanceWorkspace& ws = LocalWorkspace();
-  std::vector<double> row(shapelets.size());
-  for (size_t s = 0; s < shapelets.size(); ++s) {
-    row[s] = MinImpl(series, shapelets[s].view(), /*cache_a=*/false,
-                     /*cache_b=*/true, metric, ws);
-  }
+  std::vector<double> row;
+  TransformRowInto(series, shapelets, metric, LocalWorkspace(),
+                   /*carry=*/false, row);
   return row;
 }
 
@@ -699,6 +783,7 @@ EngineCounters DistanceEngine::counters() const {
   c.eab_lb_pruned = eab_lb_pruned_.load(std::memory_order_relaxed);
   c.eab_abandoned = eab_abandoned_.load(std::memory_order_relaxed);
   c.eab_full = eab_full_.load(std::memory_order_relaxed);
+  c.eab_backoff_skips = eab_backoff_skips_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -710,6 +795,7 @@ void DistanceEngine::ResetCounters() {
   eab_lb_pruned_.store(0, std::memory_order_relaxed);
   eab_abandoned_.store(0, std::memory_order_relaxed);
   eab_full_.store(0, std::memory_order_relaxed);
+  eab_backoff_skips_.store(0, std::memory_order_relaxed);
 }
 
 void DistanceEngine::ClearCaches() {

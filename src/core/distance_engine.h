@@ -14,6 +14,10 @@
 //  * a cache of per-series artefacts -- prefix sums of squares, RollingStats
 //    keyed by (series, window), forward FFTs keyed by (series, padded size)
 //    and z-normalised queries -- shared across every pair of a batch;
+//  * for the shapelet transform, the series side built once per row into
+//    the worker's SeriesArtefacts and dropped after the row: only the
+//    shapelets are ever cached, so a transformed series leaves nothing
+//    behind in the engine;
 //  * reusable per-thread workspaces, so the radix-2 FFT path and the naive
 //    dot-product path stop allocating per call;
 //  * batched APIs (pairwise candidate distances, query x dataset profiles,
@@ -31,9 +35,9 @@
 //
 // Lifetime contract: cached artefacts are keyed by the address and length
 // of the series data. Only arguments the API documents as cacheable are
-// ever inserted or looked up (temporary queries never are), and callers
-// that re-fit against new data must ClearCaches() first -- the classifiers
-// in this codebase do so at the top of Fit().
+// ever inserted or looked up (temporary queries and transformed series
+// never are), and callers that re-fit against new data must ClearCaches()
+// first -- the classifiers in this codebase build a fresh engine per Fit().
 
 #ifndef IPS_CORE_DISTANCE_ENGINE_H_
 #define IPS_CORE_DISTANCE_ENGINE_H_
@@ -55,6 +59,32 @@
 
 namespace ips {
 
+/// Series-side artefacts of the one series a transform worker is on:
+/// prefix sums of squares, RollingStats per window and forward FFTs per
+/// padded size, each built on first use and shared by every shapelet of
+/// the row. Reset() starts the next row; nothing is keyed by address
+/// beyond the current row, so nothing outlives the series it describes.
+/// The values are exactly those the engine caches would hold.
+class SeriesArtefacts {
+ public:
+  /// Starts a row for `series` (an empty span just drops the last row).
+  void Reset(std::span<const double> series);
+  /// Whether `s` is the current row's series.
+  bool Holds(std::span<const double> s) const {
+    return !series_.empty() && s.data() == series_.data() &&
+           s.size() == series_.size();
+  }
+  const std::vector<double>& Prefix();
+  const RollingStats& Stats(size_t window);
+  const std::vector<std::complex<double>>& Fft(size_t padded);
+
+ private:
+  std::span<const double> series_;
+  std::vector<double> prefix_;  // empty until built (a built one has n + 1)
+  std::vector<std::pair<size_t, RollingStats>> stats_;  // by window
+  std::vector<std::pair<size_t, std::vector<std::complex<double>>>> ffts_;
+};
+
 /// Per-thread scratch buffers. Owned by the engine's batch calls (one per
 /// worker) or by thread-local storage for single-pair calls; reused across
 /// kernel invocations so the hot path performs no allocations after warmup.
@@ -66,11 +96,18 @@ struct DistanceWorkspace {
   std::vector<std::complex<double>> fft_qry;  ///< query transform
   std::vector<std::complex<double>> fft_prod; ///< pointwise product / inverse
   std::vector<double> query_prefix;           ///< query prefix squares (EA)
-  /// Per-shapelet argmin of the previous series this worker transformed
-  /// (TransformBatch only): seeds the next series' best-so-far so
-  /// abandonment triggers early. Purely a visit-order hint -- results stay
-  /// bitwise identical whatever the seeds are.
+  SeriesArtefacts row;                        ///< transformed series' side
+  /// Per-shapelet cascade state carried from the previous series this
+  /// worker transformed (TransformBatch only; the batch reads it and
+  /// passes the decision to each min query, which never looks here):
+  ///  * eab_seed_hints: the last winning alignment, which seeds the next
+  ///    series' best-so-far so abandonment triggers early;
+  ///  * eab_backoff: series left to route straight to the dense path
+  ///    after the cascade bailed out on this shapelet.
+  /// Both only pick a path or a visit order -- results stay bitwise
+  /// identical whatever they hold.
   std::vector<size_t> eab_seed_hints;
+  std::vector<uint32_t> eab_backoff;
 };
 
 /// Monotonic instrumentation counters (snapshot via counters()).
@@ -86,6 +123,10 @@ struct EngineCounters {
   size_t eab_lb_pruned = 0;
   size_t eab_abandoned = 0;
   size_t eab_full = 0;
+  /// Min queries TransformBatch routed straight to the dense path because
+  /// the cascade had bailed out on the same shapelet within the last
+  /// kEabBackoffSeries series of that worker (not counted as candidates).
+  size_t eab_backoff_skips = 0;
 };
 
 /// An ordered (query index, series index) work item for MinForPairs.
@@ -189,7 +230,9 @@ class DistanceEngine {
 
   /// Whole-dataset shapelet transform: rows[i][s] is the distance of
   /// data[i] to shapelets[s] under `metric`, bitwise identical to the
-  /// serial TransformSeries loop. Streams chunk-granularly (ForEachChunk)
+  /// serial TransformSeries loop. Shapelet artefacts are cached; each
+  /// series' are built once per row and dropped (the batch inserts no
+  /// series-keyed cache entry). Streams chunk-granularly (ForEachChunk)
   /// and parallelises over the series of each chunk, so an out-of-core
   /// view's resident set stays one chunk; for in-RAM data the default
   /// single chunk makes this the historic whole-batch parallel loop.
@@ -200,7 +243,8 @@ class DistanceEngine {
       MetricId metric);
 
   /// One transform row for a (possibly temporary) series. Shapelet
-  /// artefacts are cached across calls; the series' are not.
+  /// artefacts are cached across calls; the series' are built once for the
+  /// row and dropped.
   std::vector<double> TransformOne(std::span<const double> series,
                                    const std::vector<Subsequence>& shapelets,
                                    MetricId metric);
@@ -209,6 +253,10 @@ class DistanceEngine {
 
   EngineCounters counters() const;
   void ResetCounters();
+
+  /// Series a worker routes past the early-abandon cascade, per shapelet,
+  /// after the cascade bailed out on it; the next series probes again.
+  static constexpr uint32_t kEabBackoffSeries = 16;
 
   /// Drops every cached artefact. Required before reusing an engine against
   /// data whose storage may have been freed or reused (e.g. re-Fit).
@@ -251,6 +299,24 @@ class DistanceEngine {
       std::span<const double> s, size_t padded, bool reversed, bool allow);
   const ZnQuery* CachedZnQuery(std::span<const double> q, bool allow);
 
+  /// Per-call inputs of a min query beyond its operands. Every field only
+  /// chooses a path, a visit order or where an artefact comes from, never
+  /// a value. The defaults are the plain query.
+  struct MinCall {
+    /// Visit-order hint for the early-abandon cascade.
+    size_t seed = simd::kEabNoSeed;
+    /// False routes straight to the dense path (TransformBatch's bail-out
+    /// backoff).
+    bool cascade = true;
+    /// Precomputed artefacts of the longer operand, used when they hold it.
+    SeriesArtefacts* series = nullptr;
+  };
+  /// What a min query reports back for the caller's next query.
+  struct MinOutcome {
+    size_t argmin = simd::kEabNoSeed;  ///< set when the cascade finished
+    bool bailed_out = false;           ///< the cascade gave up mid-flight
+  };
+
   // Kernels (bitwise identical to the core/distance.h serial paths). The
   // query span passed to SlidingDotsInto must be address-stable whenever
   // cache_query is true (the z-norm path passes the engine-owned cached
@@ -265,26 +331,26 @@ class DistanceEngine {
 
   void SlidingDotsInto(std::span<const double> query,
                        std::span<const double> series, bool cache_query,
-                       bool cache_series, DistanceWorkspace& ws);
+                       bool cache_series, SeriesArtefacts* series_art,
+                       DistanceWorkspace& ws);
   // The dot family (raw / L2 / cosine) shares one qq + prefix-squares +
   // sliding-dots skeleton and differs only in the policy tail hook; the
   // z-normalised family has its own impls (rolling stats, query z-norm).
-  // The min impls optionally take a best-so-far seed alignment (a visit-
-  // order hint for the early-abandon path; ignored by the dense path) and
-  // report the winning alignment back through `argmin_out` so batched
-  // transforms can seed the next series. Neither affects returned values.
+  // The min impls take a MinCall (seed, cascade routing, series-side
+  // artefacts) and optionally fill a MinOutcome (winning alignment, bail-
+  // out) so batched transforms can steer the next series. Neither affects
+  // returned values.
   double DotMinImpl(std::span<const double> a, std::span<const double> b,
                     bool cache_a, bool cache_b, const MetricPolicy& policy,
-                    DistanceWorkspace& ws, size_t seed = simd::kEabNoSeed,
-                    size_t* argmin_out = nullptr);
+                    DistanceWorkspace& ws, const MinCall& call,
+                    MinOutcome* outcome);
   void DotProfileImpl(std::span<const double> query,
                       std::span<const double> series, bool cache_query,
                       bool cache_series, const MetricPolicy& policy,
                       DistanceWorkspace& ws, std::vector<double>& out);
   double ZNormMinImpl(std::span<const double> a, std::span<const double> b,
                       bool cache_a, bool cache_b, DistanceWorkspace& ws,
-                      size_t seed = simd::kEabNoSeed,
-                      size_t* argmin_out = nullptr);
+                      const MinCall& call, MinOutcome* outcome);
   void ZNormProfileImpl(std::span<const double> query,
                         std::span<const double> series, bool cache_query,
                         bool cache_series, DistanceWorkspace& ws,
@@ -292,12 +358,20 @@ class DistanceEngine {
   // Metric-dispatching wrappers over the four impls above.
   double MinImpl(std::span<const double> a, std::span<const double> b,
                  bool cache_a, bool cache_b, MetricId metric,
-                 DistanceWorkspace& ws, size_t seed = simd::kEabNoSeed,
-                 size_t* argmin_out = nullptr);
+                 DistanceWorkspace& ws, const MinCall& call,
+                 MinOutcome* outcome);
   void ProfileImpl(std::span<const double> query,
                    std::span<const double> series, bool cache_query,
                    bool cache_series, MetricId metric, DistanceWorkspace& ws,
                    std::vector<double>& out);
+  /// One transform row of `series` (operand order (series, shapelet), as
+  /// TransformSeries) with its artefacts built once into ws.row. `carry`
+  /// (TransformBatch) reads and updates ws's per-shapelet seed hints and
+  /// bail-out backoff, which the caller sized to the shapelet count.
+  void TransformRowInto(std::span<const double> series,
+                        const std::vector<Subsequence>& shapelets,
+                        MetricId metric, DistanceWorkspace& ws, bool carry,
+                        std::vector<double>& row);
 
   /// Runs fn(item, workspace) for every item with per-worker scratch.
   template <typename Fn>
@@ -327,6 +401,7 @@ class DistanceEngine {
   std::atomic<size_t> eab_lb_pruned_{0};
   std::atomic<size_t> eab_abandoned_{0};
   std::atomic<size_t> eab_full_{0};
+  std::atomic<size_t> eab_backoff_skips_{0};
 };
 
 }  // namespace ips

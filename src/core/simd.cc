@@ -166,6 +166,12 @@ static_assert(ActiveOps::kWidth == kLanes,
 // sequence per lane. With Ops = ScalarOps the vector block compiles away
 // (kWidth == 1 never enters it), leaving exactly the pre-SIMD loops.
 
+// The vector path is register-blocked: kSlidingDotsBlock / W independent
+// accumulators cover adjacent alignment blocks and share each broadcast
+// q[j], so the adds of different blocks overlap instead of waiting on one
+// dependent chain. Every output still accumulates its own increasing-j
+// chain, so the blocking changes throughput, never a bit of the result.
+// Leftovers take the one-vector loop, then the scalar loop.
 template <typename Ops>
 void SlidingDotsT(const double* q, size_t m, const double* s, size_t n,
                   double* out) {
@@ -173,6 +179,26 @@ void SlidingDotsT(const double* q, size_t m, const double* s, size_t n,
   constexpr size_t W = Ops::kWidth;
   size_t i = 0;
   if constexpr (W > 1) {
+    static_assert(kSlidingDotsBlock == 4 * W,
+                  "SlidingDotsT runs four accumulators per block");
+    for (; i + kSlidingDotsBlock <= count; i += kSlidingDotsBlock) {
+      const double* p = s + i;
+      auto a0 = Ops::Set(0.0);
+      auto a1 = a0;
+      auto a2 = a0;
+      auto a3 = a0;
+      for (size_t j = 0; j < m; ++j) {
+        const auto qj = Ops::Set(q[j]);
+        a0 = Ops::Add(a0, Ops::Mul(qj, Ops::Load(p + j)));
+        a1 = Ops::Add(a1, Ops::Mul(qj, Ops::Load(p + j + W)));
+        a2 = Ops::Add(a2, Ops::Mul(qj, Ops::Load(p + j + 2 * W)));
+        a3 = Ops::Add(a3, Ops::Mul(qj, Ops::Load(p + j + 3 * W)));
+      }
+      Ops::Store(out + i, a0);
+      Ops::Store(out + i + W, a1);
+      Ops::Store(out + i + 2 * W, a2);
+      Ops::Store(out + i + 3 * W, a3);
+    }
     for (; i + W <= count; i += W) {
       auto acc = Ops::Set(0.0);
       for (size_t j = 0; j < m; ++j) {
@@ -1053,9 +1079,10 @@ EabResult DotEabMin(const EabArgs& a, EabCounters& c) {
     const double* w = s + i;
     // LB_Kim-style O(1) pre-check: the first and last squared differences
     // already bound the scan's sum from below (every term is
-    // non-negative), so a tight best-so-far skips the scan entirely.
+    // non-negative), so a tight best-so-far skips the scan entirely. A
+    // single-element window has one term, which must not count twice.
     const double e_first = qfirst - w[0];
-    const double e_last = qlast - w[m - 1];
+    const double e_last = m > 1 ? qlast - w[m - 1] : 0.0;
     if (e_first * e_first + e_last * e_last > thr) {
       ++visited;
       ++lbp;

@@ -65,10 +65,15 @@ const char* BackendName();
 // remainder lanes (counts below, equal to, and above kLanes).
 // ---------------------------------------------------------------------------
 
+/// Outputs SlidingDots computes per register-blocked pass (four vector
+/// accumulators); tests aim remainder counts at it.
+inline constexpr size_t kSlidingDotsBlock = 4 * kLanes;
+
 /// Sliding dot products: out[i] = sum_j q[j] * s[i + j] for i in
 /// [0, n - m], accumulated in increasing j exactly as the naive kernel.
 /// Vectorised across kLanes adjacent outputs i (each lane keeps its own
-/// scalar-order accumulator). `out` must hold n - m + 1 values.
+/// scalar-order accumulator), kSlidingDotsBlock outputs per pass. `out`
+/// must hold n - m + 1 values.
 void SlidingDots(const double* q, size_t m, const double* s, size_t n,
                  double* out);
 

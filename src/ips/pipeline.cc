@@ -241,12 +241,13 @@ int IpsClassifier::Predict(SeriesView series) const {
 std::vector<int> IpsClassifier::PredictBatch(
     const DatasetView& test) const {
   IPS_CHECK(!result_.shapelets.empty());
-  // A call-local engine rather than the member engine_: the batch path
-  // caches test-series artefacts too, and test sets are caller-owned
-  // temporaries that must not outlive their pointer-keyed cache entries.
-  // Built explicitly (instead of letting ShapeletTransform default one) so
-  // the run's early-abandon setting is honoured. Rows are bitwise equal to
-  // TransformSeries, so every label matches the per-series Predict loop.
+  // A call-local engine rather than the member engine_, so concurrent
+  // served batches never share one engine's cache locks and counters (the
+  // transform caches only shapelet artefacts, so the member engine would
+  // be safe, just contended). Built explicitly (instead of letting
+  // ShapeletTransform default one) so the run's early-abandon setting is
+  // honoured. Rows are bitwise equal to TransformSeries, so every label
+  // matches the per-series Predict loop.
   DistanceEngine local_engine(options_.num_threads);
   local_engine.set_early_abandon(options_.enable_early_abandon);
   const TransformedData transformed =

@@ -76,8 +76,9 @@ class IpsClassifier final : public SeriesClassifier {
  private:
   IpsOptions options_;
   std::unique_ptr<Classifier> backend_;
-  // Owns the distance caches shared by transform-time and predict-time
-  // Def. 4 evaluations. Reset (caches cleared) on every Fit.
+  // Owns the shapelet-side distance caches shared by transform-time and
+  // predict-time evaluations (transformed series are never cached).
+  // Rebuilt on every Fit.
   std::unique_ptr<DistanceEngine> engine_;
   RunResult result_;
 };

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <bit>
@@ -139,10 +140,13 @@ bool ReadExact(int fd, uint8_t* buf, size_t n, bool* clean_eof,
   return true;
 }
 
+// send(MSG_NOSIGNAL) rather than write(): a peer that hung up must cost
+// this connection an EPIPE error, not the whole process a SIGPIPE (the
+// daemon does not ignore the signal).
 bool WriteAll(int fd, const uint8_t* buf, size_t n, std::string* error) {
   size_t sent = 0;
   while (sent < n) {
-    const ssize_t w = ::write(fd, buf + sent, n - sent);
+    const ssize_t w = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (error != nullptr) {

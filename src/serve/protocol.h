@@ -160,7 +160,9 @@ bool DecodeErrorFrame(std::span<const uint8_t> payload, ErrorFrame* out);
 /// when provided (empty string for the clean-close case).
 std::optional<Frame> ReadFrame(int fd, std::string* error = nullptr);
 
-/// Writes the frame with retrying partial writes. False on write error.
+/// Writes the frame with retrying partial writes. False on write error,
+/// including a peer that hung up (EPIPE, never SIGPIPE). `fd` must be a
+/// socket: the write goes through send(MSG_NOSIGNAL).
 bool WriteFrame(int fd, const Frame& frame, std::string* error = nullptr);
 
 }  // namespace ips::serve

@@ -160,9 +160,13 @@ void Server::HandleConnection(int fd) {
     const Frame reply = HandleFrame(*request);
     if (!WriteFrame(fd, reply)) break;
   }
+  // Unregister before closing: once closed, the descriptor number may be
+  // reused by another open, and Stop() must never shutdown() that one.
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+  }
   ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
 }
 
 Frame Server::HandleFrame(const Frame& request) {

@@ -226,6 +226,38 @@ TEST(DistanceEngineTest, CountersTrackProfilesAndCacheTraffic) {
   EXPECT_EQ(third.stats_cache_hits, 0u);
 }
 
+// The transform builds each series' artefacts per row and never caches
+// them: the only cache entries a TransformBatch makes are shapelet-side,
+// so the miss count (one per entry inserted) is the same for 3 series as
+// for 24, and a second batch over new series adds none. Shapelet lengths
+// straddle the FFT cutoff so the series-side transforms are covered too.
+TEST(DistanceEngineTest, TransformBatchCachesNoSeriesArtefacts) {
+  const Dataset many = SyntheticData("engine-nocache", 24, 512);
+  Dataset few;
+  for (size_t i = 0; i < 3; ++i) few.Add(many[i]);
+  std::vector<Subsequence> shapelets;
+  for (size_t len : {8, 21, 64, 300}) {
+    shapelets.push_back(ExtractSubsequence(many[len % 5], len % 7, len));
+  }
+  for (const MetricId metric :
+       {MetricId::kRawSquaredEuclidean, MetricId::kZNormEuclidean,
+        MetricId::kEuclidean, MetricId::kCosine}) {
+    // One thread: two workers racing on the same shapelet would both
+    // count a miss, and the count would no longer be deterministic.
+    DistanceEngine small(1);
+    DistanceEngine large(1);
+    small.TransformBatch(few, shapelets, metric);
+    large.TransformBatch(many, shapelets, metric);
+    const size_t misses = small.counters().stats_cache_misses;
+    EXPECT_GT(misses, 0u) << MetricName(metric);  // shapelet artefacts
+    EXPECT_EQ(large.counters().stats_cache_misses, misses)
+        << MetricName(metric);
+    large.TransformBatch(few, shapelets, metric);
+    EXPECT_EQ(large.counters().stats_cache_misses, misses)
+        << MetricName(metric);
+  }
+}
+
 // ------------------------------------------------------------ threaded stress
 
 // Several threads hammer one shared engine with batched APIs while others

@@ -7,7 +7,8 @@
 // cases aim at the lower bounds themselves: constant (flat) windows and
 // queries, exact embedded matches (best hits the kernels' zero
 // short-circuit), single-alignment and single-element queries, and
-// out-of-range seed hints.
+// out-of-range seed hints. A prune-hostile case (generator noise, where
+// the cascade bails out) covers the transform's bail-out backoff.
 
 #include <cmath>
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "core/simd.h"
 #include "core/time_series.h"
 #include "core/znorm.h"
+#include "data/generator.h"
 #include "ips/pipeline.h"
 
 namespace ips {
@@ -128,6 +130,50 @@ TEST_P(EarlyAbandonParityTest, BatchApisBitwiseIdentical) {
             cp.eab_lb_pruned + cp.eab_abandoned + cp.eab_full);
   EXPECT_EQ(cd.eab_candidates, 0u);
   EXPECT_EQ(cp.profiles_computed, cd.profiles_computed);
+}
+
+// The hostile regime: generator-default noise, where windows barely
+// differ in energy and no shapelet has a near-twin, so the cascade prunes
+// almost nothing and bails out. The transform then routes each bailed
+// shapelet past the cascade for kEabBackoffSeries series before probing
+// again; with more series than that the rows cover bail-outs, backoff
+// skips and re-probes, and must stay bitwise equal to the dense path. The
+// shapelets include m == 1, where the first and last LB_Kim terms coincide.
+TEST_P(EarlyAbandonParityTest, PruneHostileTransformBitwiseIdentical) {
+  const MetricId metric = std::get<0>(GetParam());
+  const size_t threads = std::get<1>(GetParam());
+  GeneratorSpec spec;
+  spec.name = "eab-hostile";
+  spec.train_size = 48;
+  spec.test_size = 2;
+  spec.length = 128;
+  const Dataset data = GenerateDataset(spec).train;
+  std::vector<Subsequence> shapelets;
+  for (size_t len : {1, 9, 17, 33, 51}) {
+    shapelets.push_back(ExtractSubsequence(data[len % 7], 3 * len % 64, len));
+  }
+
+  DistanceEngine pruned(threads);
+  pruned.set_early_abandon(true);
+  DistanceEngine dense(threads);
+  dense.set_early_abandon(false);
+  const auto rows_p = pruned.TransformBatch(data, shapelets, metric);
+  const auto rows_d = dense.TransformBatch(data, shapelets, metric);
+  ASSERT_EQ(rows_p.size(), rows_d.size());
+  for (size_t i = 0; i < rows_p.size(); ++i) {
+    EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
+  }
+
+  const EngineCounters cp = pruned.counters();
+  EXPECT_EQ(cp.eab_candidates,
+            cp.eab_lb_pruned + cp.eab_abandoned + cp.eab_full);
+  EXPECT_EQ(dense.counters().eab_backoff_skips, 0u);
+  if (!DistanceEngine::kEarlyAbandonCompiledIn ||
+      !GetMetric(metric).eab_profitable) {
+    EXPECT_EQ(cp.eab_backoff_skips, 0u);
+  } else {
+    EXPECT_GT(cp.eab_backoff_skips, 0u) << "the backoff route never ran";
+  }
 }
 
 TEST_P(EarlyAbandonParityTest, SingleAlignmentAndFlatInputs) {

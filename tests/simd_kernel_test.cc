@@ -88,8 +88,16 @@ TEST(SimdBackendTest, WidthAndNameAreConsistent) {
 
 TEST(SimdKernelTest, SlidingDotsMatchesScalarAndHistoricLoop) {
   Rng rng(7);
-  for (size_t count : TestCounts()) {
-    for (size_t m : {size_t{1}, size_t{3}, size_t{16}}) {
+  // Besides the shared counts, reach every tail of the register-blocked
+  // loop: one short of a block, exactly one, one over, and two blocks plus
+  // a vector plus a scalar leftover.
+  constexpr size_t kBlock = simd::kSlidingDotsBlock;
+  std::vector<size_t> counts = TestCounts();
+  for (size_t c : {kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + kW + 1}) {
+    counts.push_back(c);
+  }
+  for (size_t count : counts) {
+    for (size_t m : {size_t{1}, size_t{3}, size_t{16}, size_t{63}}) {
       const size_t n = count + m - 1;
       const std::vector<double> q = RandomSeries(rng, m, false);
       const std::vector<double> s = RandomSeries(rng, n, false);
