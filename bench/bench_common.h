@@ -14,9 +14,6 @@
 //                       schema) where the binary supports it
 //   --metric=<name>     run under a registered non-default distance metric
 //                       (core/metric.h) where the binary supports it
-//   --mp_tile=<N>       pin the all-pairs join tile width (0 auto, 1 off)
-//   --no_mp_table       serve pair joins from the mutex-guarded caches
-//   --no_mp_arena       serve sweep scratch from fresh heap vectors
 
 #ifndef IPS_BENCH_BENCH_COMMON_H_
 #define IPS_BENCH_BENCH_COMMON_H_
@@ -50,18 +47,10 @@ struct BenchArgs {
   /// Registered metric name (core/metric.h) for binaries that support
   /// running under a non-default distance; empty means the default.
   std::string metric;
-  /// Join-scheduler knobs (IpsOptions equivalents) for binaries that prove
-  /// scheduling choices never change results: --mp_tile=N pins the
-  /// all-pairs tile width (0 = auto, 1 = untiled), --no_mp_table and
-  /// --no_mp_arena fall back to the mutex-guarded caches / fresh heap
-  /// vectors. The fingerprint CI matrix diffs runs across these.
-  std::optional<size_t> mp_tile;
-  bool no_mp_table = false;
-  bool no_mp_arena = false;
   /// --store_budget=BYTES routes the training set through an out-of-core
   /// columnar segment (store/columnar_store.h) with the given
   /// chunk-residency budget instead of discovering in-RAM. A storage
-  /// choice only, like the scheduler knobs: no banner, must diff clean.
+  /// choice only: no banner, must diff clean.
   std::optional<uint64_t> store_budget;
 };
 
@@ -88,12 +77,6 @@ inline BenchArgs ParseArgs(int argc, char** argv) {
       args.json_path = *v;
     } else if (auto v = value_of("--metric=")) {
       args.metric = *v;
-    } else if (auto v = value_of("--mp_tile=")) {
-      args.mp_tile = static_cast<size_t>(std::atoi(v->c_str()));
-    } else if (arg == "--no_mp_table") {
-      args.no_mp_table = true;
-    } else if (arg == "--no_mp_arena") {
-      args.no_mp_arena = true;
     } else if (auto v = value_of("--store_budget=")) {
       args.store_budget = static_cast<uint64_t>(std::atoll(v->c_str()));
     } else if (auto v = value_of("--datasets=")) {

@@ -42,7 +42,7 @@ inline std::string GitRevision() {
 }
 
 /// {"git_sha", "hardware_threads", "simd_backend", "tracing_enabled",
-///  "disable_simd", "disable_early_abandon", "disable_tiling"}.
+///  "disable_simd", "disable_early_abandon"}.
 inline obs::JsonValue BenchEnvJson() {
   obs::JsonValue env = obs::JsonValue::Object();
   env.Set("git_sha", GitRevision());
@@ -58,11 +58,6 @@ inline obs::JsonValue BenchEnvJson() {
   env.Set("disable_early_abandon", true);
 #else
   env.Set("disable_early_abandon", false);
-#endif
-#if defined(IPS_DISABLE_TILING)
-  env.Set("disable_tiling", true);
-#else
-  env.Set("disable_tiling", false);
 #endif
   return env;
 }

@@ -8,17 +8,12 @@
 // counts so both the serial and pooled paths are covered.
 //
 // Usage: discovery_fingerprint [--datasets=a,b,c] [--metric=NAME]
-//                              [--mp_tile=N] [--no_mp_table] [--no_mp_arena]
+//                              [--store_budget=BYTES]
 //
 // --metric runs discovery under a registered non-default metric; the
 // default invocation's output is the identity oracle and never changes
 // format, and a non-default metric announces itself with a "metric" line
 // so two different metrics can never diff clean against each other.
-//
-// --mp_tile / --no_mp_table / --no_mp_arena pin the join-scheduler knobs
-// (docs/memory.md). They are scheduling / memory-reuse choices only, so --
-// unlike --metric -- they print NO banner: any combination must diff clean
-// against the default run, and CI holds the output to that.
 //
 // --store_budget=BYTES routes each training set through an out-of-core
 // columnar segment (written to a temp file, opened with that residency
@@ -106,9 +101,6 @@ int Run(const BenchArgs& args) {
       IpsOptions options;
       options.num_threads = threads;
       options.metric = metric;
-      if (args.mp_tile) options.mp_tile_size = *args.mp_tile;
-      options.enable_mp_artifact_table = !args.no_mp_table;
-      options.enable_mp_arena = !args.no_mp_arena;
       const RunResult result = DiscoverShapelets(*train, options);
       std::printf("%s threads=%zu shapelets=%zu\n", name.c_str(), threads,
                   result.shapelets.size());

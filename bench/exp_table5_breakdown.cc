@@ -208,17 +208,15 @@ int Run(const BenchArgs& args) {
                 static_cast<double>(stats.eab_candidates));
   std::printf(
       "MatrixProfileEngine: %.3fs in instance profiles, %zu joins from %zu "
-      "QT sweeps (%zu saved by pair symmetry), artefact cache %zu hits / %zu "
-      "misses\n",
+      "QT sweeps (%zu saved by pair symmetry)\n",
       stats.profile_seconds, stats.mp_joins_computed, stats.mp_qt_sweeps,
-      stats.mp_joins_halved, stats.mp_cache_hits, stats.mp_cache_misses);
+      stats.mp_joins_halved);
   std::printf(
-      "Join scheduler: %zu artifact tables built / %zu reused (%zu entries), "
-      "%zu lock-free pair reads; arena %zu acquisitions backed by %zu slabs "
-      "/ %zu KiB\n",
-      stats.artifact_tables_built, stats.artifact_tables_reused,
-      stats.artifact_entries, stats.artifact_reads, stats.arena_acquires,
-      stats.arena_slab_allocs, stats.arena_slab_bytes / 1024);
+      "Join scheduler: %zu artifact tables built (%zu entries); arena %zu "
+      "acquisitions backed by %zu slabs / %zu KiB\n",
+      stats.artifact_tables_built, stats.artifact_entries,
+      stats.arena_acquires, stats.arena_slab_allocs,
+      stats.arena_slab_bytes / 1024);
   std::printf(
       "ThreadPool: %zu regions dispatched / %zu inline, %zu tasks run, %zu "
       "chunk steals\n",

@@ -97,6 +97,13 @@ echo "=== BENCH_metric ==="
 echo "=== BENCH_eab ==="
 "$BENCH/bench_eab" --out="$OUT/BENCH_eab.json" | tee "$OUT/BENCH_eab.txt"
 
+# All-pairs join timings (engine batch and candidate generation, 1 and N
+# threads) and warm-batch allocation counts. bench_join writes the JSON
+# itself and exits nonzero if a checksum differs from the free
+# AbJoinProfile kernel or across thread counts.
+echo "=== BENCH_join ==="
+"$BENCH/bench_join" --json="$OUT/BENCH_join.json" | tee "$OUT/BENCH_join.txt"
+
 # Out-of-core columnar store: discovery + transform on a corpus larger
 # than the chunk-residency budget, bitwise-diffed against the in-RAM path.
 # bench_store writes the JSON itself and exits nonzero if results diverge

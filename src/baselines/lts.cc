@@ -7,19 +7,12 @@
 #include <span>
 
 #include "core/rng.h"
+#include "stats/special.h"
 #include "util/check.h"
 
 namespace ips {
 
 namespace {
-
-double SigmoidStable(double x) {
-  if (x >= 0.0) {
-    return 1.0 / (1.0 + std::exp(-x));
-  }
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
 
 // Per-window mean squared distances between `series` and `shapelet`.
 std::vector<double> WindowDistances(std::span<const double> series,
@@ -186,7 +179,7 @@ void LtsClassifier::Fit(const DatasetView& train) {
         double z = w[k];
         for (size_t s = 0; s < k; ++s) z += w[s] * m[i][s];
         const double y = train.At(i).label == c ? 1.0 : 0.0;
-        error[static_cast<size_t>(c)][i] = SigmoidStable(z) - y;
+        error[static_cast<size_t>(c)][i] = Sigmoid(z) - y;
       }
     }
 

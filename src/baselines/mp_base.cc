@@ -18,9 +18,8 @@ std::vector<Subsequence> DiscoverMpBaseShapelets(
       ResolveCandidateLengths(train.MinLength(), options.length_ratios);
   const int num_classes = train.NumClasses();
 
-  // One engine for all joins: rolling stats and seed products of T_C /
-  // T_notC are shared across the candidate lengths of a class, and each
-  // join's diagonals are sharded over the option's threads.
+  // One engine for all joins: each join's diagonals are sharded over the
+  // option's threads.
   MatrixProfileEngine engine(options.num_threads);
 
   std::vector<Subsequence> shapelets;
@@ -75,9 +74,6 @@ std::vector<Subsequence> DiscoverMpBaseShapelets(
           SeriesView(own, label), candidates[i].offset, candidates[i].length,
           /*series_index=*/-1));
     }
-    // T_C / T_notC storage is reused by the next class; the pointer-keyed
-    // caches must not survive into the next class's contents.
-    engine.ClearCaches();
   }
   return shapelets;
 }

@@ -4,19 +4,10 @@
 
 #include <algorithm>
 
+#include "stats/special.h"
 #include "util/check.h"
 
 namespace ips {
-
-namespace {
-
-double SigmoidStable(double x) {
-  if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
-
-}  // namespace
 
 void LogisticRegression::Fit(const LabeledMatrix& data) {
   IPS_CHECK(!data.x.empty());
@@ -61,7 +52,7 @@ void LogisticRegression::Fit(const LabeledMatrix& data) {
         double z = 0.0;
         for (size_t j = 0; j <= d; ++j) z += w[j] * xs[i][j];
         const double err =
-            SigmoidStable(z) - (data.y[i] == c ? 1.0 : 0.0);
+            Sigmoid(z) - (data.y[i] == c ? 1.0 : 0.0);
         for (size_t j = 0; j <= d; ++j) grad[j] += err * xs[i][j];
       }
       for (size_t j = 0; j <= d; ++j) {

@@ -149,7 +149,7 @@ class DatasetView {
 
   /// Provider of precomputed per-series rolling statistics (core/znorm.h),
   /// or nullptr. Store-backed views serve write-time sidecars through
-  /// this, letting MatrixProfileEngine::PrepareAllPairs skip its stats
+  /// this, letting MatrixProfileEngine::BuildTable skip its stats
   /// pass with bitwise-identical results.
   virtual const SeriesStatsProvider* stats_provider() const {
     return nullptr;

@@ -122,17 +122,12 @@ CandidatePool GenerateCandidates(const DatasetView& train,
     IPS_SPAN("instance_profile");
     ParallelFor(tasks.size(), outer, [&](size_t t) {
       Task& task = tasks[t];
-      // Per-task engine: its artefact caches span every window length of
-      // the task, and the task's sample storage outlives it. The scheduler
-      // knobs thread through from the run options (A/B parity runs and the
-      // fingerprint CI matrix pin them off).
+      // Per-task engine; each window length's profile builds and drops its
+      // own artifact table.
       MatrixProfileEngine engine(inner);
       // Store-backed training views serve write-time sidecars through this,
-      // replacing the engine's stats pass with bitwise-identical fills.
+      // replacing the table build's stats pass with bitwise-identical fills.
       engine.set_stats_provider(train.stats_provider());
-      engine.set_use_artifact_table(options.enable_mp_artifact_table);
-      engine.set_use_arena(options.enable_mp_arena);
-      engine.set_tile_size(options.mp_tile_size);
       for (size_t window : lengths) {
         if (min_length < window) continue;
         const InstanceProfile ip = ComputeInstanceProfile(

@@ -89,21 +89,6 @@ struct IpsOptions {
   /// it off per run. Builds with -DIPS_DISABLE_EARLY_ABANDON force it off.
   bool enable_early_abandon = true;
 
-  /// Matrix-profile join scheduler knobs (docs/memory.md). All three are
-  /// scheduling / memory-reuse choices only: candidate generation is
-  /// bitwise identical for every combination (the fingerprint-diff CI
-  /// matrix pins this). `mp_tile_size`: cache-blocking tile width of the
-  /// all-pairs join in series -- 0 auto-tunes from series length, 1
-  /// disables tiling (the historic lexicographic pair order), B >= 2 is an
-  /// explicit width. `enable_mp_artifact_table`: serve the O(N^2) pair
-  /// loop from an immutable precomputed artifact table (lock-free reads)
-  /// instead of the engine's mutex-guarded caches.
-  /// `enable_mp_arena`: serve sweep scratch from thread-local bump arenas
-  /// instead of fresh heap vectors.
-  size_t mp_tile_size = 0;
-  bool enable_mp_artifact_table = true;
-  bool enable_mp_arena = true;
-
   /// Worker threads for candidate generation and the shapelet transform:
   /// 1 = sequential, 0 = auto (HardwareThreads()). Parallel regions run on
   /// the persistent process-wide pool (util/thread_pool.h). Results are

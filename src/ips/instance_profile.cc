@@ -71,9 +71,9 @@ InstanceProfile ComputeInstanceProfile(std::span<const SeriesView> sample,
   // Parallel precompute pass: one immutable artifact table (statistics,
   // forward FFTs, QT seed rows) for the whole batch, built before the
   // O(|sample|^2) pair loop so its sweeps read artifacts lock-free by
-  // index. The engine retains the table, so the join below reuses it.
-  if (eng.use_artifact_table()) eng.PrepareAllPairs(views, window, metric);
-  const std::vector<PairJoin> joins = eng.JoinAllPairs(views, window, metric);
+  // index. The table lives for this call only.
+  const std::vector<PairJoin> joins =
+      eng.JoinAllPairs(eng.BuildTable(views, window, metric));
 
   // Flat num_windows x |others| scatter buffer per usable instance: row i
   // holds window i's nearest-window distance to each OTHER instance. One

@@ -48,9 +48,9 @@ struct InstanceProfile {
 /// k is clamped to the number of other instances.
 ///
 /// When `engine` is non-null the sample's unordered pairs are joined through
-/// it -- one pair-symmetric QT sweep per pair, artefacts cached across
-/// window lengths, diagonals sharded over the engine's threads. A null
-/// engine uses a private serial engine. Either way the result is bitwise
+/// it -- one pair-symmetric QT sweep per pair, all reading one artifact
+/// table built for the call, diagonals sharded over the engine's threads. A
+/// null engine uses a private serial engine. Either way the result is bitwise
 /// identical to the historic pairwise-AbJoinProfile construction at every
 /// thread count (tests/mp_engine_test.cc).
 ///

@@ -36,10 +36,7 @@ IpsRunStats IpsRunStats::FromRegistry(const obs::MetricsSnapshot& metrics,
   s.mp_cache_misses = metrics.CounterValue("mp.cache_misses");
 
   s.artifact_tables_built = metrics.CounterValue("engine.artifact_table.builds");
-  s.artifact_tables_reused =
-      metrics.CounterValue("engine.artifact_table.reuses");
   s.artifact_entries = metrics.CounterValue("engine.artifact_table.entries");
-  s.artifact_reads = metrics.CounterValue("engine.artifact_table.reads");
 
   s.arena_acquires = metrics.CounterValue("engine.arena.acquires");
   s.arena_slab_allocs = metrics.CounterValue("engine.arena.slab_allocs");

@@ -73,18 +73,17 @@ struct IpsRunStats {
   size_t mp_joins_computed = 0;
   size_t mp_qt_sweeps = 0;
   size_t mp_joins_halved = 0;
+  /// Kept so the run-artifact format is unchanged. The engine has no
+  /// artefact caches any more and nothing publishes mp.cache_*, so both
+  /// read 0.
   size_t mp_cache_hits = 0;
   size_t mp_cache_misses = 0;
 
-  /// Tiled all-pairs join scheduler accounting (docs/memory.md): immutable
-  /// artifact tables built by the parallel precompute pass / served again
-  /// from the engine's single-slot cache, entries materialised in those
-  /// tables, and pair contexts filled lock-free from a table instead of
-  /// the mutex-guarded caches.
+  /// Artifact-table accounting (docs/memory.md): immutable tables built by
+  /// the engine's parallel precompute pass and entries materialised in
+  /// those tables.
   size_t artifact_tables_built = 0;
-  size_t artifact_tables_reused = 0;
   size_t artifact_entries = 0;
-  size_t artifact_reads = 0;
 
   /// Scratch-arena traffic (util/scratch_arena.h): spans handed out of the
   /// thread-local bump arenas, and the heap slabs (count / bytes) actually

@@ -9,8 +9,6 @@
 
 namespace ips {
 
-double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
-
 namespace {
 
 double MeanOrZero(double sum, size_t count) {

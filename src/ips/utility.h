@@ -37,13 +37,11 @@
 #include "dabf/dabf.h"
 #include "ips/candidate_gen.h"
 #include "ips/config.h"
+#include "stats/special.h"
 
 namespace ips {
 
 class DistanceEngine;
-
-/// Logistic function 1 / (1 + exp(-x)).
-double Sigmoid(double x);
 
 /// The three utilities of one candidate, plus the combined score.
 struct CandidateScore {

@@ -38,8 +38,8 @@ struct SeriesMotifs {
 
 /// Computes the self-join profile of `series` (default exclusion zone) and
 /// extracts the top `k_motifs` motifs and `k_discords` discords. The join
-/// runs through `engine` when given -- sharded over its threads, artefacts
-/// cached -- and through a private serial engine otherwise; the result is
+/// runs through `engine` when given -- sharded over its threads -- and
+/// through a private serial engine otherwise; the result is
 /// bitwise identical either way. Requires series.size() > window.
 SeriesMotifs ExploreSeries(std::span<const double> series, size_t window,
                            size_t k_motifs, size_t k_discords,

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <limits>
 #include <string>
-#include <utility>
 
 #include "core/fft.h"
 #include "core/simd.h"
@@ -29,15 +28,10 @@ struct MpMetrics {
   obs::Counter& joins_computed;
   obs::Counter& qt_sweeps;
   obs::Counter& joins_halved;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_misses;
-  // Artifact-table accounting: tables built / served again from the
-  // single-slot cache, entries materialised per build, and pair contexts
-  // filled lock-free from a table instead of the Cached* maps.
+  // Artifact-table accounting: tables built and entries materialised per
+  // build.
   obs::Counter& artifact_builds;
-  obs::Counter& artifact_reuses;
   obs::Counter& artifact_entries;
-  obs::Counter& artifact_reads;
   // Per-metric slice of qt_sweeps ("mp.qt_sweeps.<name>"); the total above
   // is always bumped too, keeping historic consumers intact.
   obs::Counter* sweeps_by_metric[kMetricCount];
@@ -49,13 +43,9 @@ MpMetrics& Metrics() {
     auto* m = new MpMetrics{registry.GetCounter("mp.joins_computed"),
                             registry.GetCounter("mp.qt_sweeps"),
                             registry.GetCounter("mp.joins_halved"),
-                            registry.GetCounter("mp.cache_hits"),
-                            registry.GetCounter("mp.cache_misses"),
                             registry.GetCounter("engine.artifact_table.builds"),
-                            registry.GetCounter("engine.artifact_table.reuses"),
                             registry.GetCounter(
                                 "engine.artifact_table.entries"),
-                            registry.GetCounter("engine.artifact_table.reads"),
                             {}};
     for (size_t i = 0; i < kMetricCount; ++i) {
       m->sweeps_by_metric[i] = &registry.GetCounter(
@@ -103,22 +93,6 @@ inline size_t RoundUpLane(size_t count) {
   return (count + kLane - 1) & ~(kLane - 1);
 }
 
-// Call-scoped scratch: a span out of `arena` when the arena path is on,
-// otherwise backed by the given heap vector (the A/B fresh-allocation
-// mode). Arena memory is uninitialised either way the callers fill it.
-template <typename T>
-std::span<T> CallScratch(ScratchArena& arena, bool use_arena,
-                         std::vector<T>& heap, size_t count) {
-  if (use_arena) return arena.Alloc<T>(count);
-  heap.resize(count);
-  return {heap.data(), heap.size()};
-}
-
-// Pair t of the lexicographic i<j enumeration over n series.
-inline size_t PairIndexOf(size_t n, size_t i, size_t j) {
-  return i * (2 * n - i - 1) / 2 + (j - i - 1);
-}
-
 }  // namespace
 
 size_t ArtifactTable::entry_count() const {
@@ -129,153 +103,10 @@ size_t ArtifactTable::entry_count() const {
   return entries;
 }
 
-// ------------------------------------------------------------------- caches
+// ----------------------------------------------------------------- table
 
-const RollingStats* MatrixProfileEngine::CachedStats(std::span<const double> s,
-                                                     size_t window) {
-  const SeriesKey key{s.data(), s.size(), window};
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    auto it = stats_.find(key);
-    if (it != stats_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().cache_hits.Add(1);
-      return &it->second;
-    }
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().cache_misses.Add(1);
-  // A provider fill (store sidecar) is bitwise identical to computing.
-  RollingStats fresh;
-  if (stats_provider_ == nullptr ||
-      !stats_provider_->FillRollingStats(s, window, &fresh)) {
-    fresh = ComputeRollingStats(s, window);
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return &stats_.try_emplace(key, std::move(fresh)).first->second;
-}
-
-const std::vector<double>* MatrixProfileEngine::CachedEnergies(
-    std::span<const double> s, size_t window) {
-  const SeriesKey key{s.data(), s.size(), window};
-  {
-    std::lock_guard<std::mutex> lock(energy_mu_);
-    auto it = energies_.find(key);
-    if (it != energies_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().cache_hits.Add(1);
-      return &it->second;
-    }
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().cache_misses.Add(1);
-  std::vector<double> fresh;
-  if (stats_provider_ == nullptr ||
-      !stats_provider_->FillWindowEnergies(s, window, &fresh)) {
-    fresh = ComputeWindowEnergies(s, window);
-  }
-  std::lock_guard<std::mutex> lock(energy_mu_);
-  return &energies_.try_emplace(key, std::move(fresh)).first->second;
-}
-
-const std::vector<std::complex<double>>* MatrixProfileEngine::CachedFft(
-    std::span<const double> s, size_t padded, bool reversed) {
-  auto& map = reversed ? fft_query_ : fft_series_;
-  const SeriesKey key{s.data(), s.size(), padded};
-  {
-    std::lock_guard<std::mutex> lock(fft_mu_);
-    auto it = map.find(key);
-    if (it != map.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().cache_hits.Add(1);
-      return &it->second;
-    }
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().cache_misses.Add(1);
-  std::vector<std::complex<double>> fresh;
-  ForwardFftInto(s, padded, reversed, fresh);
-  std::lock_guard<std::mutex> lock(fft_mu_);
-  return &map.try_emplace(key, std::move(fresh)).first->second;
-}
-
-// Seed sliding-dot-products of x's first window against every window of y,
-// replicating the kernels' InitialDots dispatch exactly: short windows go
-// through the naive kernel, long ones through the FFT kernel with both
-// forward transforms served from (or inserted into) the engine cache. The
-// arithmetic is identical either way, so seeds are bitwise equal to
-// SlidingDotProducts[Naive].
-const std::vector<double>* MatrixProfileEngine::CachedSeedDots(
-    std::span<const double> x, std::span<const double> y, size_t window) {
-  const SeedKey key{x.data(), y.data(), y.size(), window};
-  {
-    std::lock_guard<std::mutex> lock(seed_mu_);
-    auto it = seeds_.find(key);
-    if (it != seeds_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().cache_hits.Add(1);
-      return &it->second;
-    }
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().cache_misses.Add(1);
-
-  const std::span<const double> query = x.subspan(0, window);
-  std::vector<double> fresh;
-  if (!StompSeedUsesFft(window, y.size())) {
-    fresh = SlidingDotProductsNaive(query, y);
-  } else {
-    const size_t padded = NextPowerOfTwo(y.size() + window);
-    const std::vector<std::complex<double>>* fs =
-        CachedFft(y, padded, /*reversed=*/false);
-    const std::vector<std::complex<double>>* fq =
-        CachedFft(query, padded, /*reversed=*/true);
-    std::vector<std::complex<double>> prod(padded);
-    for (size_t i = 0; i < padded; ++i) prod[i] = (*fs)[i] * (*fq)[i];
-    Fft(prod, /*inverse=*/true);
-    fresh.resize(y.size() - window + 1);
-    for (size_t i = 0; i < fresh.size(); ++i) {
-      fresh[i] = prod[window - 1 + i].real();
-    }
-  }
-  std::lock_guard<std::mutex> lock(seed_mu_);
-  return &seeds_.try_emplace(key, std::move(fresh)).first->second;
-}
-
-// -------------------------------------------------------------------- sweep
-
-MatrixProfileEngine::SweepContext MatrixProfileEngine::MakeContext(
-    std::span<const double> a, std::span<const double> b, size_t window,
-    MetricId metric, bool self, size_t exclusion, bool want_b) {
-  const MetricPolicy& policy = GetMetric(metric);
-  SweepContext cx;
-  cx.a = a;
-  cx.b = b;
-  cx.window = window;
-  cx.la = a.size() - window + 1;
-  cx.lb = b.size() - window + 1;
-  cx.metric = metric;
-  if (policy.needs_rolling_stats) {
-    cx.stats_a = CachedStats(a, window);
-    cx.stats_b = self ? cx.stats_a : CachedStats(b, window);
-  }
-  if (policy.needs_window_energy) {
-    cx.energy_a = CachedEnergies(a, window);
-    cx.energy_b = self ? cx.energy_a : CachedEnergies(b, window);
-  }
-  cx.row0 = CachedSeedDots(a, b, window);
-  // Self joins seed every diagonal from row 0 (QT(i, 0) = QT(0, i) by
-  // symmetry), so the column-0 products are the same vector.
-  cx.col0 = self ? cx.row0 : CachedSeedDots(b, a, window);
-  cx.self = self;
-  cx.exclusion = exclusion;
-  cx.want_b = want_b && !self;
-  cx.use_arena = use_arena_;
-  return cx;
-}
-
-MatrixProfileEngine::SweepContext MatrixProfileEngine::MakeContextFromTable(
-    const ArtifactTable& table, size_t i, size_t j) const {
+MatrixProfileEngine::SweepContext MatrixProfileEngine::ContextOf(
+    const ArtifactTable& table, size_t i, size_t j) {
   const MetricPolicy& policy = GetMetric(table.metric);
   const size_t n = table.views.size();
   SweepContext cx;
@@ -295,145 +126,119 @@ MatrixProfileEngine::SweepContext MatrixProfileEngine::MakeContextFromTable(
   }
   cx.row0 = &table.seeds[i * n + j];
   cx.col0 = &table.seeds[j * n + i];
-  cx.self = false;
-  cx.exclusion = 0;
-  cx.want_b = true;
-  cx.use_arena = use_arena_;
   return cx;
 }
 
-bool MatrixProfileEngine::TableMatches(
-    const ArtifactTable& table, const std::vector<std::span<const double>>& views,
-    size_t window, MetricId metric) {
-  if (table.window != window || table.metric != metric ||
-      table.views.size() != views.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (table.views[i].data() != views[i].data() ||
-        table.views[i].size() != views[i].size()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::shared_ptr<const ArtifactTable> MatrixProfileEngine::PrepareAllPairs(
+ArtifactTable MatrixProfileEngine::BuildTable(
     const std::vector<std::span<const double>>& views, size_t window,
     MetricId metric) {
   IPS_CHECK(window >= 2);
   for (const auto& v : views) IPS_CHECK(v.size() >= window);
-  {
-    std::lock_guard<std::mutex> lock(table_mu_);
-    if (table_ != nullptr && TableMatches(*table_, views, window, metric)) {
-      Metrics().artifact_reuses.Add(1);
-      table_reuses_.fetch_add(1, std::memory_order_relaxed);
-      return table_;
-    }
-  }
   IPS_SPAN("mp_artifact_table");
 
-  auto table = std::make_shared<ArtifactTable>();
-  table->window = window;
-  table->metric = metric;
-  table->views = views;
+  ArtifactTable table;
+  table.window = window;
+  table.metric = metric;
+  table.views = views;
   const size_t n = views.size();
   const MetricPolicy& policy = GetMetric(metric);
-  if (policy.needs_rolling_stats) table->stats.resize(n);
-  if (policy.needs_window_energy) table->energies.resize(n);
+  if (policy.needs_rolling_stats) table.stats.resize(n);
+  if (policy.needs_window_energy) table.energies.resize(n);
 
   // Distinct padded sizes among FFT-regime seed targets (usually none:
   // short windows use the naive seed kernel).
   for (const auto& v : views) {
     if (StompSeedUsesFft(window, v.size())) {
-      table->padded_sizes.push_back(NextPowerOfTwo(v.size() + window));
+      table.padded_sizes.push_back(NextPowerOfTwo(v.size() + window));
     }
   }
-  std::sort(table->padded_sizes.begin(), table->padded_sizes.end());
-  table->padded_sizes.erase(
-      std::unique(table->padded_sizes.begin(), table->padded_sizes.end()),
-      table->padded_sizes.end());
-  const size_t n_sizes = table->padded_sizes.size();
-  table->fft_series.resize(n_sizes == 0 ? 0 : n);
-  table->fft_query.resize(n * n_sizes);
-  table->seeds.resize(n * n);
+  std::sort(table.padded_sizes.begin(), table.padded_sizes.end());
+  table.padded_sizes.erase(
+      std::unique(table.padded_sizes.begin(), table.padded_sizes.end()),
+      table.padded_sizes.end());
+  const size_t n_sizes = table.padded_sizes.size();
+  table.fft_series.resize(n_sizes == 0 ? 0 : n);
+  table.fft_query.resize(n * n_sizes);
+  table.seeds.resize(n * n);
 
-  // Pass A, parallel over series: per-window statistics, the series-side
-  // transform at the series' own padded size, and query-side (reversed
-  // first window) transforms at every size in play. Each fill is the same
-  // function the Cached* accessors run, so entries are bitwise identical
-  // to cache-served ones.
+  // Pass A, parallel over series: per-window statistics (served by the
+  // stats provider when it has them -- bitwise identical to computing),
+  // the series-side transform at the series' own padded size, and
+  // query-side (reversed first window) transforms at every size in play.
   ParallelFor(n, num_threads_, [&](size_t i) {
     if (policy.needs_rolling_stats &&
         (stats_provider_ == nullptr ||
          !stats_provider_->FillRollingStats(views[i], window,
-                                            &table->stats[i]))) {
-      table->stats[i] = ComputeRollingStats(views[i], window);
+                                            &table.stats[i]))) {
+      table.stats[i] = ComputeRollingStats(views[i], window);
     }
     if (policy.needs_window_energy &&
         (stats_provider_ == nullptr ||
          !stats_provider_->FillWindowEnergies(views[i], window,
-                                              &table->energies[i]))) {
-      table->energies[i] = ComputeWindowEnergies(views[i], window);
+                                              &table.energies[i]))) {
+      table.energies[i] = ComputeWindowEnergies(views[i], window);
     }
     if (n_sizes != 0) {
       if (StompSeedUsesFft(window, views[i].size())) {
         ForwardFftInto(views[i], NextPowerOfTwo(views[i].size() + window),
-                       /*reversed=*/false, table->fft_series[i]);
+                       /*reversed=*/false, table.fft_series[i]);
       }
       const auto query = views[i].subspan(0, window);
       for (size_t k = 0; k < n_sizes; ++k) {
-        ForwardFftInto(query, table->padded_sizes[k], /*reversed=*/true,
-                       table->fft_query[i * n_sizes + k]);
+        ForwardFftInto(query, table.padded_sizes[k], /*reversed=*/true,
+                       table.fft_query[i * n_sizes + k]);
       }
     }
   });
 
-  // Pass B, parallel over ordered pairs (i, j), i != j: the row-0 /
-  // column-0 QT seeds, arithmetic identical to CachedSeedDots. The inverse
-  // transform's product buffer comes from the worker's arena.
-  if (n >= 2) {
-    const bool use_arena = use_arena_;
-    ParallelFor(n * (n - 1), num_threads_, [&](size_t k) {
-      const size_t i = k / (n - 1);
+  // Pass B, parallel over the seeds: every ordered pair (i, j), i != j, or
+  // the one diagonal entry of a one-series (self-join) table. Seeds
+  // replicate the kernels' InitialDots dispatch exactly -- short windows
+  // through the naive kernel, long ones through the FFT kernel over the
+  // pass-A transforms -- so they are bitwise equal to
+  // SlidingDotProducts[Naive]. The inverse transform's product buffer
+  // comes from the worker's arena.
+  const size_t seed_count = n == 1 ? 1 : n * (n - 1);
+  ParallelFor(seed_count, num_threads_, [&](size_t k) {
+    size_t i = 0, j = 0;
+    if (n > 1) {
+      i = k / (n - 1);
       const size_t r = k % (n - 1);
-      const size_t j = r < i ? r : r + 1;
-      std::vector<double>& out = table->seeds[i * n + j];
-      const auto query = views[i].subspan(0, window);
-      const std::span<const double> y = views[j];
-      if (!StompSeedUsesFft(window, y.size())) {
-        out = SlidingDotProductsNaive(query, y);
-        return;
-      }
-      const size_t padded = NextPowerOfTwo(y.size() + window);
-      const size_t k_size =
-          std::lower_bound(table->padded_sizes.begin(),
-                           table->padded_sizes.end(), padded) -
-          table->padded_sizes.begin();
-      const auto& fs = table->fft_series[j];
-      const auto& fq = table->fft_query[i * n_sizes + k_size];
-      ScratchArena& arena = ScratchArena::ForCurrentThread();
-      const ScratchArena::Scope scope(arena);
-      std::vector<std::complex<double>> heap_prod;
-      std::span<std::complex<double>> prod =
-          CallScratch(arena, use_arena, heap_prod, padded);
-      for (size_t p = 0; p < padded; ++p) prod[p] = fs[p] * fq[p];
-      Fft(prod, /*inverse=*/true);
-      out.resize(y.size() - window + 1);
-      for (size_t p = 0; p < out.size(); ++p) {
-        out[p] = prod[window - 1 + p].real();
-      }
-    });
-  }
+      j = r < i ? r : r + 1;
+    }
+    std::vector<double>& out = table.seeds[i * n + j];
+    const auto query = views[i].subspan(0, window);
+    const std::span<const double> y = views[j];
+    if (!StompSeedUsesFft(window, y.size())) {
+      out = SlidingDotProductsNaive(query, y);
+      return;
+    }
+    const size_t padded = NextPowerOfTwo(y.size() + window);
+    const size_t k_size =
+        std::lower_bound(table.padded_sizes.begin(), table.padded_sizes.end(),
+                         padded) -
+        table.padded_sizes.begin();
+    const auto& fs = table.fft_series[j];
+    const auto& fq = table.fft_query[i * n_sizes + k_size];
+    ScratchArena& arena = ScratchArena::ForCurrentThread();
+    const ScratchArena::Scope scope(arena);
+    std::span<std::complex<double>> prod =
+        arena.Alloc<std::complex<double>>(padded);
+    for (size_t p = 0; p < padded; ++p) prod[p] = fs[p] * fq[p];
+    Fft(prod, /*inverse=*/true);
+    out.resize(y.size() - window + 1);
+    for (size_t p = 0; p < out.size(); ++p) {
+      out[p] = prod[window - 1 + p].real();
+    }
+  });
 
   Metrics().artifact_builds.Add(1);
-  Metrics().artifact_entries.Add(table->entry_count());
+  Metrics().artifact_entries.Add(table.entry_count());
   table_builds_.fetch_add(1, std::memory_order_relaxed);
-
-  std::lock_guard<std::mutex> lock(table_mu_);
-  table_ = table;
   return table;
 }
+
+// -------------------------------------------------------------------- sweep
 
 size_t MatrixProfileEngine::DiagCount(const SweepContext& cx) {
   if (cx.self) {
@@ -483,35 +288,6 @@ size_t MatrixProfileEngine::ChunkDiagonalsInto(const SweepContext& cx,
   }
   if (out[written - 1] != count) out[written++] = count;
   return written;
-}
-
-std::vector<size_t> MatrixProfileEngine::ChunkDiagonals(const SweepContext& cx,
-                                                        size_t chunks) const {
-  std::vector<size_t> bounds(std::max<size_t>(chunks, 1) + 1);
-  bounds.resize(ChunkDiagonalsInto(cx, chunks, bounds));
-  return bounds;
-}
-
-size_t MatrixProfileEngine::ResolveTileSize(size_t series_len, size_t window,
-                                            MetricId metric) const {
-#if defined(IPS_DISABLE_TILING)
-  return 1;
-#else
-  if (tile_size_ != 0) return tile_size_;
-  // Auto tile: a tile pairs two blocks of B series, and a sweep touches
-  // both blocks' values plus their per-window statistics. Target the two
-  // blocks fitting one core's last-level-cache share (~4 MiB) so a tile's
-  // B^2 sweeps hit warm lines; the per-pair QT seed rows stream regardless.
-  const MetricPolicy& policy = GetMetric(metric);
-  const size_t l = series_len - window + 1;
-  size_t doubles = series_len;
-  if (policy.needs_rolling_stats) doubles += 2 * l;  // means + stds
-  if (policy.needs_window_energy) doubles += l;
-  const size_t bytes_per_series = 8 * std::max<size_t>(doubles, 1);
-  constexpr size_t kCacheBudget = size_t{4} << 20;
-  const size_t b = kCacheBudget / (2 * bytes_per_series);
-  return std::clamp<size_t>(b, 2, 64);
-#endif
 }
 
 void MatrixProfileEngine::SweepPartial::Reset(const SweepContext& cx) {
@@ -674,15 +450,11 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
   // smaller-wins IS the serial tie rule. The tie-aware comparison is only
   // needed when chunk partials merge out of visit order.
   // The QT and distance rows come from the worker's arena (an inner scope,
-  // so nested sweeps on the caller thread rewind exactly their own carves)
-  // -- or from a fresh heap vector in the A/B fresh-allocation mode. The
-  // arena only changes where the bytes live, never their values.
+  // so nested sweeps on the caller thread rewind exactly their own carves).
   ScratchArena& arena = ScratchArena::ForCurrentThread();
   const ScratchArena::Scope scope(arena);
-  std::vector<double> heap_rows;
   const size_t qn = cx.row0->size();
-  std::span<double> rows =
-      CallScratch(arena, cx.use_arena, heap_rows, RoundUpLane(qn) + cx.lb);
+  std::span<double> rows = arena.Alloc<double>(RoundUpLane(qn) + cx.lb);
   std::span<double> qt_row = rows.subspan(0, qn);
   std::copy(cx.row0->begin(), cx.row0->end(), qt_row.begin());
   double* const qt = qt_row.data();
@@ -781,26 +553,20 @@ void MatrixProfileEngine::RunSweep(const SweepContext& cx, size_t chunks,
   }
   if (DiagCount(cx) == 0) return;
 
-  const std::vector<size_t> bounds = ChunkDiagonals(cx, chunks);
-  const size_t parts = bounds.size() - 1;
-
-  // Backing storage for the per-chunk partials: one flat carve out of the
-  // caller's arena (or heap vectors when the arena is off), sliced at
-  // cache-line strides so concurrent chunk writers never false-share.
+  // Chunk boundaries and the per-chunk partials' backing storage: flat
+  // carves out of the caller's arena, sliced at cache-line strides so
+  // concurrent chunk writers never false-share.
   ScratchArena& arena = ScratchArena::ForCurrentThread();
   const ScratchArena::Scope scope(arena);
+  const std::span<size_t> bounds =
+      arena.Alloc<size_t>(std::max<size_t>(chunks, 1) + 1);
+  const size_t parts = ChunkDiagonalsInto(cx, chunks, bounds) - 1;
   const size_t va = RoundUpLane(cx.la);
   const size_t vb = cx.want_b ? RoundUpLane(cx.lb) : 0;
   const size_t stride = va + vb;
-  std::vector<double> heap_vals;
-  std::vector<size_t> heap_idx;
-  std::vector<SweepPartial> heap_partials;
-  std::span<double> vals =
-      CallScratch(arena, cx.use_arena, heap_vals, parts * stride);
-  std::span<size_t> idxs =
-      CallScratch(arena, cx.use_arena, heap_idx, parts * stride);
-  std::span<SweepPartial> partials =
-      CallScratch(arena, cx.use_arena, heap_partials, parts);
+  std::span<double> vals = arena.Alloc<double>(parts * stride);
+  std::span<size_t> idxs = arena.Alloc<size_t>(parts * stride);
+  std::span<SweepPartial> partials = arena.Alloc<SweepPartial>(parts);
   for (size_t c = 0; c < parts; ++c) {
     SweepPartial& p = *new (&partials[c]) SweepPartial();
     p.a_val = vals.subspan(c * stride, cx.la);
@@ -839,9 +605,13 @@ MatrixProfile MatrixProfileEngine::SelfJoin(std::span<const double> series,
   BumpSweeps(1, metric);
   Metrics().joins_computed.Add(1);
 
-  const SweepContext cx = MakeContext(series, series, window, metric,
-                                      /*self=*/true, exclusion,
-                                      /*want_b=*/false);
+  // A one-series table: its diagonal seed is QT(0, j), and by symmetry
+  // QT(i, 0) too, so it serves as both the row-0 and the column-0 seed.
+  const ArtifactTable table = BuildTable({series}, window, metric);
+  SweepContext cx = ContextOf(table, 0, 0);
+  cx.self = true;
+  cx.exclusion = exclusion;
+  cx.want_b = false;
   MatrixProfile mp;
   RunSweep(cx, num_threads_, mp, nullptr);
   return mp;
@@ -859,8 +629,9 @@ MatrixProfile MatrixProfileEngine::AbJoin(std::span<const double> a,
   BumpSweeps(1, metric);
   Metrics().joins_computed.Add(1);
 
-  const SweepContext cx = MakeContext(a, b, window, metric, /*self=*/false,
-                                      /*exclusion=*/0, /*want_b=*/false);
+  const ArtifactTable table = BuildTable({a, b}, window, metric);
+  SweepContext cx = ContextOf(table, 0, 1);
+  cx.want_b = false;
   MatrixProfile mp;
   RunSweep(cx, num_threads_, mp, nullptr);
   return mp;
@@ -880,8 +651,8 @@ PairJoin MatrixProfileEngine::AbJoinBoth(std::span<const double> a,
   Metrics().joins_computed.Add(2);
   Metrics().joins_halved.Add(1);
 
-  const SweepContext cx = MakeContext(a, b, window, metric, /*self=*/false,
-                                      /*exclusion=*/0, /*want_b=*/true);
+  const ArtifactTable table = BuildTable({a, b}, window, metric);
+  const SweepContext cx = ContextOf(table, 0, 1);
   PairJoin join;
   join.a = 0;
   join.b = 1;
@@ -890,20 +661,15 @@ PairJoin MatrixProfileEngine::AbJoinBoth(std::span<const double> a,
 }
 
 std::vector<PairJoin> MatrixProfileEngine::JoinAllPairs(
-    const std::vector<std::span<const double>>& views, size_t window,
-    MetricId metric) {
+    const ArtifactTable& table) {
   std::vector<PairJoin> joins;
-  JoinAllPairsInto(views, window, joins, metric);
+  JoinAllPairsInto(table, joins);
   return joins;
 }
 
-void MatrixProfileEngine::JoinAllPairsInto(
-    const std::vector<std::span<const double>>& views, size_t window,
-    std::vector<PairJoin>& joins, MetricId metric) {
-  IPS_CHECK(window >= 2);
-  for (const auto& v : views) IPS_CHECK(v.size() >= window);
-
-  const size_t n = views.size();
+void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
+                                           std::vector<PairJoin>& joins) {
+  const size_t n = table.views.size();
   const size_t pair_count = n < 2 ? 0 : n * (n - 1) / 2;
   joins.resize(pair_count);
   if (pair_count == 0) return;
@@ -920,59 +686,31 @@ void MatrixProfileEngine::JoinAllPairsInto(
   sweeps_.fetch_add(pair_count, std::memory_order_relaxed);
   joins_.fetch_add(2 * pair_count, std::memory_order_relaxed);
   halved_.fetch_add(pair_count, std::memory_order_relaxed);
-  BumpSweeps(pair_count, metric);
+  BumpSweeps(pair_count, table.metric);
   Metrics().joins_computed.Add(2 * pair_count);
   Metrics().joins_halved.Add(pair_count);
 
-  // Phase 0: the batch's artifacts. Default: one immutable table built (or
-  // reused) by a parallel precompute pass; every pair context below then
-  // reads it lock-free by index. A/B fallback (use_artifact_table off):
-  // warm the historic mutex-guarded caches serially, as before.
-  std::shared_ptr<const ArtifactTable> table;
-  if (use_artifact_table_) {
-    table = PrepareAllPairs(views, window, metric);
-    Metrics().artifact_reads.Add(pair_count);
-  } else {
-    const MetricPolicy& policy = GetMetric(metric);
-    for (const auto& v : views) {
-      if (policy.needs_rolling_stats) CachedStats(v, window);
-      if (policy.needs_window_energy) CachedEnergies(v, window);
-    }
-  }
-
-  // All per-call setup -- contexts, chunk bounds, the tile order, work
-  // items and partial-minima storage -- is carved from the caller's arena
-  // under one scope (or heap vectors in the A/B fresh-allocation mode):
-  // the steady-state call performs no heap allocation at all.
-  const bool use_arena = use_arena_;
+  // All per-call setup -- contexts, chunk bounds, work items and
+  // partial-minima storage -- is carved from the caller's arena under one
+  // scope: the steady-state call performs no heap allocation at all.
   ScratchArena& arena = ScratchArena::ForCurrentThread();
   const ScratchArena::Scope scope(arena);
 
-  // Phase 1, parallel over pairs: contexts (from the table or the caches),
-  // per-pair chunk boundaries and output profile buffers (assign reuses
-  // capacity on repeat batches). With more threads than pairs, each pair's
-  // diagonals are split so every worker stays busy.
+  // Phase 1, parallel over pairs: contexts from the table, per-pair chunk
+  // boundaries and output profile buffers (assign reuses capacity on
+  // repeat batches). With more threads than pairs, each pair's diagonals
+  // are split so every worker stays busy.
   const size_t chunks_per_pair =
       pair_count >= num_threads_
           ? 1
           : (num_threads_ + pair_count - 1) / pair_count;
   const size_t bstride = chunks_per_pair + 1;
-  std::vector<SweepContext> heap_contexts;
-  std::vector<size_t> heap_bounds;
-  std::vector<size_t> heap_parts;
-  std::span<SweepContext> contexts =
-      CallScratch(arena, use_arena, heap_contexts, pair_count);
-  std::span<size_t> bounds =
-      CallScratch(arena, use_arena, heap_bounds, pair_count * bstride);
-  std::span<size_t> parts =
-      CallScratch(arena, use_arena, heap_parts, pair_count);
+  std::span<SweepContext> contexts = arena.Alloc<SweepContext>(pair_count);
+  std::span<size_t> bounds = arena.Alloc<size_t>(pair_count * bstride);
+  std::span<size_t> parts = arena.Alloc<size_t>(pair_count);
   ParallelFor(pair_count, num_threads_, [&](size_t t) {
-    SweepContext& cx = *new (&contexts[t]) SweepContext(
-        table != nullptr
-            ? MakeContextFromTable(*table, joins[t].a, joins[t].b)
-            : MakeContext(views[joins[t].a], views[joins[t].b], window,
-                          metric, /*self=*/false, /*exclusion=*/0,
-                          /*want_b=*/true));
+    SweepContext& cx = *new (&contexts[t])
+        SweepContext(ContextOf(table, joins[t].a, joins[t].b));
     parts[t] = ChunkDiagonalsInto(cx, chunks_per_pair,
                                   bounds.subspan(t * bstride, bstride)) -
                1;
@@ -982,41 +720,8 @@ void MatrixProfileEngine::JoinAllPairsInto(
     joins[t].b_vs_a.indices.assign(cx.lb, kNoNeighbor);
   });
 
-  // Tile-scheduled execution order: partition the series into blocks of B
-  // and emit each block pair's joins consecutively, so a tile's ~2B series
-  // (values + per-window statistics) stay cache-resident across its B^2
-  // sweeps instead of being evicted between lexicographically-distant
-  // pairs. Scheduling only: results land in the lexicographic joins slots
-  // and UpdateMin merges are visit-order independent, so output is bitwise
-  // identical for every tile size (set_tile_size(1) / -DIPS_DISABLE_TILING
-  // restore the historic order exactly).
-  std::vector<size_t> heap_order;
-  std::span<size_t> order = CallScratch(arena, use_arena, heap_order,
-                                        pair_count);
-  const size_t tile = ResolveTileSize(views[0].size(), window, metric);
-  if (tile >= 2 && tile < n) {
-    size_t pos = 0;
-    const size_t blocks = (n + tile - 1) / tile;
-    for (size_t bi = 0; bi < blocks; ++bi) {
-      const size_t ib = bi * tile;
-      const size_t ie = std::min(n, ib + tile);
-      for (size_t bj = bi; bj < blocks; ++bj) {
-        const size_t jb = bj * tile;
-        const size_t je = std::min(n, jb + tile);
-        for (size_t i = ib; i < ie; ++i) {
-          for (size_t j = std::max(jb, i + 1); j < je; ++j) {
-            order[pos++] = PairIndexOf(n, i, j);
-          }
-        }
-      }
-    }
-    IPS_CHECK(pos == pair_count);
-  } else {
-    for (size_t t = 0; t < pair_count; ++t) order[t] = t;
-  }
-
-  // Phase 2 layout: (pair, chunk) work items in tile order, each with a
-  // cache-line-strided slice of one flat partial-minima carve.
+  // Phase 2 layout: (pair, chunk) work items in lexicographic pair order,
+  // each with a cache-line-strided slice of one flat partial-minima carve.
   struct WorkItem {
     size_t pair;
     size_t chunk;
@@ -1028,23 +733,14 @@ void MatrixProfileEngine::JoinAllPairsInto(
     value_count +=
         parts[t] * (RoundUpLane(contexts[t].la) + RoundUpLane(contexts[t].lb));
   }
-  std::vector<WorkItem> heap_items;
-  std::vector<SweepPartial> heap_partials;
-  std::vector<double> heap_vals;
-  std::vector<size_t> heap_idx;
-  std::span<WorkItem> items =
-      CallScratch(arena, use_arena, heap_items, item_count);
-  std::span<SweepPartial> partials =
-      CallScratch(arena, use_arena, heap_partials, item_count);
-  std::span<double> vals = CallScratch(arena, use_arena, heap_vals,
-                                       value_count);
-  std::span<size_t> idxs = CallScratch(arena, use_arena, heap_idx,
-                                       value_count);
+  std::span<WorkItem> items = arena.Alloc<WorkItem>(item_count);
+  std::span<SweepPartial> partials = arena.Alloc<SweepPartial>(item_count);
+  std::span<double> vals = arena.Alloc<double>(value_count);
+  std::span<size_t> idxs = arena.Alloc<size_t>(value_count);
   {
     size_t pos = 0;
     size_t off = 0;
-    for (size_t o = 0; o < pair_count; ++o) {
-      const size_t t = order[o];
+    for (size_t t = 0; t < pair_count; ++t) {
       const size_t va = RoundUpLane(contexts[t].la);
       const size_t vb = RoundUpLane(contexts[t].lb);
       for (size_t c = 0; c < parts[t]; ++c, ++pos, off += va + vb) {
@@ -1058,8 +754,7 @@ void MatrixProfileEngine::JoinAllPairsInto(
     }
   }
 
-  // Phase 2, parallel over tile-ordered (pair, chunk) items with private
-  // partials.
+  // Phase 2, parallel over (pair, chunk) items with private partials.
   ParallelFor(item_count, num_threads_, [&](size_t w) {
     const WorkItem& it = items[w];
     const SweepContext& cx = contexts[it.pair];
@@ -1075,9 +770,8 @@ void MatrixProfileEngine::JoinAllPairsInto(
   });
 
   // Phase 3, serial merge in deterministic item order. Each pair's chunks
-  // merge into that pair's own slots and UpdateMin is visit-order
-  // independent, so the tile order changes nothing against the historic
-  // lexicographic merge.
+  // merge into that pair's own slots, and UpdateMin is visit-order
+  // independent.
   for (size_t w = 0; w < item_count; ++w) {
     const WorkItem& it = items[w];
     MergePartial(contexts[it.pair], partials[w], joins[it.pair].a_vs_b,
@@ -1092,10 +786,7 @@ MpEngineCounters MatrixProfileEngine::counters() const {
   c.joins_computed = joins_.load(std::memory_order_relaxed);
   c.qt_sweeps = sweeps_.load(std::memory_order_relaxed);
   c.joins_halved = halved_.load(std::memory_order_relaxed);
-  c.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  c.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   c.table_builds = table_builds_.load(std::memory_order_relaxed);
-  c.table_reuses = table_reuses_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -1103,34 +794,7 @@ void MatrixProfileEngine::ResetCounters() {
   joins_.store(0, std::memory_order_relaxed);
   sweeps_.store(0, std::memory_order_relaxed);
   halved_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
   table_builds_.store(0, std::memory_order_relaxed);
-  table_reuses_.store(0, std::memory_order_relaxed);
-}
-
-void MatrixProfileEngine::ClearCaches() {
-  {
-    std::lock_guard<std::mutex> lock(table_mu_);
-    table_.reset();
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(energy_mu_);
-    energies_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(fft_mu_);
-    fft_series_.clear();
-    fft_query_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(seed_mu_);
-    seeds_.clear();
-  }
 }
 
 }  // namespace ips

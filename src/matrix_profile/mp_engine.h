@@ -8,10 +8,10 @@
 // twice. The MatrixProfileEngine amortises all of that, the way the
 // DistanceEngine (core/distance_engine.h) amortises the Def. 4 layer:
 //
-//  * a cache of per-series artefacts -- RollingStats keyed by
-//    (series, window), forward FFTs keyed by (series, padded size) and seed
-//    sliding-dot-products keyed by (query series, target series, window) --
-//    shared across every join of a batch;
+//  * one immutable, index-addressed ArtifactTable per batch: rolling stats
+//    or window energies per series, forward FFTs and the row-0 / column-0
+//    seed sliding-dot-products of every ordered pair, built in one parallel
+//    pass and read by every sweep of the batch without locks;
 //  * pair symmetry: one QT sweep over an unordered pair yields the row
 //    minima (the a-side profile) AND the column minima (the b-side
 //    profile), because QT values along a diagonal and the z-normalised
@@ -32,15 +32,16 @@
 // "smallest value, smallest index achieving it", which is what the
 // order-independent (value, index) merge rule computes.
 //
-// Thread-safety contract: all public methods may be called concurrently on
-// one engine. Caches are mutex-guarded and fills are pure functions of the
-// series bytes, so a racing double-compute yields identical values and
-// first-insert wins.
+// Thread-safety contract: the join, table and counter methods may be called
+// concurrently on one engine (the setters may not). The engine holds no shared mutable state except its
+// instrumentation counters (relaxed atomics), and a table is immutable once
+// built, so any number of sweeps may read one table at once.
 //
-// Lifetime contract: cached artefacts are keyed by data address and length;
-// callers that re-batch against freed or reused storage must ClearCaches()
-// first (candidate generation builds one engine per sampling task, whose
-// series outlive it).
+// Lifetime contract (docs/memory.md): the caller owns every table. A table
+// borrows its series through spans and owns everything else, so the series
+// must outlive the table and keep their values while it is in use; refilled
+// storage needs a new table. SelfJoin, AbJoin and AbJoinBoth build and drop
+// a table per call, so the engine itself never holds artefacts across calls.
 
 #ifndef IPS_MATRIX_PROFILE_MP_ENGINE_H_
 #define IPS_MATRIX_PROFILE_MP_ENGINE_H_
@@ -48,10 +49,7 @@
 #include <atomic>
 #include <complex>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/metric.h"
@@ -61,26 +59,13 @@
 
 namespace ips {
 
-/// Whether the cache-blocking tile scheduler is compiled in
-/// (-DIPS_DISABLE_TILING pins the historic lexicographic pair order).
-#if defined(IPS_DISABLE_TILING)
-inline constexpr bool kTilingCompiledIn = false;
-#else
-inline constexpr bool kTilingCompiledIn = true;
-#endif
-
-/// Immutable, index-addressed artifacts of one all-pairs batch: everything
-/// the O(N^2) pair loop reads, precomputed by PrepareAllPairs in one
-/// parallel pass so the loop itself is lock-free -- contexts address
-/// artifacts by batch index instead of going through the mutex-guarded
-/// Cached* maps. Each entry's arithmetic is identical to the corresponding
-/// Cached* fill, so table-served joins are bitwise equal to cache-served
-/// ones.
+/// Immutable, index-addressed artefacts of one batch of series: everything
+/// its sweeps read, precomputed by MatrixProfileEngine::BuildTable in one
+/// parallel pass so the sweeps themselves are lock-free and allocation-free
+/// -- contexts address artefacts by batch index.
 ///
 /// Lifetime (docs/memory.md): the table borrows the batch's series storage
-/// via spans and owns everything else. Consumers hold it by shared_ptr, so
-/// a table stays valid through its sweeps even if a new batch replaces the
-/// engine's retained copy; ClearCaches() drops the engine's reference.
+/// via spans and owns everything else; the caller owns the table.
 struct ArtifactTable {
   size_t window = 0;
   MetricId metric = MetricId::kZNormEuclidean;
@@ -99,9 +84,10 @@ struct ArtifactTable {
   /// fft_query[i * padded_sizes.size() + k]: forward transform of series
   /// i's reversed first window, zero-padded to padded_sizes[k].
   std::vector<std::vector<std::complex<double>>> fft_query;
-  /// seeds[i * views.size() + j], i != j: sliding dot products of series
-  /// i's first window against every window of series j -- the row-0 /
-  /// column-0 QT seeds. Diagonal entries stay empty.
+  /// seeds[i * views.size() + j]: sliding dot products of series i's first
+  /// window against every window of series j -- the row-0 / column-0 QT
+  /// seeds. Filled for every i != j; the diagonal entry is filled only in
+  /// a one-series table, where it is the self-join's row-0 seed.
   std::vector<std::vector<double>> seeds;
 
   /// Number of materialised artifact entries (counter fodder).
@@ -113,10 +99,7 @@ struct MpEngineCounters {
   size_t joins_computed = 0;  ///< directed join profiles produced
   size_t qt_sweeps = 0;       ///< QT sweeps run (1 per unordered pair)
   size_t joins_halved = 0;    ///< joins served by a sweep's far side (saved)
-  size_t cache_hits = 0;      ///< artefact-cache hits (stats/FFT/seed dots)
-  size_t cache_misses = 0;    ///< artefact-cache misses (entry computed)
-  size_t table_builds = 0;    ///< artifact tables built by PrepareAllPairs
-  size_t table_reuses = 0;    ///< PrepareAllPairs calls served by the slot
+  size_t table_builds = 0;    ///< artifact tables built (BuildTable)
 };
 
 /// Both directions of one unordered AB-join: `a_vs_b` annotates windows of
@@ -177,63 +160,36 @@ class MatrixProfileEngine {
                       size_t window,
                       MetricId metric = MetricId::kZNormEuclidean);
 
-  /// Every unordered pair (i < j) of `views`, each computed once via the
-  /// pair-symmetric sweep, sharded over threads with per-chunk scratch and
-  /// a serial deterministic merge. Result t covers the t-th pair of the
-  /// lexicographic (i, j) enumeration; all profiles are bitwise identical
-  /// to the serial AbJoinProfile in both directions, for any thread count,
-  /// tile size or artifact/arena setting. Requires every view to be at
-  /// least `window` long.
-  std::vector<PairJoin> JoinAllPairs(
-      const std::vector<std::span<const double>>& views, size_t window,
-      MetricId metric = MetricId::kZNormEuclidean);
+  /// Builds the immutable artifact table of `views` in one parallel
+  /// precompute pass: per-series statistics, forward FFTs and all
+  /// ordered-pair QT seeds. The caller owns the result and may sweep it
+  /// any number of times (JoinAllPairs / JoinAllPairsInto). Requires every
+  /// view to be at least `window` long.
+  ArtifactTable BuildTable(const std::vector<std::span<const double>>& views,
+                           size_t window,
+                           MetricId metric = MetricId::kZNormEuclidean);
+
+  /// Every unordered pair (i < j) of the table's series, each computed once
+  /// via the pair-symmetric sweep, sharded over threads with per-chunk
+  /// scratch and a serial deterministic merge. Result t covers the t-th
+  /// pair of the lexicographic (i, j) enumeration; all profiles are bitwise
+  /// identical to the serial AbJoinProfile in both directions, for any
+  /// thread count.
+  std::vector<PairJoin> JoinAllPairs(const ArtifactTable& table);
 
   /// JoinAllPairs writing into `joins`: profiles reuse whatever capacity
-  /// `joins` already holds, so repeat batches of the same shape perform no
-  /// output allocations (the serving-loop form). Same results, bitwise.
-  void JoinAllPairsInto(const std::vector<std::span<const double>>& views,
-                        size_t window, std::vector<PairJoin>& joins,
-                        MetricId metric = MetricId::kZNormEuclidean);
-
-  /// Builds (or reuses) the batch's immutable artifact table in one
-  /// parallel precompute pass: per-series statistics, forward FFTs and all
-  /// ordered-pair QT seeds. The engine retains the most recent table and
-  /// JoinAllPairs reuses it when views/window/metric match, so calling
-  /// this up front moves the whole artifact cost out of the join. The
-  /// returned shared_ptr stays valid regardless of later calls.
-  std::shared_ptr<const ArtifactTable> PrepareAllPairs(
-      const std::vector<std::span<const double>>& views, size_t window,
-      MetricId metric = MetricId::kZNormEuclidean);
-
-  /// Routes JoinAllPairs through the lock-free artifact table (default) or
-  /// the historic mutex-guarded Cached* accessors. A/B knob: results are
-  /// bitwise identical either way.
-  void set_use_artifact_table(bool on) { use_artifact_table_ = on; }
-  bool use_artifact_table() const { return use_artifact_table_; }
-
-  /// Serves sweep scratch (QT rows, distance rows, partial minima, setup
-  /// tables) from thread-local ScratchArenas (default) or from fresh heap
-  /// vectors. A/B knob: results are bitwise identical either way.
-  void set_use_arena(bool on) { use_arena_ = on; }
-  bool use_arena() const { return use_arena_; }
-
-  /// Cache-blocking tile width of the all-pairs schedule, in series:
-  /// 0 auto-tunes from series length (the default), 1 disables tiling (the
-  /// historic lexicographic order), B >= 2 processes B*B pair tiles so a
-  /// tile's artifacts stay L2/L3-resident across its sweeps. Scheduling
-  /// only -- results are bitwise identical for every value. Compiled out
-  /// (pinned to 1) by -DIPS_DISABLE_TILING.
-  void set_tile_size(size_t b) { tile_size_ = b; }
-  size_t tile_size() const { return tile_size_; }
+  /// `joins` already holds, so repeat batches over one table perform no
+  /// heap allocations (the serving-loop form). Same results, bitwise.
+  void JoinAllPairsInto(const ArtifactTable& table,
+                        std::vector<PairJoin>& joins);
 
   /// Provider of precomputed per-series rolling statistics (core/znorm.h),
   /// typically DatasetView::stats_provider() of a store-backed view. When
-  /// set, every stats/energy fill (Cached* accessors and the
-  /// PrepareAllPairs precompute pass) asks the provider first and only
-  /// computes on refusal. Providers are contractually bitwise identical to
-  /// ComputeRollingStats / ComputeWindowEnergies, so results never depend
-  /// on whether a fill was served or computed. Pass nullptr to unset. The
-  /// caller keeps the provider alive for the engine's lifetime.
+  /// set, BuildTable asks the provider for every stats/energy fill first
+  /// and only computes on refusal. Providers are contractually bitwise
+  /// identical to ComputeRollingStats / ComputeWindowEnergies, so results
+  /// never depend on whether a fill was served or computed. Pass nullptr to
+  /// unset. The caller keeps the provider alive for the engine's lifetime.
   void set_stats_provider(const SeriesStatsProvider* provider) {
     stats_provider_ = provider;
   }
@@ -242,53 +198,10 @@ class MatrixProfileEngine {
   MpEngineCounters counters() const;
   void ResetCounters();
 
-  /// Drops every cached artefact. Required before reusing an engine against
-  /// data whose storage may have been freed or reused.
-  void ClearCaches();
-
  private:
-  struct SeriesKey {
-    const double* data;
-    size_t len;
-    size_t aux;  // window (stats), padded size (FFT)
-    bool operator==(const SeriesKey& o) const {
-      return data == o.data && len == o.len && aux == o.aux;
-    }
-  };
-  struct SeriesKeyHash {
-    size_t operator()(const SeriesKey& k) const {
-      size_t h = std::hash<const double*>{}(k.data);
-      h ^= std::hash<size_t>{}(k.len) + 0x9e3779b97f4a7c15ULL + (h << 6);
-      h ^= std::hash<size_t>{}(k.aux) + 0x9e3779b97f4a7c15ULL + (h << 6);
-      return h;
-    }
-  };
-  /// Seed sliding-dot-products are a property of (query series, target
-  /// series, window): dots of x's first window against every window of y.
-  struct SeedKey {
-    const double* query;
-    const double* series;
-    size_t series_len;
-    size_t window;
-    bool operator==(const SeedKey& o) const {
-      return query == o.query && series == o.series &&
-             series_len == o.series_len && window == o.window;
-    }
-  };
-  struct SeedKeyHash {
-    size_t operator()(const SeedKey& k) const {
-      size_t h = std::hash<const double*>{}(k.query);
-      h ^= std::hash<const double*>{}(k.series) + 0x9e3779b97f4a7c15ULL +
-           (h << 6);
-      h ^= std::hash<size_t>{}(k.series_len) + 0x9e3779b97f4a7c15ULL + (h << 6);
-      h ^= std::hash<size_t>{}(k.window) + 0x9e3779b97f4a7c15ULL + (h << 6);
-      return h;
-    }
-  };
-
   /// One sweep's immutable inputs: the pair, its per-window statistics
   /// (rolling stats and/or window energies, per the metric's needs) and its
-  /// row-0 / column-0 QT seeds (cache-owned pointers).
+  /// row-0 / column-0 QT seeds, all pointing into an ArtifactTable.
   struct SweepContext {
     std::span<const double> a;
     std::span<const double> b;
@@ -302,14 +215,13 @@ class MatrixProfileEngine {
     const std::vector<double>* energy_b = nullptr;
     const std::vector<double>* row0 = nullptr;  // QT(0, j)
     const std::vector<double>* col0 = nullptr;  // QT(i, 0)
-    bool self = false;      // a and b are the same series
-    size_t exclusion = 0;   // self-join trivial-match half-width
-    bool want_b = true;     // collect column minima (the b-side profile)
-    bool use_arena = true;  // serve sweep scratch from the thread arena
+    bool self = false;     // a and b are the same series
+    size_t exclusion = 0;  // self-join trivial-match half-width
+    bool want_b = true;    // collect column minima (the b-side profile)
   };
 
-  /// Running minima for (a chunk of) one sweep, viewing storage owned by
-  /// the caller (arena carve or heap vector). Trivially destructible, so
+  /// Running minima for (a chunk of) one sweep, viewing storage carved by
+  /// the caller out of its scratch arena. Trivially destructible, so
   /// whole arrays of partials live in arena memory. The merge rule --
   /// smaller value wins, bitwise-equal values go to the smaller neighbour
   /// index -- is visit-order independent, so chunk boundaries never affect
@@ -322,33 +234,11 @@ class MatrixProfileEngine {
     void Reset(const SweepContext& cx);
   };
 
-  // Cache accessors: return a stable pointer to the cached artefact,
-  // computing and inserting it on miss.
-  const RollingStats* CachedStats(std::span<const double> s, size_t window);
-  const std::vector<double>* CachedEnergies(std::span<const double> s,
-                                            size_t window);
-  const std::vector<std::complex<double>>* CachedFft(
-      std::span<const double> s, size_t padded, bool reversed);
-  const std::vector<double>* CachedSeedDots(std::span<const double> x,
-                                            std::span<const double> y,
-                                            size_t window);
-
-  /// Builds the sweep context for one (a, b) pair, filling the metric's
-  /// per-window statistics and the seeds from the caches.
-  SweepContext MakeContext(std::span<const double> a, std::span<const double> b,
-                           size_t window, MetricId metric, bool self,
-                           size_t exclusion, bool want_b);
-
-  /// Builds the sweep context for batch pair (i, j) by indexing the
-  /// artifact table -- no locks, no cache lookups.
-  SweepContext MakeContextFromTable(const ArtifactTable& table, size_t i,
-                                    size_t j) const;
-
-  /// True when `table` serves exactly this batch (same series storage,
-  /// window and metric).
-  static bool TableMatches(const ArtifactTable& table,
-                           const std::vector<std::span<const double>>& views,
-                           size_t window, MetricId metric);
+  /// The context of the AB sweep over table series (i, j): statistics and
+  /// seeds addressed by batch index -- no locks, no lookups. For i == j in
+  /// a one-series table it points at the self-join seed.
+  static SweepContext ContextOf(const ArtifactTable& table, size_t i,
+                                size_t j);
 
   /// Walks diagonals [diag_begin, diag_end) of the sweep, updating the
   /// partial. Diagonal indices enumerate c = index - (la - 1) for AB pairs
@@ -375,22 +265,11 @@ class MatrixProfileEngine {
   static size_t DiagCells(const SweepContext& cx, size_t diag);
 
   /// Splits [0, DiagCount) into at most `chunks` cell-balanced ranges,
-  /// keeping at least min_cells_per_chunk_ cells per range.
-  std::vector<size_t> ChunkDiagonals(const SweepContext& cx,
-                                     size_t chunks) const;
-
-  /// ChunkDiagonals writing its boundaries into `out` (capacity must be at
-  /// least chunks + 1); returns the number of boundaries written. The
-  /// allocation-free form the all-pairs loop uses.
+  /// keeping at least min_cells_per_chunk_ cells per range, and writes the
+  /// boundaries into `out` (capacity at least chunks + 1). Returns the
+  /// number of boundaries written.
   size_t ChunkDiagonalsInto(const SweepContext& cx, size_t chunks,
                             std::span<size_t> out) const;
-
-  /// The tile width the all-pairs schedule will use for this batch: the
-  /// explicit tile_size_ when set, otherwise auto-tuned so two tiles of
-  /// series (values + per-window statistics) fit in a last-level-cache
-  /// share. Always 1 (tiling off) under -DIPS_DISABLE_TILING.
-  size_t ResolveTileSize(size_t series_len, size_t window,
-                         MetricId metric) const;
 
   /// Merges a partial into the sweep's output profiles (serial).
   static void MergePartial(const SweepContext& cx, const SweepPartial& partial,
@@ -403,42 +282,11 @@ class MatrixProfileEngine {
   size_t num_threads_;
   size_t min_cells_per_chunk_ = size_t{1} << 16;
   const SeriesStatsProvider* stats_provider_ = nullptr;
-  bool use_artifact_table_ = true;
-  bool use_arena_ = true;
-  size_t tile_size_ = 0;  // 0 = auto, 1 = off, >= 2 explicit
-
-  // Most recent all-pairs artifact table (single-slot: candidate
-  // generation re-joins the same sample across candidate work, and
-  // serving loops re-batch identical views). Consumers hold shared_ptrs,
-  // so replacing or clearing the slot never invalidates a running sweep.
-  mutable std::mutex table_mu_;
-  std::shared_ptr<const ArtifactTable> table_;
-
-  mutable std::mutex stats_mu_;
-  std::unordered_map<SeriesKey, RollingStats, SeriesKeyHash> stats_;
-  mutable std::mutex energy_mu_;
-  // aux = window; per-window sums of squares (ComputeWindowEnergies), the
-  // artefact the non-normalised metrics need instead of rolling stats.
-  std::unordered_map<SeriesKey, std::vector<double>, SeriesKeyHash> energies_;
-  mutable std::mutex fft_mu_;
-  // aux = padded size; reversed (query-side) transforms get their own map
-  // so a key never aliases a series-side transform.
-  std::unordered_map<SeriesKey, std::vector<std::complex<double>>,
-                     SeriesKeyHash>
-      fft_series_;
-  std::unordered_map<SeriesKey, std::vector<std::complex<double>>,
-                     SeriesKeyHash>
-      fft_query_;
-  mutable std::mutex seed_mu_;
-  std::unordered_map<SeedKey, std::vector<double>, SeedKeyHash> seeds_;
 
   std::atomic<size_t> joins_{0};
   std::atomic<size_t> sweeps_{0};
   std::atomic<size_t> halved_{0};
-  std::atomic<size_t> cache_hits_{0};
-  std::atomic<size_t> cache_misses_{0};
   std::atomic<size_t> table_builds_{0};
-  std::atomic<size_t> table_reuses_{0};
 };
 
 }  // namespace ips

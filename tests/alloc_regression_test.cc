@@ -1,6 +1,7 @@
 // Allocation-regression guard for the all-pairs join hot loop
-// (docs/memory.md): a warm JoinAllPairsInto batch -- artifact table held,
-// output capacity sized, thread-local arenas grown -- must perform no
+// (docs/memory.md): a warm JoinAllPairsInto batch -- the caller's artifact
+// table held, output capacity sized, thread-local arenas grown -- must
+// perform no
 // per-pair heap allocations, and at most a small constant number of
 // per-batch ones (span bookkeeping, pool dispatch). Counted with a global
 // operator-new override, so this binary must NOT run under ASan/TSan/MSan
@@ -96,16 +97,15 @@ std::vector<std::vector<double>> MakeBatch(size_t count, size_t len) {
   return series;
 }
 
-// Allocations during one steady-state batch: warm twice (builds the
-// table, sizes the output, grows the arenas), then count the third run.
-size_t WarmBatchAllocs(MatrixProfileEngine& engine,
-                       const std::vector<std::span<const double>>& views,
-                       size_t window, std::vector<PairJoin>& joins) {
-  engine.JoinAllPairsInto(views, window, joins);
-  engine.JoinAllPairsInto(views, window, joins);
+// Allocations during one steady-state batch over a held table: warm twice
+// (sizes the output, grows the arenas), then count the third run.
+size_t WarmBatchAllocs(MatrixProfileEngine& engine, const ArtifactTable& table,
+                       std::vector<PairJoin>& joins) {
+  engine.JoinAllPairsInto(table, joins);
+  engine.JoinAllPairsInto(table, joins);
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_alloc_counting.store(true, std::memory_order_relaxed);
-  engine.JoinAllPairsInto(views, window, joins);
+  engine.JoinAllPairsInto(table, joins);
   g_alloc_counting.store(false, std::memory_order_relaxed);
   return g_alloc_count.load(std::memory_order_relaxed);
 }
@@ -116,8 +116,9 @@ TEST(AllocRegressionTest, WarmBatchStaysUnderConstantBound) {
   const std::vector<std::span<const double>> views(series.begin(),
                                                    series.end());
   MatrixProfileEngine engine(1);
+  const ArtifactTable table = engine.BuildTable(views, 8);
   std::vector<PairJoin> joins;
-  const size_t allocs = WarmBatchAllocs(engine, views, 8, joins);
+  const size_t allocs = WarmBatchAllocs(engine, table, joins);
   // Per-batch bookkeeping only (obs span path strings and the like); the
   // 276 pairs themselves must contribute nothing. The bound is a small
   // constant with slack for stdlib differences -- the slope test below is
@@ -136,13 +137,15 @@ TEST(AllocRegressionTest, PerPairAllocationSlopeIsZero) {
   size_t allocs_small = 0, allocs_large = 0;
   {
     MatrixProfileEngine engine(1);
+    const ArtifactTable table = engine.BuildTable(small_views, 8);
     std::vector<PairJoin> joins;
-    allocs_small = WarmBatchAllocs(engine, small_views, 8, joins);
+    allocs_small = WarmBatchAllocs(engine, table, joins);
   }
   {
     MatrixProfileEngine engine(1);
+    const ArtifactTable table = engine.BuildTable(large_views, 8);
     std::vector<PairJoin> joins;
-    allocs_large = WarmBatchAllocs(engine, large_views, 8, joins);
+    allocs_large = WarmBatchAllocs(engine, table, joins);
   }
   // 4x the pairs, same per-batch constants: any growth is a per-pair
   // allocation that crept back into the sweep hot loop.
@@ -155,15 +158,16 @@ TEST(AllocRegressionTest, ArenaSlabsAreStableAcrossWarmBatches) {
   const std::vector<std::span<const double>> views(series.begin(),
                                                    series.end());
   MatrixProfileEngine engine(1);
+  const ArtifactTable table = engine.BuildTable(views, 9);
   std::vector<PairJoin> joins;
-  engine.JoinAllPairsInto(views, 9, joins);
-  engine.JoinAllPairsInto(views, 9, joins);
+  engine.JoinAllPairsInto(table, joins);
+  engine.JoinAllPairsInto(table, joins);
 
   auto& registry = obs::MetricsRegistry::Instance();
   const uint64_t slabs_before =
       registry.Snapshot().CounterValue("engine.arena.slab_allocs");
   for (int rep = 0; rep < 5; ++rep) {
-    engine.JoinAllPairsInto(views, 9, joins);
+    engine.JoinAllPairsInto(table, joins);
   }
   const uint64_t slabs_after =
       registry.Snapshot().CounterValue("engine.arena.slab_allocs");

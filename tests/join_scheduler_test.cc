@@ -1,11 +1,10 @@
-// Bitwise-identity suite for the tiled all-pairs join scheduler
-// (docs/memory.md): every combination of {artifact table on/off} x
-// {scratch arena on/off} x {tile width} x {thread count} must reproduce
-// the serial untable/unarena/untiled reference EXACTLY -- the scheduler
-// reorders work and reuses memory, it never changes arithmetic. The CI
-// fingerprint matrix holds end-to-end discovery to the same bar; this
-// suite pins the engine layer directly, including the FFT-seed regime and
-// every registered metric.
+// Bitwise-identity suite for the all-pairs join scheduler
+// (docs/memory.md): JoinAllPairs over one artifact table must reproduce the
+// free serial AbJoinProfile kernel EXACTLY, in both directions of every
+// pair, at threads {1, 2, 8} -- the scheduler shards work and reuses
+// memory, it never changes arithmetic. The CI fingerprint diffs hold
+// end-to-end discovery to the same bar; this suite pins the engine layer
+// directly, including the FFT-seed regime and every registered metric.
 
 #include "matrix_profile/mp_engine.h"
 
@@ -13,6 +12,7 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,48 +72,47 @@ void ExpectJoinsBitwiseEqual(const std::vector<PairJoin>& expected,
   }
 }
 
+// Both directions of every lexicographic pair, each from its own serial
+// one-direction join: the free AbJoinProfile kernel for the z-normalised
+// default, and for the other metrics (which have no free kernel) the
+// single-threaded engine AbJoin, whose row sweep metric_test holds to a
+// brute-force loop. Neither collects column minima, so the b side of
+// every batch profile is checked against an independent computation.
 std::vector<PairJoin> ReferenceJoins(
     const std::vector<std::span<const double>>& views, size_t window,
     MetricId metric) {
-  MatrixProfileEngine engine(1);
-  engine.set_use_artifact_table(false);
-  engine.set_use_arena(false);
-  engine.set_tile_size(1);
-  return engine.JoinAllPairs(views, window, metric);
+  MatrixProfileEngine serial(1);
+  const auto one_way = [&](size_t x, size_t y) {
+    return metric == MetricId::kZNormEuclidean
+               ? AbJoinProfile(views[x], views[y], window)
+               : serial.AbJoin(views[x], views[y], window, metric);
+  };
+  std::vector<PairJoin> joins;
+  for (size_t i = 0; i < views.size(); ++i) {
+    for (size_t j = i + 1; j < views.size(); ++j) {
+      PairJoin pj;
+      pj.a = i;
+      pj.b = j;
+      pj.a_vs_b = one_way(i, j);
+      pj.b_vs_a = one_way(j, i);
+      joins.push_back(std::move(pj));
+    }
+  }
+  return joins;
 }
 
 void RunConfigMatrix(const std::vector<std::span<const double>>& views,
                      size_t window, MetricId metric) {
   const std::vector<PairJoin> expected =
       ReferenceJoins(views, window, metric);
-  for (bool table : {false, true}) {
-    for (bool arena : {false, true}) {
-      for (size_t tile : {size_t{1}, size_t{2}, size_t{3}, size_t{0}}) {
-        for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-          MatrixProfileEngine engine(threads);
-          engine.set_use_artifact_table(table);
-          engine.set_use_arena(arena);
-          engine.set_tile_size(tile);
-          const std::vector<PairJoin> actual =
-              engine.JoinAllPairs(views, window, metric);
-          const std::string config =
-              std::string("table=") + (table ? "1" : "0") +
-              " arena=" + (arena ? "1" : "0") +
-              " tile=" + std::to_string(tile) +
-              " threads=" + std::to_string(threads) +
-              " metric=" + MetricName(metric);
-          ExpectJoinsBitwiseEqual(expected, actual, config);
-        }
-      }
-    }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    MatrixProfileEngine engine(threads);
+    const std::vector<PairJoin> actual =
+        engine.JoinAllPairs(engine.BuildTable(views, window, metric));
+    const std::string config = "threads=" + std::to_string(threads) +
+                               " metric=" + MetricName(metric);
+    ExpectJoinsBitwiseEqual(expected, actual, config);
   }
-}
-
-TEST(JoinSchedulerTest, ConfigMatrixIsBitwiseIdentical) {
-  // Mixed lengths, n = 5 (odd vs every tile width tested above).
-  const auto series = MakeSeries(11, {80, 64, 97, 80, 71});
-  RunConfigMatrix(ViewsOf(series), /*window=*/12,
-                  MetricId::kZNormEuclidean);
 }
 
 TEST(JoinSchedulerTest, ConfigMatrixHoldsForEveryRegisteredMetric) {
@@ -126,24 +125,13 @@ TEST(JoinSchedulerTest, ConfigMatrixHoldsForEveryRegisteredMetric) {
 
 TEST(JoinSchedulerTest, ConfigMatrixHoldsInTheFftSeedRegime) {
   // Sizes past the FFT cost model's crossover (window >= kFftCutoff AND
-  // window * len > 14 * padded * log2(padded)): PrepareAllPairs serves the
-  // QT seed rows from forward FFTs (the fft_series/fft_query artifacts),
-  // the one arithmetic path the short-series cases above never touch.
+  // window * len > 14 * padded * log2(padded)): BuildTable serves the QT
+  // seed rows from forward FFTs (the fft_series/fft_query artifacts), the
+  // one arithmetic path the short-series cases above never touch.
   ASSERT_TRUE(StompSeedUsesFft(512, 1040));
   const auto series = MakeSeries(17, {1024, 1040});
   RunConfigMatrix(ViewsOf(series), /*window=*/512,
                   MetricId::kZNormEuclidean);
-}
-
-TEST(JoinSchedulerTest, TileWiderThanBatchMatches) {
-  const auto series = MakeSeries(19, {50, 50, 50});
-  const auto views = ViewsOf(series);
-  const std::vector<PairJoin> expected =
-      ReferenceJoins(views, 8, MetricId::kZNormEuclidean);
-  MatrixProfileEngine engine(2);
-  engine.set_tile_size(64);  // > n: the tile covers the whole batch
-  ExpectJoinsBitwiseEqual(expected, engine.JoinAllPairs(views, 8),
-                          "tile=64 n=3");
 }
 
 TEST(JoinSchedulerTest, RepeatBatchesIntoSameVectorMatch) {
@@ -153,66 +141,18 @@ TEST(JoinSchedulerTest, RepeatBatchesIntoSameVectorMatch) {
       ReferenceJoins(views, 10, MetricId::kZNormEuclidean);
 
   MatrixProfileEngine engine(2);
+  const ArtifactTable table = engine.BuildTable(views, 10);
+  EXPECT_EQ(table.window, 10u);
+  EXPECT_GT(table.entry_count(), 0u);
   std::vector<PairJoin> joins;
   for (int rep = 0; rep < 3; ++rep) {
-    // Capacity reuse across repeats (the serving-loop form) and artifact
-    // table reuse after the first batch must not change a bit.
-    engine.JoinAllPairsInto(views, 10, joins);
+    // Capacity reuse across repeats (the serving-loop form) and sweeping
+    // one table again must not change a bit.
+    engine.JoinAllPairsInto(table, joins);
     ExpectJoinsBitwiseEqual(expected, joins,
                             "rep " + std::to_string(rep));
   }
-  const MpEngineCounters c = engine.counters();
-  EXPECT_EQ(c.table_builds, 1u);
-  EXPECT_EQ(c.table_reuses, 2u);
-}
-
-TEST(JoinSchedulerTest, PreparedTableIsReusedByTheJoin) {
-  const auto series = MakeSeries(29, {60, 75, 80});
-  const auto views = ViewsOf(series);
-  MatrixProfileEngine engine(2);
-  const auto table = engine.PrepareAllPairs(views, 11);
-  ASSERT_NE(table, nullptr);
-  EXPECT_EQ(table->window, 11u);
-  EXPECT_GT(table->entry_count(), 0u);
-
-  const std::vector<PairJoin> joins = engine.JoinAllPairs(views, 11);
-  const MpEngineCounters c = engine.counters();
-  EXPECT_EQ(c.table_builds, 1u);   // the explicit prepare
-  EXPECT_EQ(c.table_reuses, 1u);   // the join found it by views/window
-  ExpectJoinsBitwiseEqual(ReferenceJoins(views, 11,
-                                         MetricId::kZNormEuclidean),
-                          joins, "prepared");
-
-  // A different window is a different table; the held pointer stays valid.
-  engine.PrepareAllPairs(views, 8);
-  EXPECT_EQ(engine.counters().table_builds, 2u);
-  EXPECT_EQ(table->window, 11u);
-}
-
-TEST(JoinSchedulerTest, SelfJoinAndAbJoinUnaffectedByKnobs) {
-  // The ad-hoc entry points bypass the batch scheduler; the knobs must not
-  // disturb them either way.
-  const auto series = MakeSeries(31, {90, 76});
-  const auto views = ViewsOf(series);
-  MatrixProfileEngine reference(1);
-  reference.set_use_artifact_table(false);
-  reference.set_use_arena(false);
-  const MatrixProfile self_e = reference.SelfJoin(views[0], 9, 0);
-  const MatrixProfile ab_e = reference.AbJoin(views[0], views[1], 9);
-
-  MatrixProfileEngine engine(2);
-  const MatrixProfile self_a = engine.SelfJoin(views[0], 9, 0);
-  const MatrixProfile ab_a = engine.AbJoin(views[0], views[1], 9);
-  ASSERT_EQ(self_e.values.size(), self_a.values.size());
-  for (size_t i = 0; i < self_e.values.size(); ++i) {
-    ASSERT_EQ(self_e.values[i], self_a.values[i]);
-    ASSERT_EQ(self_e.indices[i], self_a.indices[i]);
-  }
-  ASSERT_EQ(ab_e.values.size(), ab_a.values.size());
-  for (size_t i = 0; i < ab_e.values.size(); ++i) {
-    ASSERT_EQ(ab_e.values[i], ab_a.values[i]);
-    ASSERT_EQ(ab_e.indices[i], ab_a.indices[i]);
-  }
+  EXPECT_EQ(engine.counters().table_builds, 1u);
 }
 
 }  // namespace

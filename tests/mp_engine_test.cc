@@ -8,6 +8,7 @@
 
 #include <cstddef>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -167,7 +168,8 @@ TEST(MpEngineJoinAllPairsTest, EveryPairBothDirections) {
   for (size_t threads : kThreadCounts) {
     MatrixProfileEngine engine(threads);
     engine.set_min_cells_per_chunk(1);
-    const std::vector<PairJoin> joins = engine.JoinAllPairs(views, window);
+    const std::vector<PairJoin> joins =
+        engine.JoinAllPairs(engine.BuildTable(views, window));
     ASSERT_EQ(joins.size(), 6u);  // C(4, 2)
     size_t t = 0;
     for (size_t i = 0; i < views.size(); ++i) {
@@ -189,54 +191,71 @@ TEST(MpEngineCountersTest, PairSymmetryHalvesJoins) {
   for (size_t n : {80u, 80u, 80u}) series.push_back(RandomWalk(rng, n));
   std::vector<std::span<const double>> views(series.begin(), series.end());
 
-  // Legacy scheduling path: with the artifact table off, batches are fed
-  // by the mutex-guarded per-entry caches (kept for ad-hoc callers).
   MatrixProfileEngine engine(2);
-  engine.set_use_artifact_table(false);
-  engine.JoinAllPairs(views, 10);
+  const ArtifactTable table = engine.BuildTable(views, 10);
+  engine.JoinAllPairs(table);
   const MpEngineCounters c = engine.counters();
   // 3 unordered pairs serve all 6 directed joins of the historic code.
   EXPECT_EQ(c.qt_sweeps, 3u);
   EXPECT_EQ(c.joins_computed, 6u);
   EXPECT_EQ(c.joins_halved, 3u);
-  EXPECT_GT(c.cache_misses, 0u);
-  EXPECT_EQ(c.table_builds, 0u);
+  EXPECT_EQ(c.table_builds, 1u);
 
-  // A second batch over the same views is served from the artefact caches.
-  const size_t misses_before = c.cache_misses;
-  engine.JoinAllPairs(views, 10);
+  // A second batch over the caller's table builds nothing new.
+  engine.JoinAllPairs(table);
   const MpEngineCounters c2 = engine.counters();
-  EXPECT_EQ(c2.cache_misses, misses_before);
-  EXPECT_GT(c2.cache_hits, c.cache_hits);
+  EXPECT_EQ(c2.qt_sweeps, 6u);
+  EXPECT_EQ(c2.table_builds, 1u);
 
   engine.ResetCounters();
   const MpEngineCounters zero = engine.counters();
   EXPECT_EQ(zero.joins_computed, 0u);
-  EXPECT_EQ(zero.cache_hits, 0u);
+  EXPECT_EQ(zero.table_builds, 0u);
+}
 
-  // Default path: the batch builds one immutable artifact table instead of
-  // touching the per-entry caches, and a repeat batch reuses it.
-  MatrixProfileEngine tabled(2);
-  tabled.JoinAllPairs(views, 10);
-  const MpEngineCounters t1 = tabled.counters();
-  EXPECT_EQ(t1.qt_sweeps, 3u);
-  EXPECT_EQ(t1.joins_computed, 6u);
-  EXPECT_EQ(t1.table_builds, 1u);
-  EXPECT_EQ(t1.table_reuses, 0u);
-  EXPECT_EQ(t1.cache_hits, 0u);
-  EXPECT_EQ(t1.cache_misses, 0u);
+// One engine reused over buffers refilled in place with new values of the
+// same length: nothing may be served from an earlier pass's artefacts. An
+// engine that keyed artefacts by data address returned the first pass's
+// profiles here in every window.
+TEST(MpEngineStaleBufferTest, RefilledBuffersGiveFreshProfiles) {
+  Rng rng(41);
+  const size_t window = 12;
+  std::vector<std::vector<double>> buffers(3, std::vector<double>(140));
+  const std::vector<const double*> addresses = {
+      buffers[0].data(), buffers[1].data(), buffers[2].data()};
+  const std::vector<std::span<const double>> views(buffers.begin(),
+                                                   buffers.end());
 
-  tabled.JoinAllPairs(views, 10);
-  const MpEngineCounters t2 = tabled.counters();
-  EXPECT_EQ(t2.table_builds, 1u);
-  EXPECT_EQ(t2.table_reuses, 1u);
+  for (size_t threads : kThreadCounts) {
+    MatrixProfileEngine engine(threads);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (auto& buffer : buffers) {
+        const std::vector<double> fresh = RandomWalk(rng, buffer.size());
+        std::copy(fresh.begin(), fresh.end(), buffer.begin());
+      }
+      for (size_t k = 0; k < buffers.size(); ++k) {
+        ASSERT_EQ(buffers[k].data(), addresses[k]);
+      }
 
-  // ClearCaches drops the retained table: the next batch rebuilds.
-  tabled.ClearCaches();
-  tabled.JoinAllPairs(views, 10);
-  const MpEngineCounters t3 = tabled.counters();
-  EXPECT_EQ(t3.table_builds, 2u);
-  EXPECT_EQ(t3.table_reuses, 1u);
+      ExpectProfilesIdentical(SelfJoinProfile(views[0], window),
+                              engine.SelfJoin(views[0], window),
+                              "refilled self join");
+      const PairJoin both = engine.AbJoinBoth(views[0], views[1], window);
+      ExpectProfilesIdentical(AbJoinProfile(views[0], views[1], window),
+                              both.a_vs_b, "refilled pair a side");
+      ExpectProfilesIdentical(AbJoinProfile(views[1], views[0], window),
+                              both.b_vs_a, "refilled pair b side");
+      const std::vector<PairJoin> joins =
+          engine.JoinAllPairs(engine.BuildTable(views, window));
+      ASSERT_EQ(joins.size(), 3u);
+      for (const PairJoin& pj : joins) {
+        ExpectProfilesIdentical(AbJoinProfile(views[pj.a], views[pj.b], window),
+                                pj.a_vs_b, "refilled batch a side");
+        ExpectProfilesIdentical(AbJoinProfile(views[pj.b], views[pj.a], window),
+                                pj.b_vs_a, "refilled batch b side");
+      }
+    }
+  }
 }
 
 TEST(MpEngineInstanceProfileTest, EngineMatchesSerialConstruction) {

@@ -56,6 +56,14 @@ TEST(SigmoidTest, KnownValues) {
   EXPECT_NEAR(Sigmoid(100.0), 1.0, 1e-12);
   EXPECT_NEAR(Sigmoid(-100.0), 0.0, 1e-12);
   EXPECT_NEAR(Sigmoid(1.0) + Sigmoid(-1.0), 1.0, 1e-12);
+  // Utility arguments are means of distances or bucket gaps, so x >= 0;
+  // there the sign-split form must be the plain logistic expression bit
+  // for bit, or discovery fingerprints would move.
+  for (double x : {0.0, 1e-300, 1e-9, 0.125, 0.5, 1.0, 2.718281828459045,
+                   7.5, 36.0, 709.0, 1e300}) {
+    const double plain = 1.0 / (1.0 + std::exp(-x));
+    EXPECT_EQ(Sigmoid(x), plain) << "x=" << x;
+  }
 }
 
 TEST(CandidateScoreTest, CombinedFormula) {
