@@ -6,17 +6,19 @@
 // In-process (default): builds a fixture (two genuinely different run
 // artifacts over one train split), boots a real Server on an ephemeral
 // loopback port, and
-//   1. sweeps the admission queue's batch-window knob x client threads,
-//      measuring throughput and client-side p50/p99 latency;
+//   1. sweeps the closed-loop client threads {1, 8}, measuring throughput
+//      and client-side p50/p99 latency, plus the server's queue-wait,
+//      batch-compute and reply-write histograms;
 //   2. runs a hot-swap soak: classify traffic from every thread while the
 //      main thread keeps swapping the artifact file and reloading.
 // EVERY response in both phases is checked against the offline
 // PredictBatch labels of the model version the response reports, and the
 // run is additionally guarded by an FNV-1a checksum over (series index,
-// label) pairs: served vs offline must be bitwise identical, across every
-// batch-window setting and across hot swaps. Any divergence fails the run
+// label) pairs: served vs offline must be bitwise identical, at every
+// client count and across hot swaps. Any divergence fails the run
 // (nonzero exit) -- the same contract the tests assert, proven here at
-// serving scale.
+// serving scale. The JSON carries the bench_env.h env block and an
+// obs::ReportToJson report of the metrics the run moved.
 //
 // Connect mode (--connect=HOST:PORT --fixture=DIR [--model=NAME]): the CI
 // soak. Drives an externally-booted ips_serve daemon over the fixture
@@ -43,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_env.h"
 #include "data/generator.h"
 #include "data/ucr_loader.h"
 #include "ips/config.h"
@@ -50,6 +53,8 @@
 #include "ips/serialization.h"
 #include "obs/export.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
@@ -260,56 +265,64 @@ int RunInProcess(const std::string& json_path, int threads_override,
 
   obs::JsonValue doc = obs::JsonValue::Object();
   doc.Set("bench", "serve");
+  doc.Set("env", bench::BenchEnvJson());
+  const obs::TraceSnapshot trace_before =
+      obs::TraceRegistry::Instance().Snapshot();
+  const obs::MetricsSnapshot metrics_before =
+      obs::MetricsRegistry::Instance().Snapshot();
   bool all_ok = true;
 
-  // Phase 1: batch-window sweep. A fresh registry + server per config so
-  // versions and metrics start clean.
-  const std::vector<int64_t> windows = {0, 100, 500, 2000};
+  // Phase 1: client-thread sweep. A fresh registry + server per config so
+  // versions start clean; the server histograms are this config's delta.
   const std::vector<int> thread_counts =
       threads_override > 0 ? std::vector<int>{threads_override}
                            : std::vector<int>{1, 8};
   const int requests = requests_override > 0 ? requests_override : 250;
   obs::JsonValue sweep = obs::JsonValue::Array();
-  for (const int64_t window : windows) {
-    for (const int threads : thread_counts) {
-      write_artifact(fixture.artifact_a);
-      serve::ModelRegistry registry;
-      std::string error;
-      if (registry.Load("bench",
-                        serve::ModelSource{artifact_path, train_path,
-                                           IpsOptions{}},
-                        &error) == 0) {
-        std::fprintf(stderr, "load failed: %s\n", error.c_str());
-        return 1;
-      }
-      serve::ServerOptions options;
-      options.queue.batch_window_us = window;
-      serve::Server server(&registry, options);
-      if (!server.Start(&error)) {
-        std::fprintf(stderr, "start failed: %s\n", error.c_str());
-        return 1;
-      }
-      const DriveResult r = DriveTraffic("127.0.0.1", server.port(), "bench",
-                                         fixture, threads, requests);
-      server.Stop();
-      all_ok = all_ok && r.ok();
-      obs::JsonValue e = ResultToJson(r);
-      e.Set("batch_window_us", static_cast<double>(window));
-      e.Set("threads", threads);
-      sweep.Append(std::move(e));
-      std::printf("window %5lld us  %d thread(s): %6.0f qps  p50 %7.1f us  "
-                  "p99 %7.1f us  %s\n",
-                  static_cast<long long>(window), threads,
-                  r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds
-                                : 0.0,
-                  r.p50_us, r.p99_us,
-                  r.ok() ? "ok" : "CHECKSUM MISMATCH");
+  for (const int threads : thread_counts) {
+    write_artifact(fixture.artifact_a);
+    serve::ModelRegistry registry;
+    std::string error;
+    if (registry.Load("bench",
+                      serve::ModelSource{artifact_path, train_path,
+                                         IpsOptions{}},
+                      &error) == 0) {
+      std::fprintf(stderr, "load failed: %s\n", error.c_str());
+      return 1;
     }
+    serve::Server server(&registry, serve::ServerOptions{});
+    if (!server.Start(&error)) {
+      std::fprintf(stderr, "start failed: %s\n", error.c_str());
+      return 1;
+    }
+    const obs::MetricsSnapshot before =
+        obs::MetricsRegistry::Instance().Snapshot();
+    const DriveResult r = DriveTraffic("127.0.0.1", server.port(), "bench",
+                                       fixture, threads, requests);
+    server.Stop();
+    const obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::Instance().DeltaSince(before);
+    all_ok = all_ok && r.ok();
+    obs::JsonValue e = ResultToJson(r);
+    e.Set("threads", threads);
+    for (const char* name : {"batch_size", "queue_wait_us",
+                             "batch_compute_us", "reply_write_us"}) {
+      const auto it = delta.histograms.find(std::string("serve.") + name);
+      e.Set(name, obs::HistogramStatsToJson(
+                      it == delta.histograms.end() ? obs::HistogramSnapshot{}
+                                                   : it->second));
+    }
+    sweep.Append(std::move(e));
+    std::printf("%d thread(s): %6.0f qps  p50 %7.1f us  p99 %7.1f us  %s\n",
+                threads,
+                r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds
+                              : 0.0,
+                r.p50_us, r.p99_us, r.ok() ? "ok" : "CHECKSUM MISMATCH");
   }
-  doc.Set("window_sweep", std::move(sweep));
+  doc.Set("thread_sweep", std::move(sweep));
 
-  // Phase 2: hot-swap soak -- traffic at the default window while the
-  // artifact file flips between A and B with a reload per flip.
+  // Phase 2: hot-swap soak -- traffic while the artifact file flips
+  // between A and B with a reload per flip.
   {
     write_artifact(fixture.artifact_a);
     serve::ModelRegistry registry;
@@ -359,6 +372,10 @@ int RunInProcess(const std::string& json_path, int threads_override,
   }
 
   doc.Set("served_vs_offline", all_ok ? "ok" : "CHECKSUM MISMATCH");
+  doc.Set("report",
+          obs::ReportToJson(
+              obs::TraceRegistry::Instance().DeltaSince(trace_before),
+              obs::MetricsRegistry::Instance().DeltaSince(metrics_before)));
   fs::remove_all(dir);
   if (!obs::WriteJsonFile(doc, json_path)) {
     std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
@@ -445,6 +462,7 @@ int RunConnect(const std::string& host, int port, const std::string& fixture_dir
   const bool ok = r.ok() && reloads.load() > 0 && reload_failures.load() == 0;
   obs::JsonValue doc = obs::JsonValue::Object();
   doc.Set("bench", "serve_soak");
+  doc.Set("env", bench::BenchEnvJson());
   obs::JsonValue e = ResultToJson(r);
   e.Set("reloads", reloads.load());
   e.Set("reload_failures", reload_failures.load());

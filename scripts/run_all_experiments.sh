@@ -104,6 +104,15 @@ echo "=== BENCH_eab ==="
 echo "=== BENCH_join ==="
 "$BENCH/bench_join" --json="$OUT/BENCH_join.json" | tee "$OUT/BENCH_join.txt"
 
+# Served classify round trips against a loopback server at 1 and 8
+# closed-loop clients (throughput, client p50/p99, the server's queue-wait /
+# batch-compute / reply-write split) and a hot-swap soak. bench_serve
+# writes the JSON itself and exits nonzero if a served label differs from
+# the offline PredictBatch of the model version it reports.
+echo "=== BENCH_serve ==="
+"$BENCH/bench_serve" --json="$OUT/BENCH_serve.json" |
+  tee "$OUT/BENCH_serve.txt"
+
 # Out-of-core columnar store: discovery + transform on a corpus larger
 # than the chunk-residency budget, bitwise-diffed against the in-RAM path.
 # bench_store writes the JSON itself and exits nonzero if results diverge

@@ -68,6 +68,7 @@ JsonValue HistogramStatsToJson(const HistogramSnapshot& snapshot) {
   JsonValue out = JsonValue::Object();
   out.Set("count", snapshot.count);
   out.Set("sum", snapshot.sum);
+  out.Set("max", snapshot.max);
   out.Set("mean", snapshot.count == 0
                       ? 0.0
                       : static_cast<double>(snapshot.sum) /

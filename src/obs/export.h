@@ -32,7 +32,7 @@ std::optional<TraceReport> TraceFromJson(const JsonValue& json);
 JsonValue MetricsToJson(const MetricsSnapshot& snapshot);
 
 /// One histogram as summary statistics rather than buckets:
-///   {"count": N, "sum": S, "mean": M, "p50": Q, "p99": Q}
+///   {"count": N, "sum": S, "max": X, "mean": M, "p50": Q, "p99": Q}
 /// (quantiles via HistogramSnapshot::ValueAtQuantile, so accurate to the
 /// power-of-two bucket width). The per-model latency blocks of the serve
 /// stats endpoint use this form; the full bucket form stays available

@@ -58,6 +58,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     HistogramSnapshot h;
     h.count = histogram->Count();
     h.sum = histogram->Sum();
+    h.max = histogram->Max();
     for (size_t b = 0; b < Histogram::kBuckets; ++b) {
       h.buckets[b] = histogram->BucketCount(b);
     }

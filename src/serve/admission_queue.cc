@@ -1,19 +1,34 @@
 #include "serve/admission_queue.h"
 
-#include <chrono>
-#include <string>
+#include <algorithm>
+#include <iterator>
 #include <utility>
-
-#include "obs/metrics.h"
 
 namespace ips::serve {
 
 namespace {
 
-obs::Histogram& BatchSizeHistogram() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::Instance().GetHistogram("serve.batch_size");
-  return h;
+struct QueueMetrics {
+  obs::Histogram& batch_size;
+  obs::Histogram& queue_wait_us;
+  obs::Histogram& batch_compute_us;
+};
+
+QueueMetrics& Metrics() {
+  static QueueMetrics* metrics = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+    return new QueueMetrics{registry.GetHistogram("serve.batch_size"),
+                            registry.GetHistogram("serve.queue_wait_us"),
+                            registry.GetHistogram("serve.batch_compute_us")};
+  }();
+  return *metrics;
+}
+
+uint64_t MicrosBetween(std::chrono::steady_clock::time_point from,
+                       std::chrono::steady_clock::time_point to) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+          .count());
 }
 
 }  // namespace
@@ -30,19 +45,25 @@ AdmissionQueue::~AdmissionQueue() {
   dispatcher_.join();
 }
 
-std::future<AdmissionQueue::Result> AdmissionQueue::Submit(
-    std::shared_ptr<const ServedModel> model, std::vector<double> values) {
-  Pending pending;
-  pending.model = std::move(model);
-  pending.values = std::move(values);
-  pending.enqueued = std::chrono::steady_clock::now();
-  std::future<Result> future = pending.promise.get_future();
+std::vector<std::future<AdmissionQueue::Result>> AdmissionQueue::Submit(
+    std::shared_ptr<const ServedModel> model,
+    std::vector<std::vector<double>> series) {
+  std::vector<Pending> frame(series.size());
+  std::vector<std::future<Result>> futures;
+  futures.reserve(frame.size());
+  const auto now = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < frame.size(); ++i) {
+    frame[i].model = model;
+    frame[i].values = std::move(series[i]);
+    frame[i].enqueued = now;
+    futures.push_back(frame[i].promise.get_future());
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(pending));
+    std::move(frame.begin(), frame.end(), std::back_inserter(queue_));
   }
   cv_.notify_one();
-  return future;
+  return futures;
 }
 
 uint64_t AdmissionQueue::batches_dispatched() const {
@@ -56,31 +77,10 @@ void AdmissionQueue::DispatcherLoop() {
     cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) return;  // stopping_ && drained
 
-    // The oldest request anchors the batch: its model selects the group
-    // and its arrival time starts the window.
+    // The oldest request's model instance anchors the batch. Take up to
+    // max_batch of its requests in arrival order; other models' requests
+    // stay queued for later rounds.
     const ServedModel* anchor = queue_.front().model.get();
-    const auto deadline =
-        queue_.front().enqueued +
-        std::chrono::microseconds(options_.batch_window_us);
-
-    // Wait for company until the window closes, the batch fills, or a
-    // shutdown asks for an immediate drain.
-    const auto batch_full = [&] {
-      size_t same_model = 0;
-      for (const Pending& p : queue_) {
-        if (p.model.get() == anchor && ++same_model >= options_.max_batch) {
-          return true;
-        }
-      }
-      return false;
-    };
-    if (options_.batch_window_us > 0) {
-      cv_.wait_until(lock, deadline,
-                     [&] { return stopping_ || batch_full(); });
-    }
-
-    // Extract up to max_batch requests for the anchor model, preserving
-    // arrival order; other models' requests stay queued for later rounds.
     std::vector<Pending> batch;
     batch.reserve(options_.max_batch);
     for (auto it = queue_.begin();
@@ -101,27 +101,30 @@ void AdmissionQueue::DispatcherLoop() {
 }
 
 void AdmissionQueue::RunBatch(std::vector<Pending> batch) {
+  const auto start = std::chrono::steady_clock::now();
   const std::shared_ptr<const ServedModel>& model = batch.front().model;
   Dataset queries;
   for (Pending& p : batch) {
     queries.Add(TimeSeries(std::move(p.values), /*label=*/-1));
   }
   const std::vector<int> labels = model->Classify(queries);
+  const auto done = std::chrono::steady_clock::now();
 
-  BatchSizeHistogram().Observe(batch.size());
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
-  obs::Counter& requests =
-      registry.GetCounter("serve." + model->name() + ".requests");
-  obs::Histogram& latency =
-      registry.GetHistogram("serve." + model->name() + ".latency_us");
-
-  const auto now = std::chrono::steady_clock::now();
+  QueueMetrics& metrics = Metrics();
+  metrics.batch_size.Observe(batch.size());
+  metrics.batch_compute_us.Observe(MicrosBetween(start, done));
+  const auto [entry, first] = model_metrics_.try_emplace(model->name());
+  if (first) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+    const std::string prefix = "serve." + model->name();
+    entry->second = {&registry.GetCounter(prefix + ".requests"),
+                     &registry.GetHistogram(prefix + ".latency_us")};
+  }
+  entry->second.requests->Add(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    requests.Add();
-    latency.Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            now - batch[i].enqueued)
-            .count()));
+    metrics.queue_wait_us.Observe(MicrosBetween(batch[i].enqueued, start));
+    entry->second.latency_us->Observe(
+        MicrosBetween(batch[i].enqueued, done));
     batch[i].promise.set_value(Result{labels[i], model->version()});
   }
 }

@@ -2,7 +2,7 @@
 //
 // Serving:
 //   ips_serve --model=name,artifact.ipsrun,train.tsv [--model=...]
-//             [--port=0] [--batch_window_us=500] [--max_batch=64]
+//             [--port=0] [--max_batch=64]
 //             [--access_log=PATH --log_max_bytes=N --log_keep=K]
 // Binds 127.0.0.1 (port 0 = kernel-chosen, printed on stdout as
 // "listening on 127.0.0.1:<port>"), loads every --model into the registry
@@ -12,15 +12,17 @@
 //
 // Fixture generation (used by CI and the bench soak):
 //   ips_serve --make_fixture=DIR
-// Writes DIR/train.tsv, DIR/test.tsv, DIR/model.ipsrun and a deliberately
-// different DIR/model_alt.ipsrun (same train split, different discovery
-// parameters) so reload tests can swap between two real artifacts.
+// Creates DIR if needed and writes DIR/train.tsv, DIR/test.tsv,
+// DIR/model.ipsrun and a deliberately different DIR/model_alt.ipsrun (same
+// train split, different discovery parameters) so reload tests can swap
+// between two real artifacts.
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -79,6 +81,8 @@ int MakeFixture(const std::string& dir) {
   spec.length = 96;
   const ips::TrainTestSplit data = ips::GenerateDataset(spec);
 
+  std::error_code ignored;
+  std::filesystem::create_directories(dir, ignored);
   if (!ips::SaveUcrFile(data.train, dir + "/train.tsv") ||
       !ips::SaveUcrFile(data.test, dir + "/test.tsv")) {
     std::cerr << "error: cannot write fixture splits under " << dir << "\n";
@@ -133,8 +137,6 @@ int main(int argc, char** argv) {
       models.push_back(std::move(flag));
     } else if (FlagValue(arg, "port", &value)) {
       options.port = std::atoi(value.c_str());
-    } else if (FlagValue(arg, "batch_window_us", &value)) {
-      options.queue.batch_window_us = std::atol(value.c_str());
     } else if (FlagValue(arg, "max_batch", &value)) {
       options.queue.max_batch =
           static_cast<size_t>(std::atol(value.c_str()));
@@ -153,8 +155,8 @@ int main(int argc, char** argv) {
 
   if (models.empty()) {
     std::cerr << "usage: ips_serve --model=name,artifact.ipsrun,train.tsv "
-                 "[--model=...] [--port=N] [--batch_window_us=US] "
-                 "[--max_batch=N] [--access_log=PATH]\n"
+                 "[--model=...] [--port=N] [--max_batch=N] "
+                 "[--access_log=PATH]\n"
                  "       ips_serve --make_fixture=DIR\n";
     return 2;
   }

@@ -70,7 +70,7 @@ class ServedModel {
 
   /// Batched classification; out[i] is the label of batch[i]. Bitwise
   /// identical to a serial per-series Predict loop (the PredictBatch
-  /// contract), which is what makes admission-queue coalescing invisible.
+  /// contract), which is what makes admission-queue batching invisible.
   std::vector<int> Classify(const DatasetView& batch) const {
     return classifier_.PredictBatch(batch);
   }

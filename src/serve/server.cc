@@ -25,6 +25,7 @@ struct ServerMetrics {
   obs::Counter& connections;
   obs::Counter& frames;
   obs::Counter& errors;
+  obs::Histogram& reply_write_us;
 };
 
 ServerMetrics& Metrics() {
@@ -32,9 +33,17 @@ ServerMetrics& Metrics() {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
     return new ServerMetrics{registry.GetCounter("serve.connections"),
                              registry.GetCounter("serve.frames"),
-                             registry.GetCounter("serve.errors")};
+                             registry.GetCounter("serve.errors"),
+                             registry.GetHistogram("serve.reply_write_us")};
   }();
   return *metrics;
+}
+
+uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
 }
 
 Frame MakeError(ErrorCode code, std::string message) {
@@ -117,6 +126,21 @@ void Server::Stop() {
     threads.swap(conn_threads_);
   }
   for (std::thread& t : threads) t.join();
+  JoinFinishedConnections();
+}
+
+size_t Server::retained_connection_threads() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conn_threads_.size() + finished_.size();
+}
+
+void Server::JoinFinishedConnections() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    finished.swap(finished_);
+  }
+  for (std::thread& t : finished) t.join();
 }
 
 void Server::AcceptLoop() {
@@ -135,6 +159,7 @@ void Server::AcceptLoop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     Metrics().connections.Add();
+    JoinFinishedConnections();
     std::lock_guard<std::mutex> lock(conn_mu_);
     conn_fds_.push_back(fd);
     conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
@@ -158,13 +183,28 @@ void Server::HandleConnection(int fd) {
     }
     Metrics().frames.Add();
     const Frame reply = HandleFrame(*request);
-    if (!WriteFrame(fd, reply)) break;
+    const auto write_start = std::chrono::steady_clock::now();
+    const bool written = WriteFrame(fd, reply);
+    if (reply.op == FrameOp::kClassifyResponse) {
+      Metrics().reply_write_us.Observe(MicrosSince(write_start));
+    }
+    if (!written) break;
   }
   // Unregister before closing: once closed, the descriptor number may be
   // reused by another open, and Stop() must never shutdown() that one.
+  // Then hand this thread's handle to the accept loop to join (unless
+  // Stop() has already taken it).
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+    const auto self = std::find_if(
+        conn_threads_.begin(), conn_threads_.end(), [](const std::thread& t) {
+          return t.get_id() == std::this_thread::get_id();
+        });
+    if (self != conn_threads_.end()) {
+      finished_.push_back(std::move(*self));
+      conn_threads_.erase(self);
+    }
   }
   ::close(fd);
 }
@@ -214,29 +254,23 @@ Frame Server::HandleClassify(const Frame& request) {
                         "unknown model \"" + req.model + "\"");
   }
 
-  // Fan the batch into the admission queue one series at a time -- the
-  // queue re-coalesces across connections -- and reassemble in order. All
-  // futures resolve against the SAME model instance (captured above), so
-  // a concurrent hot-swap cannot split this response across versions.
+  // Submit the frame whole and reassemble in order. All futures resolve
+  // against the SAME model instance (captured above), so a concurrent
+  // hot-swap cannot split this response across versions.
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::future<AdmissionQueue::Result>> futures;
-  futures.reserve(req.series.size());
-  for (std::vector<double>& s : req.series) {
-    futures.push_back(queue_.Submit(model, std::move(s)));
-  }
+  std::vector<std::future<AdmissionQueue::Result>> futures =
+      queue_.Submit(model, std::move(req.series));
   ClassifyResponse resp;
   resp.model_version = model->version();
   resp.labels.reserve(futures.size());
   for (std::future<AdmissionQueue::Result>& f : futures) {
     resp.labels.push_back(f.get().label);
   }
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   access_log_.Append("op=classify model=" + req.model +
                      " n=" + std::to_string(resp.labels.size()) +
                      " version=" + std::to_string(resp.model_version) +
-                     " status=ok latency_us=" + std::to_string(us));
+                     " status=ok latency_us=" +
+                     std::to_string(MicrosSince(start)));
 
   Frame reply;
   reply.op = FrameOp::kClassifyResponse;
@@ -275,6 +309,13 @@ std::string Server::StatsJson() const {
                                     started_)
           .count();
 
+  const auto histogram = [&](const std::string& name) {
+    const auto it = snapshot.histograms.find(name);
+    return obs::HistogramStatsToJson(
+        it == snapshot.histograms.end() ? obs::HistogramSnapshot{}
+                                        : it->second);
+  };
+
   obs::JsonValue models = obs::JsonValue::Object();
   for (const std::string& name : registry_->Names()) {
     const std::shared_ptr<const ServedModel> model = registry_->Get(name);
@@ -289,10 +330,7 @@ std::string Server::StatsJson() const {
     entry.Set("requests", requests);
     entry.Set("qps", uptime > 0.0 ? static_cast<double>(requests) / uptime
                                   : 0.0);
-    const auto it = snapshot.histograms.find("serve." + name + ".latency_us");
-    entry.Set("latency_us", it == snapshot.histograms.end()
-                                ? obs::HistogramStatsToJson({})
-                                : obs::HistogramStatsToJson(it->second));
+    entry.Set("latency_us", histogram("serve." + name + ".latency_us"));
     models.Set(name, std::move(entry));
   }
 
@@ -301,10 +339,10 @@ std::string Server::StatsJson() const {
   out.Set("connections", snapshot.CounterValue("serve.connections"));
   out.Set("frames", snapshot.CounterValue("serve.frames"));
   out.Set("errors", snapshot.CounterValue("serve.errors"));
-  const auto batches = snapshot.histograms.find("serve.batch_size");
-  out.Set("batch_size", batches == snapshot.histograms.end()
-                            ? obs::HistogramStatsToJson({})
-                            : obs::HistogramStatsToJson(batches->second));
+  for (const char* name : {"batch_size", "queue_wait_us", "batch_compute_us",
+                           "reply_write_us"}) {
+    out.Set(name, histogram(std::string("serve.") + name));
+  }
   out.Set("models", std::move(models));
   return out.Dump();
 }

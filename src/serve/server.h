@@ -2,10 +2,10 @@
 // reload / stats / health over the length-prefixed frame protocol
 // (serve/protocol.h) against a hot-swappable ModelRegistry.
 //
-// Threading: one accept thread plus one thread per live connection.
-// Classify payloads are fanned into the AdmissionQueue one series at a
-// time (so independent connections coalesce into shared PredictBatch
-// batches) and reassembled in request order. Reload runs on the
+// Threading: one accept thread plus one thread per live connection (the
+// accept loop joins closed connections' threads). Each classify frame goes
+// to the AdmissionQueue whole and its labels come back in request order;
+// frames from many connections share batches under load. Reload runs on the
 // connection's own thread -- in-flight classifies keep the model pointer
 // they were admitted with, so a reload never stalls or corrupts them.
 //
@@ -16,11 +16,11 @@
 // payload) closes the connection, because nothing after a corrupt header
 // can be trusted.
 //
-// Observability: per-model serve.<model>.requests / .latency_us plus the
-// shared serve.batch_size histogram come from the admission queue;
-// the server adds serve.connections / serve.frames / serve.errors and an
-// optional size-rotated access log (serve/log_rotate.h). Stats() exports
-// the lot in the shared obs JSON schema (docs/serving.md).
+// Observability: serve.<model>.requests / .latency_us and serve.batch_size
+// / .queue_wait_us / .batch_compute_us come from the admission queue; the
+// server adds serve.connections / .frames / .errors / .reply_write_us and
+// an optional size-rotated access log (serve/log_rotate.h). StatsJson()
+// exports the lot in the shared obs JSON schema (docs/serving.md).
 
 #ifndef IPS_SERVE_SERVER_H_
 #define IPS_SERVE_SERVER_H_
@@ -76,11 +76,16 @@ class Server {
 
   /// The stats document served to kStatsRequest, as a JSON string:
   /// uptime, per-model request/latency/version blocks and the shared
-  /// batching histogram. Exposed for tests.
+  /// serve.* histograms. Exposed for tests.
   std::string StatsJson() const;
+
+  /// Connection-thread handles not yet joined (test visibility).
+  size_t retained_connection_threads() const;
 
  private:
   void AcceptLoop();
+  /// Joins the threads of closed connections.
+  void JoinFinishedConnections();
   void HandleConnection(int fd);
   /// Dispatches one request frame to its handler; returns the reply.
   Frame HandleFrame(const Frame& request);
@@ -100,8 +105,9 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
 
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex conn_mu_;
+  std::vector<std::thread> conn_threads_;  ///< live connection handlers
+  std::vector<std::thread> finished_;      ///< handlers done, to be joined
   std::vector<int> conn_fds_;  ///< open sockets, shutdown() on Stop
 
   AdmissionQueue queue_;

@@ -71,11 +71,12 @@ TEST(HistogramTest, ObserveUpdatesCountSumBuckets) {
   const uint64_t sum0 = h.Sum();
   const uint64_t b2_before = h.BucketCount(2);
   h.Observe(2);
-  h.Observe(3);
   h.Observe(100);
+  h.Observe(3);
   EXPECT_EQ(h.Count(), count0 + 3);
   EXPECT_EQ(h.Sum(), sum0 + 105);
   EXPECT_EQ(h.BucketCount(2), b2_before + 2);
+  EXPECT_EQ(h.Max(), 100u);
 }
 
 TEST(MetricsRegistryTest, HistogramDeltaSubtractsPerBucket) {
@@ -92,6 +93,9 @@ TEST(MetricsRegistryTest, HistogramDeltaSubtractsPerBucket) {
   EXPECT_EQ(it->second.sum, 9u);
   EXPECT_EQ(it->second.buckets[Histogram::BucketIndex(4)], 2u);
   EXPECT_EQ(it->second.buckets[Histogram::BucketIndex(1)], 0u);
+  // A maximum cannot be subtracted: the delta keeps the lifetime value.
+  EXPECT_EQ(it->second.max, 5u);
+  EXPECT_EQ(HistogramStatsToJson(it->second).Get("max").AsUint64(), 5u);
 }
 
 TEST(MetricsExportTest, JsonListsCountersAndSparseBuckets) {
@@ -137,6 +141,7 @@ TEST(MetricsConcurrencyTest, ConcurrentAddsAreExact) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.Value(), start + uint64_t{kThreads} * kIters);
   EXPECT_EQ(h.Count(), hist_start + uint64_t{kThreads} * kIters);
+  EXPECT_EQ(h.Max(), 15u);
 }
 
 TEST(MetricsConcurrencyTest, ConcurrentRegistrationYieldsOneInstance) {

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "data/ucr_loader.h"
 #include "ips/pipeline.h"
 #include "ips/serialization.h"
+#include "obs/json.h"
 #include "serve/client.h"
 #include "serve/log_rotate.h"
 #include "serve/model_registry.h"
@@ -271,9 +273,7 @@ class LoopbackTest : public ::testing::Test {
               1u)
         << error;
 
-    ServerOptions server_options;
-    server_options.queue.batch_window_us = 200;
-    server_ = std::make_unique<Server>(&registry_, server_options);
+    server_ = std::make_unique<Server>(&registry_, ServerOptions{});
     ASSERT_TRUE(server_->Start(&error)) << error;
     ASSERT_TRUE(client_.Connect("127.0.0.1", server_->port(), &error))
         << error;
@@ -307,6 +307,67 @@ TEST_F(LoopbackTest, ClassifyMatchesOfflinePredictBatch) {
   for (size_t i = 0; i < offline.size(); ++i) {
     EXPECT_EQ(response->labels[i], offline[i]) << "series " << i;
   }
+}
+
+// A frame reaches an idle server's admission queue whole, so a 64-series
+// classify (the default max_batch) runs as one 64-series batch. The stats
+// frame counts each latency histogram once per series, batch or reply.
+TEST_F(LoopbackTest, WholeFrameIsOneBatchOnAnIdleServer) {
+  std::string error;
+  const auto stats = [&] {
+    const std::string text = client_.Stats(&error).value_or("");
+    std::optional<obs::JsonValue> doc = obs::JsonValue::Parse(text);
+    EXPECT_TRUE(doc.has_value()) << error << text;
+    return doc.value_or(obs::JsonValue::Object());
+  };
+  const auto count = [](const obs::JsonValue& doc, const std::string& key) {
+    return doc.Get(key).Get("count").AsUint64();
+  };
+
+  std::vector<std::vector<double>> batch;
+  for (size_t i = 0; i < 64; ++i) {
+    batch.push_back(data_.test[i % data_.test.size()].values);
+  }
+  const obs::JsonValue before = stats();
+  const auto response = client_.Classify("demo", batch, &error);
+  ASSERT_TRUE(response.has_value()) << error;
+  const obs::JsonValue after = stats();
+
+  const std::vector<int> offline =
+      registry_.Get("demo")->Classify(data_.test);
+  ASSERT_EQ(response->labels.size(), 64u);
+  for (size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(response->labels[i], offline[i % offline.size()]) << i;
+  }
+  EXPECT_EQ(after.Get("batch_size").Get("max").AsUint64(), 64u);
+  EXPECT_EQ(count(after, "batch_size"), count(before, "batch_size") + 1);
+  EXPECT_EQ(after.Get("batch_size").Get("sum").AsUint64(),
+            before.Get("batch_size").Get("sum").AsUint64() + 64);
+  EXPECT_EQ(count(after, "batch_compute_us"),
+            count(before, "batch_compute_us") + 1);
+  EXPECT_EQ(count(after, "queue_wait_us"), count(before, "queue_wait_us") + 64);
+  EXPECT_EQ(count(after, "reply_write_us"), count(before, "reply_write_us") + 1);
+  const obs::JsonValue& model_before = before.Get("models").Get("demo");
+  const obs::JsonValue& model_after = after.Get("models").Get("demo");
+  EXPECT_EQ(model_after.Get("requests").AsUint64(),
+            model_before.Get("requests").AsUint64() + 64);
+  EXPECT_EQ(count(model_after, "latency_us"),
+            count(model_before, "latency_us") + 64);
+}
+
+// A closed connection's thread is joined when the next one is accepted,
+// so opening and closing connections one after another retains only a
+// few handles (the fixture's client, the newest connection and any
+// handler still winding down), not one per connection ever served.
+TEST_F(LoopbackTest, FinishedConnectionThreadsAreReaped) {
+  for (int i = 0; i < 200; ++i) {
+    Client client;
+    std::string error;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port(), &error))
+        << "connection " << i << ": " << error;
+    ASSERT_TRUE(client.Health(&error).has_value()) << error;
+  }
+  EXPECT_LE(server_->retained_connection_threads(), 8u);
 }
 
 TEST_F(LoopbackTest, ReloadStatsAndHealth) {

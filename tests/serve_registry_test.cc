@@ -12,6 +12,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "data/ucr_loader.h"
 #include "ips/pipeline.h"
 #include "ips/serialization.h"
+#include "obs/metrics.h"
 #include "serve/admission_queue.h"
 
 namespace ips::serve {
@@ -168,7 +170,6 @@ TEST_F(RegistrySwapTest, InFlightHoldersFinishOnTheirVersion) {
 
 TEST_F(RegistrySwapTest, AdmissionQueueBatchesSplitCleanlyAcrossSwap) {
   AdmissionQueue::Options queue_options;
-  queue_options.batch_window_us = 200;
   queue_options.max_batch = 16;
   AdmissionQueue queue(queue_options);
 
@@ -193,9 +194,8 @@ TEST_F(RegistrySwapTest, AdmissionQueueBatchesSplitCleanlyAcrossSwap) {
       for (int i = 0; i < kPerThread; ++i) {
         const size_t index = static_cast<size_t>(i) % data_.test.size();
         const std::shared_ptr<const ServedModel> model = registry_.Get("m");
-        auto future =
-            queue.Submit(model, data_.test[index].values);
-        const AdmissionQueue::Result result = future.get();
+        const AdmissionQueue::Result result =
+            queue.Submit(model, {data_.test[index].values}).front().get();
         // The queue groups batches by model instance, so the result must
         // carry the version the request was admitted with and the label
         // the serial run of THAT version produces for this series.
@@ -211,6 +211,50 @@ TEST_F(RegistrySwapTest, AdmissionQueueBatchesSplitCleanlyAcrossSwap) {
   swapper.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(queue.batches_dispatched(), 0u);
+}
+
+// An idle dispatcher runs whatever is queued at once, and a frame enters
+// the queue whole: a frame of up to max_batch series is exactly one batch,
+// a longer one splits into max_batch-sized batches, and the labels come
+// back in request order, equal to PredictBatch.
+TEST_F(RegistrySwapTest, AdmissionQueueDispatchesWholeFramesOnArrival) {
+  AdmissionQueue::Options queue_options;
+  queue_options.max_batch = 16;
+  AdmissionQueue queue(queue_options);
+  const std::shared_ptr<const ServedModel> model = registry_.Get("m");
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Instance().Snapshot();
+
+  const auto submit_frame = [&](size_t n) {
+    std::vector<std::vector<double>> frame;
+    for (size_t i = 0; i < n; ++i) {
+      frame.push_back(data_.test[i % data_.test.size()].values);
+    }
+    std::vector<std::future<AdmissionQueue::Result>> futures =
+        queue.Submit(model, std::move(frame));
+    EXPECT_EQ(futures.size(), n);
+    for (size_t i = 0; i < futures.size(); ++i) {
+      const AdmissionQueue::Result result = futures[i].get();
+      EXPECT_EQ(result.model_version, 1u);
+      EXPECT_EQ(result.label, expected_a_[i % data_.test.size()])
+          << "series " << i << " of " << n;
+    }
+  };
+
+  submit_frame(16);
+  EXPECT_EQ(queue.batches_dispatched(), 1u);
+  submit_frame(40);
+  EXPECT_EQ(queue.batches_dispatched(), 4u);  // 16 + 16 + 8
+
+  // The per-series metrics hold 56 samples, the per-batch ones 4.
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Instance().DeltaSince(before);
+  EXPECT_EQ(delta.CounterValue("serve.m.requests"), 56u);
+  EXPECT_EQ(delta.histograms.at("serve.m.latency_us").count, 56u);
+  EXPECT_EQ(delta.histograms.at("serve.queue_wait_us").count, 56u);
+  EXPECT_EQ(delta.histograms.at("serve.batch_compute_us").count, 4u);
+  EXPECT_EQ(delta.histograms.at("serve.batch_size").count, 4u);
+  EXPECT_EQ(delta.histograms.at("serve.batch_size").sum, 56u);
 }
 
 TEST_F(RegistrySwapTest, ConcurrentReloadsSerialiseWithMonotonicVersions) {
