@@ -83,9 +83,10 @@ EngineMetrics& Metrics() {
   return *metrics;
 }
 
-// Prefix sums of squares into `out` (size n + 1). The accumulation order
-// matches both DistanceProfileRaw's window-energy prefix and its qq loop,
-// so out.back() is bitwise equal to the serial qq.
+}  // namespace
+
+// ------------------------------------------------------ artefact functions
+
 void PrefixSquaresInto(std::span<const double> s, std::vector<double>& out) {
   out.resize(s.size() + 1);
   out[0] = 0.0;
@@ -104,7 +105,48 @@ void ForwardFftInto(std::span<const double> s, size_t padded, bool reversed,
   Fft(out, /*inverse=*/false);
 }
 
-}  // namespace
+ZnQuery MakeZnQuery(std::span<const double> q) {
+  ZnQuery zq{ZNormalize(q)};
+  zq.flat = std::all_of(zq.values.begin(), zq.values.end(),
+                        [](double v) { return v == 0.0; });
+  for (double v : zq.values) {
+    zq.sum += v;
+    zq.sum_sq += v * v;
+  }
+  return zq;
+}
+
+void FftSlidingDotsInto(const std::vector<std::complex<double>>& fs,
+                        const std::vector<std::complex<double>>& fq, size_t m,
+                        size_t count, DistanceWorkspace& ws) {
+  const size_t padded = fs.size();
+  ws.fft_prod.resize(padded);
+  for (size_t i = 0; i < padded; ++i) ws.fft_prod[i] = fs[i] * fq[i];
+  Fft(ws.fft_prod, /*inverse=*/true);
+  ws.dots.resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    ws.dots[i] = ws.fft_prod[m - 1 + i].real();
+  }
+}
+
+void CountProfile(MetricId metric) {
+  EngineMetrics& m = Metrics();
+  m.profiles_computed.Add(1);
+  m.profiles_by_metric[static_cast<size_t>(metric)]->Add(1);
+}
+
+void CountEab(MetricId metric, const simd::EabCounters& c) {
+  EngineMetrics& m = Metrics();
+  m.eab_candidates.Add(c.candidates);
+  m.eab_lb_pruned.Add(c.lb_pruned);
+  m.eab_abandoned.Add(c.abandoned);
+  m.eab_full.Add(c.full);
+  obs::Counter** slice = m.eab_by_metric[static_cast<size_t>(metric)];
+  slice[0]->Add(c.candidates);
+  slice[1]->Add(c.lb_pruned);
+  slice[2]->Add(c.abandoned);
+  slice[3]->Add(c.full);
+}
 
 // --------------------------------------------------------- series artefacts
 
@@ -203,7 +245,7 @@ const std::vector<std::complex<double>>* DistanceEngine::CachedFft(
   return &map.try_emplace(key, std::move(fresh)).first->second;
 }
 
-const DistanceEngine::ZnQuery* DistanceEngine::CachedZnQuery(
+const ZnQuery* DistanceEngine::CachedZnQuery(
     std::span<const double> q, bool allow) {
   if (!allow) return nullptr;
   const SpanKey key{q.data(), q.size(), 0};
@@ -218,23 +260,14 @@ const DistanceEngine::ZnQuery* DistanceEngine::CachedZnQuery(
   }
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
   Metrics().cache_misses.Add(1);
-  ZnQuery fresh;
-  fresh.values = ZNormalize(q);
-  fresh.flat = std::all_of(fresh.values.begin(), fresh.values.end(),
-                           [](double v) { return v == 0.0; });
-  for (double v : fresh.values) {
-    fresh.sum += v;
-    fresh.sum_sq += v * v;
-  }
+  ZnQuery fresh = MakeZnQuery(q);
   std::lock_guard<std::mutex> lock(znq_mu_);
   return &znq_.try_emplace(key, std::move(fresh)).first->second;
 }
 
 void DistanceEngine::BumpProfiles(MetricId metric) {
   profiles_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics& m = Metrics();
-  m.profiles_computed.Add(1);
-  m.profiles_by_metric[static_cast<size_t>(metric)]->Add(1);
+  CountProfile(metric);
 }
 
 void DistanceEngine::BumpEab(MetricId metric, const simd::EabCounters& c) {
@@ -242,16 +275,7 @@ void DistanceEngine::BumpEab(MetricId metric, const simd::EabCounters& c) {
   eab_lb_pruned_.fetch_add(c.lb_pruned, std::memory_order_relaxed);
   eab_abandoned_.fetch_add(c.abandoned, std::memory_order_relaxed);
   eab_full_.fetch_add(c.full, std::memory_order_relaxed);
-  EngineMetrics& m = Metrics();
-  m.eab_candidates.Add(c.candidates);
-  m.eab_lb_pruned.Add(c.lb_pruned);
-  m.eab_abandoned.Add(c.abandoned);
-  m.eab_full.Add(c.full);
-  obs::Counter** slice = m.eab_by_metric[static_cast<size_t>(metric)];
-  slice[0]->Add(c.candidates);
-  slice[1]->Add(c.lb_pruned);
-  slice[2]->Add(c.abandoned);
-  slice[3]->Add(c.full);
+  CountEab(metric, c);
 }
 
 // ------------------------------------------------------------------ kernels
@@ -293,12 +317,7 @@ void DistanceEngine::SlidingDotsInto(std::span<const double> query,
     fq = &ws.fft_qry;
   }
 
-  ws.fft_prod.resize(padded);
-  for (size_t i = 0; i < padded; ++i) ws.fft_prod[i] = (*fs)[i] * (*fq)[i];
-  Fft(ws.fft_prod, /*inverse=*/true);
-  for (size_t i = 0; i < count; ++i) {
-    ws.dots[i] = ws.fft_prod[m - 1 + i].real();
-  }
+  FftSlidingDotsInto(*fs, *fq, m, count, ws);
 }
 
 double DistanceEngine::DotMinImpl(std::span<const double> a,
@@ -699,8 +718,7 @@ std::vector<double> DistanceEngine::PairwiseSubsequenceMin(
 
 void DistanceEngine::TransformRowInto(
     std::span<const double> series, const std::vector<Subsequence>& shapelets,
-    MetricId metric, DistanceWorkspace& ws, bool carry,
-    std::vector<double>& row) {
+    MetricId metric, DistanceWorkspace& ws, std::vector<double>& row) {
   row.resize(shapelets.size());
   // The series is never cached (it may be a temporary, and a cache entry
   // per transformed series would live as long as the engine): its
@@ -709,15 +727,12 @@ void DistanceEngine::TransformRowInto(
   for (size_t s = 0; s < shapelets.size(); ++s) {
     MinCall call;
     call.series = &ws.row;
-    if (carry) {
-      call.seed = ws.eab_seed_hints[s];
-      call.cascade = ws.eab_backoff[s] == 0;
-    }
+    call.seed = ws.eab_seed_hints[s];
+    call.cascade = ws.eab_backoff[s] == 0;
     MinOutcome outcome;
     // Argument order matches TransformSeries: (series, shapelet).
     row[s] = MinImpl(series, shapelets[s].view(), /*cache_a=*/false,
                      /*cache_b=*/true, metric, ws, call, &outcome);
-    if (!carry) continue;
     if (outcome.argmin != simd::kEabNoSeed) {
       ws.eab_seed_hints[s] = outcome.argmin;
     }
@@ -757,21 +772,11 @@ std::vector<std::vector<double>> DistanceEngine::TransformBatch(
         ws.eab_seed_hints.assign(shapelets.size(), simd::kEabNoSeed);
         ws.eab_backoff.assign(shapelets.size(), 0);
       }
-      TransformRowInto(chunk[k].view(), shapelets, metric, ws, /*carry=*/true,
+      TransformRowInto(chunk[k].view(), shapelets, metric, ws,
                        rows[first + k]);
     });
   });
   return rows;
-}
-
-std::vector<double> DistanceEngine::TransformOne(
-    std::span<const double> series, const std::vector<Subsequence>& shapelets,
-    MetricId metric) {
-  IPS_CHECK(!shapelets.empty());
-  std::vector<double> row;
-  TransformRowInto(series, shapelets, metric, LocalWorkspace(),
-                   /*carry=*/false, row);
-  return row;
 }
 
 EngineCounters DistanceEngine::counters() const {

@@ -37,7 +37,9 @@
 // of the series data. Only arguments the API documents as cacheable are
 // ever inserted or looked up (temporary queries and transformed series
 // never are), and callers that re-fit against new data must ClearCaches()
-// first -- the classifiers in this codebase build a fresh engine per Fit().
+// first. Discovery builds one engine per run; a fitted IpsClassifier owns
+// no engine at all -- its shapelet side is an immutable ShapeletBank
+// (transform/shapelet_bank.h) built from the artefact functions below.
 
 #ifndef IPS_CORE_DISTANCE_ENGINE_H_
 #define IPS_CORE_DISTANCE_ENGINE_H_
@@ -58,6 +60,31 @@
 #include "util/parallel.h"
 
 namespace ips {
+
+// ------------------------------------------------------ artefact functions
+// The one definition of each artefact: the engine caches and the
+// ShapeletBank both fill theirs through these, so their bytes are equal.
+
+/// Prefix sums of squares into `out` (size n + 1). The accumulation order
+/// matches both DistanceProfileRaw's window-energy prefix and its qq loop,
+/// so out.back() is bitwise equal to the serial qq.
+void PrefixSquaresInto(std::span<const double> s, std::vector<double>& out);
+
+/// Zero-padded forward FFT of `s` (of `s` back to front when `reversed`,
+/// the query side of a sliding product) into `out`, of size `padded`.
+void ForwardFftInto(std::span<const double> s, size_t padded, bool reversed,
+                    std::vector<std::complex<double>>& out);
+
+/// A z-normalised query plus its all-zero (flat) flag and the value/square
+/// sums the early-abandon z-norm bound consumes (bound devices only -- they
+/// never enter a returned distance).
+struct ZnQuery {
+  std::vector<double> values;
+  bool flat = false;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+};
+ZnQuery MakeZnQuery(std::span<const double> q);
 
 /// Series-side artefacts of the one series a transform worker is on:
 /// prefix sums of squares, RollingStats per window and forward FFTs per
@@ -98,7 +125,7 @@ struct DistanceWorkspace {
   std::vector<double> query_prefix;           ///< query prefix squares (EA)
   SeriesArtefacts row;                        ///< transformed series' side
   /// Per-shapelet cascade state carried from the previous series this
-  /// worker transformed (TransformBatch only; the batch reads it and
+  /// worker transformed (batch transforms only; the batch reads it and
   /// passes the decision to each min query, which never looks here):
   ///  * eab_seed_hints: the last winning alignment, which seeds the next
   ///    series' best-so-far so abandonment triggers early;
@@ -109,6 +136,26 @@ struct DistanceWorkspace {
   std::vector<size_t> eab_seed_hints;
   std::vector<uint32_t> eab_backoff;
 };
+
+/// The FFT regime's sliding dot products: ws.dots[i] (count of them) from
+/// the series' forward transform `fs` and the query's reversed one `fq`,
+/// both of the same padded size, for a query of length m.
+void FftSlidingDotsInto(const std::vector<std::complex<double>>& fs,
+                        const std::vector<std::complex<double>>& fq, size_t m,
+                        size_t count, DistanceWorkspace& ws);
+
+/// What a min query reports back for the caller's next query.
+struct MinOutcome {
+  size_t argmin = simd::kEabNoSeed;  ///< set when the cascade finished
+  bool bailed_out = false;           ///< the cascade gave up mid-flight
+};
+
+/// Process-wide registry accounting of one evaluated profile or min query
+/// under `metric` (engine.profiles and engine.profiles.<name>), and of one
+/// cascade run (engine.eab.<stage> and engine.eab.<stage>.<name>). The
+/// engine adds its per-instance counters on top.
+void CountProfile(MetricId metric);
+void CountEab(MetricId metric, const simd::EabCounters& c);
 
 /// Monotonic instrumentation counters (snapshot via counters()).
 struct EngineCounters {
@@ -242,13 +289,6 @@ class DistanceEngine {
       const DatasetView& data, const std::vector<Subsequence>& shapelets,
       MetricId metric);
 
-  /// One transform row for a (possibly temporary) series. Shapelet
-  /// artefacts are cached across calls; the series' are built once for the
-  /// row and dropped.
-  std::vector<double> TransformOne(std::span<const double> series,
-                                   const std::vector<Subsequence>& shapelets,
-                                   MetricId metric);
-
   // ------------------------------------------------------- instrumentation
 
   EngineCounters counters() const;
@@ -279,16 +319,6 @@ class DistanceEngine {
       return h;
     }
   };
-  /// A z-normalised query plus its all-zero (flat) flag and the value/
-  /// square sums the early-abandon z-norm bound consumes (bound devices
-  /// only -- they never enter a returned distance).
-  struct ZnQuery {
-    std::vector<double> values;
-    bool flat = false;
-    double sum = 0.0;
-    double sum_sq = 0.0;
-  };
-
   // Cache accessors: return a stable pointer to the cached artefact, or
   // nullptr when `allow` is false (caller computes into scratch instead).
   const std::vector<double>* CachedPrefix(std::span<const double> s,
@@ -310,11 +340,6 @@ class DistanceEngine {
     bool cascade = true;
     /// Precomputed artefacts of the longer operand, used when they hold it.
     SeriesArtefacts* series = nullptr;
-  };
-  /// What a min query reports back for the caller's next query.
-  struct MinOutcome {
-    size_t argmin = simd::kEabNoSeed;  ///< set when the cascade finished
-    bool bailed_out = false;           ///< the cascade gave up mid-flight
   };
 
   // Kernels (bitwise identical to the core/distance.h serial paths). The
@@ -365,12 +390,12 @@ class DistanceEngine {
                    bool cache_series, MetricId metric, DistanceWorkspace& ws,
                    std::vector<double>& out);
   /// One transform row of `series` (operand order (series, shapelet), as
-  /// TransformSeries) with its artefacts built once into ws.row. `carry`
-  /// (TransformBatch) reads and updates ws's per-shapelet seed hints and
-  /// bail-out backoff, which the caller sized to the shapelet count.
+  /// TransformSeries) with its artefacts built once into ws.row. Reads and
+  /// updates ws's per-shapelet seed hints and bail-out backoff, which the
+  /// caller sized to the shapelet count.
   void TransformRowInto(std::span<const double> series,
                         const std::vector<Subsequence>& shapelets,
-                        MetricId metric, DistanceWorkspace& ws, bool carry,
+                        MetricId metric, DistanceWorkspace& ws,
                         std::vector<double>& row);
 
   /// Runs fn(item, workspace) for every item with per-worker scratch.

@@ -12,7 +12,6 @@
 #include "ips/utility.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "transform/shapelet_transform.h"
 #include "util/check.h"
 
 namespace ips {
@@ -145,11 +144,6 @@ IpsClassifier::IpsClassifier(IpsOptions options) : options_(options) {}
 IpsClassifier::~IpsClassifier() = default;
 
 void IpsClassifier::Fit(const DatasetView& train) {
-  // Fresh engine per fit: pointer-keyed caches must not outlive the series
-  // and shapelets they describe.
-  engine_ = std::make_unique<DistanceEngine>(options_.num_threads);
-  engine_->set_early_abandon(options_.enable_early_abandon);
-
   // One observation window over discovery AND the classifier-only stages,
   // so result_.stats attributes the whole fit and the trace nests every
   // stage under "fit".
@@ -163,24 +157,7 @@ void IpsClassifier::Fit(const DatasetView& train) {
     IPS_SPAN("fit");
     result_.shapelets = RunDiscovery(train, options_);
     IPS_CHECK_MSG(!result_.shapelets.empty(), "IPS discovered no shapelets");
-
-    TransformedData transformed;
-    {
-      IPS_SPAN("transform");
-      transformed =
-          ShapeletTransform(train, result_.shapelets,
-                            options_.metric, options_.num_threads,
-                            engine_.get());
-    }
-
-    LabeledMatrix matrix;
-    matrix.x = std::move(transformed.features);
-    matrix.y = std::move(transformed.labels);
-    backend_ = MakeBackend(options_);
-    {
-      IPS_SPAN("backend_fit");
-      backend_->Fit(matrix);
-    }
+    FitBankAndBackend(train);
   }
   result_.trace = obs::TraceRegistry::Instance().DeltaSince(trace_before);
   result_.stats = IpsRunStats::FromRegistry(
@@ -192,8 +169,6 @@ void IpsClassifier::FitFromRunResult(const DatasetView& train,
                                      const RunResult& artifact) {
   IPS_CHECK_MSG(!artifact.shapelets.empty(), "run artifact has no shapelets");
   IPS_CHECK(!train.empty());
-  engine_ = std::make_unique<DistanceEngine>(options_.num_threads);
-  engine_->set_early_abandon(options_.enable_early_abandon);
   // The artifact's metric governs: its shapelet distances are only
   // meaningful under the metric the run was discovered with.
   options_.metric = artifact.metric;
@@ -207,21 +182,7 @@ void IpsClassifier::FitFromRunResult(const DatasetView& train,
   result_.shapelets = artifact.shapelets;
   {
     IPS_SPAN("fit_from_artifact");
-    TransformedData transformed;
-    {
-      IPS_SPAN("transform");
-      transformed =
-          ShapeletTransform(train, result_.shapelets, options_.metric,
-                            options_.num_threads, engine_.get());
-    }
-    LabeledMatrix matrix;
-    matrix.x = std::move(transformed.features);
-    matrix.y = std::move(transformed.labels);
-    backend_ = MakeBackend(options_);
-    {
-      IPS_SPAN("backend_fit");
-      backend_->Fit(matrix);
-    }
+    FitBankAndBackend(train);
   }
   result_.trace = obs::TraceRegistry::Instance().DeltaSince(trace_before);
   result_.stats = IpsRunStats::FromRegistry(
@@ -229,34 +190,41 @@ void IpsClassifier::FitFromRunResult(const DatasetView& train,
       result_.trace);
 }
 
+void IpsClassifier::FitBankAndBackend(const DatasetView& train) {
+  LabeledMatrix matrix;
+  {
+    IPS_SPAN("transform");
+    bank_ = ShapeletBank(result_.shapelets, options_.metric, train,
+                         options_.enable_early_abandon);
+    matrix.x.resize(train.size());
+    bank_.Transform(train, options_.num_threads,
+                    [&](size_t i, std::span<const double> row) {
+                      matrix.x[i].assign(row.begin(), row.end());
+                    });
+    matrix.y = train.Labels();
+  }
+  backend_ = MakeBackend(options_);
+  {
+    IPS_SPAN("backend_fit");
+    backend_->Fit(matrix);
+  }
+}
+
 int IpsClassifier::Predict(SeriesView series) const {
   IPS_CHECK(!result_.shapelets.empty());
-  // The engine caches only shapelet-side artefacts here; the query series
-  // is never cached, so a caller-owned temporary is safe.
-  return backend_->Predict(TransformSeries(series, result_.shapelets,
-                                           options_.metric,
-                                           engine_.get()));
+  return backend_->Predict(bank_.TransformOne(series.view()));
 }
 
 std::vector<int> IpsClassifier::PredictBatch(
     const DatasetView& test) const {
   IPS_CHECK(!result_.shapelets.empty());
-  // A call-local engine rather than the member engine_, so concurrent
-  // served batches never share one engine's cache locks and counters (the
-  // transform caches only shapelet artefacts, so the member engine would
-  // be safe, just contended). Built explicitly (instead of letting
-  // ShapeletTransform default one) so the run's early-abandon setting is
-  // honoured. Rows are bitwise equal to TransformSeries, so every label
-  // matches the per-series Predict loop.
-  DistanceEngine local_engine(options_.num_threads);
-  local_engine.set_early_abandon(options_.enable_early_abandon);
-  const TransformedData transformed =
-      ShapeletTransform(test, result_.shapelets, options_.metric,
-                        options_.num_threads, &local_engine);
-  std::vector<int> out(transformed.features.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = backend_->Predict(transformed.features[i]);
-  }
+  // Rows are bitwise equal to TransformSeries, so every label matches the
+  // per-series Predict loop.
+  std::vector<int> out(test.size());
+  bank_.Transform(test, options_.num_threads,
+                  [&](size_t i, std::span<const double> row) {
+                    out[i] = backend_->Predict(row);
+                  });
   return out;
 }
 

@@ -24,10 +24,9 @@
 #include "ips/config.h"
 #include "ips/pruning.h"
 #include "ips/run_result.h"
+#include "transform/shapelet_bank.h"
 
 namespace ips {
-
-class DistanceEngine;
 
 /// Runs shapelet discovery (stages 1-5) on a training set and returns the
 /// shapelets together with the run's stats and span trace. Requires a
@@ -39,7 +38,6 @@ RunResult DiscoverShapelets(const DatasetView& train,
 /// + a configurable back-end (linear SVM by default, per §III-D).
 class IpsClassifier final : public SeriesClassifier {
  public:
-  // Both out of line: DistanceEngine is incomplete here.
   explicit IpsClassifier(IpsOptions options = {});
   ~IpsClassifier() override;
 
@@ -58,10 +56,12 @@ class IpsClassifier final : public SeriesClassifier {
   int Predict(SeriesView series) const override;
 
   /// Batched inference: one shapelet transform over the whole test set on
-  /// `options.num_threads` workers (shapelet-side artefacts computed once,
-  /// series sharded across the pool) instead of a per-series Predict loop.
-  /// Labels are identical to the loop -- the transform rows are bitwise
-  /// equal to TransformSeries -- just faster; Accuracy() uses this path.
+  /// `options.num_threads` workers (series sharded across the pool)
+  /// instead of a per-series Predict loop. Labels are identical to the
+  /// loop -- the transform rows are bitwise equal to TransformSeries --
+  /// just faster; Accuracy() uses this path. Like Predict it reads the
+  /// fitted ShapeletBank and builds no shapelet artefact, so a one-series
+  /// batch costs one row; concurrent calls share nothing mutable.
   std::vector<int> PredictBatch(const DatasetView& test) const override;
 
   /// The fit's full outcome (valid after Fit()): shapelets, the stats
@@ -73,13 +73,19 @@ class IpsClassifier final : public SeriesClassifier {
     return result_.shapelets;
   }
 
+  /// The shapelets' artefacts and cascade routes (valid after Fit()).
+  const ShapeletBank& bank() const { return bank_; }
+
  private:
+  /// Builds bank_ from result_.shapelets, transforming `train` through it,
+  /// and fits the back-end on the rows.
+  void FitBankAndBackend(const DatasetView& train);
+
   IpsOptions options_;
   std::unique_ptr<Classifier> backend_;
-  // Owns the shapelet-side distance caches shared by transform-time and
-  // predict-time evaluations (transformed series are never cached).
-  // Rebuilt on every Fit.
-  std::unique_ptr<DistanceEngine> engine_;
+  // The shapelets' artefacts and cascade routes, built by every fit from
+  // its training transform and read lock-free by every prediction.
+  ShapeletBank bank_;
   RunResult result_;
 };
 

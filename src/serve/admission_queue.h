@@ -1,13 +1,14 @@
-// Work-conserving admission queue: runs classify requests as
-// IpsClassifier::PredictBatch batches and never waits for company.
+// Caller-runs admission queue: runs classify requests as
+// IpsClassifier::PredictBatch batches on the threads that submit them, and
+// never waits for company. It owns no thread.
 //
-// A request frame is submitted whole: its series enter the queue under one
-// lock. Whenever the dispatcher is free it takes what is queued for the
-// oldest request's model instance, up to `max_batch` series in arrival
-// order, and runs it at once. So an idle server runs a 64-series frame as
-// one batch and a lone series immediately, and requests arriving while a
-// batch computes form the next batch: batches grow with load on their own.
-// `max_batch` is the only knob.
+// A frame is submitted whole, under one lock. One submitter at a time is
+// the runner; one that finds none becomes it, so a lone request runs on its
+// own thread at once. The runner takes what is queued for the oldest
+// request's model instance, up to `max_batch` (the only knob) series in
+// arrival order, and runs it; requests arriving meanwhile form the next
+// batch. With its own frame done, the runner hands the role to the owner of
+// the oldest queued frame.
 //
 // Correctness: PredictBatch labels are bitwise identical to the serial
 // per-series Predict loop for any batch composition, so batching is
@@ -19,7 +20,7 @@
 // Metrics (docs/serving.md): per batch, serve.batch_size and
 // serve.batch_compute_us; per series, serve.queue_wait_us (enqueue to
 // batch start) and the model's serve.<model>.requests and .latency_us
-// (enqueue to fulfillment: queue wait + inference).
+// (enqueue to classification: queue wait + inference).
 
 #ifndef IPS_SERVE_ADMISSION_QUEUE_H_
 #define IPS_SERVE_ADMISSION_QUEUE_H_
@@ -28,12 +29,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -45,7 +44,7 @@ class AdmissionQueue {
  public:
   struct Options {
     /// Largest batch handed to PredictBatch; a longer backlog for one
-    /// model dispatches as several batches.
+    /// model runs as several batches.
     size_t max_batch = 64;
   };
 
@@ -54,49 +53,51 @@ class AdmissionQueue {
     uint32_t model_version = 0;
   };
 
-  explicit AdmissionQueue(Options options);
-  /// Drains every pending request, then stops the dispatcher.
-  ~AdmissionQueue();
+  explicit AdmissionQueue(Options options) : options_(options) {}
 
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
 
-  /// Enqueues every series of one request against `model` (non-null,
-  /// fully loaded) under a single lock. Returns one future per series, in
-  /// order; each resolves once its series' batch has been classified.
-  std::vector<std::future<Result>> Submit(
-      std::shared_ptr<const ServedModel> model,
-      std::vector<std::vector<double>> series);
+  /// Classifies every series of one request against `model` (non-null,
+  /// fully loaded); returns one result per series, in order. Meanwhile the
+  /// calling thread may run other frames' batches as the runner.
+  std::vector<Result> Submit(std::shared_ptr<const ServedModel> model,
+                             std::vector<std::vector<double>> series);
 
-  /// Batches dispatched so far (test/bench visibility).
+  /// Batches run so far (test/bench visibility).
   uint64_t batches_dispatched() const;
 
  private:
-  struct Pending {
+  /// One submitted frame, on its Submit call's stack.
+  struct Ticket {
     std::shared_ptr<const ServedModel> model;
-    std::vector<double> values;
-    std::promise<Result> promise;
+    std::vector<std::vector<double>> series;  ///< moved out by its batches
+    std::vector<Result> results;              ///< written by its batches
     std::chrono::steady_clock::time_point enqueued;
+    size_t remaining = 0;  ///< series not yet classified (guarded by mu_)
+    bool runner = false;   ///< handed the runner role (guarded by mu_)
+    std::condition_variable cv;
   };
-
+  struct Pending {
+    Ticket* ticket;
+    size_t index;
+  };
   struct ModelMetrics {
     obs::Counter* requests = nullptr;
     obs::Histogram* latency_us = nullptr;
   };
 
-  void DispatcherLoop();
-  void RunBatch(std::vector<Pending> batch);
+  /// Classifies `batch` (one model instance) into its tickets' results.
+  void RunBatch(const std::vector<Pending>& batch);
 
   const Options options_;
   /// serve.<model>.requests / .latency_us by model name, resolved on the
-  /// model's first batch. Touched only by the dispatcher thread.
+  /// model's first batch. Touched only by the runner.
   std::map<std::string, ModelMetrics> model_metrics_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<Pending> queue_;
-  bool stopping_ = false;
+  bool running_ = false;  ///< some submitter holds the runner role
   uint64_t batches_ = 0;
-  std::thread dispatcher_;
 };
 
 }  // namespace ips::serve

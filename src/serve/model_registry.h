@@ -57,7 +57,7 @@ struct ModelSource {
 
 /// One immutable, fully-fitted model. Never mutated after construction;
 /// shared by any number of concurrent readers. Classify() is thread-safe
-/// (IpsClassifier::PredictBatch is const and allocates per-call scratch).
+/// (IpsClassifier::PredictBatch is const and runs on per-thread scratch).
 class ServedModel {
  public:
   const std::string& name() const { return name_; }
@@ -68,9 +68,9 @@ class ServedModel {
   }
   size_t train_size() const { return train_size_; }
 
-  /// Batched classification; out[i] is the label of batch[i]. Bitwise
-  /// identical to a serial per-series Predict loop (the PredictBatch
-  /// contract), which is what makes admission-queue batching invisible.
+  /// Batched classification; out[i] is the label of batch[i], bitwise equal
+  /// to a per-series Predict loop, so batching is invisible. Reads the
+  /// fitted ShapeletBank lock-free: a one-series batch builds no engine.
   std::vector<int> Classify(const DatasetView& batch) const {
     return classifier_.PredictBatch(batch);
   }

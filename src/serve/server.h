@@ -2,12 +2,12 @@
 // reload / stats / health over the length-prefixed frame protocol
 // (serve/protocol.h) against a hot-swappable ModelRegistry.
 //
-// Threading: one accept thread plus one thread per live connection (the
-// accept loop joins closed connections' threads). Each classify frame goes
-// to the AdmissionQueue whole and its labels come back in request order;
-// frames from many connections share batches under load. Reload runs on the
-// connection's own thread -- in-flight classifies keep the model pointer
-// they were admitted with, so a reload never stalls or corrupts them.
+// Threading: one accept thread plus one thread per live connection, which
+// the accept loop joins once closed, and no other: a classify frame goes to
+// the AdmissionQueue whole, and its connection's thread runs batches when no
+// other one is. Reload also runs on the connection's own thread -- in-flight
+// classifies keep the model pointer they were admitted with, so a reload
+// never stalls or corrupts them.
 //
 // Error contract: every decodable-but-unservable request is answered with
 // an explicit kError frame on the same connection (unknown op, unknown
@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>

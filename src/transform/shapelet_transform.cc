@@ -1,5 +1,6 @@
 #include "transform/shapelet_transform.h"
 
+#include "core/distance.h"
 #include "core/distance_engine.h"
 #include "util/check.h"
 
@@ -7,14 +8,14 @@ namespace ips {
 
 std::vector<double> TransformSeries(SeriesView series,
                                     const std::vector<Subsequence>& shapelets,
-                                    MetricId distance,
-                                    DistanceEngine* engine) {
+                                    MetricId distance) {
   IPS_CHECK(!shapelets.empty());
-  if (engine != nullptr) {
-    return engine->TransformOne(series.view(), shapelets, distance);
+  std::vector<double> row(shapelets.size());
+  for (size_t s = 0; s < shapelets.size(); ++s) {
+    row[s] = SubsequenceDistanceMetric(series.view(), shapelets[s].view(),
+                                       distance);
   }
-  DistanceEngine local(1);
-  return local.TransformOne(series.view(), shapelets, distance);
+  return row;
 }
 
 TransformedData ShapeletTransform(const DatasetView& data,

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -385,6 +386,42 @@ TEST_F(LoopbackTest, ReloadStatsAndHealth) {
   EXPECT_NE(stats->find("\"models\""), std::string::npos) << *stats;
   EXPECT_NE(stats->find("\"demo\""), std::string::npos) << *stats;
   EXPECT_NE(stats->find("\"uptime_seconds\""), std::string::npos) << *stats;
+}
+
+// With an access log, every op writes its line: the parts are numbers and
+// strings, joined in order.
+TEST_F(LoopbackTest, AccessLogRecordsEveryOp) {
+  ServerOptions options;
+  options.access_log_path = (dir_ / "access.log").string();
+  Server logged(&registry_, options);
+  std::string error;
+  ASSERT_TRUE(logged.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", logged.port(), &error)) << error;
+  ASSERT_TRUE(client.Classify("demo", {data_.test[0].values}, &error))
+      << error;
+  EXPECT_FALSE(client.Classify("nope", {data_.test[0].values}, &error));
+  ASSERT_TRUE(client.Reload("demo", &error)) << error;
+  ASSERT_TRUE(client.Stats(&error)) << error;
+  ASSERT_TRUE(client.Health(&error)) << error;
+  client.Close();
+  logged.Stop();
+
+  std::ifstream in(options.access_log_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_EQ(lines[0].rfind(
+                "op=classify model=demo n=1 version=1 status=ok latency_us=",
+                0),
+            0u)
+      << lines[0];
+  EXPECT_EQ(lines[1],
+            "op=classify model=nope n=1 status=error msg=unknown model "
+            "\"nope\"");
+  EXPECT_EQ(lines[2], "op=reload model=demo version=2 status=ok");
+  EXPECT_EQ(lines[3], "op=stats status=ok");
+  EXPECT_EQ(lines[4], "op=health status=ok");
 }
 
 TEST_F(LoopbackTest, ErrorFramesNotDroppedConnections) {
