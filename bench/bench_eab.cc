@@ -6,22 +6,21 @@
 //     shapelet has a near-twin in every series and the cascade prunes
 //     nearly everything;
 //   - "prune_hostile": the generator's default noise, where windows barely
-//     differ and the cascade bails out, so the transform's bail-out
-//     backoff (DistanceEngine::kEabBackoffSeries) carries the cost.
+//     differ and the cascade bails out, so the shapelet bank's fit-time
+//     route (transform/shapelet_bank.h) sends shapelets to the dense path.
 // For each regime and every registered metric, at 1 and 8 threads, two
-// workloads run twice -- once with the DistanceEngine's lower-bound
-// cascade enabled (the default) and once forced onto the exhaustive dense
-// path:
-//   - a whole-dataset shapelet-transform batch (TransformBatch) with
-//     shapelets cut from the training series;
+// workloads run twice -- once with the lower-bound cascade enabled (the
+// default) and once forced onto the exhaustive dense path:
+//   - a whole-dataset ShapeletTransform with shapelets cut from the
+//     training series, bank construction (and its route probe) included;
 //   - an IpsClassifier PredictBatch over a held-out test set (the
 //     prediction-time transform is the dominant cost).
 // Timings are best-of-trials, pruned and exhaustive trials alternating;
 // each pruned/exhaustive pair is checked feature-by-feature for bitwise
 // equality (the cascade is a pure performance knob) and the run exits
 // nonzero on any mismatch. The pruned runs report the cascade counters so
-// the JSON records WHERE the time went (lb-pruned vs abandoned vs routed
-// past the cascade).
+// the JSON records WHERE the time went (lb-pruned vs abandoned vs full
+// scans).
 //
 // Shapelet lengths stay under core/distance.h's kFftCutoff so every min
 // query sits in the naive sliding-dots regime the cascade serves.
@@ -143,7 +142,6 @@ struct EabCase {
   size_t eab_lb_pruned = 0;
   size_t eab_abandoned = 0;
   size_t eab_full = 0;
-  size_t eab_backoff_skips = 0;
 
   double TransformSpeedup() const {
     return transform_pruned_ns > 0.0
@@ -172,7 +170,6 @@ struct EabCase {
     e.Set("eab_lb_pruned", eab_lb_pruned);
     e.Set("eab_abandoned", eab_abandoned);
     e.Set("eab_full", eab_full);
-    e.Set("eab_backoff_skips", eab_backoff_skips);
     return e;
   }
 };
@@ -192,9 +189,9 @@ EabCase BenchOne(const Workload& w, MetricId metric, size_t threads) {
   r.metric = MetricName(metric);
   r.threads = threads;
 
-  // Transform batch, pruned vs exhaustive. Caches are cleared per rep so
-  // every rep recomputes artefacts rather than replaying memoised ones;
-  // both paths pay the same artefact cost.
+  // ShapeletTransform, pruned vs exhaustive. Every call builds its own
+  // bank, so both paths pay the same artefact cost; the pruned one also
+  // pays its route probe.
   std::vector<std::vector<double>> pruned_rows, dense_rows;
   DistanceEngine pruned_engine(threads);
   pruned_engine.set_early_abandon(true);
@@ -202,22 +199,26 @@ EabCase BenchOne(const Workload& w, MetricId metric, size_t threads) {
   dense_engine.set_early_abandon(false);
   std::tie(r.transform_pruned_ns, r.transform_exhaustive_ns) = BestOfPairNs(
       [&] {
-        pruned_engine.ClearCaches();
-        pruned_rows =
-            pruned_engine.TransformBatch(data.train, shapelets, metric);
+        pruned_rows = ShapeletTransform(data.train, shapelets, metric,
+                                        threads, &pruned_engine)
+                          .features;
       },
       [&] {
-        dense_engine.ClearCaches();
-        dense_rows = dense_engine.TransformBatch(data.train, shapelets, metric);
+        dense_rows = ShapeletTransform(data.train, shapelets, metric, threads,
+                                       &dense_engine)
+                         .features;
       });
-  // Counters accumulate over every rep; the split is what matters, and
-  // ratios are rep-invariant.
-  const EngineCounters c = pruned_engine.counters();
-  r.eab_candidates = c.eab_candidates;
-  r.eab_lb_pruned = c.eab_lb_pruned;
-  r.eab_abandoned = c.eab_abandoned;
-  r.eab_full = c.eab_full;
-  r.eab_backoff_skips = c.eab_backoff_skips;
+  // The cascade's work split over one more, untimed, pruned transform (the
+  // bank counts into the registry).
+  const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Instance().Snapshot();
+  ShapeletTransform(data.train, shapelets, metric, threads, &pruned_engine);
+  const obs::MetricsSnapshot c =
+      obs::MetricsRegistry::Instance().DeltaSince(before);
+  r.eab_candidates = c.CounterValue("engine.eab.candidates");
+  r.eab_lb_pruned = c.CounterValue("engine.eab.lb_pruned");
+  r.eab_abandoned = c.CounterValue("engine.eab.abandoned");
+  r.eab_full = c.CounterValue("engine.eab.full");
   r.transform_identical = RowsIdentical(pruned_rows, dense_rows);
   r.transform_checksum = Checksum(pruned_rows);
 
@@ -320,8 +321,7 @@ int Main(int argc, char** argv) {
             all_identical && r.transform_identical && r.predict_identical;
         std::printf(
             "%-13s %-18s t=%zu  transform %10.0f -> %10.0f ns (%.2fx)  "
-            "predict %10.0f -> %10.0f ns (%.2fx)  skipped %.1f%%  "
-            "backoff %zu%s\n",
+            "predict %10.0f -> %10.0f ns (%.2fx)  skipped %.1f%%%s\n",
             r.workload.c_str(), r.metric.c_str(), r.threads,
             r.transform_exhaustive_ns, r.transform_pruned_ns,
             r.TransformSpeedup(), r.predict_exhaustive_ns,
@@ -331,7 +331,6 @@ int Main(int argc, char** argv) {
                 : 100.0 *
                       static_cast<double>(r.eab_lb_pruned + r.eab_abandoned) /
                       static_cast<double>(r.eab_candidates),
-            r.eab_backoff_skips,
             r.transform_identical && r.predict_identical ? ""
                                                          : "  MISMATCH");
       }

@@ -42,7 +42,7 @@ inline std::string GitRevision() {
 }
 
 /// {"git_sha", "hardware_threads", "simd_backend", "tracing_enabled",
-///  "disable_simd", "disable_early_abandon"}.
+///  "disable_simd"}.
 inline obs::JsonValue BenchEnvJson() {
   obs::JsonValue env = obs::JsonValue::Object();
   env.Set("git_sha", GitRevision());
@@ -53,11 +53,6 @@ inline obs::JsonValue BenchEnvJson() {
   env.Set("disable_simd", true);
 #else
   env.Set("disable_simd", false);
-#endif
-#if defined(IPS_DISABLE_EARLY_ABANDON)
-  env.Set("disable_early_abandon", true);
-#else
-  env.Set("disable_early_abandon", false);
 #endif
   return env;
 }

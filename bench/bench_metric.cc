@@ -4,8 +4,8 @@
 // Every registered metric runs the same three workloads:
 //   - one MatrixProfileEngine self-join (the QT sweep with the metric's
 //     O(1) distance step) on a fixed series;
-//   - one DistanceEngine shapelet-transform batch (the profile tail
-//     kernels) on a fixed dataset;
+//   - one whole-dataset ShapeletTransform (the min-reduce kernels) on a
+//     fixed dataset;
 //   - one end-to-end IpsClassifier fit + test accuracy, so the JSON also
 //     records what the metric choice does to classification quality.
 // Timings are best-of-trials; checksums confirm each timed loop computed
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/distance_engine.h"
 #include "core/metric.h"
 #include "core/rng.h"
 #include "data/generator.h"
@@ -85,12 +84,10 @@ MetricResult BenchOneMetric(MetricId metric, const std::vector<double>& series,
 
   // Profile tails: the whole-dataset shapelet transform.
   {
-    DistanceEngine engine(1);
     std::vector<std::vector<double>> rows;
     r.transform_ns = BestOfNs(
         [&] {
-          engine.ClearCaches();
-          rows = engine.TransformBatch(data.train, shapelets, metric);
+          rows = ShapeletTransform(data.train, shapelets, metric).features;
         },
         3, 2);
     for (const auto& row : rows) r.transform_checksum += Checksum(row);

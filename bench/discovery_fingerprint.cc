@@ -7,6 +7,12 @@
 // no discovery output. Run it on several synthetic datasets and thread
 // counts so both the serial and pooled paths are covered.
 //
+// Each dataset runs twice per thread count: the paper's defaults (DABF
+// pruning, DT+CR utility), then a "naive" section with naive pruning and
+// exact utility, where every Def. 4 distance of discovery runs through the
+// DistanceEngine and its early-abandon cascade -- so every diff of this
+// output covers that engine too.
+//
 // Usage: discovery_fingerprint [--datasets=a,b,c] [--metric=NAME]
 //                              [--store_budget=BYTES]
 //
@@ -97,26 +103,32 @@ int Run(const BenchArgs& args) {
       train = segment.get();
     }
 
-    for (size_t threads : thread_counts) {
-      IpsOptions options;
-      options.num_threads = threads;
-      options.metric = metric;
-      const RunResult result = DiscoverShapelets(*train, options);
-      std::printf("%s threads=%zu shapelets=%zu\n", name.c_str(), threads,
-                  result.shapelets.size());
-      // The v1 shapelet block: provenance + every value at max_digits10.
-      std::fputs(SerializeShapelets(result.shapelets).c_str(), stdout);
-      // Counters are observational but deterministic for a fixed dataset
-      // and config -- identical across tracing-on/off builds by design, so
-      // they belong in the fingerprint. Timings do not.
-      std::printf("counters motifs=%zu discords=%zu pruned_motifs=%zu "
-                  "pruned_discords=%zu profiles=%zu mp_joins=%zu\n",
-                  result.stats.motifs_generated,
-                  result.stats.discords_generated,
-                  result.stats.motifs_after_prune,
-                  result.stats.discords_after_prune,
-                  result.stats.profiles_computed,
-                  result.stats.mp_joins_computed);
+    for (const bool naive : {false, true}) {
+      for (size_t threads : thread_counts) {
+        IpsOptions options;
+        options.num_threads = threads;
+        options.metric = metric;
+        if (naive) {
+          options.use_dabf_pruning = false;
+          options.utility_mode = UtilityMode::kExactWithCr;
+        }
+        const RunResult result = DiscoverShapelets(*train, options);
+        std::printf("%s%s threads=%zu shapelets=%zu\n", name.c_str(),
+                    naive ? " naive" : "", threads, result.shapelets.size());
+        // The v1 shapelet block: provenance + every value at max_digits10.
+        std::fputs(SerializeShapelets(result.shapelets).c_str(), stdout);
+        // Counters are observational but deterministic for a fixed dataset
+        // and config -- identical across tracing-on/off builds by design, so
+        // they belong in the fingerprint. Timings do not.
+        std::printf("counters motifs=%zu discords=%zu pruned_motifs=%zu "
+                    "pruned_discords=%zu profiles=%zu mp_joins=%zu\n",
+                    result.stats.motifs_generated,
+                    result.stats.discords_generated,
+                    result.stats.motifs_after_prune,
+                    result.stats.discords_after_prune,
+                    result.stats.profiles_computed,
+                    result.stats.mp_joins_computed);
+      }
     }
     if (!segment_path.empty()) {
       segment.reset();

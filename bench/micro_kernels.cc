@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/distance.h"
-#include "core/distance_engine.h"
 #include "core/fft.h"
 #include "core/rng.h"
 #include "core/simd.h"
@@ -197,103 +196,6 @@ void BM_UtilityDtCr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UtilityDtCr);
-
-// ---------------------------------------------------------- distance engine
-//
-// Before/after pairs for the DistanceEngine refactor. The *Seed variants
-// reproduce the pre-engine call pattern (one raw kernel call per pair, no
-// artefact reuse); the *Engine variants run the batched APIs at 1 and 8
-// threads. All variants produce bitwise-identical values (asserted by
-// tests/distance_engine_test.cc); only the wall-clock differs.
-
-std::vector<Subsequence> EngineCandidates() {
-  GeneratorSpec spec;
-  spec.name = "micro_engine";
-  spec.num_classes = 2;
-  spec.train_size = 24;
-  spec.test_size = 2;
-  spec.length = 256;
-  const Dataset train = GenerateDataset(spec).train;
-  std::vector<Subsequence> cands;
-  for (size_t i = 0; i < train.size(); ++i) {
-    cands.push_back(
-        ExtractSubsequence(train[i], i % 64, 96, static_cast<int>(i)));
-  }
-  return cands;
-}
-
-void BM_PairwiseCandidatesSeed(benchmark::State& state) {
-  static const std::vector<Subsequence> cands = EngineCandidates();
-  const size_t n = cands.size();
-  for (auto _ : state) {
-    std::vector<double> matrix(n * n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        const double d = SubsequenceDistance(cands[i].view(), cands[j].view());
-        matrix[i * n + j] = d;
-        matrix[j * n + i] = d;
-      }
-    }
-    benchmark::DoNotOptimize(matrix);
-  }
-}
-BENCHMARK(BM_PairwiseCandidatesSeed);
-
-void BM_PairwiseCandidatesEngine(benchmark::State& state) {
-  static const std::vector<Subsequence> cands = EngineCandidates();
-  const size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    // A fresh engine per iteration: the caches are part of the measured
-    // work, not pre-warmed state.
-    DistanceEngine engine(threads);
-    benchmark::DoNotOptimize(engine.PairwiseSubsequenceMin(cands));
-  }
-}
-BENCHMARK(BM_PairwiseCandidatesEngine)->Arg(1)->Arg(8);
-
-struct TransformFixture {
-  Dataset train;
-  std::vector<Subsequence> shapelets;
-
-  TransformFixture() {
-    GeneratorSpec spec;
-    spec.name = "micro_engine_tx";
-    spec.num_classes = 2;
-    spec.train_size = 32;
-    spec.test_size = 2;
-    spec.length = 256;
-    train = GenerateDataset(spec).train;
-    for (size_t i = 0; i < 10; ++i) {
-      shapelets.push_back(
-          ExtractSubsequence(train[i], 4 * i, 80, static_cast<int>(i)));
-    }
-  }
-};
-
-void BM_TransformBatchSeed(benchmark::State& state) {
-  static const TransformFixture fixture;
-  for (auto _ : state) {
-    // The pre-engine transform: one TransformSeries call per series, each
-    // recomputing shapelet-side artefacts from scratch.
-    std::vector<std::vector<double>> rows(fixture.train.size());
-    for (size_t i = 0; i < fixture.train.size(); ++i) {
-      rows[i] = TransformSeries(fixture.train[i], fixture.shapelets);
-    }
-    benchmark::DoNotOptimize(rows);
-  }
-}
-BENCHMARK(BM_TransformBatchSeed);
-
-void BM_TransformBatchEngine(benchmark::State& state) {
-  static const TransformFixture fixture;
-  const size_t threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    DistanceEngine engine(threads);
-    benchmark::DoNotOptimize(engine.TransformBatch(
-        fixture.train, fixture.shapelets, MetricId::kZNormEuclidean));
-  }
-}
-BENCHMARK(BM_TransformBatchEngine)->Arg(1)->Arg(8);
 
 // ------------------------------------------------------ matrix-profile engine
 //

@@ -55,16 +55,6 @@ run_csv exp_pruning_quality "$@"
 echo "=== micro_kernels ==="
 "$BENCH/micro_kernels" --benchmark_min_time=0.05 | tee "$OUT/micro_kernels.txt"
 
-# Machine-readable before/after numbers for the DistanceEngine refactor:
-# seed-style per-pair loops vs batched engine APIs at 1 and 8 threads.
-echo "=== BENCH_engine ==="
-"$BENCH/micro_kernels" \
-  --benchmark_filter='Pairwise|TransformBatch' \
-  --benchmark_min_time=0.05 \
-  --benchmark_out="$OUT/BENCH_engine.json" \
-  --benchmark_out_format=json |
-  tee "$OUT/BENCH_engine.txt"
-
 # Machine-readable before/after numbers for the MatrixProfileEngine:
 # historic per-ordered-pair AbJoinProfile construction vs the pair-symmetric
 # cached engine, per ComputeInstanceProfile call and on the Table V

@@ -47,10 +47,7 @@ std::vector<Subsequence> DiscoverSdShapelets(const DatasetView& train,
   SdStats& s = stats != nullptr ? *stats : local;
   s = SdStats{};
 
-  // One engine per run: the redundancy scans and split evaluations below
-  // reuse train- and representative-side artefacts through its caches.
-  // Everything it caches (seeds, representatives, train) outlives the scope
-  // that cached it, and the engine dies with this call.
+  // One serial engine for the radius estimates and redundancy scans.
   DistanceEngine engine(1);
 
   const std::vector<size_t> lengths =
@@ -86,13 +83,12 @@ std::vector<Subsequence> DiscoverSdShapelets(const DatasetView& train,
         ++s.candidates_enumerated;
         Subsequence cand =
             ExtractSubsequence(t, off, window, static_cast<int>(i));
-        // cache_b: accepted representatives recur across the whole scan;
-        // the probe side is never cached (most candidates are discarded).
         const bool redundant = std::any_of(
             representatives.begin(), representatives.end(),
             [&](const Subsequence& rep) {
-              return engine.SubsequenceMin(cand.view(), rep.view(),
-                                           /*cache_b=*/true) <= radius;
+              return engine.SubsequenceMinMetric(
+                         cand.view(), rep.view(),
+                         MetricId::kRawSquaredEuclidean) <= radius;
             });
         if (redundant) continue;
         representatives.push_back(std::move(cand));
@@ -103,7 +99,7 @@ std::vector<Subsequence> DiscoverSdShapelets(const DatasetView& train,
     // Score the representatives only.
     for (Subsequence& rep : representatives) {
       const double gain =
-          EvaluateSplitQuality(rep, train, num_classes, &engine).info_gain;
+          EvaluateSplitQuality(rep, train, num_classes).info_gain;
       per_class[rep.label].push_back({std::move(rep), gain});
     }
   }

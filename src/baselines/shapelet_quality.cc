@@ -22,14 +22,11 @@ double LabelEntropy(const std::vector<size_t>& counts, size_t total) {
 }
 
 SplitQuality EvaluateSplitQuality(const Subsequence& candidate,
-                                  const DatasetView& train, int num_classes,
-                                  DistanceEngine* engine) {
+                                  const DatasetView& train,
+                                  int num_classes) {
   IPS_CHECK(!train.empty());
   IPS_CHECK(num_classes >= 1);
   const size_t n = train.size();
-
-  DistanceEngine local(1);
-  DistanceEngine& eng = engine != nullptr ? *engine : local;
 
   // Batched (train[i], candidate) pairs in the serial loop's argument order,
   // so the sorted distances are bitwise identical to it.
@@ -41,7 +38,7 @@ SplitQuality EvaluateSplitQuality(const Subsequence& candidate,
   for (size_t i = 0; i < n; ++i) {
     pairs[i] = {static_cast<uint32_t>(i), static_cast<uint32_t>(n)};
   }
-  const std::vector<double> dists = eng.MinForPairs(views, pairs);
+  const std::vector<double> dists = DistanceEngine(1).MinForPairs(views, pairs);
 
   std::vector<std::pair<double, size_t>> by_distance(n);
   for (size_t i = 0; i < n; ++i) {

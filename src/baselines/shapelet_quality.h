@@ -13,8 +13,6 @@
 
 namespace ips {
 
-class DistanceEngine;
-
 /// Result of evaluating a candidate's best distance split.
 struct SplitQuality {
   /// Information gain (nats) of the best threshold; 0 when no split helps.
@@ -32,15 +30,10 @@ double LabelEntropy(const std::vector<size_t>& counts, size_t total);
 /// Evaluates `candidate` against every series of `train` with the Def. 4
 /// distance, sorts, and returns the best information-gain split. Requires a
 /// non-empty training set and labels dense in [0, num_classes).
-///
-/// The distances run through a DistanceEngine. Pass `engine` to amortise
-/// train-side artefacts (prefix sums, FFTs) across repeated evaluations;
-/// the candidate's artefacts are then cached too, so both must outlive the
-/// engine's caches (ClearCaches() otherwise). A null engine uses a
-/// call-local one. Results are bitwise identical either way.
+/// The distances run as one serial DistanceEngine batch, bitwise identical
+/// to the per-series kernel loop.
 SplitQuality EvaluateSplitQuality(const Subsequence& candidate,
-                                  const DatasetView& train, int num_classes,
-                                  DistanceEngine* engine = nullptr);
+                                  const DatasetView& train, int num_classes);
 
 }  // namespace ips
 

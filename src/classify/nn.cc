@@ -13,19 +13,17 @@
 namespace ips {
 
 OneNnEd::OneNnEd(MetricId metric) : metric_(metric) {}
-OneNnEd::~OneNnEd() = default;
 
 void OneNnEd::Fit(const DatasetView& train) {
   IPS_CHECK(!train.empty());
   // 1NN retains its training data beyond Fit: the one legitimate deep copy.
   train_ = train.Materialize();
-  // Fresh engine: the old one's caches key on the previous train_'s buffers.
-  engine_ = std::make_unique<DistanceEngine>(1);
 }
 
 int OneNnEd::Predict(SeriesView series) const {
   IPS_CHECK(!train_.empty());
   const bool default_metric = metric_ == MetricId::kRawSquaredEuclidean;
+  DistanceEngine engine(1);
   double best = std::numeric_limits<double>::infinity();
   int label = train_[0].label;
   for (size_t i = 0; i < train_.size(); ++i) {
@@ -40,10 +38,7 @@ int OneNnEd::Predict(SeriesView series) const {
               ? SquaredEuclidean(series.view(), cand.view())
               : GetMetric(metric_).pairwise(series.view(), cand.view());
     } else {
-      // cache_b: the train-side artefacts persist across Predict calls; the
-      // query side is never cached, so the caller's temporary is safe.
-      d = engine_->SubsequenceMinMetric(series.view(), cand.view(), metric_,
-                                        /*cache_b=*/true);
+      d = engine.SubsequenceMinMetric(series.view(), cand.view(), metric_);
     }
     if (d < best) {
       best = d;

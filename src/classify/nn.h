@@ -7,29 +7,22 @@
 #ifndef IPS_CLASSIFY_NN_H_
 #define IPS_CLASSIFY_NN_H_
 
-#include <memory>
-
 #include "classify/classifier.h"
 #include "core/metric.h"
 #include "core/time_series.h"
 
 namespace ips {
 
-class DistanceEngine;
-
 /// 1-nearest-neighbour under a registered distance metric (core/metric.h),
 /// whole-series Euclidean by default. Equal-length series compare with the
 /// metric's pairwise distance; unequal lengths fall back to the sliding
-/// subsequence minimum, routed through a DistanceEngine so train-side
-/// prefix sums and FFTs are computed once and reused across Predict calls.
-/// The engine (and its pointer-keyed caches) is rebuilt on every Fit.
+/// subsequence minimum, run by a DistanceEngine on thread-local scratch.
 class OneNnEd final : public SeriesClassifier {
  public:
   /// `metric` selects the comparison distance. The default is the Def. 4
   /// length-normalised squared Euclidean the bake-off's ED_1NN uses
   /// (monotone in plain Euclidean, so the neighbour ranking is identical).
   explicit OneNnEd(MetricId metric = MetricId::kRawSquaredEuclidean);
-  ~OneNnEd() override;  // out of line: DistanceEngine is incomplete here
 
   void Fit(const DatasetView& train) override;
   int Predict(SeriesView series) const override;
@@ -37,7 +30,6 @@ class OneNnEd final : public SeriesClassifier {
  private:
   MetricId metric_;
   Dataset train_;
-  std::unique_ptr<DistanceEngine> engine_;
 };
 
 /// 1-nearest-neighbour under DTW with a Sakoe-Chiba band.

@@ -85,8 +85,7 @@ struct IpsOptions {
   /// (docs/pruning.md) serves min-alignment distance queries. Purely a
   /// performance knob: minima are bitwise identical either way, so
   /// discovery, transforms and predictions do not change. On by default;
-  /// exists so A/B parity runs (and the early-abandon-off CI job) can pin
-  /// it off per run. Builds with -DIPS_DISABLE_EARLY_ABANDON force it off.
+  /// exists so A/B parity runs and benchmarks can pin it off per run.
   bool enable_early_abandon = true;
 
   /// Worker threads for candidate generation and the shapelet transform:

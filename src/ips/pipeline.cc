@@ -52,7 +52,7 @@ std::vector<Subsequence> RunDiscovery(const DatasetView& train,
   IPS_SPAN("discover");
 
   // One engine for every Def. 4 evaluation of the run: pruning and exact
-  // utility scoring share its rolling-stats/FFT caches and thread pool.
+  // utility scoring share its thread count and cascade switch.
   DistanceEngine engine(options.num_threads);
   engine.set_early_abandon(options.enable_early_abandon);
 
@@ -194,13 +194,13 @@ void IpsClassifier::FitBankAndBackend(const DatasetView& train) {
   LabeledMatrix matrix;
   {
     IPS_SPAN("transform");
-    bank_ = ShapeletBank(result_.shapelets, options_.metric, train,
-                         options_.enable_early_abandon);
     matrix.x.resize(train.size());
-    bank_.Transform(train, options_.num_threads,
-                    [&](size_t i, std::span<const double> row) {
-                      matrix.x[i].assign(row.begin(), row.end());
-                    });
+    bank_ = ShapeletBank::FitTransform(
+        result_.shapelets, options_.metric, train,
+        options_.enable_early_abandon, options_.num_threads,
+        [&](size_t i, std::span<const double> row) {
+          matrix.x[i].assign(row.begin(), row.end());
+        });
     matrix.y = train.Labels();
   }
   backend_ = MakeBackend(options_);

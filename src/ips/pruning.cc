@@ -84,8 +84,9 @@ namespace {
 
 // Median pairwise Def. 4 distance within a candidate set (the naive
 // pruner's closeness radius r). The pairwise distances are evaluated
-// through the engine (parallel, artefact-cached) in the same upper-triangle
-// order the serial loops produced, so the median is identical.
+// through the engine (parallel, one artefact table per call) in the same
+// upper-triangle order the serial loops produced, so the median is
+// identical.
 double MedianPairwiseDistance(const std::vector<Subsequence>& pool,
                               DistanceEngine& engine) {
   std::vector<std::span<const double>> views;

@@ -46,9 +46,12 @@ struct IpsRunStats {
   size_t discords_after_prune = 0;
   size_t shapelets = 0;
 
-  /// DistanceEngine activity over the run: Def. 4 evaluations (profiles or
-  /// single-pair minima) and rolling-stats cache hits/misses.
+  /// DistanceEngine activity over the run: Def. 4 evaluations (min
+  /// queries).
   size_t profiles_computed = 0;
+  /// Kept so the run-artifact format is unchanged. The engine has no
+  /// artefact caches any more and nothing publishes engine.stats_cache_*,
+  /// so both read 0.
   size_t stats_cache_hits = 0;
   size_t stats_cache_misses = 0;
 
@@ -56,8 +59,7 @@ struct IpsRunStats {
   /// summed across metrics: alignments considered by the pruned min path,
   /// skipped whole by a lower bound, scans cut short by the partial-sum
   /// test, and scans run to completion. All zero when the cascade is off
-  /// (IpsOptions::enable_early_abandon == false or
-  /// -DIPS_DISABLE_EARLY_ABANDON builds); otherwise
+  /// (IpsOptions::enable_early_abandon == false); otherwise
   /// eab_candidates == eab_lb_pruned + eab_abandoned + eab_full.
   size_t eab_candidates = 0;
   size_t eab_lb_pruned = 0;

@@ -18,7 +18,7 @@ double MeanOrZero(double sum, size_t count) {
 // ------------------------------------------------------------------ exact
 
 // Exact-mode scorer. All Def. 4 distances are evaluated up front through
-// the DistanceEngine (parallel, scratch- and artefact-cached), then
+// the DistanceEngine (parallel, over one artefact table), then
 // aggregated serially in the same order as the original per-pair loops, so
 // the scores are bitwise identical to them for any thread count. With
 // `reuse` each unordered candidate pair is computed once and mirrored (the

@@ -59,9 +59,9 @@ struct CandidateScore {
 /// otherwise.
 ///
 /// The exact modes evaluate their Def. 4 distances through a
-/// DistanceEngine: pass `engine` to reuse caches across pipeline stages
-/// (its thread count then governs), or leave it null to use a call-local
-/// engine sharded over `num_threads`. Scores are bitwise identical to the
+/// DistanceEngine: pass `engine` to use the pipeline's thread count and
+/// cascade switch, or leave it null to use a call-local engine sharded
+/// over `num_threads`. Scores are bitwise identical to the
 /// serial per-pair loops for every engine/thread configuration.
 std::map<int, std::vector<CandidateScore>> ScoreAllCandidates(
     const CandidatePool& pool, const DatasetView& train, UtilityMode mode,

@@ -15,19 +15,21 @@
 //    or the dense kernel serves its min queries.
 //
 // The route is decided at construction, during the fit, from the
-// MinOutcomes of the first kRouteProbeSeries training rows: they run the
-// cascade on every shapelet, in row order on one thread, each seeded with
-// the previous row's argmin, and a shapelet on which the cascade bailed
-// out on more than half of them is routed dense. Those outcomes are a pure
-// function of the series and the shapelets, so the route is the same at
-// every thread count. Every transform through the bank, the training
-// set's included, follows the route.
+// MinOutcomes of the first kRouteProbeSeries training rows: each shapelet
+// runs the cascade over them in row order, each row seeded with the
+// previous row's argmin, and a shapelet on which the cascade bailed out on
+// more than half of them is routed dense. Shapelets probe in parallel, but
+// each one's outcomes are a pure function of the series and that
+// shapelet, so the route is the same at every thread count. Every
+// transform through the bank, the training set's included, follows the
+// route; FitTransform hands out the probe's rows instead of computing
+// them again.
 //
-// Identity: the artefacts come from the engine's artefact functions
-// (core/distance_engine.h) and the min queries run the engine's kernels
-// in the engine's order, so every row is bitwise equal to
-// TransformSeries and DistanceEngine::TransformBatch. A route only picks
-// the cascade or the dense path, which agree bitwise.
+// Identity: the artefacts come from the engine's artefact functions and
+// every min query runs MinOfQuery, the engine's one min function
+// (core/distance_engine.h), so every row is bitwise equal to
+// TransformSeries. A route only picks the cascade or the dense path, which
+// agree bitwise.
 //
 // Thread-safety: immutable once constructed. Transform and TransformOne
 // read it with no lock from any number of threads; rows run on per-thread
@@ -62,20 +64,29 @@ class ShapeletBank {
 
   /// Builds the bank for `shapelets` under `metric`: the FFTs for the
   /// length of train's first series, the routes from its first
-  /// kRouteProbeSeries series.
-  /// `early_abandon` false (or a build with -DIPS_DISABLE_EARLY_ABANDON)
-  /// routes every shapelet dense and probes no cascade.
+  /// kRouteProbeSeries series. `early_abandon` false routes every
+  /// shapelet dense and probes no cascade.
   ShapeletBank(const std::vector<Subsequence>& shapelets, MetricId metric,
                const DatasetView& train, bool early_abandon);
 
   /// Calls fn(i, row) once per series of `data`, with row[s] the distance
   /// of data[i] to shapelet s, on up to `num_threads` threads (0 = auto).
-  /// `row` is the calling thread's scratch, valid until fn returns. Streams
-  /// chunk-granularly like DistanceEngine::TransformBatch, so an
-  /// out-of-core view's resident set stays one chunk.
+  /// `row` is valid until fn returns. Streams chunk-granularly
+  /// (ForEachChunk) and parallelises over the series of each chunk, so an
+  /// out-of-core view's resident set stays one chunk; rows are bitwise
+  /// identical for any chunking and thread count.
   using RowFn = std::function<void(size_t, std::span<const double>)>;
   void Transform(const DatasetView& data, size_t num_threads,
                  const RowFn& fn) const;
+
+  /// Builds the bank over `train` and transforms it: the result of the
+  /// constructor followed by Transform(train, num_threads, fn), with the
+  /// route probe's rows handed to fn rather than computed twice, and the
+  /// probe run on up to `num_threads` threads (one shapelet per task).
+  static ShapeletBank FitTransform(const std::vector<Subsequence>& shapelets,
+                                   MetricId metric, const DatasetView& train,
+                                   bool early_abandon, size_t num_threads,
+                                   const RowFn& fn);
 
   /// One transform row, computed on the calling thread into its scratch:
   /// valid until the thread's next transform through any bank.
@@ -90,29 +101,31 @@ class ShapeletBank {
     std::vector<double> prefix;  ///< prefix sums of squares of `values`
     ZnQuery zn;                  ///< z-normalised values (z-norm only)
     /// Reversed FFT of the slid values (zn.values under z-norm, values
-    /// otherwise) at padded size fft_padded; empty (size 0) when the
-    /// training length is not in the FFT regime.
-    size_t fft_padded = 0;
+    /// otherwise) at the training length's padded size; empty when that
+    /// length is not in the FFT regime.
     std::vector<std::complex<double>> fft;
     Route route = Route::kDense;
   };
 
-  /// The min-alignment distance between `series` and shapelet s, operand
-  /// order (series, shapelet) as TransformSeries. `cascade` false takes
-  /// the dense path; ws.row must hold `series`.
-  double Min(size_t s, std::span<const double> series, bool cascade,
-             size_t seed, DistanceWorkspace& ws, MinOutcome* outcome) const;
-  /// Cascade runs and bail-outs of one shapelet over the probe rows.
-  struct ProbeTally {
-    size_t ran = 0;
-    size_t bailed = 0;
-  };
+  /// The artefacts of `shapelets`, every route dense.
+  ShapeletBank(const std::vector<Subsequence>& shapelets, MetricId metric,
+               const DatasetView& train);
+  /// Decides the routes from train's first kRouteProbeSeries series and
+  /// returns those series' rows, row-major.
+  std::vector<double> Probe(const DatasetView& train, size_t num_threads);
+  /// The distance between `series` (ws.series holds it) and shapelet `e`,
+  /// operand order (series, shapelet) as TransformSeries.
+  double Distance(const Entry& e, bool cascade, size_t seed,
+                  DistanceWorkspace& ws, MinOutcome& outcome) const;
   /// One row, computed in this thread's scratch and valid until its next
-  /// row. `probe` non-null runs the cascade on every shapelet and counts
-  /// each outcome there; otherwise each route decides. `carry` seeds the
-  /// cascade with the scratch's last argmin per shapelet and updates it.
-  std::span<const double> Row(std::span<const double> series, bool carry,
-                              ProbeTally* probe) const;
+  /// row. `carry` seeds the cascade with the scratch's last argmin per
+  /// shapelet and updates it.
+  std::span<const double> Row(std::span<const double> series,
+                              bool carry) const;
+  /// Transform, with the first known.size() / size() rows taken from
+  /// `known` (row-major) instead of computed.
+  void TransformRows(const DatasetView& data, size_t num_threads,
+                     std::span<const double> known, const RowFn& fn) const;
 
   MetricId metric_ = MetricId::kZNormEuclidean;
   std::vector<Entry> entries_;

@@ -2,6 +2,7 @@
 
 #include "core/distance.h"
 #include "core/distance_engine.h"
+#include "transform/shapelet_bank.h"
 #include "util/check.h"
 
 namespace ips {
@@ -20,14 +21,18 @@ std::vector<double> TransformSeries(SeriesView series,
 
 TransformedData ShapeletTransform(const DatasetView& data,
                                   const std::vector<Subsequence>& shapelets,
-                                  MetricId distance,
-                                  size_t num_threads, DistanceEngine* engine) {
+                                  MetricId distance, size_t num_threads,
+                                  const DistanceEngine* engine) {
+  IPS_CHECK(!shapelets.empty());
   TransformedData out;
-  DistanceEngine local(num_threads);
-  DistanceEngine& eng = engine != nullptr ? *engine : local;
-  out.features = eng.TransformBatch(data, shapelets, distance);
-  out.labels.resize(data.size());
-  for (size_t i = 0; i < data.size(); ++i) out.labels[i] = data.At(i).label;
+  out.features.resize(data.size());
+  ShapeletBank::FitTransform(
+      shapelets, distance, data, engine == nullptr || engine->early_abandon(),
+      engine != nullptr ? engine->num_threads() : num_threads,
+      [&](size_t i, std::span<const double> row) {
+        out.features[i].assign(row.begin(), row.end());
+      });
+  out.labels = data.Labels();
   return out;
 }
 

@@ -36,16 +36,16 @@ struct TransformedData {
 /// distance with the roles swapped (the distances are symmetric in
 /// min-alignment).
 ///
-/// The work is routed through a DistanceEngine (core/distance_engine.h):
-/// rolling statistics, prefix sums and FFTs are computed once per
-/// (series, window) and shared across the whole batch, sharded over
-/// `num_threads`. Pass `engine` to reuse an existing engine's caches (its
-/// thread count then governs); otherwise a call-local engine is used.
-/// Results are identical for every thread count and engine.
+/// Fits a ShapeletBank (transform/shapelet_bank.h) on `data` -- each
+/// shapelet's artefacts once, and its cascade route from the first rows --
+/// and streams the rows through it on `num_threads` threads. A non-null
+/// `engine` supplies the thread count and the early-abandon switch instead
+/// (nothing else of it is read). Results are identical for every thread
+/// count and engine.
 TransformedData ShapeletTransform(
     const DatasetView& data, const std::vector<Subsequence>& shapelets,
     MetricId distance = MetricId::kZNormEuclidean, size_t num_threads = 1,
-    DistanceEngine* engine = nullptr);
+    const DistanceEngine* engine = nullptr);
 
 /// Transforms a single series (TimeSeries converts implicitly) with the
 /// serial min-alignment kernel of core/distance.h, one shapelet at a time:

@@ -33,12 +33,18 @@ const bool kForcePoolWorkers = [] {
 
 struct PipelineRun {
   std::vector<Subsequence> shapelets;
+  size_t motifs_after_prune = 0;
+  size_t discords_after_prune = 0;
   TransformedData transform;
   double accuracy = 0.0;
 };
 
+// `naive` swaps the paper's defaults (DABF pruning, DT+CR utility) for
+// naive pruning with exact utility, where every Def. 4 distance of
+// discovery runs through the DistanceEngine.
 PipelineRun RunPipeline(const TrainTestSplit& data, size_t num_threads,
-                        MetricId metric = MetricId::kZNormEuclidean) {
+                        MetricId metric = MetricId::kZNormEuclidean,
+                        bool naive = false) {
   IpsOptions o;
   o.sample_count = 4;
   o.sample_size = 3;
@@ -46,12 +52,18 @@ PipelineRun RunPipeline(const TrainTestSplit& data, size_t num_threads,
   o.shapelets_per_class = 3;
   o.num_threads = num_threads;
   o.metric = metric;
+  if (naive) {
+    o.use_dabf_pruning = false;
+    o.utility_mode = UtilityMode::kExactWithCr;
+  }
 
   IpsClassifier clf(o);
   clf.Fit(data.train);
 
   PipelineRun run;
   run.shapelets = clf.shapelets();
+  run.motifs_after_prune = clf.result().stats.motifs_after_prune;
+  run.discords_after_prune = clf.result().stats.discords_after_prune;
   run.transform = ShapeletTransform(data.test, clf.shapelets(), o.metric,
                                     num_threads);
   run.accuracy = clf.Accuracy(data.test);
@@ -59,6 +71,8 @@ PipelineRun RunPipeline(const TrainTestSplit& data, size_t num_threads,
 }
 
 void ExpectRunsBitwiseEqual(const PipelineRun& run, const PipelineRun& base) {
+  EXPECT_EQ(run.motifs_after_prune, base.motifs_after_prune);
+  EXPECT_EQ(run.discords_after_prune, base.discords_after_prune);
   ASSERT_EQ(run.shapelets.size(), base.shapelets.size());
   for (size_t s = 0; s < base.shapelets.size(); ++s) {
     EXPECT_EQ(run.shapelets[s].label, base.shapelets[s].label);
@@ -138,6 +152,34 @@ TEST(DeterminismMatrixTest, EveryMetricBitwiseIdenticalAcrossThreadCounts) {
       SCOPED_TRACE("num_threads=" + std::to_string(threads));
       ExpectRunsBitwiseEqual(RunPipeline(data, threads, metric), base);
     }
+  }
+}
+
+// Naive pruning with exact utility: the pruner runs many engine batches
+// over temporary copies of the candidate pool, whose freed buffers malloc
+// hands back at the same addresses. Prune counts and shapelets must still
+// not depend on the thread count.
+TEST(DeterminismMatrixTest, NaivePruningBitwiseIdenticalAcrossThreadCounts) {
+  ASSERT_TRUE(kForcePoolWorkers);
+  const auto info = FindUcrDataset("ItalyPowerDemand");
+  ASSERT_TRUE(info.has_value());
+  CatalogScale scale;
+  scale.count_factor = 0.4;
+  scale.min_train = 16;
+  scale.max_train = 28;
+  scale.min_test = 24;
+  scale.max_test = 48;
+  const TrainTestSplit data =
+      GenerateDataset(SpecFromCatalog(ScaleDataset(*info, scale)));
+
+  const PipelineRun base =
+      RunPipeline(data, 1, MetricId::kZNormEuclidean, /*naive=*/true);
+  ASSERT_FALSE(base.shapelets.empty());
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    ExpectRunsBitwiseEqual(
+        RunPipeline(data, threads, MetricId::kZNormEuclidean, /*naive=*/true),
+        base);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include <algorithm>
 #include <atomic>
 #include <span>
 #include <thread>
@@ -23,6 +24,9 @@ std::vector<double> RandomSeries(Rng& rng, size_t n) {
   return s;
 }
 
+constexpr MetricId kRaw = MetricId::kRawSquaredEuclidean;
+constexpr MetricId kZNorm = MetricId::kZNormEuclidean;
+
 Dataset SyntheticData(const char* name, size_t train_size, size_t length) {
   GeneratorSpec spec;
   spec.name = name;
@@ -31,6 +35,36 @@ Dataset SyntheticData(const char* name, size_t train_size, size_t length) {
   spec.test_size = 2;
   spec.length = length;
   return GenerateDataset(spec).train;
+}
+
+std::vector<std::span<const double>> Views(
+    const std::vector<Subsequence>& cands) {
+  std::vector<std::span<const double>> views;
+  for (const Subsequence& c : cands) views.push_back(c.view());
+  return views;
+}
+
+// Full n x n matrix (row-major) of pairwise distances through MinForPairs:
+// `symmetric` computes each unordered pair once and mirrors it, otherwise
+// both orders run. The diagonal is exactly 0, as SubsequenceDistance(x, x).
+std::vector<double> PairwiseMatrix(
+    DistanceEngine& engine, const std::vector<std::span<const double>>& views,
+    bool symmetric) {
+  const size_t n = views.size();
+  std::vector<IndexPair> pairs;
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = symmetric ? i + 1 : 0; j < n; ++j) {
+      if (i != j) pairs.emplace_back(i, j);
+    }
+  }
+  const std::vector<double> dists = engine.MinForPairs(views, pairs);
+  std::vector<double> matrix(n * n, 0.0);
+  for (size_t t = 0; t < pairs.size(); ++t) {
+    const auto [i, j] = pairs[t];
+    matrix[static_cast<size_t>(i) * n + j] = dists[t];
+    if (symmetric) matrix[static_cast<size_t>(j) * n + i] = dists[t];
+  }
+  return matrix;
 }
 
 // ---------------------------------------------------------------- single pair
@@ -43,10 +77,10 @@ TEST(DistanceEngineTest, SubsequenceMinMatchesKernelBitwise) {
     const std::vector<double> a = RandomSeries(rng, m);
     const std::vector<double> b = RandomSeries(rng, n);
     const double expected = SubsequenceDistance(a, b);
-    EXPECT_EQ(engine.SubsequenceMin(a, b), expected) << m << "x" << n;
-    // Cached second evaluation must agree exactly with the first.
-    EXPECT_EQ(engine.SubsequenceMin(a, b, /*cache_b=*/true), expected);
-    EXPECT_EQ(engine.SubsequenceMin(a, b, /*cache_b=*/true), expected);
+    EXPECT_EQ(engine.SubsequenceMinMetric(a, b, kRaw), expected)
+        << m << "x" << n;
+    // A second evaluation on the warm scratch agrees exactly.
+    EXPECT_EQ(engine.SubsequenceMinMetric(a, b, kRaw), expected);
   }
 }
 
@@ -59,11 +93,17 @@ TEST(DistanceEngineTest, SubsequenceMinFftPathMatchesKernelBitwise) {
   const double expected = SubsequenceDistance(query, series);
 
   DistanceEngine engine(1);
-  EXPECT_EQ(engine.SubsequenceMin(query, series), expected);
-  // With series-side FFT/prefix caching: first call fills, second call hits.
-  EXPECT_EQ(engine.SubsequenceMin(query, series, /*cache_b=*/true), expected);
-  EXPECT_EQ(engine.SubsequenceMin(query, series, /*cache_b=*/true), expected);
-  EXPECT_GT(engine.counters().stats_cache_hits, 0u);
+  EXPECT_EQ(engine.SubsequenceMinMetric(query, series, kRaw), expected);
+  EXPECT_EQ(engine.SubsequenceMinMetric(series, query, kRaw), expected);
+  // MinForPairs takes the query's reversed FFT from its table, once for
+  // both orders.
+  const std::vector<std::span<const double>> views = {query, series};
+  for (const MetricId metric : {kRaw, kZNorm}) {
+    EXPECT_EQ(engine.MinForPairs(views, {{0, 1}, {1, 0}}, metric),
+              std::vector<double>(
+                  2, SubsequenceDistanceMetric(query, series, metric)))
+        << MetricName(metric);
+  }
 }
 
 TEST(DistanceEngineTest, SubsequenceMinZNormMatchesKernelBitwise) {
@@ -74,9 +114,9 @@ TEST(DistanceEngineTest, SubsequenceMinZNormMatchesKernelBitwise) {
     const std::vector<double> a = RandomSeries(rng, m);
     const std::vector<double> b = RandomSeries(rng, n);
     const double expected = SubsequenceDistanceZNorm(a, b);
-    EXPECT_EQ(engine.SubsequenceMinZNorm(a, b), expected) << m << "x" << n;
-    EXPECT_EQ(engine.SubsequenceMinZNorm(a, b, /*cache_b=*/true), expected);
-    EXPECT_EQ(engine.SubsequenceMinZNorm(a, b, /*cache_b=*/true), expected);
+    EXPECT_EQ(engine.SubsequenceMinMetric(a, b, kZNorm), expected)
+        << m << "x" << n;
+    EXPECT_EQ(engine.SubsequenceMinMetric(a, b, kZNorm), expected);
   }
 }
 
@@ -85,54 +125,15 @@ TEST(DistanceEngineTest, ZNormHandlesFlatWindows) {
   const std::vector<double> flat(8, 3.0);
   const std::vector<double> mixed{0, 0, 0, 0, 0, 0, 0, 0, 1, 5, -2, 4,
                                   1, 2, 3, 4};
-  EXPECT_EQ(engine.SubsequenceMinZNorm(flat, mixed),
+  EXPECT_EQ(engine.SubsequenceMinMetric(flat, mixed, kZNorm),
             SubsequenceDistanceZNorm(flat, mixed));
-  EXPECT_EQ(engine.SubsequenceMinZNorm(mixed, flat),
+  EXPECT_EQ(engine.SubsequenceMinMetric(mixed, flat, kZNorm),
             SubsequenceDistanceZNorm(mixed, flat));
-  EXPECT_EQ(engine.SubsequenceMinZNorm(flat, flat),
+  EXPECT_EQ(engine.SubsequenceMinMetric(flat, flat, kZNorm),
             SubsequenceDistanceZNorm(flat, flat));
 }
 
 // -------------------------------------------------------------------- batched
-
-TEST(DistanceEngineTest, ProfileAgainstSeriesMatchesKernelBitwise) {
-  Rng rng(17);
-  DistanceEngine engine(1);
-  for (const size_t m : {3u, 70u}) {
-    const std::vector<double> query = RandomSeries(rng, m);
-    const std::vector<double> series = RandomSeries(rng, 300);
-    EXPECT_EQ(engine.ProfileAgainstSeries(query, series),
-              DistanceProfileRaw(query, series));
-  }
-}
-
-TEST(DistanceEngineTest, ProfileAgainstDatasetMatchesPerSeriesProfiles) {
-  const Dataset train = SyntheticData("engine-profile", 8, 96);
-  Rng rng(19);
-  const std::vector<double> query = RandomSeries(rng, 24);
-  DistanceEngine engine(2);
-  const auto profiles = engine.ProfileAgainstDataset(query, train);
-  ASSERT_EQ(profiles.size(), train.size());
-  for (size_t i = 0; i < train.size(); ++i) {
-    EXPECT_EQ(profiles[i], DistanceProfileRaw(query, train[i].view())) << i;
-  }
-}
-
-TEST(DistanceEngineTest, MinAgainstDatasetMatchesSerialLoop) {
-  const Dataset train = SyntheticData("engine-min", 9, 80);
-  Rng rng(23);
-  const std::vector<double> query = RandomSeries(rng, 120);
-  DistanceEngine engine(2);
-  const std::vector<double> raw =
-      engine.MinAgainstDataset(query, train, MetricId::kRawSquaredEuclidean);
-  const std::vector<double> zn =
-      engine.MinAgainstDataset(query, train, MetricId::kZNormEuclidean);
-  ASSERT_EQ(raw.size(), train.size());
-  for (size_t i = 0; i < train.size(); ++i) {
-    EXPECT_EQ(raw[i], SubsequenceDistance(query, train[i].view())) << i;
-    EXPECT_EQ(zn[i], SubsequenceDistanceZNorm(query, train[i].view())) << i;
-  }
-}
 
 TEST(DistanceEngineTest, PairwiseMatrixMatchesNestedLoops) {
   const Dataset train = SyntheticData("engine-pairwise", 6, 72);
@@ -140,13 +141,13 @@ TEST(DistanceEngineTest, PairwiseMatrixMatchesNestedLoops) {
   for (size_t i = 0; i < train.size(); ++i) {
     cands.push_back(ExtractSubsequence(train[i], i, 20 + (i % 3)));
   }
+  const std::vector<std::span<const double>> views = Views(cands);
   const size_t n = cands.size();
 
   for (const size_t threads : {1u, 2u, 8u}) {
     DistanceEngine engine(threads);
-    const std::vector<double> sym = engine.PairwiseSubsequenceMin(cands);
-    const std::vector<double> naive =
-        engine.PairwiseSubsequenceMin(cands, /*symmetric=*/false);
+    const std::vector<double> sym = PairwiseMatrix(engine, views, true);
+    const std::vector<double> naive = PairwiseMatrix(engine, views, false);
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < n; ++j) {
         const double expected =
@@ -159,110 +160,103 @@ TEST(DistanceEngineTest, PairwiseMatrixMatchesNestedLoops) {
   }
 }
 
-TEST(DistanceEngineTest, TransformBatchMatchesTransformSeriesBitwise) {
-  const Dataset train = SyntheticData("engine-transform", 10, 64);
-  std::vector<Subsequence> shapelets;
-  for (size_t i = 0; i < 4; ++i) {
-    shapelets.push_back(ExtractSubsequence(train[i], i, 12));
-  }
-  for (const MetricId metric :
-       {MetricId::kRawSquaredEuclidean, MetricId::kZNormEuclidean,
-        MetricId::kEuclidean, MetricId::kCosine}) {
-    DistanceEngine engine(2);
-    const auto rows = engine.TransformBatch(train, shapelets, metric);
-    ASSERT_EQ(rows.size(), train.size());
-    for (size_t i = 0; i < train.size(); ++i) {
-      EXPECT_EQ(rows[i], TransformSeries(train[i], shapelets, metric)) << i;
-    }
-  }
-}
-
 TEST(DistanceEngineTest, BatchedResultsIdenticalAcrossThreadCounts) {
   const Dataset train = SyntheticData("engine-threads", 12, 100);
   std::vector<Subsequence> cands;
   for (size_t i = 0; i < train.size(); ++i) {
     cands.push_back(ExtractSubsequence(train[i], 2 * i, 16 + (i % 5)));
   }
+  const std::vector<std::span<const double>> views = Views(cands);
   DistanceEngine serial(1);
-  const auto pair_base = serial.PairwiseSubsequenceMin(cands);
+  const auto pair_base = PairwiseMatrix(serial, views, true);
   const auto rows_base =
-      serial.TransformBatch(train, cands, MetricId::kZNormEuclidean);
+      ShapeletTransform(train, cands, kZNorm, 1, &serial).features;
   for (const size_t threads : {2u, 8u}) {
     DistanceEngine engine(threads);
-    EXPECT_EQ(engine.PairwiseSubsequenceMin(cands), pair_base);
-    EXPECT_EQ(engine.TransformBatch(train, cands, MetricId::kZNormEuclidean),
+    EXPECT_EQ(PairwiseMatrix(engine, views, true), pair_base);
+    EXPECT_EQ(ShapeletTransform(train, cands, kZNorm, 1, &engine).features,
               rows_base);
+  }
+}
+
+// The engine keeps no artefact between calls, so a buffer freed after one
+// MinForPairs and handed back by malloc -- same address, views of the same
+// lengths, other values -- must be read afresh by the next call. (An
+// engine that keyed artefacts by address and length served the old
+// values' prefix sums and z-normalised queries here.) The views share one
+// buffer too large for malloc's small-size caches, so the call's own
+// short-lived allocations do not take its place.
+TEST(DistanceEngineTest, MinForPairsOverRefilledBuffersMatchesKernel) {
+  constexpr size_t kBuffer = 4096;
+  constexpr size_t kStarts[5] = {0, 30, 60, 110, 160};
+  std::vector<IndexPair> pairs;
+  for (uint32_t i = 0; i < 4; ++i) {
+    for (uint32_t j = 0; j < 4; ++j) {
+      if (i != j) pairs.emplace_back(i, j);
+    }
+  }
+  for (const MetricId metric : {kRaw, kZNorm}) {
+    SCOPED_TRACE(MetricName(metric));
+    DistanceEngine engine(1);
+    Rng rng(41);
+    std::vector<double> buf;
+    auto refill = [&] {
+      buf.resize(kBuffer);
+      for (double& v : buf) v = rng.Uniform(-2.0, 2.0);
+      std::vector<std::span<const double>> views;
+      for (size_t i = 0; i < 4; ++i) {
+        views.emplace_back(buf.data() + kStarts[i],
+                           kStarts[i + 1] - kStarts[i]);
+      }
+      return views;
+    };
+    engine.MinForPairs(refill(), pairs, metric);
+    const double* before = buf.data();
+    std::vector<double>().swap(buf);
+    const std::vector<std::span<const double>> views = refill();
+    if (buf.data() != before) GTEST_SKIP() << "malloc did not reuse the buffer";
+
+    const std::vector<double> got = engine.MinForPairs(views, pairs, metric);
+    for (size_t t = 0; t < pairs.size(); ++t) {
+      EXPECT_EQ(got[t],
+                SubsequenceDistanceMetric(views[pairs[t].first],
+                                          views[pairs[t].second], metric))
+          << "pair " << pairs[t].first << "," << pairs[t].second;
+    }
   }
 }
 
 // ------------------------------------------------------------ instrumentation
 
-TEST(DistanceEngineTest, CountersTrackProfilesAndCacheTraffic) {
+TEST(DistanceEngineTest, CountersTrackProfilesAndCascade) {
   Rng rng(29);
   const std::vector<double> a = RandomSeries(rng, 16);
   const std::vector<double> b = RandomSeries(rng, 128);
   DistanceEngine engine(1);
   EXPECT_EQ(engine.counters().profiles_computed, 0u);
 
-  engine.SubsequenceMin(a, b, /*cache_b=*/true);
-  const EngineCounters first = engine.counters();
-  EXPECT_EQ(first.profiles_computed, 1u);
-  EXPECT_GT(first.stats_cache_misses, 0u);
-  EXPECT_EQ(first.stats_cache_hits, 0u);
+  engine.SubsequenceMinMetric(a, b, kRaw);
+  EXPECT_EQ(engine.counters().profiles_computed, 1u);
+  engine.MinForPairs({a, b}, {{0, 1}, {1, 0}, {0, 0}});
+  const EngineCounters c = engine.counters();
+  EXPECT_EQ(c.profiles_computed, 4u);
+  EXPECT_EQ(c.eab_candidates, c.eab_lb_pruned + c.eab_abandoned + c.eab_full);
 
-  engine.SubsequenceMin(a, b, /*cache_b=*/true);
-  const EngineCounters second = engine.counters();
-  EXPECT_EQ(second.profiles_computed, 2u);
-  EXPECT_EQ(second.stats_cache_misses, first.stats_cache_misses);
-  EXPECT_GT(second.stats_cache_hits, 0u);
-
-  // ClearCaches forces recomputation; ResetCounters zeroes the telemetry.
-  engine.ClearCaches();
+  // ResetCounters zeroes the telemetry; the cascade switch off counts no
+  // cascade work.
   engine.ResetCounters();
-  engine.SubsequenceMin(a, b, /*cache_b=*/true);
-  const EngineCounters third = engine.counters();
-  EXPECT_EQ(third.profiles_computed, 1u);
-  EXPECT_GT(third.stats_cache_misses, 0u);
-  EXPECT_EQ(third.stats_cache_hits, 0u);
-}
-
-// The transform builds each series' artefacts per row and never caches
-// them: the only cache entries a TransformBatch makes are shapelet-side,
-// so the miss count (one per entry inserted) is the same for 3 series as
-// for 24, and a second batch over new series adds none. Shapelet lengths
-// straddle the FFT cutoff so the series-side transforms are covered too.
-TEST(DistanceEngineTest, TransformBatchCachesNoSeriesArtefacts) {
-  const Dataset many = SyntheticData("engine-nocache", 24, 512);
-  Dataset few;
-  for (size_t i = 0; i < 3; ++i) few.Add(many[i]);
-  std::vector<Subsequence> shapelets;
-  for (size_t len : {8, 21, 64, 300}) {
-    shapelets.push_back(ExtractSubsequence(many[len % 5], len % 7, len));
-  }
-  for (const MetricId metric :
-       {MetricId::kRawSquaredEuclidean, MetricId::kZNormEuclidean,
-        MetricId::kEuclidean, MetricId::kCosine}) {
-    // One thread: two workers racing on the same shapelet would both
-    // count a miss, and the count would no longer be deterministic.
-    DistanceEngine small(1);
-    DistanceEngine large(1);
-    small.TransformBatch(few, shapelets, metric);
-    large.TransformBatch(many, shapelets, metric);
-    const size_t misses = small.counters().stats_cache_misses;
-    EXPECT_GT(misses, 0u) << MetricName(metric);  // shapelet artefacts
-    EXPECT_EQ(large.counters().stats_cache_misses, misses)
-        << MetricName(metric);
-    large.TransformBatch(few, shapelets, metric);
-    EXPECT_EQ(large.counters().stats_cache_misses, misses)
-        << MetricName(metric);
-  }
+  engine.set_early_abandon(false);
+  engine.SubsequenceMinMetric(a, b, kRaw);
+  const EngineCounters off = engine.counters();
+  EXPECT_EQ(off.profiles_computed, 1u);
+  EXPECT_EQ(off.eab_candidates, 0u);
 }
 
 // ------------------------------------------------------------ threaded stress
 
-// Several threads hammer one shared engine with batched APIs while others
-// run the raw kernels on the same data; every thread must observe results
-// bitwise identical to the serial baselines. Run under
+// Several threads hammer one shared engine with batched calls while others
+// run single pairs and the raw kernels on the same data; every thread must
+// observe results bitwise identical to the serial baselines. Run under
 // -fsanitize=thread in CI (the IPS_SANITIZE build) to catch data races.
 TEST(DistanceEngineStressTest, ConcurrentBatchesMatchSerialBitwise) {
   const Dataset train = SyntheticData("engine-stress", 10, 128);
@@ -270,14 +264,14 @@ TEST(DistanceEngineStressTest, ConcurrentBatchesMatchSerialBitwise) {
   for (size_t i = 0; i < train.size(); ++i) {
     cands.push_back(ExtractSubsequence(train[i], i, 24));
   }
+  const std::vector<std::span<const double>> views = Views(cands);
 
   DistanceEngine baseline(1);
-  const auto pair_base = baseline.PairwiseSubsequenceMin(cands);
+  const auto pair_base = PairwiseMatrix(baseline, views, true);
   const auto rows_base =
-      baseline.TransformBatch(train, cands, MetricId::kRawSquaredEuclidean);
+      ShapeletTransform(train, cands, kRaw, 1, &baseline).features;
   Rng rng(31);
   const std::vector<double> query = RandomSeries(rng, 32);
-  const auto profile_base = baseline.ProfileAgainstDataset(query, train);
 
   DistanceEngine shared(2);
   std::atomic<int> mismatches{0};
@@ -289,20 +283,19 @@ TEST(DistanceEngineStressTest, ConcurrentBatchesMatchSerialBitwise) {
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&] {
       for (int iter = 0; iter < 4; ++iter) {
-        check(shared.PairwiseSubsequenceMin(cands) == pair_base);
-        check(shared.TransformBatch(train, cands, MetricId::kRawSquaredEuclidean) ==
+        check(PairwiseMatrix(shared, views, true) == pair_base);
+        check(ShapeletTransform(train, cands, kRaw, 1, &shared).features ==
               rows_base);
-        check(shared.ProfileAgainstDataset(query, train) == profile_base);
       }
     });
   }
-  // Raw-kernel threads sharing the same underlying buffers.
+  // Single-pair threads sharing the same underlying buffers.
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
       for (int iter = 0; iter < 4; ++iter) {
         for (size_t i = 0; i < cands.size(); ++i) {
           check(SubsequenceDistance(query, cands[i].view()) ==
-                shared.SubsequenceMin(query, cands[i].view()));
+                shared.SubsequenceMinMetric(query, cands[i].view(), kRaw));
         }
       }
     });

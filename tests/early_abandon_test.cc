@@ -1,14 +1,15 @@
 // Early-abandon cascade parity suite (docs/pruning.md): the cascade is a
 // pure performance knob, so EVERYTHING observable must be bitwise
 // identical with it on and off -- transform features, batch minima,
-// pairwise matrices, 1NN predictions and discovery fingerprints, for every
-// registered metric, at 1, 2 and 8 threads, in both the SIMD and the
-// -DIPS_DISABLE_SIMD builds (CI runs this binary in both). The adversarial
-// cases aim at the lower bounds themselves: constant (flat) windows and
-// queries, exact embedded matches (best hits the kernels' zero
-// short-circuit), single-alignment and single-element queries, and
-// out-of-range seed hints. A prune-hostile case (generator noise, where
-// the cascade bails out) covers the transform's bail-out backoff.
+// pairwise matrices, predictions and discovery fingerprints (DABF and
+// naive pruning alike), for every registered metric, at 1, 2 and 8
+// threads, in both the SIMD and the -DIPS_DISABLE_SIMD builds (CI runs
+// this binary in both). The adversarial cases aim at the lower bounds
+// themselves: constant (flat) windows and queries, exact embedded matches
+// (best hits the kernels' zero short-circuit), single-alignment and
+// single-element queries, and out-of-range seed hints. A prune-hostile
+// case (generator noise, where the cascade bails out) covers the bail-out
+// fallback and the bank's dense route.
 
 #include <cmath>
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include "core/znorm.h"
 #include "data/generator.h"
 #include "ips/pipeline.h"
+#include "transform/shapelet_transform.h"
 
 namespace ips {
 namespace {
@@ -106,21 +108,30 @@ TEST_P(EarlyAbandonParityTest, BatchApisBitwiseIdentical) {
   DistanceEngine dense(threads);
   dense.set_early_abandon(false);
 
-  const auto rows_p = pruned.TransformBatch(data, shapelets, metric);
-  const auto rows_d = dense.TransformBatch(data, shapelets, metric);
+  const auto rows_p =
+      ShapeletTransform(data, shapelets, metric, 1, &pruned).features;
+  const auto rows_d =
+      ShapeletTransform(data, shapelets, metric, 1, &dense).features;
   ASSERT_EQ(rows_p.size(), rows_d.size());
   for (size_t i = 0; i < rows_p.size(); ++i) {
     EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
+    EXPECT_EQ(rows_p[i], TransformSeries(data[i], shapelets, metric)) << i;
   }
-
-  EXPECT_EQ(pruned.MinAgainstDataset(shapelets[0].view(), data, metric),
-            dense.MinAgainstDataset(shapelets[0].view(), data, metric));
 
   EXPECT_EQ(pruned.MinForPairs(views, pairs, metric),
             dense.MinForPairs(views, pairs, metric));
 
-  EXPECT_EQ(pruned.PairwiseSubsequenceMin(shapelets),
-            dense.PairwiseSubsequenceMin(shapelets));
+  // Shapelets against each other: every length pairing, both orders.
+  std::vector<std::span<const double>> shapelet_views;
+  for (const Subsequence& s : shapelets) shapelet_views.push_back(s.view());
+  std::vector<IndexPair> shapelet_pairs;
+  for (uint32_t i = 0; i < shapelets.size(); ++i) {
+    for (uint32_t j = 0; j < shapelets.size(); ++j) {
+      shapelet_pairs.emplace_back(i, j);
+    }
+  }
+  EXPECT_EQ(pruned.MinForPairs(shapelet_views, shapelet_pairs, metric),
+            dense.MinForPairs(shapelet_views, shapelet_pairs, metric));
 
   // The cascade's work accounting must balance, and the fingerprint
   // counter (profiles_computed) must not see the cascade at all.
@@ -134,11 +145,10 @@ TEST_P(EarlyAbandonParityTest, BatchApisBitwiseIdentical) {
 
 // The hostile regime: generator-default noise, where windows barely
 // differ in energy and no shapelet has a near-twin, so the cascade prunes
-// almost nothing and bails out. The transform then routes each bailed
-// shapelet past the cascade for kEabBackoffSeries series before probing
-// again; with more series than that the rows cover bail-outs, backoff
-// skips and re-probes, and must stay bitwise equal to the dense path. The
-// shapelets include m == 1, where the first and last LB_Kim terms coincide.
+// almost nothing and bails out. The pairs then fall back to the dense
+// path mid-flight, and the transform's bank routes the bailing shapelets
+// dense; both must stay bitwise equal to the dense path. The shapelets
+// include m == 1, where the first and last LB_Kim terms coincide.
 TEST_P(EarlyAbandonParityTest, PruneHostileTransformBitwiseIdentical) {
   const MetricId metric = std::get<0>(GetParam());
   const size_t threads = std::get<1>(GetParam());
@@ -157,22 +167,34 @@ TEST_P(EarlyAbandonParityTest, PruneHostileTransformBitwiseIdentical) {
   pruned.set_early_abandon(true);
   DistanceEngine dense(threads);
   dense.set_early_abandon(false);
-  const auto rows_p = pruned.TransformBatch(data, shapelets, metric);
-  const auto rows_d = dense.TransformBatch(data, shapelets, metric);
+  const auto rows_p =
+      ShapeletTransform(data, shapelets, metric, 1, &pruned).features;
+  const auto rows_d =
+      ShapeletTransform(data, shapelets, metric, 1, &dense).features;
   ASSERT_EQ(rows_p.size(), rows_d.size());
   for (size_t i = 0; i < rows_p.size(); ++i) {
     EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
   }
 
+  // Every series against every shapelet through MinForPairs: the cascade
+  // runs on each pair and bails out on most.
+  std::vector<std::span<const double>> views = Views(data);
+  std::vector<IndexPair> pairs;
+  for (uint32_t s = 0; s < shapelets.size(); ++s) {
+    views.push_back(shapelets[s].view());
+    for (uint32_t i = 0; i < data.size(); ++i) {
+      pairs.emplace_back(static_cast<uint32_t>(data.size()) + s, i);
+    }
+  }
+  EXPECT_EQ(pruned.MinForPairs(views, pairs, metric),
+            dense.MinForPairs(views, pairs, metric));
+
   const EngineCounters cp = pruned.counters();
   EXPECT_EQ(cp.eab_candidates,
             cp.eab_lb_pruned + cp.eab_abandoned + cp.eab_full);
-  EXPECT_EQ(dense.counters().eab_backoff_skips, 0u);
-  if (!DistanceEngine::kEarlyAbandonCompiledIn ||
-      !GetMetric(metric).eab_profitable) {
-    EXPECT_EQ(cp.eab_backoff_skips, 0u);
-  } else {
-    EXPECT_GT(cp.eab_backoff_skips, 0u) << "the backoff route never ran";
+  EXPECT_EQ(dense.counters().eab_candidates, 0u);
+  if (GetMetric(metric).eab_profitable) {
+    EXPECT_GT(cp.eab_candidates, 0u) << "the cascade never ran";
   }
 }
 
@@ -221,39 +243,52 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Discovery + classification fingerprints: shapelet values, transform
-// features and predictions from the full pipeline must not change when the
-// cascade is disabled.
+// Discovery + classification fingerprints: shapelet values, prune counts
+// and predictions from the full pipeline must not change when the cascade
+// is disabled -- under the paper's defaults (DABF pruning, DT+CR utility)
+// and under naive pruning with exact utility, where every Def. 4 distance
+// of discovery runs through the engine's cascade.
 TEST(EarlyAbandonPipelineTest, DiscoveryAndPredictionsIdentical) {
   Dataset train = FixtureDataset(8, 160);
   Dataset test = FixtureDataset(10, 160);
 
-  for (size_t m = 0; m < kMetricCount; ++m) {
-    IpsOptions o;
-    o.sample_count = 3;
-    o.sample_size = 2;
-    o.length_ratios = {0.15, 0.3};
-    o.shapelets_per_class = 3;
-    o.metric = static_cast<MetricId>(m);
-    o.num_threads = 2;
+  for (const bool naive : {false, true}) {
+    for (size_t m = 0; m < kMetricCount; ++m) {
+      IpsOptions o;
+      o.sample_count = 3;
+      o.sample_size = 2;
+      o.length_ratios = {0.15, 0.3};
+      o.shapelets_per_class = 3;
+      o.metric = static_cast<MetricId>(m);
+      o.num_threads = 2;
+      if (naive) {
+        o.use_dabf_pruning = false;
+        o.utility_mode = UtilityMode::kExactWithCr;
+      }
+      SCOPED_TRACE(std::string(MetricName(o.metric)) +
+                   (naive ? " naive/exact" : " defaults"));
 
-    o.enable_early_abandon = true;
-    const RunResult run_p = DiscoverShapelets(train, o);
-    IpsClassifier clf_p(o);
-    clf_p.Fit(train);
+      o.enable_early_abandon = true;
+      const RunResult run_p = DiscoverShapelets(train, o);
+      IpsClassifier clf_p(o);
+      clf_p.Fit(train);
 
-    o.enable_early_abandon = false;
-    const RunResult run_d = DiscoverShapelets(train, o);
-    IpsClassifier clf_d(o);
-    clf_d.Fit(train);
+      o.enable_early_abandon = false;
+      const RunResult run_d = DiscoverShapelets(train, o);
+      IpsClassifier clf_d(o);
+      clf_d.Fit(train);
 
-    ASSERT_EQ(run_p.shapelets.size(), run_d.shapelets.size());
-    for (size_t s = 0; s < run_p.shapelets.size(); ++s) {
-      EXPECT_EQ(run_p.shapelets[s].values, run_d.shapelets[s].values)
-          << MetricName(o.metric) << " shapelet " << s;
+      EXPECT_EQ(run_p.stats.motifs_after_prune,
+                run_d.stats.motifs_after_prune);
+      EXPECT_EQ(run_p.stats.discords_after_prune,
+                run_d.stats.discords_after_prune);
+      ASSERT_EQ(run_p.shapelets.size(), run_d.shapelets.size());
+      for (size_t s = 0; s < run_p.shapelets.size(); ++s) {
+        EXPECT_EQ(run_p.shapelets[s].values, run_d.shapelets[s].values)
+            << "shapelet " << s;
+      }
+      EXPECT_EQ(clf_p.PredictBatch(test), clf_d.PredictBatch(test));
     }
-    EXPECT_EQ(clf_p.PredictBatch(test), clf_d.PredictBatch(test))
-        << MetricName(o.metric);
   }
 }
 

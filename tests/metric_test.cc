@@ -2,7 +2,7 @@
 //
 // Every registered metric is checked three ways:
 //   1. registry invariants: id <-> name round trips, unknown names rejected;
-//   2. DistanceEngine batched APIs against a brute-force loop over the
+//   2. DistanceEngine's MinForPairs against a brute-force loop over the
 //      metric's own pairwise reference, at thread counts {1, 2, 8};
 //   3. MatrixProfileEngine joins against a brute-force nested loop over the
 //      same pairwise reference, at thread counts {1, 2, 8} with the chunk
@@ -180,6 +180,17 @@ TEST(MetricDistanceTest, SubsequenceDistanceIsSymmetric) {
 
 // --------------------------------------------------------- DistanceEngine
 
+// The query-against-dataset work items of the engine's callers: `query`
+// (the last view) against every series of `train`, in both operand orders.
+std::vector<IndexPair> QueryPairs(size_t count) {
+  std::vector<IndexPair> pairs;
+  for (uint32_t i = 0; i < count; ++i) {
+    pairs.emplace_back(static_cast<uint32_t>(count), i);
+    pairs.emplace_back(i, static_cast<uint32_t>(count));
+  }
+  return pairs;
+}
+
 TEST(MetricEngineTest, BatchedApisMatchBruteForceAtEveryThreadCount) {
   const Dataset train = SyntheticData("metric-engine", 7, 72);
   Rng rng(13);
@@ -193,6 +204,9 @@ TEST(MetricEngineTest, BatchedApisMatchBruteForceAtEveryThreadCount) {
       if (i != j) pairs.emplace_back(i, j);
     }
   }
+  std::vector<std::span<const double>> with_query = views;
+  with_query.push_back(query);
+  const std::vector<IndexPair> query_pairs = QueryPairs(train.size());
 
   for (const MetricId id : AllMetrics()) {
     SCOPED_TRACE(std::string("metric=") + MetricName(id));
@@ -200,22 +214,12 @@ TEST(MetricEngineTest, BatchedApisMatchBruteForceAtEveryThreadCount) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       DistanceEngine engine(threads);
 
-      const auto profiles = engine.ProfileAgainstDataset(query, train, id);
-      ASSERT_EQ(profiles.size(), train.size());
+      const auto mins = engine.MinForPairs(with_query, query_pairs, id);
+      ASSERT_EQ(mins.size(), 2 * train.size());
       for (size_t i = 0; i < train.size(); ++i) {
-        const auto want = BruteProfile(query, train[i].view(), id);
-        ASSERT_EQ(profiles[i].size(), want.size());
-        for (size_t k = 0; k < want.size(); ++k) {
-          EXPECT_NEAR(profiles[i][k], want[k], kTol)
-              << "series " << i << " offset " << k;
-        }
-      }
-
-      const auto mins = engine.MinAgainstDataset(query, train, id);
-      ASSERT_EQ(mins.size(), train.size());
-      for (size_t i = 0; i < train.size(); ++i) {
-        EXPECT_NEAR(mins[i], BruteMin(query, train[i].view(), id), kTol)
-            << "series " << i;
+        const double want = BruteMin(query, train[i].view(), id);
+        EXPECT_NEAR(mins[2 * i], want, kTol) << "series " << i;
+        EXPECT_NEAR(mins[2 * i + 1], want, kTol) << "series " << i;
       }
 
       const auto pair_mins = engine.MinForPairs(views, pairs, id);
@@ -235,17 +239,21 @@ TEST(MetricEngineTest, BatchedApisBitwiseIdenticalAcrossThreadCounts) {
   const Dataset train = SyntheticData("metric-engine-threads", 9, 90);
   Rng rng(17);
   const std::vector<double> query = RandomSeries(rng, 11);
+  std::vector<std::span<const double>> views;
+  for (size_t i = 0; i < train.size(); ++i) views.push_back(train[i].view());
+  views.push_back(query);
+  const std::vector<IndexPair> pairs = QueryPairs(train.size());
   for (const MetricId id : AllMetrics()) {
     SCOPED_TRACE(std::string("metric=") + MetricName(id));
     DistanceEngine serial(1);
-    const auto profiles_base = serial.ProfileAgainstDataset(query, train, id);
-    const auto mins_base = serial.MinAgainstDataset(query, train, id);
+    const auto mins_base = serial.MinForPairs(views, pairs, id);
+    for (size_t i = 0; i < train.size(); ++i) {
+      EXPECT_EQ(mins_base[2 * i],
+                SubsequenceDistanceMetric(query, train[i].view(), id));
+    }
     for (const size_t threads : {2u, 8u}) {
       DistanceEngine engine(threads);
-      EXPECT_EQ(engine.ProfileAgainstDataset(query, train, id),
-                profiles_base)
-          << "threads=" << threads;
-      EXPECT_EQ(engine.MinAgainstDataset(query, train, id), mins_base)
+      EXPECT_EQ(engine.MinForPairs(views, pairs, id), mins_base)
           << "threads=" << threads;
     }
   }

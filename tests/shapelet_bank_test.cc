@@ -1,5 +1,5 @@
 // ShapeletBank (transform/shapelet_bank.h): the fitted model's shapelet
-// side. Its rows must be bitwise equal to the engine's dense transform for
+// side. Its rows must be bitwise equal to the serial TransformSeries for
 // every metric and thread count, whichever route each shapelet takes; a
 // lone served series must get exactly the label it gets inside a batch;
 // and the routes must be a pure function of the data and the shapelets.
@@ -15,10 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/distance_engine.h"
 #include "core/metric.h"
 #include "data/generator.h"
 #include "ips/pipeline.h"
+#include "transform/shapelet_transform.h"
 
 namespace ips {
 namespace {
@@ -26,9 +26,11 @@ namespace {
 std::vector<std::vector<double>> DenseRows(
     const DatasetView& data, const std::vector<Subsequence>& shapelets,
     MetricId metric) {
-  DistanceEngine dense(1);
-  dense.set_early_abandon(false);
-  return dense.TransformBatch(data, shapelets, metric);
+  std::vector<std::vector<double>> rows;
+  for (size_t i = 0; i < data.size(); ++i) {
+    rows.push_back(TransformSeries(data.At(i), shapelets, metric));
+  }
+  return rows;
 }
 
 std::vector<std::vector<double>> Rows(const ShapeletBank& bank,
@@ -51,7 +53,7 @@ class ShapeletBankMetricTest : public ::testing::TestWithParam<MetricId> {};
 
 // A lone series through PredictBatch (and Predict) gets the label it gets
 // inside a 64-series batch, and the cascade-off model's label; the bank's
-// rows equal the dense engine's; the routes do not depend on the thread
+// rows equal the serial kernel's; the routes do not depend on the thread
 // count.
 TEST_P(ShapeletBankMetricTest, LoneSeriesMatchesBatchAndDenseAtAnyThreads) {
   const MetricId metric = GetParam();
@@ -105,7 +107,7 @@ TEST_P(ShapeletBankMetricTest, LoneSeriesMatchesBatchAndDenseAtAnyThreads) {
 // series), a series length the training set never had (no held FFT for
 // its padded size), m == 1, and queries no longer than a shapelet (the
 // roles swap): the training rows and later transforms stay bitwise equal
-// to the dense engine at every thread count.
+// to the serial kernel at every thread count.
 TEST_P(ShapeletBankMetricTest, TrainingAndUnseenLengthsMatchDense) {
   const MetricId metric = GetParam();
   GeneratorSpec spec;
@@ -152,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Generator noise: windows of near-equal energy and no near-twins, where
 // the cascade bails out -- every shapelet is routed dense, for every
-// metric, and the rows still equal the dense engine's.
+// metric, and the rows still equal the serial kernel's.
 TEST(ShapeletBankRouteTest, PruneHostileDataRoutesEveryShapeletDense) {
   GeneratorSpec spec;
   spec.name = "bank-prune-hostile";
@@ -179,7 +181,7 @@ TEST(ShapeletBankRouteTest, PruneHostileDataRoutesEveryShapeletDense) {
 // bench_eab's favourable regime: a shared ramped carrier, so every
 // shapelet has a near-twin in every series and the window energies spread
 // along it. The raw-metric cascade prunes there, so it keeps every
-// shapelet (unless the build compiled the cascade out).
+// shapelet.
 TEST(ShapeletBankRouteTest, FavourableRawDataKeepsTheCascade) {
   constexpr double kTau = 6.283185307179586;
   constexpr size_t kLength = 512;
@@ -210,11 +212,8 @@ TEST(ShapeletBankRouteTest, FavourableRawDataKeepsTheCascade) {
   }
   const ShapeletBank bank(shapelets, MetricId::kRawSquaredEuclidean, train,
                           /*early_abandon=*/true);
-  const ShapeletBank::Route want = DistanceEngine::kEarlyAbandonCompiledIn
-                                       ? ShapeletBank::Route::kCascade
-                                       : ShapeletBank::Route::kDense;
-  EXPECT_EQ(Routes(bank),
-            std::vector<ShapeletBank::Route>(shapelets.size(), want));
+  EXPECT_EQ(Routes(bank), std::vector<ShapeletBank::Route>(
+                              shapelets.size(), ShapeletBank::Route::kCascade));
   EXPECT_EQ(Rows(bank, train, 1),
             DenseRows(train, shapelets, MetricId::kRawSquaredEuclidean));
 
