@@ -13,6 +13,13 @@ namespace ips {
 
 namespace {
 
+// The calling thread's scratch: every min query the engine runs, single
+// pair or batch item, works in it, so warm threads allocate nothing.
+DistanceWorkspace& LocalWorkspace() {
+  static thread_local DistanceWorkspace ws;
+  return ws;
+}
+
 // Process-wide mirrors of the per-instance counters. The instance atomics
 // keep their per-engine snapshot/reset semantics (tests and micro-benches
 // depend on them); run-level consumers (IpsRunStats::FromRegistry, the
@@ -98,6 +105,72 @@ void FftSlidingDotsInto(const std::vector<std::complex<double>>& fs,
   for (size_t i = 0; i < count; ++i) {
     ws.dots[i] = ws.fft_prod[m - 1 + i].real();
   }
+}
+
+// Whether pair p's first operand is its query: the shorter operand, the
+// first on a tie, as in the serial kernel.
+bool QueryFirst(const std::vector<std::span<const double>>& views,
+                const IndexPair& p) {
+  return views[p.first].size() <= views[p.second].size();
+}
+
+// The artefact table of one MinForPairs call, indexed like its views and
+// read lock-free by every pair, plus its work items.
+struct PairTable {
+  struct Entry {
+    std::vector<double> prefix;  // its query side and series side alike
+    ZnQuery zn;                  // z-norm only
+    // Reversed FFTs of the slid values, at every padded size a pair of the
+    // call slides this view at as an FFT-regime query.
+    std::vector<std::pair<size_t, std::vector<std::complex<double>>>> ffts;
+  };
+  std::vector<Entry> entries;
+  // One work item per series-side view v: the pairs order[first[v]] ..
+  // order[first[v + 1] - 1], in call order.
+  std::vector<size_t> first;
+  std::vector<size_t> order;
+};
+
+PairTable BuildPairTable(const std::vector<std::span<const double>>& views,
+                         const std::vector<IndexPair>& pairs, MetricId metric,
+                         size_t num_threads) {
+  const size_t num_views = views.size();
+  PairTable table;
+  table.entries.resize(num_views);
+  table.first.assign(num_views + 1, 0);
+  for (const IndexPair& p : pairs) {
+    const auto [q, s] = QueryFirst(views, p) ? p : IndexPair{p.second, p.first};
+    ++table.first[s + 1];
+    const size_t m = views[q].size();
+    const size_t n = views[s].size();
+    if (!UsesFftDots(m, n)) continue;
+    auto& ffts = table.entries[q].ffts;
+    const size_t padded = NextPowerOfTwo(n + m);
+    if (std::none_of(ffts.begin(), ffts.end(),
+                     [&](const auto& f) { return f.first == padded; })) {
+      ffts.emplace_back(padded, std::vector<std::complex<double>>());
+    }
+  }
+  for (size_t v = 0; v < num_views; ++v) table.first[v + 1] += table.first[v];
+  table.order.resize(pairs.size());
+  std::vector<size_t> next(table.first.begin(), table.first.end() - 1);
+  for (size_t t = 0; t < pairs.size(); ++t) {
+    const IndexPair& p = pairs[t];
+    table.order[next[QueryFirst(views, p) ? p.second : p.first]++] = t;
+  }
+
+  // The artefacts, in one parallel pass.
+  const bool zn = metric == MetricId::kZNormEuclidean;
+  ParallelFor(num_views, num_threads, [&](size_t v) {
+    PairTable::Entry& e = table.entries[v];
+    PrefixSquaresInto(views[v], e.prefix);
+    if (zn) e.zn = MakeZnQuery(views[v]);
+    for (auto& [padded, fft] : e.ffts) {
+      ForwardFftInto(zn ? std::span<const double>(e.zn.values) : views[v],
+                     padded, /*reversed=*/true, fft);
+    }
+  });
+  return table;
 }
 
 }  // namespace
@@ -263,19 +336,18 @@ double MinOfQuery(const QueryArtefacts& query, SeriesArtefacts& series,
 double DistanceEngine::SubsequenceMinMetric(std::span<const double> a,
                                             std::span<const double> b,
                                             MetricId metric) {
-  static thread_local DistanceWorkspace ws;
+  DistanceWorkspace& ws = LocalWorkspace();
   // The shorter operand is the query (the first on a tie), as in the
   // serial kernel.
   const bool a_query = a.size() <= b.size();
   const std::span<const double> q = a_query ? a : b;
   PrefixSquaresInto(q, ws.query_prefix);
-  const ZnQuery zn =
-      metric == MetricId::kZNormEuclidean ? MakeZnQuery(q) : ZnQuery{};
+  if (metric == MetricId::kZNormEuclidean) ws.query_zn = MakeZnQuery(q);
   ws.series.Reset(a_query ? b : a);
   MinOutcome outcome;
-  const double d = MinOfQuery({q, ws.query_prefix, &zn, {}}, ws.series,
-                              metric, early_abandon_, simd::kEabNoSeed, ws,
-                              outcome);
+  const double d = MinOfQuery({q, ws.query_prefix, &ws.query_zn, {}},
+                              ws.series, metric, early_abandon_,
+                              simd::kEabNoSeed, ws, outcome);
   ws.series.Reset({});
   Count(1, outcome.eab);
   return d;
@@ -288,73 +360,20 @@ std::vector<double> DistanceEngine::MinForPairs(
   std::vector<double> out(pairs.size());
   if (pairs.empty()) return out;
   Metrics().batch_items.Observe(pairs.size());
-  const size_t num_views = views.size();
+  const PairTable table = BuildPairTable(views, pairs, metric, num_threads_);
 
-  // Which operand of a pair is the query: the shorter, the first on a tie.
-  auto query_first = [&](const IndexPair& p) {
-    return views[p.first].size() <= views[p.second].size();
-  };
-
-  // The call's artefact table, indexed like `views` and read lock-free by
-  // every pair: each view's prefix sums of squares (its query side and its
-  // series side alike), under z-norm its z-normalised query, and the
-  // reversed FFT of its slid values at every padded size a pair of the
-  // call slides it at in the FFT regime.
-  struct Entry {
-    std::vector<double> prefix;
-    ZnQuery zn;
-    std::vector<std::pair<size_t, std::vector<std::complex<double>>>> ffts;
-  };
-  std::vector<Entry> table(num_views);
-  for (const IndexPair& p : pairs) {
-    const auto [q, s] = query_first(p) ? p : IndexPair{p.second, p.first};
-    const size_t m = views[q].size();
-    const size_t n = views[s].size();
-    if (!UsesFftDots(m, n)) continue;
-    auto& ffts = table[q].ffts;
-    const size_t padded = NextPowerOfTwo(n + m);
-    if (std::none_of(ffts.begin(), ffts.end(),
-                     [&](const auto& f) { return f.first == padded; })) {
-      ffts.emplace_back(padded, std::vector<std::complex<double>>());
-    }
-  }
-  const bool zn = metric == MetricId::kZNormEuclidean;
-  ParallelFor(num_views, num_threads_, [&](size_t v) {
-    Entry& e = table[v];
-    PrefixSquaresInto(views[v], e.prefix);
-    if (zn) e.zn = MakeZnQuery(views[v]);
-    for (auto& [padded, fft] : e.ffts) {
-      ForwardFftInto(zn ? std::span<const double>(e.zn.values) : views[v],
-                     padded, /*reversed=*/true, fft);
-    }
-  });
-
-  // One work item per series-side view, holding its pairs in call order:
-  // the view's rolling stats and forward FFTs are built once, into the
-  // worker's SeriesArtefacts.
-  std::vector<size_t> first(num_views + 1, 0);
-  for (const IndexPair& p : pairs) {
-    ++first[(query_first(p) ? p.second : p.first) + 1];
-  }
-  for (size_t v = 0; v < num_views; ++v) first[v + 1] += first[v];
-  std::vector<size_t> order(pairs.size());
-  {
-    std::vector<size_t> next(first.begin(), first.end() - 1);
-    for (size_t t = 0; t < pairs.size(); ++t) {
-      order[next[query_first(pairs[t]) ? pairs[t].second : pairs[t].first]++] =
-          t;
-    }
-  }
-
-  auto run = [&](size_t v, DistanceWorkspace& ws) {
-    if (first[v] == first[v + 1]) return;
-    ws.series.Reset(views[v], table[v].prefix);
+  ParallelFor(views.size(), num_threads_, [&](size_t v) {
+    const size_t begin = table.first[v];
+    const size_t end = table.first[v + 1];
+    if (begin == end) return;
+    DistanceWorkspace& ws = LocalWorkspace();
+    ws.series.Reset(views[v], table.entries[v].prefix);
     simd::EabCounters eab;
-    for (size_t k = first[v]; k < first[v + 1]; ++k) {
-      const size_t t = order[k];
-      const uint32_t q = query_first(pairs[t]) ? pairs[t].first
-                                                : pairs[t].second;
-      const Entry& e = table[q];
+    for (size_t k = begin; k < end; ++k) {
+      const size_t t = table.order[k];
+      const uint32_t q =
+          QueryFirst(views, pairs[t]) ? pairs[t].first : pairs[t].second;
+      const PairTable::Entry& e = table.entries[q];
       QueryArtefacts query{views[q], e.prefix, &e.zn, {}};
       const size_t padded = NextPowerOfTwo(views[v].size() + views[q].size());
       for (const auto& [size, fft] : e.ffts) {
@@ -366,17 +385,8 @@ std::vector<double> DistanceEngine::MinForPairs(
       AddEab(eab, outcome.eab);
     }
     ws.series.Reset({});
-    Count(first[v + 1] - first[v], eab);
-  };
-  const size_t workers = std::min(num_threads_, num_views);
-  if (workers <= 1) {
-    DistanceWorkspace ws;
-    for (size_t v = 0; v < num_views; ++v) run(v, ws);
-  } else {
-    std::vector<DistanceWorkspace> scratch(workers);
-    ParallelForWorkers(num_views, workers,
-                       [&](size_t v, size_t w) { run(v, scratch[w]); });
-  }
+    Count(end - begin, eab);
+  });
   return out;
 }
 

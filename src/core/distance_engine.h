@@ -28,8 +28,8 @@
 // Thread-safety contract: a DistanceEngine holds only its thread count, its
 // cascade flag and relaxed-atomic counters. Every public method may be
 // called concurrently from any number of threads on the same engine; each
-// call's artefacts live in its own table and in per-worker or thread-local
-// scratch, and no call reads another call's.
+// call's artefacts live in its own table and in thread-local scratch, and
+// no call reads another call's.
 //
 // Lifetime contract: nothing outlives the call that built it. The views a
 // call receives need only stay valid for that call, so an engine may be
@@ -112,14 +112,15 @@ class SeriesArtefacts {
   std::vector<std::pair<size_t, std::vector<std::complex<double>>>> ffts_;
 };
 
-/// Per-thread scratch buffers, owned by a batch call (one per worker) or by
-/// thread-local storage; reused across min queries so the hot path
-/// performs no allocations after warmup.
+/// Per-thread scratch buffers, held in thread-local storage and reused
+/// across min queries so the hot path performs no allocations after
+/// warmup.
 struct DistanceWorkspace {
   std::vector<double> dots;                   ///< sliding dot products
   std::vector<std::complex<double>> fft_qry;  ///< query transform
   std::vector<std::complex<double>> fft_prod; ///< pointwise product / inverse
   std::vector<double> query_prefix;           ///< single-pair query side
+  ZnQuery query_zn;                           ///< (z-norm only)
   SeriesArtefacts series;                     ///< the current series' side
   /// The last winning alignment per shapelet of the series this thread
   /// transformed through a ShapeletBank: it seeds the next series'
@@ -148,9 +149,9 @@ struct MinOutcome {
   simd::EabCounters eab;
 };
 
-/// The min-alignment distance of `query` slid along `series`' series under
-/// `metric`, bitwise equal to SubsequenceDistanceMetric for a query no
-/// longer than the series (the first operand on a tie). `cascade` lets the
+/// The min-alignment distance of `query` slid along the series `series`
+/// holds, under `metric`: bitwise equal to SubsequenceDistanceMetric for a
+/// query no longer than the series (the first operand on a tie). `cascade` lets the
 /// early-abandon cascade (docs/pruning.md) serve the naive sliding-dots
 /// regime, starting at alignment `seed`; it picks a path, never a value.
 /// Counts the query in the registry (CountProfile, and the cascade's

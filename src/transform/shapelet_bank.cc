@@ -58,13 +58,6 @@ ShapeletBank::ShapeletBank(const std::vector<Subsequence>& shapelets,
   }
 }
 
-ShapeletBank::ShapeletBank(const std::vector<Subsequence>& shapelets,
-                           MetricId metric, const DatasetView& train,
-                           bool early_abandon)
-    : ShapeletBank(shapelets, metric, train) {
-  if (early_abandon) Probe(train, /*num_threads=*/1);
-}
-
 ShapeletBank ShapeletBank::FitTransform(
     const std::vector<Subsequence>& shapelets, MetricId metric,
     const DatasetView& train, bool early_abandon, size_t num_threads,

@@ -62,13 +62,6 @@ class ShapeletBank {
   /// An empty bank: every row it transforms is empty.
   ShapeletBank() = default;
 
-  /// Builds the bank for `shapelets` under `metric`: the FFTs for the
-  /// length of train's first series, the routes from its first
-  /// kRouteProbeSeries series. `early_abandon` false routes every
-  /// shapelet dense and probes no cascade.
-  ShapeletBank(const std::vector<Subsequence>& shapelets, MetricId metric,
-               const DatasetView& train, bool early_abandon);
-
   /// Calls fn(i, row) once per series of `data`, with row[s] the distance
   /// of data[i] to shapelet s, on up to `num_threads` threads (0 = auto).
   /// `row` is valid until fn returns. Streams chunk-granularly
@@ -79,10 +72,13 @@ class ShapeletBank {
   void Transform(const DatasetView& data, size_t num_threads,
                  const RowFn& fn) const;
 
-  /// Builds the bank over `train` and transforms it: the result of the
-  /// constructor followed by Transform(train, num_threads, fn), with the
-  /// route probe's rows handed to fn rather than computed twice, and the
-  /// probe run on up to `num_threads` threads (one shapelet per task).
+  /// Builds the bank for `shapelets` under `metric` -- the FFTs for the
+  /// length of train's first series, the routes from its first
+  /// kRouteProbeSeries series, probed on up to `num_threads` threads (one
+  /// shapelet per task) -- and transforms `train` through it as
+  /// Transform(train, num_threads, fn) would, handing fn the probe's rows
+  /// rather than computing them twice. `early_abandon` false routes every
+  /// shapelet dense and probes no cascade.
   static ShapeletBank FitTransform(const std::vector<Subsequence>& shapelets,
                                    MetricId metric, const DatasetView& train,
                                    bool early_abandon, size_t num_threads,

@@ -43,6 +43,24 @@ std::vector<std::vector<double>> Rows(const ShapeletBank& bank,
   return rows;
 }
 
+// A bank fitted on `train`, and the training rows FitTransform handed out.
+struct Fitted {
+  ShapeletBank bank;
+  std::vector<std::vector<double>> rows;
+};
+
+Fitted Fit(const std::vector<Subsequence>& shapelets, MetricId metric,
+           const DatasetView& train, bool early_abandon, size_t threads = 1) {
+  Fitted fit;
+  fit.rows.resize(train.size());
+  fit.bank = ShapeletBank::FitTransform(
+      shapelets, metric, train, early_abandon, threads,
+      [&](size_t i, std::span<const double> row) {
+        fit.rows[i].assign(row.begin(), row.end());
+      });
+  return fit;
+}
+
 std::vector<ShapeletBank::Route> Routes(const ShapeletBank& bank) {
   std::vector<ShapeletBank::Route> routes;
   for (size_t s = 0; s < bank.size(); ++s) routes.push_back(bank.route(s));
@@ -132,12 +150,13 @@ TEST_P(ShapeletBankMetricTest, TrainingAndUnseenLengthsMatchDense) {
       DenseRows(queries, shapelets, metric);
   for (size_t threads : {1, 2, 8}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    const ShapeletBank bank(shapelets, metric, train,
-                            /*early_abandon=*/true);
-    EXPECT_EQ(Rows(bank, train, threads), want_train);
-    EXPECT_EQ(Rows(bank, queries, threads), want_queries);
+    const Fitted fit =
+        Fit(shapelets, metric, train, /*early_abandon=*/true, threads);
+    EXPECT_EQ(fit.rows, want_train);
+    EXPECT_EQ(Rows(fit.bank, train, threads), want_train);
+    EXPECT_EQ(Rows(fit.bank, queries, threads), want_queries);
     const std::span<const double> row =
-        bank.TransformOne(queries[queries.size() - 1].view());
+        fit.bank.TransformOne(queries[queries.size() - 1].view());
     EXPECT_EQ(std::vector<double>(row.begin(), row.end()),
               want_queries.back());
   }
@@ -170,11 +189,11 @@ TEST(ShapeletBankRouteTest, PruneHostileDataRoutesEveryShapeletDense) {
   for (size_t m = 0; m < kMetricCount; ++m) {
     const MetricId metric = static_cast<MetricId>(m);
     SCOPED_TRACE(MetricName(metric));
-    const ShapeletBank bank(shapelets, metric, train,
-                            /*early_abandon=*/true);
-    EXPECT_EQ(Routes(bank), std::vector<ShapeletBank::Route>(
-                                shapelets.size(), ShapeletBank::Route::kDense));
-    EXPECT_EQ(Rows(bank, train, 1), DenseRows(train, shapelets, metric));
+    const Fitted fit = Fit(shapelets, metric, train, /*early_abandon=*/true);
+    EXPECT_EQ(Routes(fit.bank),
+              std::vector<ShapeletBank::Route>(shapelets.size(),
+                                               ShapeletBank::Route::kDense));
+    EXPECT_EQ(fit.rows, DenseRows(train, shapelets, metric));
   }
 }
 
@@ -210,18 +229,22 @@ TEST(ShapeletBankRouteTest, FavourableRawDataKeepsTheCascade) {
     shapelets.push_back(
         ExtractSubsequence(train[i], 161 + (7 * i) % 64, 48 + i));
   }
-  const ShapeletBank bank(shapelets, MetricId::kRawSquaredEuclidean, train,
-                          /*early_abandon=*/true);
-  EXPECT_EQ(Routes(bank), std::vector<ShapeletBank::Route>(
-                              shapelets.size(), ShapeletBank::Route::kCascade));
-  EXPECT_EQ(Rows(bank, train, 1),
-            DenseRows(train, shapelets, MetricId::kRawSquaredEuclidean));
+  const Fitted fit = Fit(shapelets, MetricId::kRawSquaredEuclidean, train,
+                         /*early_abandon=*/true);
+  EXPECT_EQ(Routes(fit.bank),
+            std::vector<ShapeletBank::Route>(shapelets.size(),
+                                             ShapeletBank::Route::kCascade));
+  const std::vector<std::vector<double>> want =
+      DenseRows(train, shapelets, MetricId::kRawSquaredEuclidean);
+  EXPECT_EQ(fit.rows, want);
+  EXPECT_EQ(Rows(fit.bank, train, 1), want);
 
   // Cascade off routes dense without probing.
-  const ShapeletBank off(shapelets, MetricId::kRawSquaredEuclidean, train,
+  const Fitted off = Fit(shapelets, MetricId::kRawSquaredEuclidean, train,
                          /*early_abandon=*/false);
-  EXPECT_EQ(Routes(off), std::vector<ShapeletBank::Route>(
-                             shapelets.size(), ShapeletBank::Route::kDense));
+  EXPECT_EQ(Routes(off.bank),
+            std::vector<ShapeletBank::Route>(shapelets.size(),
+                                             ShapeletBank::Route::kDense));
 }
 
 }  // namespace
