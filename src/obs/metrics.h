@@ -15,7 +15,7 @@
 // util/thread_pool.cc).
 //
 // Naming convention: dot-separated "<subsystem>.<event>" --
-// "pool.tasks_run", "engine.stats_cache_hits", "mp.qt_sweeps",
+// "pool.tasks_run", "engine.profiles_computed", "mp.qt_sweeps",
 // "ips.motifs_generated". docs/observability.md lists every metric the
 // library emits and how to add one.
 
