@@ -1,7 +1,7 @@
 // The `env` block of a BENCH_*.json: what a recorded number was measured
-// on. It names the commit, the host's hardware threads, the SIMD backend
-// and the compile-time switches that change which code ran, so two
-// ledgers can be told apart before their numbers are compared.
+// on. It names the commit, the host's hardware threads, the active SIMD
+// backend and whether the tracer is compiled in, so two ledgers can be
+// told apart before their numbers are compared.
 
 #ifndef IPS_BENCH_BENCH_ENV_H_
 #define IPS_BENCH_BENCH_ENV_H_
@@ -41,19 +41,13 @@ inline std::string GitRevision() {
   return sha;
 }
 
-/// {"git_sha", "hardware_threads", "simd_backend", "tracing_enabled",
-///  "disable_simd"}.
+/// {"git_sha", "hardware_threads", "simd_backend", "tracing_enabled"}.
 inline obs::JsonValue BenchEnvJson() {
   obs::JsonValue env = obs::JsonValue::Object();
   env.Set("git_sha", GitRevision());
   env.Set("hardware_threads", HardwareThreads());
   env.Set("simd_backend", simd::BackendName());
   env.Set("tracing_enabled", obs::kTracingEnabled);
-#if defined(IPS_DISABLE_SIMD)
-  env.Set("disable_simd", true);
-#else
-  env.Set("disable_simd", false);
-#endif
   return env;
 }
 

@@ -1,32 +1,42 @@
-// Scalar-vs-SIMD before/after numbers for the kernel layer (core/simd.h),
-// emitted as machine-readable JSON (BENCH_simd.json).
+// Per-backend before/after numbers for the kernel layer (core/simd.h),
+// emitted as machine-readable JSON (BENCH_simd.json) in the obs report
+// schema.
 //
-// Each kernel is timed as the dispatched (SIMD) entry point against the
-// always-compiled scalar reference on the same inputs, best-of-trials, with
-// a checksum over the outputs to confirm the two paths computed the same
-// values (they are bitwise identical; tests/simd_kernel_test.cc is the
-// strict assertion, the checksum here guards the benchmark itself). On top
-// of the kernels, the end-to-end block times IpsClassifier::PredictBatch
-// against the equivalent per-series Predict loop at equal predictions.
+// One row per backend the CPU supports (simd::SupportedBackends(), switched
+// with simd::UseBackend in this one process). In each row every kernel is
+// timed as the dispatched entry point against the always-compiled scalar
+// reference on the same inputs, best-of-trials, with a checksum over the
+// outputs to confirm the two paths computed the same values (they are
+// bitwise identical; tests/simd_kernel_test.cc is the strict assertion,
+// the checksum here guards the benchmark itself). On top of the kernels,
+// each row times IpsClassifier::PredictBatch on that backend, at one thread
+// and at every hardware thread, and checks its labels against the scalar
+// backend's. The run exits nonzero on any checksum or label mismatch.
+//
+// Output: {"experiment", "env" (bench_env.h; the start-up backend),
+// "backends": [...], "report": obs::ReportToJson over the whole run}.
 //
 // Usage: bench_simd [--out=PATH]   (default ./BENCH_simd.json)
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
-#include <fstream>
 #include <functional>
-#include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_env.h"
 #include "core/rng.h"
 #include "core/simd.h"
 #include "core/znorm.h"
 #include "data/generator.h"
 #include "ips/pipeline.h"
+#include "obs/export.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/parallel.h"
 
 namespace ips {
@@ -39,6 +49,16 @@ struct KernelResult {
   bool checksum_equal = false;
 
   double Speedup() const { return simd_ns > 0.0 ? scalar_ns / simd_ns : 0.0; }
+
+  obs::JsonValue ToJson() const {
+    obs::JsonValue e = obs::JsonValue::Object();
+    e.Set("kernel", kernel);
+    e.Set("scalar_ns", scalar_ns);
+    e.Set("backend_ns", simd_ns);
+    e.Set("speedup", Speedup());
+    e.Set("checksum_equal", checksum_equal);
+    return e;
+  }
 };
 
 double BestOfNs(const std::function<void()>& fn, int trials, int reps) {
@@ -224,60 +244,70 @@ KernelResult BenchRollingStats() {
 }
 
 struct PredictResult {
-  size_t series = 0;
   size_t threads = 0;
-  double loop_ns = 0.0;
   double batch_ns = 0.0;
-  bool labels_equal = false;
+  bool labels_equal_scalar = false;
 
-  double Speedup() const { return batch_ns > 0.0 ? loop_ns / batch_ns : 0.0; }
+  obs::JsonValue ToJson() const {
+    obs::JsonValue e = obs::JsonValue::Object();
+    e.Set("threads", threads);
+    e.Set("batch_ns", batch_ns);
+    e.Set("labels_equal_scalar", labels_equal_scalar);
+    return e;
+  }
 };
 
-// End-to-end prediction: per-series Predict loop vs PredictBatch at equal
-// predictions (identical labels, asserted).
-std::vector<PredictResult> BenchPredictBatch() {
-  GeneratorSpec spec;
-  spec.name = "bench_simd_predict";
-  spec.num_classes = 2;
-  spec.train_size = 20;
-  spec.test_size = 64;
-  spec.length = 256;
-  const TrainTestSplit data = GenerateDataset(spec);
+// A fitted classifier and its held-out set; fitting is backend-independent
+// (bitwise), so each thread count fits once and every backend predicts.
+struct PredictFixture {
+  TrainTestSplit data;
+  std::vector<size_t> thread_counts;
+  std::vector<std::unique_ptr<IpsClassifier>> classifiers;  // per count
+  std::vector<std::vector<int>> scalar_labels;              // per count
 
-  IpsOptions options;
-  options.sample_count = 5;
-  options.sample_size = 3;
-  options.length_ratios = {0.2, 0.3};
-  options.shapelets_per_class = 4;
+  PredictFixture() {
+    GeneratorSpec spec;
+    spec.name = "bench_simd_predict";
+    spec.num_classes = 2;
+    spec.train_size = 20;
+    spec.test_size = 64;
+    spec.length = 256;
+    data = GenerateDataset(spec);
 
-  // Single-threaded and all-cores series; on single-core runners the two
-  // coincide, so the list is deduplicated up front and the JSON never
-  // emits duplicate series.
-  std::vector<size_t> thread_counts{size_t{1}};
-  if (HardwareThreads() > 1) thread_counts.push_back(HardwareThreads());
+    IpsOptions options;
+    options.sample_count = 5;
+    options.sample_size = 3;
+    options.length_ratios = {0.2, 0.3};
+    options.shapelets_per_class = 4;
 
+    // Single-threaded and all-cores; on single-core hosts the two
+    // coincide, so the list is deduplicated up front.
+    thread_counts.push_back(1);
+    if (HardwareThreads() > 1) thread_counts.push_back(HardwareThreads());
+    for (size_t threads : thread_counts) {
+      IpsOptions o = options;
+      o.num_threads = threads;
+      classifiers.push_back(std::make_unique<IpsClassifier>(o));
+      classifiers.back()->Fit(data.train);
+    }
+  }
+};
+
+// PredictBatch on the active backend at every fixture thread count. The
+// scalar backend runs first and records the reference labels.
+std::vector<PredictResult> BenchPredictBatch(PredictFixture& f) {
+  const bool is_scalar = simd::ActiveBackend() == simd::Backend::kScalar;
   std::vector<PredictResult> results;
-  for (size_t threads : thread_counts) {
-    IpsOptions o = options;
-    o.num_threads = threads;
-    IpsClassifier clf(o);
-    clf.Fit(data.train);
-
-    std::vector<int> loop_labels(data.test.size());
+  for (size_t k = 0; k < f.classifiers.size(); ++k) {
+    const IpsClassifier& clf = *f.classifiers[k];
+    std::vector<int> labels;
     PredictResult r;
-    r.series = data.test.size();
-    r.threads = threads;
-    r.loop_ns = BestOfNs(
-        [&] {
-          for (size_t i = 0; i < data.test.size(); ++i) {
-            loop_labels[i] = clf.Predict(data.test[i]);
-          }
-        },
-        3, 1);
-    std::vector<int> batch_labels;
-    r.batch_ns = BestOfNs([&] { batch_labels = clf.PredictBatch(data.test); },
-                          3, 1);
-    r.labels_equal = batch_labels == loop_labels;
+    r.threads = f.thread_counts[k];
+    r.batch_ns = BestOfNs([&] { labels = clf.PredictBatch(f.data.test); }, 3,
+                          1);
+    if (is_scalar) f.scalar_labels.push_back(labels);
+    r.labels_equal_scalar =
+        k < f.scalar_labels.size() && labels == f.scalar_labels[k];
     results.push_back(r);
   }
   return results;
@@ -290,61 +320,69 @@ int Main(int argc, char** argv) {
     if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
   }
 
-  std::vector<KernelResult> kernels;
-  kernels.push_back(BenchSlidingDots());
-  kernels.push_back(BenchRawProfile());
-  kernels.push_back(BenchZNormProfile());
-  kernels.push_back(BenchQtSweep());
-  kernels.push_back(BenchRollingStats());
-  const std::vector<PredictResult> predict = BenchPredictBatch();
-
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"backend\": \"" << simd::BackendName() << "\",\n";
-  out << "  \"width\": " << simd::kLanes << ",\n";
-  out << "  \"kernels\": [\n";
-  for (size_t i = 0; i < kernels.size(); ++i) {
-    const KernelResult& k = kernels[i];
-    out << "    {\"kernel\": \"" << k.kernel << "\", \"width\": "
-        << simd::kLanes << ", \"scalar_ns\": " << k.scalar_ns
-        << ", \"simd_ns\": " << k.simd_ns << ", \"speedup\": " << k.Speedup()
-        << ", \"checksum_equal\": " << (k.checksum_equal ? "true" : "false")
-        << "}" << (i + 1 < kernels.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"predict_batch\": [\n";
-  for (size_t i = 0; i < predict.size(); ++i) {
-    const PredictResult& p = predict[i];
-    out << "    {\"series\": " << p.series << ", \"threads\": " << p.threads
-        << ", \"loop_ns\": " << p.loop_ns << ", \"batch_ns\": " << p.batch_ns
-        << ", \"speedup\": " << p.Speedup()
-        << ", \"labels_equal\": " << (p.labels_equal ? "true" : "false")
-        << "}" << (i + 1 < predict.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
-  out.close();
-
-  std::cout << "backend=" << simd::BackendName() << " width=" << simd::kLanes
-            << "\n";
-  for (const KernelResult& k : kernels) {
-    std::printf("%-14s scalar %10.0f ns  simd %10.0f ns  speedup %5.2fx  %s\n",
-                k.kernel.c_str(), k.scalar_ns, k.simd_ns, k.Speedup(),
-                k.checksum_equal ? "checksum OK" : "CHECKSUM MISMATCH");
-  }
-  for (const PredictResult& p : predict) {
-    std::printf(
-        "predict_batch  threads=%zu  loop %10.0f ns  batch %10.0f ns  "
-        "speedup %5.2fx  %s\n",
-        p.threads, p.loop_ns, p.batch_ns, p.Speedup(),
-        p.labels_equal ? "labels OK" : "LABEL MISMATCH");
-  }
-  std::cout << "wrote " << out_path << "\n";
+  const obs::MetricsSnapshot metrics_before =
+      obs::MetricsRegistry::Instance().Snapshot();
+  const obs::TraceSnapshot trace_before =
+      obs::TraceRegistry::Instance().Snapshot();
+  const simd::Backend start_up = simd::ActiveBackend();
+  PredictFixture fixture;
 
   bool ok = true;
-  for (const KernelResult& k : kernels) ok = ok && k.checksum_equal;
-  for (const PredictResult& p : predict) ok = ok && p.labels_equal;
-  return ok ? 0 : 1;
+  obs::JsonValue rows = obs::JsonValue::Array();
+  for (const simd::Backend backend : simd::SupportedBackends()) {
+    if (!simd::UseBackend(backend)) return 1;
+    const std::vector<KernelResult> kernels = {
+        BenchSlidingDots(), BenchRawProfile(), BenchZNormProfile(),
+        BenchQtSweep(), BenchRollingStats()};
+    const std::vector<PredictResult> predict = BenchPredictBatch(fixture);
+
+    std::printf("backend=%s width=%zu\n", simd::BackendName(),
+                simd::Lanes());
+    obs::JsonValue kernel_rows = obs::JsonValue::Array();
+    for (const KernelResult& k : kernels) {
+      std::printf(
+          "  %-14s scalar %10.0f ns  %-6s %10.0f ns  speedup %5.2fx  %s\n",
+          k.kernel.c_str(), k.scalar_ns, simd::BackendName(), k.simd_ns,
+          k.Speedup(), k.checksum_equal ? "checksum OK" : "CHECKSUM MISMATCH");
+      ok = ok && k.checksum_equal;
+      kernel_rows.Append(k.ToJson());
+    }
+    obs::JsonValue predict_rows = obs::JsonValue::Array();
+    for (const PredictResult& p : predict) {
+      std::printf("  predict_batch  threads=%zu  %10.0f ns  %s\n", p.threads,
+                  p.batch_ns,
+                  p.labels_equal_scalar ? "labels OK" : "LABEL MISMATCH");
+      ok = ok && p.labels_equal_scalar;
+      predict_rows.Append(p.ToJson());
+    }
+    obs::JsonValue row = obs::JsonValue::Object();
+    row.Set("backend", simd::BackendName());
+    row.Set("width", simd::Lanes());
+    row.Set("kernels", std::move(kernel_rows));
+    row.Set("predict_batch", std::move(predict_rows));
+    rows.Append(std::move(row));
+  }
+  if (!simd::UseBackend(start_up)) return 1;
+
+  obs::JsonValue doc = obs::JsonValue::Object();
+  doc.Set("experiment", "simd");
+  doc.Set("env", bench::BenchEnvJson());
+  doc.Set("backends", std::move(rows));
+  doc.Set("report",
+          obs::ReportToJson(
+              obs::TraceRegistry::Instance().DeltaSince(trace_before),
+              obs::MetricsRegistry::Instance().DeltaSince(metrics_before)));
+  if (!obs::WriteJsonFile(doc, out_path)) {
+    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", out_path.c_str());
+  if (!ok) {
+    std::fprintf(stderr,
+                 "FAIL: a backend disagreed with the scalar reference\n");
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace

@@ -7,6 +7,11 @@
 // no discovery output. Run it on several synthetic datasets and thread
 // counts so both the serial and pooled paths are covered.
 //
+// Within one run, discovery repeats on every SIMD backend the CPU supports
+// (core/simd.h). The fingerprint is printed once, from the start-up
+// backend, and the run exits 1 if any backend's fingerprint differs: the
+// backends are held to bitwise agreement inside one binary.
+//
 // Each dataset runs twice per thread count: the paper's defaults (DABF
 // pruning, DT+CR utility), then a "naive" section with naive pruning and
 // exact utility, where every Def. 4 distance of discovery runs through the
@@ -29,6 +34,7 @@
 
 #include <unistd.h>
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 
@@ -38,6 +44,7 @@
 
 #include "bench/bench_common.h"
 #include "core/metric.h"
+#include "core/simd.h"
 #include "ips/pipeline.h"
 #include "ips/serialization.h"
 #include "obs/trace.h"
@@ -47,7 +54,24 @@
 namespace ips::bench {
 namespace {
 
-int Run(const BenchArgs& args) {
+// printf onto the end of `out`.
+void Appendf(std::string& out, const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list copy;
+  va_copy(copy, args);
+  const int n = std::vsnprintf(nullptr, 0, format, copy);
+  va_end(copy);
+  const size_t at = out.size();
+  out.resize(at + static_cast<size_t>(n) + 1);
+  std::vsnprintf(out.data() + at, static_cast<size_t>(n) + 1, format, args);
+  out.resize(at + static_cast<size_t>(n));
+  va_end(args);
+}
+
+// The fingerprint of every dataset on the active backend.
+std::string Fingerprint(const BenchArgs& args) {
+  std::string out;
   const std::vector<std::string> datasets =
       SelectDatasets(args, {"ArrowHead", "ShapeletSim", "ItalyPowerDemand"});
 
@@ -61,7 +85,7 @@ int Run(const BenchArgs& args) {
     metric = policy->id;
   }
   if (metric != MetricId::kZNormEuclidean) {
-    std::printf("metric %s\n", MetricName(metric));
+    Appendf(out, "metric %s\n", MetricName(metric));
   }
 
   // Both the serial path (1 thread) and the pooled path (4): the pool's
@@ -113,21 +137,21 @@ int Run(const BenchArgs& args) {
           options.utility_mode = UtilityMode::kExactWithCr;
         }
         const RunResult result = DiscoverShapelets(*train, options);
-        std::printf("%s%s threads=%zu shapelets=%zu\n", name.c_str(),
-                    naive ? " naive" : "", threads, result.shapelets.size());
+        Appendf(out, "%s%s threads=%zu shapelets=%zu\n", name.c_str(),
+                naive ? " naive" : "", threads, result.shapelets.size());
         // The v1 shapelet block: provenance + every value at max_digits10.
-        std::fputs(SerializeShapelets(result.shapelets).c_str(), stdout);
+        out += SerializeShapelets(result.shapelets);
         // Counters are observational but deterministic for a fixed dataset
         // and config -- identical across tracing-on/off builds by design, so
         // they belong in the fingerprint. Timings do not.
-        std::printf("counters motifs=%zu discords=%zu pruned_motifs=%zu "
-                    "pruned_discords=%zu profiles=%zu mp_joins=%zu\n",
-                    result.stats.motifs_generated,
-                    result.stats.discords_generated,
-                    result.stats.motifs_after_prune,
-                    result.stats.discords_after_prune,
-                    result.stats.profiles_computed,
-                    result.stats.mp_joins_computed);
+        Appendf(out,
+                "counters motifs=%zu discords=%zu pruned_motifs=%zu "
+                "pruned_discords=%zu profiles=%zu mp_joins=%zu\n",
+                result.stats.motifs_generated, result.stats.discords_generated,
+                result.stats.motifs_after_prune,
+                result.stats.discords_after_prune,
+                result.stats.profiles_computed,
+                result.stats.mp_joins_computed);
       }
     }
     if (!segment_path.empty()) {
@@ -135,7 +159,28 @@ int Run(const BenchArgs& args) {
       ::unlink(segment_path.c_str());
     }
   }
-  return 0;
+  return out;
+}
+
+int Run(const BenchArgs& args) {
+  const simd::Backend start_up = simd::ActiveBackend();
+  const std::string printed = Fingerprint(args);
+  std::fputs(printed.c_str(), stdout);
+  std::string checked = simd::BackendName(start_up);
+  int status = 0;
+  for (const simd::Backend backend : simd::SupportedBackends()) {
+    if (backend == start_up) continue;
+    if (!simd::UseBackend(backend)) return 2;
+    if (Fingerprint(args) != printed) {
+      std::fprintf(stderr, "fingerprint on %s differs from %s\n",
+                   simd::BackendName(backend), simd::BackendName(start_up));
+      status = 1;
+    }
+    checked += std::string(", ") + simd::BackendName(backend);
+  }
+  if (!simd::UseBackend(start_up)) return 2;
+  std::fprintf(stderr, "backends run: %s\n", checked.c_str());
+  return status;
 }
 
 }  // namespace

@@ -377,10 +377,11 @@ BENCHMARK(BM_TableVProfileStageEngine)->Arg(1)->Arg(8);
 //
 // Before/after pairs for the core/simd.h kernel layer. The *Scalar variants
 // run the always-compiled scalar reference (simd::scalar::*, the historic
-// loops verbatim); the *Simd variants run the dispatched entry points, which
-// widen to the backend selected at build time (simd::kLanes lanes). Both
-// paths are bitwise identical (tests/simd_kernel_test.cc); only wall-clock
-// differs. bench_simd emits the same comparison as BENCH_simd.json.
+// loops verbatim); the *Simd variants run the dispatched entry points on the
+// backend active at start-up, the widest the CPU supports (its width is the
+// "width" counter). Both paths are bitwise identical
+// (tests/simd_kernel_test.cc); only wall-clock differs. bench_simd emits the
+// same comparison for every backend as BENCH_simd.json.
 
 void BM_SimdSlidingDotsScalar(benchmark::State& state) {
   const auto query = RandomSeries(48, 11);
@@ -403,7 +404,7 @@ void BM_SimdSlidingDotsSimd(benchmark::State& state) {
                       series.size(), out.data());
     benchmark::DoNotOptimize(out);
   }
-  state.counters["width"] = static_cast<double>(simd::kLanes);
+  state.counters["width"] = static_cast<double>(simd::Lanes());
 }
 BENCHMARK(BM_SimdSlidingDotsSimd);
 
@@ -450,7 +451,7 @@ void BM_SimdRawProfileSimd(benchmark::State& state) {
                              out.size(), out.data());
     benchmark::DoNotOptimize(out);
   }
-  state.counters["width"] = static_cast<double>(simd::kLanes);
+  state.counters["width"] = static_cast<double>(simd::Lanes());
 }
 BENCHMARK(BM_SimdRawProfileSimd);
 
@@ -475,7 +476,7 @@ void BM_SimdZNormProfileSimd(benchmark::State& state) {
                                SimdProfileFixture::kWindow, false, out.data());
     benchmark::DoNotOptimize(out);
   }
-  state.counters["width"] = static_cast<double>(simd::kLanes);
+  state.counters["width"] = static_cast<double>(simd::Lanes());
 }
 BENCHMARK(BM_SimdZNormProfileSimd);
 
@@ -523,7 +524,7 @@ void SimdQtSweepBody(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(dist);
   }
-  if (kUseSimd) state.counters["width"] = static_cast<double>(simd::kLanes);
+  if (kUseSimd) state.counters["width"] = static_cast<double>(simd::Lanes());
 }
 
 void BM_SimdQtSweepScalar(benchmark::State& state) {
@@ -582,7 +583,7 @@ void BM_SimdRollingStatsSimd(benchmark::State& state) {
     benchmark::DoNotOptimize(means);
     benchmark::DoNotOptimize(stds);
   }
-  state.counters["width"] = static_cast<double>(simd::kLanes);
+  state.counters["width"] = static_cast<double>(simd::Lanes());
 }
 BENCHMARK(BM_SimdRollingStatsSimd);
 

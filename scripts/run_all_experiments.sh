@@ -67,9 +67,9 @@ echo "=== BENCH_mp ==="
   --benchmark_out_format=json |
   tee "$OUT/BENCH_mp.txt"
 
-# Machine-readable scalar-vs-SIMD numbers for the core/simd.h kernel layer
-# (per-kernel speedup + checksum equality) and PredictBatch vs the
-# per-series Predict loop. bench_simd writes the JSON itself.
+# Machine-readable numbers for every supported core/simd.h kernel backend
+# against the scalar reference (per-kernel speedup + checksum equality)
+# and PredictBatch per backend. bench_simd writes the JSON itself.
 echo "=== BENCH_simd ==="
 "$BENCH/bench_simd" --out="$OUT/BENCH_simd.json" | tee "$OUT/BENCH_simd.txt"
 

@@ -2,7 +2,7 @@
 //
 // Every kernel here obeys one design rule, inherited from this repo's
 // bitwise-identity test culture: **vectorise across independent outputs,
-// never inside a single reduction.** A vector register holds kLanes
+// never inside a single reduction.** A vector register holds Lanes()
 // *different* outputs (distance-profile columns, rolling-stat windows, STOMP
 // row cells); each lane performs exactly the scalar kernel's operation
 // sequence for its own output, so every result is bitwise identical to the
@@ -15,21 +15,28 @@
 // the value the sequential loop selects (all inputs here are non-NaN and
 // non-negative, so IEEE min quirks around NaN and -0.0 never apply).
 //
-// Backend selection is a build-time decision (no runtime dispatch): AVX2
-// (4 lanes) when the compiler targets it (-march=native and friends), else
-// SSE2 (2 lanes, the x86-64 baseline), else NEON (2 lanes, AArch64), else
-// the scalar fallback. -DIPS_DISABLE_SIMD=ON forces the scalar fallback
-// everywhere, restoring the exact pre-SIMD code path. The always-compiled
-// `scalar::` namespace mirrors every kernel with the width-1 instantiation
-// of the same template, so tests and benchmarks can compare the dispatched
-// kernels against the scalar reference in the same binary
-// (tests/simd_kernel_test.cc asserts bit-level equality).
+// Backend selection is a run-time decision. Every backend the target
+// architecture has is compiled into the one binary, each vector backend in
+// its own translation unit (simd_sse2.cc, simd_avx2.cc -- the only file
+// built with -mavx2 -- and simd_neon.cc) that exports one table of kernel
+// function pointers. At start-up the widest backend the CPU supports
+// becomes active: AVX2 (4 lanes) when the CPU has it, else SSE2 (2 lanes,
+// the x86-64 baseline); NEON (2 lanes) on AArch64; the scalar kernels
+// elsewhere. The dispatched functions below call the active table.
+// UseBackend switches it -- tests and tools use that to run every
+// supported backend in one process -- and no build option, environment
+// variable or run option selects it. The always-compiled `scalar::`
+// namespace mirrors every kernel with the width-1 instantiation of the
+// same templates (the scalar backend's table points at it), so tests and
+// benchmarks can compare any backend against the scalar reference in the
+// same binary (tests/simd_kernel_test.cc asserts bit-level equality).
 //
 // NOTE on fused multiply-add: the kernels never emit FMA. The scalar
 // baseline rounds after the multiply and again after the add, so a fused
 // contraction would change results; the build compiles with
-// -ffp-contract=off (top-level CMakeLists.txt) so neither the scalar code
-// nor the intrinsic sequences are contracted behind our back.
+// -ffp-contract=off (top-level CMakeLists.txt) and the AVX2 unit is not
+// given -mfma, so neither the scalar code nor the intrinsic sequences are
+// contracted behind our back.
 
 #ifndef IPS_CORE_SIMD_H_
 #define IPS_CORE_SIMD_H_
@@ -37,42 +44,50 @@
 #include <cstddef>
 #include <cstdint>
 
+#include <span>
+
 namespace ips {
 namespace simd {
 
-// Active backend, decided at build time. The macros are global compile
-// options (IPS_DISABLE_SIMD via CMake, the rest implied by -march), so every
-// translation unit agrees on the width.
-#if defined(IPS_DISABLE_SIMD)
-inline constexpr size_t kLanes = 1;
-#elif defined(__AVX2__)
-inline constexpr size_t kLanes = 4;
-#elif defined(__SSE2__) || defined(_M_X64)
-inline constexpr size_t kLanes = 2;
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-inline constexpr size_t kLanes = 2;
-#else
-inline constexpr size_t kLanes = 1;
-#endif
+/// A kernel backend. Every backend computes bitwise-identical results; they
+/// differ only in speed.
+enum class Backend : uint8_t { kScalar, kSse2, kAvx2, kNeon };
 
-/// Human-readable name of the active backend: "avx2", "sse2", "neon" or
-/// "scalar". Used by benchmarks and logs.
+/// The backends this CPU can run, narrowest first: scalar, then SSE2 and
+/// AVX2 (when the CPU has it) on x86, or NEON on AArch64. The last entry is
+/// the one active at start-up.
+std::span<const Backend> SupportedBackends();
+
+/// Makes `backend` the active one for every later kernel call in the
+/// process. Returns false, and changes nothing, when this CPU cannot run
+/// it. Switching mid-run is safe (all backends agree bitwise), but callers
+/// comparing backends switch between runs.
+[[nodiscard]] bool UseBackend(Backend backend);
+
+/// The active backend.
+Backend ActiveBackend();
+
+/// "scalar", "sse2", "avx2" or "neon".
+const char* BackendName(Backend backend);
+
+/// Name of the active backend. Used by benchmarks and logs.
 const char* BackendName();
+
+/// Doubles per vector of the active backend: 1 (scalar), 2 (SSE2, NEON) or
+/// 4 (AVX2). SlidingDots computes 4 * Lanes() outputs per register-blocked
+/// pass; tests aim remainder counts at both.
+size_t Lanes();
 
 // ---------------------------------------------------------------------------
 // Kernels. Each is documented with the scalar loop it replaces; the
 // guarantee is bitwise-identical output for every input shape, including
-// remainder lanes (counts below, equal to, and above kLanes).
+// remainder lanes (counts below, equal to, and above Lanes()).
 // ---------------------------------------------------------------------------
-
-/// Outputs SlidingDots computes per register-blocked pass (four vector
-/// accumulators); tests aim remainder counts at it.
-inline constexpr size_t kSlidingDotsBlock = 4 * kLanes;
 
 /// Sliding dot products: out[i] = sum_j q[j] * s[i + j] for i in
 /// [0, n - m], accumulated in increasing j exactly as the naive kernel.
-/// Vectorised across kLanes adjacent outputs i (each lane keeps its own
-/// scalar-order accumulator), kSlidingDotsBlock outputs per pass. `out`
+/// Vectorised across Lanes() adjacent outputs i (each lane keeps its own
+/// scalar-order accumulator), 4 * Lanes() outputs per pass. `out`
 /// must hold n - m + 1 values.
 void SlidingDots(const double* q, size_t m, const double* s, size_t n,
                  double* out);
@@ -132,7 +147,7 @@ void RollingMomentsFromPrefix(const double* sum, const double* sq,
 /// One in-place right-to-left STOMP row update (matrix_profile RowSweep):
 ///   for j = count-1 .. 1: qt[j] = qt[j-1] - a_head*b[j-1] + a_tail*b[j+w-1]
 /// where a_head = a[i-1] and a_tail = a[i+w-1]. Every new qt[j] reads only
-/// pre-update values, so blocks of kLanes cells are independent outputs.
+/// pre-update values, so blocks of Lanes() cells are independent outputs.
 /// qt[0] is the caller's seed (column-0 dot product). `b` must extend to
 /// index count + window - 2.
 void QtRowAdvance(double* qt, size_t count, const double* b, size_t window,
@@ -282,8 +297,8 @@ EabResult ZNormMinEarlyAbandon(const EabArgs& args, EabCounters& counters);
 double SquaredEuclideanChained(const double* a, const double* b, size_t n);
 
 // Scalar reference instantiations of the same kernels (width 1), compiled
-// unconditionally. With IPS_DISABLE_SIMD the dispatched kernels above are
-// these exact functions.
+// unconditionally. With the scalar backend active the dispatched kernels
+// above are these exact functions.
 namespace scalar {
 void SlidingDots(const double* q, size_t m, const double* s, size_t n,
                  double* out);

@@ -1,0 +1,715 @@
+// Shared kernel templates of the SIMD layer (core/simd.h) and the table
+// each backend exports. Private to src/core: only the backend translation
+// units include it (simd.cc for the scalar reference, simd_sse2.cc,
+// simd_avx2.cc, simd_neon.cc).
+//
+// Everything a backend unit instantiates from this header lives in an
+// anonymous namespace, so each unit keeps its own copy. That matters for
+// simd_avx2.cc, the one unit compiled with -mavx2: were its instantiations
+// ordinary inline or template symbols, the linker would keep one copy per
+// name across units, and if it kept the AVX2 one, a CPU without AVX2 would
+// fault on the SSE2 or scalar path. For the same reason the kernels spell
+// out Max/Min instead of calling std::max/std::min (template instances an
+// unoptimised build emits out of line). The simd_avx2_symbols test fails
+// if the AVX2 object defines any weak or unique symbol.
+
+#ifndef IPS_CORE_SIMD_KERNELS_H_
+#define IPS_CORE_SIMD_KERNELS_H_
+
+#include <cmath>
+#include <cstddef>
+
+#include <limits>
+
+#include "core/simd.h"
+#include "core/znorm.h"
+
+namespace ips {
+namespace simd {
+
+/// One backend's kernels, each with the signature of the dispatched
+/// function of the same name in simd.h.
+struct KernelTable {
+  Backend backend;
+  const char* name;
+  size_t width;
+  void (*sliding_dots)(const double* q, size_t m, const double* s, size_t n,
+                       double* out);
+  void (*raw_profile)(double qq, const double* sqp, size_t window,
+                      const double* dots, size_t count, double* out);
+  double (*raw_min)(double qq, const double* sqp, size_t window,
+                    const double* dots, size_t count);
+  void (*znorm_profile)(const double* dots, const double* stds, size_t count,
+                        size_t window, bool query_flat, double* out);
+  double (*znorm_min)(const double* dots, const double* stds, size_t count,
+                      size_t window, bool query_flat);
+  void (*l2_profile)(double qq, const double* sqp, size_t window,
+                     const double* dots, size_t count, double* out);
+  double (*l2_min)(double qq, const double* sqp, size_t window,
+                   const double* dots, size_t count);
+  void (*cosine_profile)(double qq, const double* sqp, size_t window,
+                         const double* dots, size_t count, double* out);
+  double (*cosine_min)(double qq, const double* sqp, size_t window,
+                       const double* dots, size_t count);
+  void (*rolling_moments)(const double* sum, const double* sq, size_t count,
+                          size_t window, double grand_mean, double* means,
+                          double* stds);
+  void (*qt_row_advance)(double* qt, size_t count, const double* b,
+                         size_t window, double a_head, double a_tail);
+  void (*stomp_row_znorm)(const double* qt, const double* mu_b,
+                          const double* sig_b, size_t count, size_t window,
+                          double mu_a, double sig_a, double* out);
+  void (*stomp_row_raw)(const double* qt, const double* ssq_b, size_t count,
+                        size_t window, double ssq_a, double* out);
+  void (*stomp_row_l2)(const double* qt, const double* ssq_b, size_t count,
+                       size_t window, double ssq_a, double* out);
+  void (*stomp_row_cosine)(const double* qt, const double* ssq_b,
+                           size_t count, size_t window, double ssq_a,
+                           double* out);
+};
+
+// The tables the backend units export. Each is defined only where its unit
+// targets the architecture; simd.cc refers to the ones that exist.
+extern const KernelTable kScalarKernels;
+extern const KernelTable kSse2Kernels;
+extern const KernelTable kAvx2Kernels;
+extern const KernelTable kNeonKernels;
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// std::max / std::min on doubles, selection for selection.
+inline double Max(double a, double b) { return a < b ? b : a; }
+inline double Min(double a, double b) { return b < a ? b : a; }
+
+// ---------------------------------------------------------------- backends
+//
+// Each backend exposes the same static interface; the kernels below are
+// templates over it. Semantics every backend must honour so lanes match the
+// scalar code bit-for-bit:
+//  * Add/Sub/Mul/Div/Sqrt: one correctly-rounded IEEE-754 operation per
+//    lane -- exactly what the scalar expression performs. No FMA.
+//  * Min(a, b) / Max(a, b): value-level selection matching std::min(a, b) /
+//    std::max(a, b) for the non-NaN, non-(-0.0) inputs these kernels see.
+//  * CmpLt + Select(mask, a, b): lane-wise `cmp ? a : b` with a full-width
+//    mask, a pure bit-select (no arithmetic).
+// Vector backends (Sse2Ops, Avx2Ops, NeonOps) live in their own units.
+
+struct ScalarOps {
+  static constexpr size_t kWidth = 1;
+  using Vec = double;
+  using Mask = bool;
+  static Vec Load(const double* p) { return *p; }
+  static void Store(double* p, Vec v) { *p = v; }
+  static Vec Set(double x) { return x; }
+  static Vec Add(Vec a, Vec b) { return a + b; }
+  static Vec Sub(Vec a, Vec b) { return a - b; }
+  static Vec Mul(Vec a, Vec b) { return a * b; }
+  static Vec Div(Vec a, Vec b) { return a / b; }
+  static Vec Sqrt(Vec a) { return std::sqrt(a); }
+  static Vec Min(Vec a, Vec b) { return simd::Min(a, b); }
+  static Vec Max(Vec a, Vec b) { return simd::Max(a, b); }
+  static Mask CmpLt(Vec a, Vec b) { return a < b; }
+  static Vec Select(Mask m, Vec a, Vec b) { return m ? a : b; }
+  static double ReduceMin(Vec a) { return a; }
+};
+
+// ----------------------------------------------------------------- kernels
+//
+// Every template keeps the remainder loop identical to the historic scalar
+// code; the vector block performs the same operation sequence per lane.
+// With Ops = ScalarOps the vector block compiles away (kWidth == 1 never
+// enters it), leaving exactly the pre-SIMD loops.
+
+// The vector path is register-blocked: four independent accumulators cover
+// adjacent alignment blocks and share each broadcast q[j], so the adds of
+// different blocks overlap instead of waiting on one dependent chain. Every output still accumulates its own increasing-j
+// chain, so the blocking changes throughput, never a bit of the result.
+// Leftovers take the one-vector loop, then the scalar loop.
+template <typename Ops>
+void SlidingDotsT(const double* q, size_t m, const double* s, size_t n,
+                  double* out) {
+  const size_t count = n - m + 1;
+  constexpr size_t W = Ops::kWidth;
+  size_t i = 0;
+  if constexpr (W > 1) {
+    constexpr size_t kBlock = 4 * W;
+    for (; i + kBlock <= count; i += kBlock) {
+      const double* p = s + i;
+      auto a0 = Ops::Set(0.0);
+      auto a1 = a0;
+      auto a2 = a0;
+      auto a3 = a0;
+      for (size_t j = 0; j < m; ++j) {
+        const auto qj = Ops::Set(q[j]);
+        a0 = Ops::Add(a0, Ops::Mul(qj, Ops::Load(p + j)));
+        a1 = Ops::Add(a1, Ops::Mul(qj, Ops::Load(p + j + W)));
+        a2 = Ops::Add(a2, Ops::Mul(qj, Ops::Load(p + j + 2 * W)));
+        a3 = Ops::Add(a3, Ops::Mul(qj, Ops::Load(p + j + 3 * W)));
+      }
+      Ops::Store(out + i, a0);
+      Ops::Store(out + i + W, a1);
+      Ops::Store(out + i + 2 * W, a2);
+      Ops::Store(out + i + 3 * W, a3);
+    }
+    for (; i + W <= count; i += W) {
+      auto acc = Ops::Set(0.0);
+      for (size_t j = 0; j < m; ++j) {
+        acc = Ops::Add(acc, Ops::Mul(Ops::Set(q[j]), Ops::Load(s + i + j)));
+      }
+      Ops::Store(out + i, acc);
+    }
+  }
+  for (; i < count; ++i) {
+    double acc = 0.0;
+    for (size_t j = 0; j < m; ++j) acc += q[j] * s[i + j];
+    out[i] = acc;
+  }
+}
+
+template <typename Ops>
+void RawProfileT(double qq, const double* sqp, size_t window,
+                 const double* dots, size_t count, double* out) {
+  const double md = static_cast<double>(window);
+  constexpr size_t W = Ops::kWidth;
+  size_t i = 0;
+  if constexpr (W > 1) {
+    const auto qqv = Ops::Set(qq);
+    const auto two = Ops::Set(2.0);
+    const auto mdv = Ops::Set(md);
+    const auto zero = Ops::Set(0.0);
+    for (; i + W <= count; i += W) {
+      const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
+      const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
+      Ops::Store(out + i, Ops::Max(zero, Ops::Div(num, mdv)));
+    }
+  }
+  for (; i < count; ++i) {
+    const double window_sq = sqp[i + window] - sqp[i];
+    out[i] = Max(0.0, (qq - 2.0 * dots[i] + window_sq) / md);
+  }
+}
+
+template <typename Ops>
+double RawMinT(double qq, const double* sqp, size_t window, const double* dots,
+               size_t count) {
+  const double md = static_cast<double>(window);
+  constexpr size_t W = Ops::kWidth;
+  double best = kInf;
+  size_t i = 0;
+  if constexpr (W > 1) {
+    const auto qqv = Ops::Set(qq);
+    const auto two = Ops::Set(2.0);
+    const auto mdv = Ops::Set(md);
+    const auto zero = Ops::Set(0.0);
+    auto acc = Ops::Set(kInf);
+    for (; i + W <= count; i += W) {
+      const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
+      const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
+      acc = Ops::Min(acc, Ops::Max(zero, Ops::Div(num, mdv)));
+    }
+    best = Ops::ReduceMin(acc);
+  }
+  for (; i < count; ++i) {
+    const double window_sq = sqp[i + window] - sqp[i];
+    const double d = Max(0.0, (qq - 2.0 * dots[i] + window_sq) / md);
+    best = Min(best, d);
+  }
+  return best;
+}
+
+template <typename Ops>
+void ZNormProfileT(const double* dots, const double* stds, size_t count,
+                   size_t window, bool query_flat, double* out) {
+  const double md = static_cast<double>(window);
+  const double sqrt_md = std::sqrt(md);
+  constexpr size_t W = Ops::kWidth;
+  size_t i = 0;
+  if (query_flat) {
+    if constexpr (W > 1) {
+      const auto eps = Ops::Set(kFlatStdEpsilon);
+      const auto zero = Ops::Set(0.0);
+      const auto smd = Ops::Set(sqrt_md);
+      for (; i + W <= count; i += W) {
+        const auto flat = Ops::CmpLt(Ops::Load(stds + i), eps);
+        Ops::Store(out + i, Ops::Select(flat, zero, smd));
+      }
+    }
+    for (; i < count; ++i) {
+      out[i] = stds[i] < kFlatStdEpsilon ? 0.0 : sqrt_md;
+    }
+    return;
+  }
+  if constexpr (W > 1) {
+    const auto eps = Ops::Set(kFlatStdEpsilon);
+    const auto zero = Ops::Set(0.0);
+    const auto two = Ops::Set(2.0);
+    const auto twomd = Ops::Set(2.0 * md);
+    const auto smd = Ops::Set(sqrt_md);
+    for (; i + W <= count; i += W) {
+      const auto sig = Ops::Load(stds + i);
+      const auto flat = Ops::CmpLt(sig, eps);
+      const auto d2 = Ops::Max(
+          zero, Ops::Sub(twomd, Ops::Div(Ops::Mul(two, Ops::Load(dots + i)), sig)));
+      Ops::Store(out + i, Ops::Select(flat, smd, Ops::Sqrt(d2)));
+    }
+  }
+  for (; i < count; ++i) {
+    const double sig = stds[i];
+    if (sig < kFlatStdEpsilon) {
+      out[i] = sqrt_md;
+    } else {
+      const double d2 = Max(0.0, 2.0 * md - 2.0 * dots[i] / sig);
+      out[i] = std::sqrt(d2);
+    }
+  }
+}
+
+template <typename Ops>
+double ZNormMinT(const double* dots, const double* stds, size_t count,
+                 size_t window, bool query_flat) {
+  const double md = static_cast<double>(window);
+  const double sqrt_md = std::sqrt(md);
+  constexpr size_t W = Ops::kWidth;
+  double best = kInf;
+  size_t i = 0;
+  if (query_flat) {
+    if constexpr (W > 1) {
+      const auto eps = Ops::Set(kFlatStdEpsilon);
+      const auto zero = Ops::Set(0.0);
+      const auto smd = Ops::Set(sqrt_md);
+      auto acc = Ops::Set(kInf);
+      for (; i + W <= count; i += W) {
+        const auto flat = Ops::CmpLt(Ops::Load(stds + i), eps);
+        acc = Ops::Min(acc, Ops::Select(flat, zero, smd));
+      }
+      best = Ops::ReduceMin(acc);
+    }
+    for (; i < count; ++i) {
+      const double d = stds[i] < kFlatStdEpsilon ? 0.0 : sqrt_md;
+      best = Min(best, d);
+    }
+    return best;
+  }
+  if constexpr (W > 1) {
+    const auto eps = Ops::Set(kFlatStdEpsilon);
+    const auto zero = Ops::Set(0.0);
+    const auto two = Ops::Set(2.0);
+    const auto twomd = Ops::Set(2.0 * md);
+    const auto smd = Ops::Set(sqrt_md);
+    auto acc = Ops::Set(kInf);
+    for (; i + W <= count; i += W) {
+      const auto sig = Ops::Load(stds + i);
+      const auto flat = Ops::CmpLt(sig, eps);
+      const auto d2 = Ops::Max(
+          zero, Ops::Sub(twomd, Ops::Div(Ops::Mul(two, Ops::Load(dots + i)), sig)));
+      acc = Ops::Min(acc, Ops::Select(flat, smd, Ops::Sqrt(d2)));
+    }
+    best = Ops::ReduceMin(acc);
+  }
+  for (; i < count; ++i) {
+    const double sig = stds[i];
+    double d;
+    if (sig < kFlatStdEpsilon) {
+      d = sqrt_md;
+    } else {
+      const double d2 = Max(0.0, 2.0 * md - 2.0 * dots[i] / sig);
+      d = std::sqrt(d2);
+    }
+    best = Min(best, d);
+  }
+  return best;
+}
+
+template <typename Ops>
+void L2ProfileT(double qq, const double* sqp, size_t window,
+                const double* dots, size_t count, double* out) {
+  constexpr size_t W = Ops::kWidth;
+  size_t i = 0;
+  if constexpr (W > 1) {
+    const auto qqv = Ops::Set(qq);
+    const auto two = Ops::Set(2.0);
+    const auto zero = Ops::Set(0.0);
+    for (; i + W <= count; i += W) {
+      const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
+      const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
+      Ops::Store(out + i, Ops::Sqrt(Ops::Max(zero, num)));
+    }
+  }
+  for (; i < count; ++i) {
+    const double window_sq = sqp[i + window] - sqp[i];
+    out[i] = std::sqrt(Max(0.0, qq - 2.0 * dots[i] + window_sq));
+  }
+}
+
+template <typename Ops>
+double L2MinT(double qq, const double* sqp, size_t window, const double* dots,
+              size_t count) {
+  constexpr size_t W = Ops::kWidth;
+  double best = kInf;
+  size_t i = 0;
+  if constexpr (W > 1) {
+    const auto qqv = Ops::Set(qq);
+    const auto two = Ops::Set(2.0);
+    const auto zero = Ops::Set(0.0);
+    auto acc = Ops::Set(kInf);
+    for (; i + W <= count; i += W) {
+      const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
+      const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
+      acc = Ops::Min(acc, Ops::Sqrt(Ops::Max(zero, num)));
+    }
+    best = Ops::ReduceMin(acc);
+  }
+  for (; i < count; ++i) {
+    const double window_sq = sqp[i + window] - sqp[i];
+    const double d = std::sqrt(Max(0.0, qq - 2.0 * dots[i] + window_sq));
+    best = Min(best, d);
+  }
+  return best;
+}
+
+// NOTE on the cosine kernels: the window energies are prefix differences of
+// a non-decreasing prefix (each step adds a non-negative square under
+// monotone rounding), so sqp[i+m] - sqp[i] >= 0 exactly and the Sqrt is
+// always defined. Flat (near-zero-norm) lanes still evaluate the division
+// in the vector block -- the quotient may be inf/nan but Select discards it
+// bit-for-bit, the same convention ZNormProfileT uses for flat stds.
+
+template <typename Ops>
+void CosineProfileT(double qq, const double* sqp, size_t window,
+                    const double* dots, size_t count, double* out) {
+  const double qn = std::sqrt(qq);
+  constexpr size_t W = Ops::kWidth;
+  size_t i = 0;
+  if (qn < kFlatStdEpsilon) {
+    if constexpr (W > 1) {
+      const auto eps = Ops::Set(kFlatStdEpsilon);
+      const auto zero = Ops::Set(0.0);
+      const auto one = Ops::Set(1.0);
+      for (; i + W <= count; i += W) {
+        const auto wn = Ops::Sqrt(
+            Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
+        Ops::Store(out + i, Ops::Select(Ops::CmpLt(wn, eps), zero, one));
+      }
+    }
+    for (; i < count; ++i) {
+      const double wn = std::sqrt(sqp[i + window] - sqp[i]);
+      out[i] = wn < kFlatStdEpsilon ? 0.0 : 1.0;
+    }
+    return;
+  }
+  if constexpr (W > 1) {
+    const auto eps = Ops::Set(kFlatStdEpsilon);
+    const auto zero = Ops::Set(0.0);
+    const auto one = Ops::Set(1.0);
+    const auto qnv = Ops::Set(qn);
+    for (; i + W <= count; i += W) {
+      const auto wn = Ops::Sqrt(
+          Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
+      const auto flat = Ops::CmpLt(wn, eps);
+      const auto sim = Ops::Div(Ops::Load(dots + i), Ops::Mul(qnv, wn));
+      Ops::Store(out + i,
+                 Ops::Select(flat, one, Ops::Max(zero, Ops::Sub(one, sim))));
+    }
+  }
+  for (; i < count; ++i) {
+    const double wn = std::sqrt(sqp[i + window] - sqp[i]);
+    if (wn < kFlatStdEpsilon) {
+      out[i] = 1.0;
+    } else {
+      const double sim = dots[i] / (qn * wn);
+      out[i] = Max(0.0, 1.0 - sim);
+    }
+  }
+}
+
+template <typename Ops>
+double CosineMinT(double qq, const double* sqp, size_t window,
+                  const double* dots, size_t count) {
+  const double qn = std::sqrt(qq);
+  constexpr size_t W = Ops::kWidth;
+  double best = kInf;
+  size_t i = 0;
+  if (qn < kFlatStdEpsilon) {
+    if constexpr (W > 1) {
+      const auto eps = Ops::Set(kFlatStdEpsilon);
+      const auto zero = Ops::Set(0.0);
+      const auto one = Ops::Set(1.0);
+      auto acc = Ops::Set(kInf);
+      for (; i + W <= count; i += W) {
+        const auto wn = Ops::Sqrt(
+            Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
+        acc = Ops::Min(acc, Ops::Select(Ops::CmpLt(wn, eps), zero, one));
+      }
+      best = Ops::ReduceMin(acc);
+    }
+    for (; i < count; ++i) {
+      const double wn = std::sqrt(sqp[i + window] - sqp[i]);
+      const double d = wn < kFlatStdEpsilon ? 0.0 : 1.0;
+      best = Min(best, d);
+    }
+    return best;
+  }
+  if constexpr (W > 1) {
+    const auto eps = Ops::Set(kFlatStdEpsilon);
+    const auto zero = Ops::Set(0.0);
+    const auto one = Ops::Set(1.0);
+    const auto qnv = Ops::Set(qn);
+    auto acc = Ops::Set(kInf);
+    for (; i + W <= count; i += W) {
+      const auto wn = Ops::Sqrt(
+          Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
+      const auto flat = Ops::CmpLt(wn, eps);
+      const auto sim = Ops::Div(Ops::Load(dots + i), Ops::Mul(qnv, wn));
+      acc = Ops::Min(acc,
+                     Ops::Select(flat, one, Ops::Max(zero, Ops::Sub(one, sim))));
+    }
+    best = Ops::ReduceMin(acc);
+  }
+  for (; i < count; ++i) {
+    const double wn = std::sqrt(sqp[i + window] - sqp[i]);
+    double d;
+    if (wn < kFlatStdEpsilon) {
+      d = 1.0;
+    } else {
+      const double sim = dots[i] / (qn * wn);
+      d = Max(0.0, 1.0 - sim);
+    }
+    best = Min(best, d);
+  }
+  return best;
+}
+
+template <typename Ops>
+void RollingMomentsT(const double* sum, const double* sq, size_t count,
+                     size_t window, double grand_mean, double* means,
+                     double* stds) {
+  const double wd = static_cast<double>(window);
+  constexpr size_t W = Ops::kWidth;
+  size_t i = 0;
+  if constexpr (W > 1) {
+    const auto wdv = Ops::Set(wd);
+    const auto gmv = Ops::Set(grand_mean);
+    const auto zero = Ops::Set(0.0);
+    for (; i + W <= count; i += W) {
+      const auto s1 = Ops::Sub(Ops::Load(sum + i + window), Ops::Load(sum + i));
+      const auto s2 = Ops::Sub(Ops::Load(sq + i + window), Ops::Load(sq + i));
+      const auto mean_c = Ops::Div(s1, wdv);
+      const auto var = Ops::Max(
+          zero, Ops::Sub(Ops::Div(s2, wdv), Ops::Mul(mean_c, mean_c)));
+      Ops::Store(means + i, Ops::Add(gmv, mean_c));
+      Ops::Store(stds + i, Ops::Sqrt(var));
+    }
+  }
+  for (; i < count; ++i) {
+    const double s1 = sum[i + window] - sum[i];
+    const double s2 = sq[i + window] - sq[i];
+    const double mean_c = s1 / wd;
+    const double var = Max(0.0, s2 / wd - mean_c * mean_c);
+    means[i] = grand_mean + mean_c;
+    stds[i] = std::sqrt(var);
+  }
+}
+
+template <typename Ops>
+void QtRowAdvanceT(double* qt, size_t count, const double* b, size_t window,
+                   double a_head, double a_tail) {
+  // Right-to-left, in place: every new qt[j] reads only pre-update values
+  // (qt[j - 1] sits left of the lowest index written so far), so whole
+  // blocks are independent outputs as long as each block loads before it
+  // stores and blocks are walked right to left.
+  constexpr size_t W = Ops::kWidth;
+  size_t j = count;  // exclusive upper bound of the un-updated range
+  if constexpr (W > 1) {
+    const auto ah = Ops::Set(a_head);
+    const auto at = Ops::Set(a_tail);
+    while (j >= 1 + W) {
+      const size_t jb = j - W;  // block [jb, jb + W), jb >= 1
+      const auto prev = Ops::Load(qt + jb - 1);
+      const auto drop = Ops::Mul(ah, Ops::Load(b + jb - 1));
+      const auto add = Ops::Mul(at, Ops::Load(b + jb + window - 1));
+      Ops::Store(qt + jb, Ops::Add(Ops::Sub(prev, drop), add));
+      j = jb;
+    }
+  }
+  for (size_t k = j; k-- > 1;) {
+    qt[k] = qt[k - 1] - a_head * b[k - 1] + a_tail * b[k + window - 1];
+  }
+}
+
+template <typename Ops>
+void StompRowDistancesT(const double* qt, const double* mu_b,
+                        const double* sig_b, size_t count, size_t window,
+                        double mu_a, double sig_a, double* out) {
+  const double m = static_cast<double>(window);
+  const double sqrt_m = std::sqrt(m);
+  constexpr size_t W = Ops::kWidth;
+  size_t j = 0;
+  if (sig_a < kFlatStdEpsilon) {
+    if constexpr (W > 1) {
+      const auto eps = Ops::Set(kFlatStdEpsilon);
+      const auto zero = Ops::Set(0.0);
+      const auto sm = Ops::Set(sqrt_m);
+      for (; j + W <= count; j += W) {
+        const auto flat_b = Ops::CmpLt(Ops::Load(sig_b + j), eps);
+        Ops::Store(out + j, Ops::Select(flat_b, zero, sm));
+      }
+    }
+    for (; j < count; ++j) {
+      out[j] = sig_b[j] < kFlatStdEpsilon ? 0.0 : sqrt_m;
+    }
+    return;
+  }
+  if constexpr (W > 1) {
+    const auto eps = Ops::Set(kFlatStdEpsilon);
+    const auto zero = Ops::Set(0.0);
+    const auto one = Ops::Set(1.0);
+    const auto mv = Ops::Set(m);
+    const auto twom = Ops::Set(2.0 * m);
+    const auto sm = Ops::Set(sqrt_m);
+    const auto mua = Ops::Set(mu_a);
+    const auto siga = Ops::Set(sig_a);
+    for (; j + W <= count; j += W) {
+      const auto sigb = Ops::Load(sig_b + j);
+      const auto flat_b = Ops::CmpLt(sigb, eps);
+      const auto num =
+          Ops::Sub(Ops::Load(qt + j), Ops::Mul(mv, Ops::Mul(mua, Ops::Load(mu_b + j))));
+      const auto den = Ops::Mul(mv, Ops::Mul(siga, sigb));
+      const auto corr = Ops::Div(num, den);
+      const auto d2 = Ops::Max(zero, Ops::Mul(twom, Ops::Sub(one, corr)));
+      Ops::Store(out + j, Ops::Select(flat_b, sm, Ops::Sqrt(d2)));
+    }
+  }
+  for (; j < count; ++j) {
+    // The tail mirrors StompZNormDistance (stomp_common.h) with flat_a
+    // already known false; tests pin the two to bitwise agreement.
+    if (sig_b[j] < kFlatStdEpsilon) {
+      out[j] = sqrt_m;
+      continue;
+    }
+    const double corr = (qt[j] - m * (mu_a * mu_b[j])) / (m * (sig_a * sig_b[j]));
+    const double d2 = Max(0.0, 2.0 * m * (1.0 - corr));
+    out[j] = std::sqrt(d2);
+  }
+}
+
+template <typename Ops>
+void StompRowRawT(const double* qt, const double* ssq_b, size_t count,
+                  size_t window, double ssq_a, double* out) {
+  const double m = static_cast<double>(window);
+  constexpr size_t W = Ops::kWidth;
+  size_t j = 0;
+  if constexpr (W > 1) {
+    const auto zero = Ops::Set(0.0);
+    const auto two = Ops::Set(2.0);
+    const auto mv = Ops::Set(m);
+    const auto sa = Ops::Set(ssq_a);
+    for (; j + W <= count; j += W) {
+      const auto num = Ops::Sub(Ops::Add(sa, Ops::Load(ssq_b + j)),
+                                Ops::Mul(two, Ops::Load(qt + j)));
+      Ops::Store(out + j, Ops::Max(zero, Ops::Div(num, mv)));
+    }
+  }
+  for (; j < count; ++j) {
+    // Mirrors StompRawDistance (stomp_common.h); the (ssq_a + ssq_b)
+    // grouping makes the value bitwise symmetric under exchanging sides.
+    out[j] = Max(0.0, ((ssq_a + ssq_b[j]) - 2.0 * qt[j]) / m);
+  }
+}
+
+template <typename Ops>
+void StompRowL2T(const double* qt, const double* ssq_b, size_t count,
+                 size_t /*window*/, double ssq_a, double* out) {
+  constexpr size_t W = Ops::kWidth;
+  size_t j = 0;
+  if constexpr (W > 1) {
+    const auto zero = Ops::Set(0.0);
+    const auto two = Ops::Set(2.0);
+    const auto sa = Ops::Set(ssq_a);
+    for (; j + W <= count; j += W) {
+      const auto num = Ops::Sub(Ops::Add(sa, Ops::Load(ssq_b + j)),
+                                Ops::Mul(two, Ops::Load(qt + j)));
+      Ops::Store(out + j, Ops::Sqrt(Ops::Max(zero, num)));
+    }
+  }
+  for (; j < count; ++j) {
+    // Mirrors StompL2Distance (stomp_common.h).
+    out[j] = std::sqrt(Max(0.0, (ssq_a + ssq_b[j]) - 2.0 * qt[j]));
+  }
+}
+
+template <typename Ops>
+void StompRowCosineT(const double* qt, const double* ssq_b, size_t count,
+                     size_t /*window*/, double ssq_a, double* out) {
+  const double na = std::sqrt(ssq_a);
+  constexpr size_t W = Ops::kWidth;
+  size_t j = 0;
+  if (na < kFlatStdEpsilon) {
+    if constexpr (W > 1) {
+      const auto eps = Ops::Set(kFlatStdEpsilon);
+      const auto zero = Ops::Set(0.0);
+      const auto one = Ops::Set(1.0);
+      for (; j + W <= count; j += W) {
+        const auto nb = Ops::Sqrt(Ops::Load(ssq_b + j));
+        Ops::Store(out + j, Ops::Select(Ops::CmpLt(nb, eps), zero, one));
+      }
+    }
+    for (; j < count; ++j) {
+      out[j] = std::sqrt(ssq_b[j]) < kFlatStdEpsilon ? 0.0 : 1.0;
+    }
+    return;
+  }
+  if constexpr (W > 1) {
+    const auto eps = Ops::Set(kFlatStdEpsilon);
+    const auto zero = Ops::Set(0.0);
+    const auto one = Ops::Set(1.0);
+    const auto nav = Ops::Set(na);
+    for (; j + W <= count; j += W) {
+      const auto nb = Ops::Sqrt(Ops::Load(ssq_b + j));
+      const auto flat = Ops::CmpLt(nb, eps);
+      const auto sim = Ops::Div(Ops::Load(qt + j), Ops::Mul(nav, nb));
+      Ops::Store(out + j,
+                 Ops::Select(flat, one, Ops::Max(zero, Ops::Sub(one, sim))));
+    }
+  }
+  for (; j < count; ++j) {
+    // Mirrors StompCosineDistance (stomp_common.h) with flat_a known false.
+    const double nb = std::sqrt(ssq_b[j]);
+    if (nb < kFlatStdEpsilon) {
+      out[j] = 1.0;
+      continue;
+    }
+    const double sim = qt[j] / (na * nb);
+    out[j] = Max(0.0, 1.0 - sim);
+  }
+}
+
+// The table of one backend: every kernel instantiated with `Ops`.
+template <typename Ops>
+constexpr KernelTable MakeKernelTable(Backend backend, const char* name) {
+  return KernelTable{backend,
+                     name,
+                     Ops::kWidth,
+                     &SlidingDotsT<Ops>,
+                     &RawProfileT<Ops>,
+                     &RawMinT<Ops>,
+                     &ZNormProfileT<Ops>,
+                     &ZNormMinT<Ops>,
+                     &L2ProfileT<Ops>,
+                     &L2MinT<Ops>,
+                     &CosineProfileT<Ops>,
+                     &CosineMinT<Ops>,
+                     &RollingMomentsT<Ops>,
+                     &QtRowAdvanceT<Ops>,
+                     &StompRowDistancesT<Ops>,
+                     &StompRowRawT<Ops>,
+                     &StompRowL2T<Ops>,
+                     &StompRowCosineT<Ops>};
+}
+
+}  // namespace
+}  // namespace simd
+}  // namespace ips
+
+#endif  // IPS_CORE_SIMD_KERNELS_H_

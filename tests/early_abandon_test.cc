@@ -3,13 +3,13 @@
 // identical with it on and off -- transform features, batch minima,
 // pairwise matrices, predictions and discovery fingerprints (DABF and
 // naive pruning alike), for every registered metric, at 1, 2 and 8
-// threads, in both the SIMD and the -DIPS_DISABLE_SIMD builds (CI runs
-// this binary in both). The adversarial cases aim at the lower bounds
-// themselves: constant (flat) windows and queries, exact embedded matches
-// (best hits the kernels' zero short-circuit), single-alignment and
-// single-element queries, and out-of-range seed hints. A prune-hostile
-// case (generator noise, where the cascade bails out) covers the bail-out
-// fallback and the bank's dense route.
+// threads, on every SIMD backend the CPU supports (each test body runs
+// once per backend in this one binary). The adversarial cases aim at the
+// lower bounds themselves: constant (flat) windows and queries, exact
+// embedded matches (best hits the kernels' zero short-circuit),
+// single-alignment and single-element queries, and out-of-range seed
+// hints. A prune-hostile case (generator noise, where the cascade bails
+// out) covers the bail-out fallback and the bank's dense route.
 
 #include <cmath>
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include "core/znorm.h"
 #include "data/generator.h"
 #include "ips/pipeline.h"
+#include "simd_backends.h"
 #include "transform/shapelet_transform.h"
 
 namespace ips {
@@ -92,55 +93,57 @@ class EarlyAbandonParityTest
     : public ::testing::TestWithParam<std::tuple<MetricId, size_t>> {};
 
 TEST_P(EarlyAbandonParityTest, BatchApisBitwiseIdentical) {
-  const MetricId metric = std::get<0>(GetParam());
-  const size_t threads = std::get<1>(GetParam());
-  const Dataset data = FixtureDataset(6, 160);
-  const std::vector<Subsequence> shapelets = FixtureShapelets(data);
-  const std::vector<std::span<const double>> views = Views(data);
+  ForEachSimdBackend([&] {
+    const MetricId metric = std::get<0>(GetParam());
+    const size_t threads = std::get<1>(GetParam());
+    const Dataset data = FixtureDataset(6, 160);
+    const std::vector<Subsequence> shapelets = FixtureShapelets(data);
+    const std::vector<std::span<const double>> views = Views(data);
 
-  std::vector<IndexPair> pairs;
-  for (uint32_t i = 0; i < views.size(); ++i) {
-    for (uint32_t j = 0; j < views.size(); ++j) pairs.emplace_back(i, j);
-  }
-
-  DistanceEngine pruned(threads);
-  pruned.set_early_abandon(true);
-  DistanceEngine dense(threads);
-  dense.set_early_abandon(false);
-
-  const auto rows_p =
-      ShapeletTransform(data, shapelets, metric, 1, &pruned).features;
-  const auto rows_d =
-      ShapeletTransform(data, shapelets, metric, 1, &dense).features;
-  ASSERT_EQ(rows_p.size(), rows_d.size());
-  for (size_t i = 0; i < rows_p.size(); ++i) {
-    EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
-    EXPECT_EQ(rows_p[i], TransformSeries(data[i], shapelets, metric)) << i;
-  }
-
-  EXPECT_EQ(pruned.MinForPairs(views, pairs, metric),
-            dense.MinForPairs(views, pairs, metric));
-
-  // Shapelets against each other: every length pairing, both orders.
-  std::vector<std::span<const double>> shapelet_views;
-  for (const Subsequence& s : shapelets) shapelet_views.push_back(s.view());
-  std::vector<IndexPair> shapelet_pairs;
-  for (uint32_t i = 0; i < shapelets.size(); ++i) {
-    for (uint32_t j = 0; j < shapelets.size(); ++j) {
-      shapelet_pairs.emplace_back(i, j);
+    std::vector<IndexPair> pairs;
+    for (uint32_t i = 0; i < views.size(); ++i) {
+      for (uint32_t j = 0; j < views.size(); ++j) pairs.emplace_back(i, j);
     }
-  }
-  EXPECT_EQ(pruned.MinForPairs(shapelet_views, shapelet_pairs, metric),
-            dense.MinForPairs(shapelet_views, shapelet_pairs, metric));
 
-  // The cascade's work accounting must balance, and the fingerprint
-  // counter (profiles_computed) must not see the cascade at all.
-  const EngineCounters cp = pruned.counters();
-  const EngineCounters cd = dense.counters();
-  EXPECT_EQ(cp.eab_candidates,
-            cp.eab_lb_pruned + cp.eab_abandoned + cp.eab_full);
-  EXPECT_EQ(cd.eab_candidates, 0u);
-  EXPECT_EQ(cp.profiles_computed, cd.profiles_computed);
+    DistanceEngine pruned(threads);
+    pruned.set_early_abandon(true);
+    DistanceEngine dense(threads);
+    dense.set_early_abandon(false);
+
+    const auto rows_p =
+        ShapeletTransform(data, shapelets, metric, 1, &pruned).features;
+    const auto rows_d =
+        ShapeletTransform(data, shapelets, metric, 1, &dense).features;
+    ASSERT_EQ(rows_p.size(), rows_d.size());
+    for (size_t i = 0; i < rows_p.size(); ++i) {
+      EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
+      EXPECT_EQ(rows_p[i], TransformSeries(data[i], shapelets, metric)) << i;
+    }
+
+    EXPECT_EQ(pruned.MinForPairs(views, pairs, metric),
+              dense.MinForPairs(views, pairs, metric));
+
+    // Shapelets against each other: every length pairing, both orders.
+    std::vector<std::span<const double>> shapelet_views;
+    for (const Subsequence& s : shapelets) shapelet_views.push_back(s.view());
+    std::vector<IndexPair> shapelet_pairs;
+    for (uint32_t i = 0; i < shapelets.size(); ++i) {
+      for (uint32_t j = 0; j < shapelets.size(); ++j) {
+        shapelet_pairs.emplace_back(i, j);
+      }
+    }
+    EXPECT_EQ(pruned.MinForPairs(shapelet_views, shapelet_pairs, metric),
+              dense.MinForPairs(shapelet_views, shapelet_pairs, metric));
+
+    // The cascade's work accounting must balance, and the fingerprint
+    // counter (profiles_computed) must not see the cascade at all.
+    const EngineCounters cp = pruned.counters();
+    const EngineCounters cd = dense.counters();
+    EXPECT_EQ(cp.eab_candidates,
+              cp.eab_lb_pruned + cp.eab_abandoned + cp.eab_full);
+    EXPECT_EQ(cd.eab_candidates, 0u);
+    EXPECT_EQ(cp.profiles_computed, cd.profiles_computed);
+  });
 }
 
 // The hostile regime: generator-default noise, where windows barely
@@ -150,85 +153,89 @@ TEST_P(EarlyAbandonParityTest, BatchApisBitwiseIdentical) {
 // dense; both must stay bitwise equal to the dense path. The shapelets
 // include m == 1, where the first and last LB_Kim terms coincide.
 TEST_P(EarlyAbandonParityTest, PruneHostileTransformBitwiseIdentical) {
-  const MetricId metric = std::get<0>(GetParam());
-  const size_t threads = std::get<1>(GetParam());
-  GeneratorSpec spec;
-  spec.name = "eab-hostile";
-  spec.train_size = 48;
-  spec.test_size = 2;
-  spec.length = 128;
-  const Dataset data = GenerateDataset(spec).train;
-  std::vector<Subsequence> shapelets;
-  for (size_t len : {1, 9, 17, 33, 51}) {
-    shapelets.push_back(ExtractSubsequence(data[len % 7], 3 * len % 64, len));
-  }
-
-  DistanceEngine pruned(threads);
-  pruned.set_early_abandon(true);
-  DistanceEngine dense(threads);
-  dense.set_early_abandon(false);
-  const auto rows_p =
-      ShapeletTransform(data, shapelets, metric, 1, &pruned).features;
-  const auto rows_d =
-      ShapeletTransform(data, shapelets, metric, 1, &dense).features;
-  ASSERT_EQ(rows_p.size(), rows_d.size());
-  for (size_t i = 0; i < rows_p.size(); ++i) {
-    EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
-  }
-
-  // Every series against every shapelet through MinForPairs: the cascade
-  // runs on each pair and bails out on most.
-  std::vector<std::span<const double>> views = Views(data);
-  std::vector<IndexPair> pairs;
-  for (uint32_t s = 0; s < shapelets.size(); ++s) {
-    views.push_back(shapelets[s].view());
-    for (uint32_t i = 0; i < data.size(); ++i) {
-      pairs.emplace_back(static_cast<uint32_t>(data.size()) + s, i);
+  ForEachSimdBackend([&] {
+    const MetricId metric = std::get<0>(GetParam());
+    const size_t threads = std::get<1>(GetParam());
+    GeneratorSpec spec;
+    spec.name = "eab-hostile";
+    spec.train_size = 48;
+    spec.test_size = 2;
+    spec.length = 128;
+    const Dataset data = GenerateDataset(spec).train;
+    std::vector<Subsequence> shapelets;
+    for (size_t len : {1, 9, 17, 33, 51}) {
+      shapelets.push_back(ExtractSubsequence(data[len % 7], 3 * len % 64, len));
     }
-  }
-  EXPECT_EQ(pruned.MinForPairs(views, pairs, metric),
-            dense.MinForPairs(views, pairs, metric));
 
-  const EngineCounters cp = pruned.counters();
-  EXPECT_EQ(cp.eab_candidates,
-            cp.eab_lb_pruned + cp.eab_abandoned + cp.eab_full);
-  EXPECT_EQ(dense.counters().eab_candidates, 0u);
-  if (GetMetric(metric).eab_profitable) {
-    EXPECT_GT(cp.eab_candidates, 0u) << "the cascade never ran";
-  }
+    DistanceEngine pruned(threads);
+    pruned.set_early_abandon(true);
+    DistanceEngine dense(threads);
+    dense.set_early_abandon(false);
+    const auto rows_p =
+        ShapeletTransform(data, shapelets, metric, 1, &pruned).features;
+    const auto rows_d =
+        ShapeletTransform(data, shapelets, metric, 1, &dense).features;
+    ASSERT_EQ(rows_p.size(), rows_d.size());
+    for (size_t i = 0; i < rows_p.size(); ++i) {
+      EXPECT_EQ(rows_p[i], rows_d[i]) << "transform row " << i;
+    }
+
+    // Every series against every shapelet through MinForPairs: the cascade
+    // runs on each pair and bails out on most.
+    std::vector<std::span<const double>> views = Views(data);
+    std::vector<IndexPair> pairs;
+    for (uint32_t s = 0; s < shapelets.size(); ++s) {
+      views.push_back(shapelets[s].view());
+      for (uint32_t i = 0; i < data.size(); ++i) {
+        pairs.emplace_back(static_cast<uint32_t>(data.size()) + s, i);
+      }
+    }
+    EXPECT_EQ(pruned.MinForPairs(views, pairs, metric),
+              dense.MinForPairs(views, pairs, metric));
+
+    const EngineCounters cp = pruned.counters();
+    EXPECT_EQ(cp.eab_candidates,
+              cp.eab_lb_pruned + cp.eab_abandoned + cp.eab_full);
+    EXPECT_EQ(dense.counters().eab_candidates, 0u);
+    if (GetMetric(metric).eab_profitable) {
+      EXPECT_GT(cp.eab_candidates, 0u) << "the cascade never ran";
+    }
+  });
 }
 
 TEST_P(EarlyAbandonParityTest, SingleAlignmentAndFlatInputs) {
-  const MetricId metric = std::get<0>(GetParam());
-  const size_t threads = std::get<1>(GetParam());
-  DistanceEngine pruned(threads);
-  pruned.set_early_abandon(true);
-  DistanceEngine dense(threads);
-  dense.set_early_abandon(false);
+  ForEachSimdBackend([&] {
+    const MetricId metric = std::get<0>(GetParam());
+    const size_t threads = std::get<1>(GetParam());
+    DistanceEngine pruned(threads);
+    pruned.set_early_abandon(true);
+    DistanceEngine dense(threads);
+    dense.set_early_abandon(false);
 
-  const std::vector<double> flat(48, 3.25);
-  const std::vector<double> wave = FixtureSeries(4, 96);
-  std::vector<double> embedded = FixtureSeries(5, 96);
-  const std::vector<double> query(wave.begin() + 20, wave.begin() + 52);
-  std::copy(query.begin(), query.end(), embedded.begin() + 37);
+    const std::vector<double> flat(48, 3.25);
+    const std::vector<double> wave = FixtureSeries(4, 96);
+    std::vector<double> embedded = FixtureSeries(5, 96);
+    const std::vector<double> query(wave.begin() + 20, wave.begin() + 52);
+    std::copy(query.begin(), query.end(), embedded.begin() + 37);
 
-  const std::vector<std::vector<double>> lhs = {flat, query,
-                                                {wave.begin(), wave.end()}};
-  const std::vector<std::vector<double>> rhs = {
-      wave, flat, embedded, {flat.begin(), flat.begin() + 48}};
-  for (const auto& a : lhs) {
-    for (const auto& b : rhs) {
-      EXPECT_EQ(pruned.SubsequenceMinMetric(a, b, metric),
-                dense.SubsequenceMinMetric(a, b, metric))
-          << MetricName(metric);
+    const std::vector<std::vector<double>> lhs = {flat, query,
+                                                  {wave.begin(), wave.end()}};
+    const std::vector<std::vector<double>> rhs = {
+        wave, flat, embedded, {flat.begin(), flat.begin() + 48}};
+    for (const auto& a : lhs) {
+      for (const auto& b : rhs) {
+        EXPECT_EQ(pruned.SubsequenceMinMetric(a, b, metric),
+                  dense.SubsequenceMinMetric(a, b, metric))
+            << MetricName(metric);
+      }
     }
-  }
-  // count == 1 (same length) and a query longer than the series (the
-  // engine swaps so the shorter side is the query).
-  EXPECT_EQ(pruned.SubsequenceMinMetric(wave, wave, metric),
-            dense.SubsequenceMinMetric(wave, wave, metric));
-  EXPECT_EQ(pruned.SubsequenceMinMetric(wave, query, metric),
-            dense.SubsequenceMinMetric(wave, query, metric));
+    // count == 1 (same length) and a query longer than the series (the
+    // engine swaps so the shorter side is the query).
+    EXPECT_EQ(pruned.SubsequenceMinMetric(wave, wave, metric),
+              dense.SubsequenceMinMetric(wave, wave, metric));
+    EXPECT_EQ(pruned.SubsequenceMinMetric(wave, query, metric),
+              dense.SubsequenceMinMetric(wave, query, metric));
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -249,47 +256,49 @@ INSTANTIATE_TEST_SUITE_P(
 // and under naive pruning with exact utility, where every Def. 4 distance
 // of discovery runs through the engine's cascade.
 TEST(EarlyAbandonPipelineTest, DiscoveryAndPredictionsIdentical) {
-  Dataset train = FixtureDataset(8, 160);
-  Dataset test = FixtureDataset(10, 160);
+  ForEachSimdBackend([&] {
+    Dataset train = FixtureDataset(8, 160);
+    Dataset test = FixtureDataset(10, 160);
 
-  for (const bool naive : {false, true}) {
-    for (size_t m = 0; m < kMetricCount; ++m) {
-      IpsOptions o;
-      o.sample_count = 3;
-      o.sample_size = 2;
-      o.length_ratios = {0.15, 0.3};
-      o.shapelets_per_class = 3;
-      o.metric = static_cast<MetricId>(m);
-      o.num_threads = 2;
-      if (naive) {
-        o.use_dabf_pruning = false;
-        o.utility_mode = UtilityMode::kExactWithCr;
+    for (const bool naive : {false, true}) {
+      for (size_t m = 0; m < kMetricCount; ++m) {
+        IpsOptions o;
+        o.sample_count = 3;
+        o.sample_size = 2;
+        o.length_ratios = {0.15, 0.3};
+        o.shapelets_per_class = 3;
+        o.metric = static_cast<MetricId>(m);
+        o.num_threads = 2;
+        if (naive) {
+          o.use_dabf_pruning = false;
+          o.utility_mode = UtilityMode::kExactWithCr;
+        }
+        SCOPED_TRACE(std::string(MetricName(o.metric)) +
+                     (naive ? " naive/exact" : " defaults"));
+
+        o.enable_early_abandon = true;
+        const RunResult run_p = DiscoverShapelets(train, o);
+        IpsClassifier clf_p(o);
+        clf_p.Fit(train);
+
+        o.enable_early_abandon = false;
+        const RunResult run_d = DiscoverShapelets(train, o);
+        IpsClassifier clf_d(o);
+        clf_d.Fit(train);
+
+        EXPECT_EQ(run_p.stats.motifs_after_prune,
+                  run_d.stats.motifs_after_prune);
+        EXPECT_EQ(run_p.stats.discords_after_prune,
+                  run_d.stats.discords_after_prune);
+        ASSERT_EQ(run_p.shapelets.size(), run_d.shapelets.size());
+        for (size_t s = 0; s < run_p.shapelets.size(); ++s) {
+          EXPECT_EQ(run_p.shapelets[s].values, run_d.shapelets[s].values)
+              << "shapelet " << s;
+        }
+        EXPECT_EQ(clf_p.PredictBatch(test), clf_d.PredictBatch(test));
       }
-      SCOPED_TRACE(std::string(MetricName(o.metric)) +
-                   (naive ? " naive/exact" : " defaults"));
-
-      o.enable_early_abandon = true;
-      const RunResult run_p = DiscoverShapelets(train, o);
-      IpsClassifier clf_p(o);
-      clf_p.Fit(train);
-
-      o.enable_early_abandon = false;
-      const RunResult run_d = DiscoverShapelets(train, o);
-      IpsClassifier clf_d(o);
-      clf_d.Fit(train);
-
-      EXPECT_EQ(run_p.stats.motifs_after_prune,
-                run_d.stats.motifs_after_prune);
-      EXPECT_EQ(run_p.stats.discords_after_prune,
-                run_d.stats.discords_after_prune);
-      ASSERT_EQ(run_p.shapelets.size(), run_d.shapelets.size());
-      for (size_t s = 0; s < run_p.shapelets.size(); ++s) {
-        EXPECT_EQ(run_p.shapelets[s].values, run_d.shapelets[s].values)
-            << "shapelet " << s;
-      }
-      EXPECT_EQ(clf_p.PredictBatch(test), clf_d.PredictBatch(test));
     }
-  }
+  });
 }
 
 // ------------------------------------------------------- kernel-level cases
@@ -389,35 +398,37 @@ void CheckKernel(MetricId id, const std::vector<double>& q,
 }
 
 TEST(EarlyAbandonKernelTest, AdversarialInputsAndSeeds) {
-  const std::vector<double> wave = FixtureSeries(2, 128);
-  const std::vector<double> flat_series(128, -1.5);
-  std::vector<double> plateau = wave;
-  for (size_t t = 30; t < 80; ++t) plateau[t] = 0.75;
+  ForEachSimdBackend([&] {
+    const std::vector<double> wave = FixtureSeries(2, 128);
+    const std::vector<double> flat_series(128, -1.5);
+    std::vector<double> plateau = wave;
+    for (size_t t = 30; t < 80; ++t) plateau[t] = 0.75;
 
-  const std::vector<double> q_wave(wave.begin() + 64, wave.begin() + 96);
-  const std::vector<double> q_flat(32, 0.75);
-  const std::vector<double> q_one = {wave[5]};
-  const std::vector<double> q_full(wave.begin(), wave.end());  // count == 1
+    const std::vector<double> q_wave(wave.begin() + 64, wave.begin() + 96);
+    const std::vector<double> q_flat(32, 0.75);
+    const std::vector<double> q_one = {wave[5]};
+    const std::vector<double> q_full(wave.begin(), wave.end());  // count == 1
 
-  const std::vector<const std::vector<double>*> queries = {&q_wave, &q_flat,
-                                                           &q_one};
-  const std::vector<const std::vector<double>*> series = {&wave, &flat_series,
-                                                          &plateau};
-  const size_t oob = static_cast<size_t>(-2);  // out of range, not the
-                                               // kEabNoSeed sentinel
-  for (size_t mi = 0; mi < kMetricCount; ++mi) {
-    const MetricId id = static_cast<MetricId>(mi);
-    for (const auto* q : queries) {
-      for (const auto* s : series) {
-        for (size_t seed : {simd::kEabNoSeed, size_t{0}, size_t{17}, oob}) {
-          CheckKernel(id, *q, *s, seed);
+    const std::vector<const std::vector<double>*> queries = {&q_wave, &q_flat,
+                                                             &q_one};
+    const std::vector<const std::vector<double>*> series = {&wave, &flat_series,
+                                                            &plateau};
+    const size_t oob = static_cast<size_t>(-2);  // out of range, not the
+                                                 // kEabNoSeed sentinel
+    for (size_t mi = 0; mi < kMetricCount; ++mi) {
+      const MetricId id = static_cast<MetricId>(mi);
+      for (const auto* q : queries) {
+        for (const auto* s : series) {
+          for (size_t seed : {simd::kEabNoSeed, size_t{0}, size_t{17}, oob}) {
+            CheckKernel(id, *q, *s, seed);
+          }
         }
       }
+      CheckKernel(id, q_full, wave, simd::kEabNoSeed);  // single alignment
+      CheckKernel(id, q_full, wave, size_t{0});
+      CheckKernel(id, q_wave, wave, size_t{64});  // seed IS the exact match
     }
-    CheckKernel(id, q_full, wave, simd::kEabNoSeed);  // single alignment
-    CheckKernel(id, q_full, wave, size_t{0});
-    CheckKernel(id, q_wave, wave, size_t{64});  // seed IS the exact match
-  }
+  });
 }
 
 }  // namespace

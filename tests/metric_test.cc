@@ -9,15 +9,20 @@
 //      floor forced to 1 so multi-chunk merge paths actually run.
 // The engine paths go through FFT/QT recurrences, so the parity bound is
 // 1e-9 (absolute) rather than bitwise; bitwise identity ACROSS thread
-// counts is asserted separately, since determinism never rounds.
+// counts is asserted separately, since determinism never rounds. Checks 2
+// and 3 run on every SIMD backend the CPU supports, and a fourth asserts
+// that every backend's profiles, minima and joins are bitwise the scalar
+// backend's.
 
 #include "core/metric.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,9 +32,11 @@
 #include "core/distance.h"
 #include "core/distance_engine.h"
 #include "core/rng.h"
+#include "core/simd.h"
 #include "data/generator.h"
 #include "matrix_profile/matrix_profile.h"
 #include "matrix_profile/mp_engine.h"
+#include "simd_backends.h"
 
 namespace ips {
 namespace {
@@ -151,31 +158,35 @@ TEST(MetricPairwiseTest, HandComputedAnchors) {
 // ------------------------------------------------------- distance functions
 
 TEST(MetricDistanceTest, ProfileMatchesBruteForceEveryMetric) {
-  Rng rng(7);
-  const std::vector<double> query = RandomSeries(rng, 9);
-  const std::vector<double> series = RandomSeries(rng, 120);
-  for (const MetricId id : AllMetrics()) {
-    const std::vector<double> got =
-        DistanceProfileMetric(query, series, id);
-    const std::vector<double> want = BruteProfile(query, series, id);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_NEAR(got[i], want[i], kTol)
-          << MetricName(id) << " offset " << i;
+  ForEachSimdBackend([&] {
+    Rng rng(7);
+    const std::vector<double> query = RandomSeries(rng, 9);
+    const std::vector<double> series = RandomSeries(rng, 120);
+    for (const MetricId id : AllMetrics()) {
+      const std::vector<double> got =
+          DistanceProfileMetric(query, series, id);
+      const std::vector<double> want = BruteProfile(query, series, id);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_NEAR(got[i], want[i], kTol)
+            << MetricName(id) << " offset " << i;
+      }
     }
-  }
+  });
 }
 
 TEST(MetricDistanceTest, SubsequenceDistanceIsSymmetric) {
-  Rng rng(11);
-  const std::vector<double> a = RandomSeries(rng, 40);
-  const std::vector<double> b = RandomSeries(rng, 64);
-  for (const MetricId id : AllMetrics()) {
-    const double ab = SubsequenceDistanceMetric(a, b, id);
-    const double ba = SubsequenceDistanceMetric(b, a, id);
-    EXPECT_EQ(ab, ba) << MetricName(id);
-    EXPECT_NEAR(ab, BruteMin(a, b, id), kTol) << MetricName(id);
-  }
+  ForEachSimdBackend([&] {
+    Rng rng(11);
+    const std::vector<double> a = RandomSeries(rng, 40);
+    const std::vector<double> b = RandomSeries(rng, 64);
+    for (const MetricId id : AllMetrics()) {
+      const double ab = SubsequenceDistanceMetric(a, b, id);
+      const double ba = SubsequenceDistanceMetric(b, a, id);
+      EXPECT_EQ(ab, ba) << MetricName(id);
+      EXPECT_NEAR(ab, BruteMin(a, b, id), kTol) << MetricName(id);
+    }
+  });
 }
 
 // --------------------------------------------------------- DistanceEngine
@@ -192,168 +203,235 @@ std::vector<IndexPair> QueryPairs(size_t count) {
 }
 
 TEST(MetricEngineTest, BatchedApisMatchBruteForceAtEveryThreadCount) {
-  const Dataset train = SyntheticData("metric-engine", 7, 72);
-  Rng rng(13);
-  const std::vector<double> query = RandomSeries(rng, 14);
+  ForEachSimdBackend([&] {
+    const Dataset train = SyntheticData("metric-engine", 7, 72);
+    Rng rng(13);
+    const std::vector<double> query = RandomSeries(rng, 14);
 
-  std::vector<std::span<const double>> views;
-  for (size_t i = 0; i < train.size(); ++i) views.push_back(train[i].view());
-  std::vector<IndexPair> pairs;
-  for (uint32_t i = 0; i < views.size(); ++i) {
-    for (uint32_t j = 0; j < views.size(); ++j) {
-      if (i != j) pairs.emplace_back(i, j);
-    }
-  }
-  std::vector<std::span<const double>> with_query = views;
-  with_query.push_back(query);
-  const std::vector<IndexPair> query_pairs = QueryPairs(train.size());
-
-  for (const MetricId id : AllMetrics()) {
-    SCOPED_TRACE(std::string("metric=") + MetricName(id));
-    for (const size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      DistanceEngine engine(threads);
-
-      const auto mins = engine.MinForPairs(with_query, query_pairs, id);
-      ASSERT_EQ(mins.size(), 2 * train.size());
-      for (size_t i = 0; i < train.size(); ++i) {
-        const double want = BruteMin(query, train[i].view(), id);
-        EXPECT_NEAR(mins[2 * i], want, kTol) << "series " << i;
-        EXPECT_NEAR(mins[2 * i + 1], want, kTol) << "series " << i;
-      }
-
-      const auto pair_mins = engine.MinForPairs(views, pairs, id);
-      ASSERT_EQ(pair_mins.size(), pairs.size());
-      for (size_t t = 0; t < pairs.size(); ++t) {
-        EXPECT_NEAR(pair_mins[t],
-                    BruteMin(views[pairs[t].first], views[pairs[t].second],
-                             id),
-                    kTol)
-            << "pair " << t;
+    std::vector<std::span<const double>> views;
+    for (size_t i = 0; i < train.size(); ++i) views.push_back(train[i].view());
+    std::vector<IndexPair> pairs;
+    for (uint32_t i = 0; i < views.size(); ++i) {
+      for (uint32_t j = 0; j < views.size(); ++j) {
+        if (i != j) pairs.emplace_back(i, j);
       }
     }
-  }
+    std::vector<std::span<const double>> with_query = views;
+    with_query.push_back(query);
+    const std::vector<IndexPair> query_pairs = QueryPairs(train.size());
+
+    for (const MetricId id : AllMetrics()) {
+      SCOPED_TRACE(std::string("metric=") + MetricName(id));
+      for (const size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        DistanceEngine engine(threads);
+
+        const auto mins = engine.MinForPairs(with_query, query_pairs, id);
+        ASSERT_EQ(mins.size(), 2 * train.size());
+        for (size_t i = 0; i < train.size(); ++i) {
+          const double want = BruteMin(query, train[i].view(), id);
+          EXPECT_NEAR(mins[2 * i], want, kTol) << "series " << i;
+          EXPECT_NEAR(mins[2 * i + 1], want, kTol) << "series " << i;
+        }
+
+        const auto pair_mins = engine.MinForPairs(views, pairs, id);
+        ASSERT_EQ(pair_mins.size(), pairs.size());
+        for (size_t t = 0; t < pairs.size(); ++t) {
+          EXPECT_NEAR(pair_mins[t],
+                      BruteMin(views[pairs[t].first], views[pairs[t].second],
+                               id),
+                      kTol)
+              << "pair " << t;
+        }
+      }
+    }
+  });
 }
 
 TEST(MetricEngineTest, BatchedApisBitwiseIdenticalAcrossThreadCounts) {
-  const Dataset train = SyntheticData("metric-engine-threads", 9, 90);
-  Rng rng(17);
-  const std::vector<double> query = RandomSeries(rng, 11);
-  std::vector<std::span<const double>> views;
-  for (size_t i = 0; i < train.size(); ++i) views.push_back(train[i].view());
-  views.push_back(query);
-  const std::vector<IndexPair> pairs = QueryPairs(train.size());
-  for (const MetricId id : AllMetrics()) {
-    SCOPED_TRACE(std::string("metric=") + MetricName(id));
-    DistanceEngine serial(1);
-    const auto mins_base = serial.MinForPairs(views, pairs, id);
-    for (size_t i = 0; i < train.size(); ++i) {
-      EXPECT_EQ(mins_base[2 * i],
-                SubsequenceDistanceMetric(query, train[i].view(), id));
+  ForEachSimdBackend([&] {
+    const Dataset train = SyntheticData("metric-engine-threads", 9, 90);
+    Rng rng(17);
+    const std::vector<double> query = RandomSeries(rng, 11);
+    std::vector<std::span<const double>> views;
+    for (size_t i = 0; i < train.size(); ++i) views.push_back(train[i].view());
+    views.push_back(query);
+    const std::vector<IndexPair> pairs = QueryPairs(train.size());
+    for (const MetricId id : AllMetrics()) {
+      SCOPED_TRACE(std::string("metric=") + MetricName(id));
+      DistanceEngine serial(1);
+      const auto mins_base = serial.MinForPairs(views, pairs, id);
+      for (size_t i = 0; i < train.size(); ++i) {
+        EXPECT_EQ(mins_base[2 * i],
+                  SubsequenceDistanceMetric(query, train[i].view(), id));
+      }
+      for (const size_t threads : {2u, 8u}) {
+        DistanceEngine engine(threads);
+        EXPECT_EQ(engine.MinForPairs(views, pairs, id), mins_base)
+            << "threads=" << threads;
+      }
     }
-    for (const size_t threads : {2u, 8u}) {
-      DistanceEngine engine(threads);
-      EXPECT_EQ(engine.MinForPairs(views, pairs, id), mins_base)
-          << "threads=" << threads;
-    }
-  }
+  });
 }
 
 // ----------------------------------------------------- MatrixProfileEngine
 
 TEST(MetricMpEngineTest, SelfJoinMatchesBruteForceAtEveryThreadCount) {
-  Rng rng(19);
-  const std::vector<double> series = RandomSeries(rng, 150);
-  const size_t w = 12;
-  const size_t count = series.size() - w + 1;
-  const size_t exclusion = DefaultExclusionZone(w);
-  const std::span<const double> sv(series);
+  ForEachSimdBackend([&] {
+    Rng rng(19);
+    const std::vector<double> series = RandomSeries(rng, 150);
+    const size_t w = 12;
+    const size_t count = series.size() - w + 1;
+    const size_t exclusion = DefaultExclusionZone(w);
+    const std::span<const double> sv(series);
 
-  for (const MetricId id : AllMetrics()) {
-    SCOPED_TRACE(std::string("metric=") + MetricName(id));
-    const MetricPolicy& policy = GetMetric(id);
+    for (const MetricId id : AllMetrics()) {
+      SCOPED_TRACE(std::string("metric=") + MetricName(id));
+      const MetricPolicy& policy = GetMetric(id);
 
-    // O(n^2) nested loop over the pairwise reference.
-    std::vector<double> want(count);
-    for (size_t i = 0; i < count; ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      for (size_t j = 0; j < count; ++j) {
-        const size_t gap = i > j ? i - j : j - i;
-        if (gap <= exclusion) continue;
-        best = std::min(best,
-                        policy.pairwise(sv.subspan(i, w), sv.subspan(j, w)));
-      }
-      want[i] = best;
-    }
-
-    MatrixProfile base;
-    for (const size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      MatrixProfileEngine engine(threads);
-      engine.set_min_cells_per_chunk(1);
-      const MatrixProfile mp = engine.SelfJoin(sv, w, /*exclusion=*/0, id);
-      ASSERT_EQ(mp.size(), count);
+      // O(n^2) nested loop over the pairwise reference.
+      std::vector<double> want(count);
       for (size_t i = 0; i < count; ++i) {
-        EXPECT_NEAR(mp.values[i], want[i], kTol) << "window " << i;
+        double best = std::numeric_limits<double>::infinity();
+        for (size_t j = 0; j < count; ++j) {
+          const size_t gap = i > j ? i - j : j - i;
+          if (gap <= exclusion) continue;
+          best = std::min(best,
+                          policy.pairwise(sv.subspan(i, w), sv.subspan(j, w)));
+        }
+        want[i] = best;
       }
-      if (threads == 1) {
-        base = mp;
-      } else {
-        EXPECT_EQ(mp.values, base.values);
-        EXPECT_EQ(mp.indices, base.indices);
+
+      MatrixProfile base;
+      for (const size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        MatrixProfileEngine engine(threads);
+        engine.set_min_cells_per_chunk(1);
+        const MatrixProfile mp = engine.SelfJoin(sv, w, /*exclusion=*/0, id);
+        ASSERT_EQ(mp.size(), count);
+        for (size_t i = 0; i < count; ++i) {
+          EXPECT_NEAR(mp.values[i], want[i], kTol) << "window " << i;
+        }
+        if (threads == 1) {
+          base = mp;
+        } else {
+          EXPECT_EQ(mp.values, base.values);
+          EXPECT_EQ(mp.indices, base.indices);
+        }
       }
     }
-  }
+  });
 }
 
 TEST(MetricMpEngineTest, AbJoinBothMatchesBruteForceAtEveryThreadCount) {
-  Rng rng(23);
-  const std::vector<double> a = RandomSeries(rng, 110);
-  const std::vector<double> b = RandomSeries(rng, 140);
-  const size_t w = 10;
-  const std::span<const double> av(a), bv(b);
-  const size_t la = a.size() - w + 1;
-  const size_t lb = b.size() - w + 1;
+  ForEachSimdBackend([&] {
+    Rng rng(23);
+    const std::vector<double> a = RandomSeries(rng, 110);
+    const std::vector<double> b = RandomSeries(rng, 140);
+    const size_t w = 10;
+    const std::span<const double> av(a), bv(b);
+    const size_t la = a.size() - w + 1;
+    const size_t lb = b.size() - w + 1;
 
-  for (const MetricId id : AllMetrics()) {
-    SCOPED_TRACE(std::string("metric=") + MetricName(id));
-    const MetricPolicy& policy = GetMetric(id);
+    for (const MetricId id : AllMetrics()) {
+      SCOPED_TRACE(std::string("metric=") + MetricName(id));
+      const MetricPolicy& policy = GetMetric(id);
 
-    std::vector<double> want_ab(la,
-                                std::numeric_limits<double>::infinity());
-    std::vector<double> want_ba(lb,
-                                std::numeric_limits<double>::infinity());
-    for (size_t i = 0; i < la; ++i) {
-      for (size_t j = 0; j < lb; ++j) {
-        const double d =
-            policy.pairwise(av.subspan(i, w), bv.subspan(j, w));
-        want_ab[i] = std::min(want_ab[i], d);
-        want_ba[j] = std::min(want_ba[j], d);
-      }
-    }
-
-    PairJoin base;
-    for (const size_t threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      MatrixProfileEngine engine(threads);
-      engine.set_min_cells_per_chunk(1);
-      const PairJoin pj = engine.AbJoinBoth(av, bv, w, id);
-      ASSERT_EQ(pj.a_vs_b.size(), la);
-      ASSERT_EQ(pj.b_vs_a.size(), lb);
+      std::vector<double> want_ab(la,
+                                  std::numeric_limits<double>::infinity());
+      std::vector<double> want_ba(lb,
+                                  std::numeric_limits<double>::infinity());
       for (size_t i = 0; i < la; ++i) {
-        EXPECT_NEAR(pj.a_vs_b.values[i], want_ab[i], kTol) << "row " << i;
+        for (size_t j = 0; j < lb; ++j) {
+          const double d =
+              policy.pairwise(av.subspan(i, w), bv.subspan(j, w));
+          want_ab[i] = std::min(want_ab[i], d);
+          want_ba[j] = std::min(want_ba[j], d);
+        }
       }
-      for (size_t j = 0; j < lb; ++j) {
-        EXPECT_NEAR(pj.b_vs_a.values[j], want_ba[j], kTol) << "col " << j;
-      }
-      if (threads == 1) {
-        base = pj;
-      } else {
-        EXPECT_EQ(pj.a_vs_b.values, base.a_vs_b.values);
-        EXPECT_EQ(pj.b_vs_a.values, base.b_vs_a.values);
+
+      PairJoin base;
+      for (const size_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        MatrixProfileEngine engine(threads);
+        engine.set_min_cells_per_chunk(1);
+        const PairJoin pj = engine.AbJoinBoth(av, bv, w, id);
+        ASSERT_EQ(pj.a_vs_b.size(), la);
+        ASSERT_EQ(pj.b_vs_a.size(), lb);
+        for (size_t i = 0; i < la; ++i) {
+          EXPECT_NEAR(pj.a_vs_b.values[i], want_ab[i], kTol) << "row " << i;
+        }
+        for (size_t j = 0; j < lb; ++j) {
+          EXPECT_NEAR(pj.b_vs_a.values[j], want_ba[j], kTol) << "col " << j;
+        }
+        if (threads == 1) {
+          base = pj;
+        } else {
+          EXPECT_EQ(pj.a_vs_b.values, base.a_vs_b.values);
+          EXPECT_EQ(pj.b_vs_a.values, base.b_vs_a.values);
+        }
       }
     }
-  }
+  });
+}
+
+// ------------------------------------------------------------ SIMD backends
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out;
+  for (double x : v) out.push_back(std::bit_cast<uint64_t>(x));
+  return out;
+}
+
+// What one backend computes for one metric: a profile, engine minima in
+// both operand orders, a self-join and an AB join both ways.
+struct BackendOutputs {
+  std::vector<uint64_t> profile, mins, self_values, ab_values, ba_values;
+  std::vector<size_t> self_indices, ab_indices, ba_indices;
+
+  bool operator==(const BackendOutputs&) const = default;
+};
+
+// The kernels of every backend compute the same bits (core/simd.h), so
+// nothing a metric produces may depend on which backend ran it.
+TEST(MetricBackendTest, EveryBackendBitwiseIdenticalToScalar) {
+  const Dataset train = SyntheticData("metric-backends", 6, 80);
+  Rng rng(29);
+  const std::vector<double> query = RandomSeries(rng, 13);
+  const std::vector<double> a = RandomSeries(rng, 90);
+  const std::vector<double> b = RandomSeries(rng, 120);
+  std::vector<std::span<const double>> views;
+  for (size_t i = 0; i < train.size(); ++i) views.push_back(train[i].view());
+  views.push_back(query);
+  const std::vector<IndexPair> pairs = QueryPairs(train.size());
+
+  std::map<MetricId, BackendOutputs> scalar;
+  ForEachSimdBackend([&] {
+    for (const MetricId id : AllMetrics()) {
+      SCOPED_TRACE(std::string("metric=") + MetricName(id));
+      BackendOutputs o;
+      o.profile = Bits(DistanceProfileMetric(query, a, id));
+      DistanceEngine engine(2);
+      o.mins = Bits(engine.MinForPairs(views, pairs, id));
+      MatrixProfileEngine mp(2);
+      mp.set_min_cells_per_chunk(1);
+      const MatrixProfile self = mp.SelfJoin(a, 10, /*exclusion=*/0, id);
+      const PairJoin ab = mp.AbJoinBoth(a, b, 10, id);
+      o.self_values = Bits(self.values);
+      o.self_indices = self.indices;
+      o.ab_values = Bits(ab.a_vs_b.values);
+      o.ab_indices = ab.a_vs_b.indices;
+      o.ba_values = Bits(ab.b_vs_a.values);
+      o.ba_indices = ab.b_vs_a.indices;
+      if (simd::ActiveBackend() == simd::Backend::kScalar) {
+        scalar[id] = o;
+      } else {
+        ASSERT_EQ(scalar.count(id), 1u);
+        EXPECT_TRUE(o == scalar[id]);
+      }
+    }
+  });
+  EXPECT_EQ(scalar.size(), AllMetrics().size());
 }
 
 }  // namespace

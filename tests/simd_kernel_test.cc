@@ -1,12 +1,13 @@
 // Bitwise-identity property tests for the SIMD kernel layer (core/simd.h).
 //
-// Every dispatched kernel must produce output bit-for-bit equal to its
-// scalar reference (simd::scalar::*) -- and, where one exists, to the
-// historic scalar loop it replaced -- over shapes that exercise the
-// remainder handling: counts of 1, kLanes - 1, kLanes, kLanes + 1 and a
-// spread of primes, with inputs that include flat (zero-variance) windows
-// so the masked/blended lanes are hit too. Comparisons go through
-// std::bit_cast so -0.0 vs +0.0 or NaN-payload drift would fail, not pass.
+// On every backend the CPU supports, each dispatched kernel must produce
+// output bit-for-bit equal to its scalar reference (simd::scalar::*) --
+// and, where one exists, to the historic scalar loop it replaced -- over
+// shapes that exercise that backend's remainder handling: counts of 1,
+// width - 1, width, width + 1 and a spread of primes, with inputs that
+// include flat (zero-variance) windows so the masked/blended lanes are hit
+// too. Comparisons go through std::bit_cast so -0.0 vs +0.0 or NaN-payload
+// drift would fail, not pass.
 
 #include "core/simd.h"
 
@@ -24,14 +25,15 @@
 #include "core/znorm.h"
 #include "gtest/gtest.h"
 #include "matrix_profile/stomp_common.h"
+#include "simd_backends.h"
 
 namespace ips {
 namespace {
 
-constexpr size_t kW = simd::kLanes;
-
-// Counts around the vector width plus primes; filtered to >= 1 and deduped.
+// Counts around the active backend's vector width plus primes; filtered to
+// >= 1 and deduped.
 std::vector<size_t> TestCounts() {
+  const size_t kW = simd::Lanes();
   std::vector<size_t> counts = {1, 2, 3, 5, 7, 13, 31, 97, 257};
   if (kW > 1) {
     counts.push_back(kW - 1);
@@ -69,312 +71,105 @@ void ExpectBitEqual(const std::vector<double>& got,
 }
 
 TEST(SimdBackendTest, WidthAndNameAreConsistent) {
-  const std::string name = simd::BackendName();
-#if defined(IPS_DISABLE_SIMD)
-  EXPECT_EQ(name, "scalar");
-  EXPECT_EQ(kW, 1u);
-#else
-  EXPECT_TRUE(name == "scalar" || name == "sse2" || name == "avx2" ||
-              name == "neon");
-  if (name == "scalar") {
-    EXPECT_EQ(kW, 1u);
-  } else if (name == "sse2" || name == "neon") {
-    EXPECT_EQ(kW, 2u);
-  } else {
-    EXPECT_EQ(kW, 4u);
+  ForEachSimdBackend([] {
+    const std::string name = simd::BackendName();
+    EXPECT_EQ(name, simd::BackendName(simd::ActiveBackend()));
+    if (name == "scalar") {
+      EXPECT_EQ(simd::Lanes(), 1u);
+    } else if (name == "sse2" || name == "neon") {
+      EXPECT_EQ(simd::Lanes(), 2u);
+    } else {
+      EXPECT_EQ(name, "avx2");
+      EXPECT_EQ(simd::Lanes(), 4u);
+    }
+  });
+}
+
+// The start-up backend is the widest one the CPU supports: on x86-64, AVX2
+// exactly when the CPU reports it. The scalar reference is always there.
+TEST(SimdBackendTest, DefaultIsWidestSupported) {
+  const std::span<const simd::Backend> supported = simd::SupportedBackends();
+  ASSERT_FALSE(supported.empty());
+  EXPECT_EQ(supported.front(), simd::Backend::kScalar);
+  EXPECT_EQ(simd::ActiveBackend(), supported.back());
+  for (size_t i = 1; i < supported.size(); ++i) {
+    ASSERT_TRUE(simd::UseBackend(supported[i - 1]));
+    const size_t narrower = simd::Lanes();
+    ASSERT_TRUE(simd::UseBackend(supported[i]));
+    EXPECT_LT(narrower, simd::Lanes());
   }
+#if defined(__x86_64__) || defined(_M_X64)
+  __builtin_cpu_init();
+  EXPECT_EQ(supported.back(), __builtin_cpu_supports("avx2")
+                                  ? simd::Backend::kAvx2
+                                  : simd::Backend::kSse2);
+#elif defined(__aarch64__) && defined(__ARM_NEON)
+  EXPECT_EQ(supported.back(), simd::Backend::kNeon);
 #endif
+  EXPECT_EQ(simd::ActiveBackend(), supported.back());
+}
+
+// A backend the CPU cannot run is refused and leaves the active one alone.
+// Every CPU lacks at least one: x86 has no NEON, AArch64 no SSE2 or AVX2.
+TEST(SimdBackendTest, UseBackendRejectsUnsupported) {
+  const std::span<const simd::Backend> supported = simd::SupportedBackends();
+  const simd::Backend before = simd::ActiveBackend();
+  size_t rejected = 0;
+  for (const simd::Backend backend :
+       {simd::Backend::kScalar, simd::Backend::kSse2, simd::Backend::kAvx2,
+        simd::Backend::kNeon}) {
+    if (std::find(supported.begin(), supported.end(), backend) !=
+        supported.end()) {
+      continue;
+    }
+    EXPECT_FALSE(simd::UseBackend(backend)) << simd::BackendName(backend);
+    EXPECT_EQ(simd::ActiveBackend(), before);
+    ++rejected;
+  }
+  EXPECT_GE(rejected, 1u);
 }
 
 TEST(SimdKernelTest, SlidingDotsMatchesScalarAndHistoricLoop) {
-  Rng rng(7);
-  // Besides the shared counts, reach every tail of the register-blocked
-  // loop: one short of a block, exactly one, one over, and two blocks plus
-  // a vector plus a scalar leftover.
-  constexpr size_t kBlock = simd::kSlidingDotsBlock;
-  std::vector<size_t> counts = TestCounts();
-  for (size_t c : {kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + kW + 1}) {
-    counts.push_back(c);
-  }
-  for (size_t count : counts) {
-    for (size_t m : {size_t{1}, size_t{3}, size_t{16}, size_t{63}}) {
-      const size_t n = count + m - 1;
-      const std::vector<double> q = RandomSeries(rng, m, false);
-      const std::vector<double> s = RandomSeries(rng, n, false);
-
-      std::vector<double> got(count), ref(count), historic(count);
-      simd::SlidingDots(q.data(), m, s.data(), n, got.data());
-      simd::scalar::SlidingDots(q.data(), m, s.data(), n, ref.data());
-      for (size_t i = 0; i < count; ++i) {
-        double acc = 0.0;
-        for (size_t j = 0; j < m; ++j) acc += q[j] * s[i + j];
-        historic[i] = acc;
-      }
-      ExpectBitEqual(got, ref, "SlidingDots vs scalar");
-      ExpectBitEqual(got, historic, "SlidingDots vs historic loop");
+  ForEachSimdBackend([] {
+    Rng rng(7);
+    // Besides the shared counts, reach every tail of the register-blocked
+    // loop (4 * width outputs per pass): one short of a block, exactly one,
+    // one over, and two blocks plus a vector plus a scalar leftover.
+    const size_t kW = simd::Lanes();
+    const size_t kBlock = 4 * kW;
+    std::vector<size_t> counts = TestCounts();
+    for (size_t c : {kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + kW + 1}) {
+      counts.push_back(c);
     }
-  }
+    for (size_t count : counts) {
+      for (size_t m : {size_t{1}, size_t{3}, size_t{16}, size_t{63}}) {
+        const size_t n = count + m - 1;
+        const std::vector<double> q = RandomSeries(rng, m, false);
+        const std::vector<double> s = RandomSeries(rng, n, false);
+
+        std::vector<double> got(count), ref(count), historic(count);
+        simd::SlidingDots(q.data(), m, s.data(), n, got.data());
+        simd::scalar::SlidingDots(q.data(), m, s.data(), n, ref.data());
+        for (size_t i = 0; i < count; ++i) {
+          double acc = 0.0;
+          for (size_t j = 0; j < m; ++j) acc += q[j] * s[i + j];
+          historic[i] = acc;
+        }
+        ExpectBitEqual(got, ref, "SlidingDots vs scalar");
+        ExpectBitEqual(got, historic, "SlidingDots vs historic loop");
+      }
+    }
+  });
 }
 
 TEST(SimdKernelTest, RawProfileAndMinMatchScalar) {
-  Rng rng(11);
-  for (size_t count : TestCounts()) {
-    const size_t m = 1 + rng.Index(8);
-    const size_t n = count + m - 1;
-    const std::vector<double> q = RandomSeries(rng, m, false);
-    const std::vector<double> s = RandomSeries(rng, n, false);
-
-    double qq = 0.0;
-    for (double v : q) qq += v * v;
-    std::vector<double> sq(n + 1, 0.0);
-    for (size_t i = 0; i < n; ++i) sq[i + 1] = sq[i] + s[i] * s[i];
-    std::vector<double> dots(count);
-    simd::scalar::SlidingDots(q.data(), m, s.data(), n, dots.data());
-
-    std::vector<double> got(count), ref(count), historic(count);
-    simd::RawProfileFromDots(qq, sq.data(), m, dots.data(), count, got.data());
-    simd::scalar::RawProfileFromDots(qq, sq.data(), m, dots.data(), count,
-                                     ref.data());
-    const double md = static_cast<double>(m);
-    for (size_t i = 0; i < count; ++i) {
-      const double window_sq = sq[i + m] - sq[i];
-      historic[i] = std::max(0.0, (qq - 2.0 * dots[i] + window_sq) / md);
-    }
-    ExpectBitEqual(got, ref, "RawProfileFromDots vs scalar");
-    ExpectBitEqual(got, historic, "RawProfileFromDots vs historic loop");
-
-    const double min_got = simd::RawMinFromDots(qq, sq.data(), m, dots.data(),
-                                                count);
-    const double min_ref = simd::scalar::RawMinFromDots(qq, sq.data(), m,
-                                                        dots.data(), count);
-    const double min_hist = *std::min_element(historic.begin(), historic.end());
-    EXPECT_EQ(std::bit_cast<uint64_t>(min_got), std::bit_cast<uint64_t>(min_ref));
-    EXPECT_EQ(std::bit_cast<uint64_t>(min_got), std::bit_cast<uint64_t>(min_hist));
-  }
-}
-
-TEST(SimdKernelTest, ZNormProfileAndMinMatchScalarIncludingFlats) {
-  Rng rng(13);
-  for (size_t count : TestCounts()) {
-    for (bool query_flat : {false, true}) {
-      const size_t m = 2 + rng.Index(6);
+  ForEachSimdBackend([] {
+    Rng rng(11);
+    for (size_t count : TestCounts()) {
+      const size_t m = 1 + rng.Index(8);
       const size_t n = count + m - 1;
-      const std::vector<double> s = RandomSeries(rng, n, /*with_flats=*/true);
-      const RollingStats stats = ComputeRollingStats(s, m);
-      ASSERT_EQ(stats.stds.size(), count);
-      std::vector<double> dots(count);
-      for (double& v : dots) v = rng.Gaussian(0.0, static_cast<double>(m));
-
-      std::vector<double> got(count), ref(count), historic(count);
-      simd::ZNormProfileFromDots(dots.data(), stats.stds.data(), count, m,
-                                 query_flat, got.data());
-      simd::scalar::ZNormProfileFromDots(dots.data(), stats.stds.data(), count,
-                                         m, query_flat, ref.data());
-      const double md = static_cast<double>(m);
-      for (size_t i = 0; i < count; ++i) {
-        const double sig = stats.stds[i];
-        const bool window_flat = sig < kFlatStdEpsilon;
-        if (query_flat && window_flat) {
-          historic[i] = 0.0;
-        } else if (query_flat || window_flat) {
-          historic[i] = std::sqrt(md);
-        } else {
-          historic[i] = std::sqrt(std::max(0.0, 2.0 * md - 2.0 * dots[i] / sig));
-        }
-      }
-      ExpectBitEqual(got, ref, "ZNormProfileFromDots vs scalar");
-      ExpectBitEqual(got, historic, "ZNormProfileFromDots vs historic loop");
-
-      const double min_got = simd::ZNormMinFromDots(
-          dots.data(), stats.stds.data(), count, m, query_flat);
-      const double min_ref = simd::scalar::ZNormMinFromDots(
-          dots.data(), stats.stds.data(), count, m, query_flat);
-      const double min_hist =
-          *std::min_element(historic.begin(), historic.end());
-      EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
-                std::bit_cast<uint64_t>(min_ref));
-      EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
-                std::bit_cast<uint64_t>(min_hist));
-    }
-  }
-}
-
-TEST(SimdKernelTest, RollingMomentsMatchScalarIncludingFlats) {
-  Rng rng(17);
-  for (size_t count : TestCounts()) {
-    const size_t w = 2 + rng.Index(6);
-    const size_t n = count + w - 1;
-    const std::vector<double> x = RandomSeries(rng, n, /*with_flats=*/true);
-
-    double gm = 0.0;
-    for (double v : x) gm += v;
-    gm /= static_cast<double>(n);
-    std::vector<double> sum(n + 1, 0.0), sq(n + 1, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      const double c = x[i] - gm;
-      sum[i + 1] = sum[i] + c;
-      sq[i + 1] = sq[i] + c * c;
-    }
-
-    std::vector<double> means_got(count), stds_got(count);
-    std::vector<double> means_ref(count), stds_ref(count);
-    simd::RollingMomentsFromPrefix(sum.data(), sq.data(), count, w, gm,
-                                   means_got.data(), stds_got.data());
-    simd::scalar::RollingMomentsFromPrefix(sum.data(), sq.data(), count, w, gm,
-                                           means_ref.data(), stds_ref.data());
-    ExpectBitEqual(means_got, means_ref, "RollingMoments means vs scalar");
-    ExpectBitEqual(stds_got, stds_ref, "RollingMoments stds vs scalar");
-
-    // And against the public entry point that routes through the kernel.
-    const RollingStats rs = ComputeRollingStats(x, w);
-    ExpectBitEqual(means_got, rs.means, "RollingMoments vs ComputeRollingStats");
-    ExpectBitEqual(stds_got, rs.stds, "RollingMoments vs ComputeRollingStats");
-  }
-}
-
-TEST(SimdKernelTest, QtRowAdvanceMatchesScalarAcrossChainedRows) {
-  Rng rng(19);
-  for (size_t count : TestCounts()) {
-    const size_t w = 3;
-    const size_t rows = 5;
-    const std::vector<double> a = RandomSeries(rng, rows + w - 1, false);
-    const std::vector<double> b = RandomSeries(rng, count + w - 1, false);
-
-    // Row 0 seed: dot products of a's first window against b's windows.
-    std::vector<double> qt_got(count), qt_ref(count), qt_hist(count);
-    simd::scalar::SlidingDots(a.data(), w, b.data(), b.size(), qt_got.data());
-    qt_ref = qt_got;
-    qt_hist = qt_got;
-
-    const std::span<const double> av(a), bv(b);
-    for (size_t i = 1; i < rows; ++i) {
-      // Chained updates: errors would compound across rows if any lane
-      // diverged, so the comparison after the loop is a strong check.
-      simd::QtRowAdvance(qt_got.data(), count, b.data(), w, a[i - 1],
-                         a[i + w - 1]);
-      simd::scalar::QtRowAdvance(qt_ref.data(), count, b.data(), w, a[i - 1],
-                                 a[i + w - 1]);
-      for (size_t j = count; j-- > 1;) {
-        qt_hist[j] = StompAdvance(qt_hist[j - 1], av, bv, i, j, w);
-      }
-      // The caller reseeds column 0 from cached products; replicate with the
-      // true dot product so later rows keep chaining.
-      double col0 = 0.0;
-      for (size_t k = 0; k < w; ++k) col0 += a[i + k] * b[k];
-      qt_got[0] = col0;
-      qt_ref[0] = col0;
-      qt_hist[0] = col0;
-    }
-    ExpectBitEqual(qt_got, qt_ref, "QtRowAdvance vs scalar");
-    ExpectBitEqual(qt_got, qt_hist, "QtRowAdvance vs StompAdvance loop");
-  }
-}
-
-TEST(SimdKernelTest, StompRowDistancesMatchesScalarAndStompZNormDistance) {
-  Rng rng(23);
-  for (size_t count : TestCounts()) {
-    const size_t w = 4;
-    const std::vector<double> b = RandomSeries(rng, count + w - 1,
-                                               /*with_flats=*/true);
-    const RollingStats sb = ComputeRollingStats(b, w);
-    ASSERT_EQ(sb.stds.size(), count);
-    std::vector<double> qt(count);
-    for (double& v : qt) v = rng.Gaussian(0.0, static_cast<double>(w));
-
-    // Flat and non-flat row sides both matter: flat_a takes the early-out.
-    const double mu_flat = 0.7;
-    for (double sig_a : {1.3, 0.0}) {
-      const double mu_a = sig_a == 0.0 ? mu_flat : -0.4;
-      std::vector<double> got(count), ref(count), historic(count);
-      simd::StompRowDistances(qt.data(), sb.means.data(), sb.stds.data(),
-                              count, w, mu_a, sig_a, got.data());
-      simd::scalar::StompRowDistances(qt.data(), sb.means.data(),
-                                      sb.stds.data(), count, w, mu_a, sig_a,
-                                      ref.data());
-      for (size_t j = 0; j < count; ++j) {
-        historic[j] = StompZNormDistance(qt[j], w, mu_a, sig_a, sb.means[j],
-                                         sb.stds[j]);
-      }
-      ExpectBitEqual(got, ref, "StompRowDistances vs scalar");
-      ExpectBitEqual(got, historic, "StompRowDistances vs StompZNormDistance");
-    }
-  }
-}
-
-TEST(SimdKernelTest, SquaredEuclideanChainedMatchesHistoricLoop) {
-  Rng rng(29);
-  for (size_t n : TestCounts()) {
-    const std::vector<double> a = RandomSeries(rng, n, false);
-    const std::vector<double> b = RandomSeries(rng, n, false);
-    double s = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double d = a[i] - b[i];
-      s += d * d;
-    }
-    const double got = simd::SquaredEuclideanChained(a.data(), b.data(), n);
-    const double ref =
-        simd::scalar::SquaredEuclideanChained(a.data(), b.data(), n);
-    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(s));
-    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(ref));
-  }
-}
-
-// ------------------------------------------------------- per-metric kernels
-
-TEST(SimdKernelTest, L2ProfileAndMinMatchScalarAndHistoricLoop) {
-  Rng rng(31);
-  for (size_t count : TestCounts()) {
-    const size_t m = 1 + rng.Index(8);
-    const size_t n = count + m - 1;
-    const std::vector<double> q = RandomSeries(rng, m, false);
-    const std::vector<double> s = RandomSeries(rng, n, false);
-
-    double qq = 0.0;
-    for (double v : q) qq += v * v;
-    std::vector<double> sq(n + 1, 0.0);
-    for (size_t i = 0; i < n; ++i) sq[i + 1] = sq[i] + s[i] * s[i];
-    std::vector<double> dots(count);
-    simd::scalar::SlidingDots(q.data(), m, s.data(), n, dots.data());
-
-    std::vector<double> got(count), ref(count), historic(count);
-    simd::L2ProfileFromDots(qq, sq.data(), m, dots.data(), count, got.data());
-    simd::scalar::L2ProfileFromDots(qq, sq.data(), m, dots.data(), count,
-                                    ref.data());
-    for (size_t i = 0; i < count; ++i) {
-      const double window_sq = sq[i + m] - sq[i];
-      historic[i] = std::sqrt(std::max(0.0, qq - 2.0 * dots[i] + window_sq));
-    }
-    ExpectBitEqual(got, ref, "L2ProfileFromDots vs scalar");
-    ExpectBitEqual(got, historic, "L2ProfileFromDots vs historic loop");
-
-    const double min_got =
-        simd::L2MinFromDots(qq, sq.data(), m, dots.data(), count);
-    const double min_ref =
-        simd::scalar::L2MinFromDots(qq, sq.data(), m, dots.data(), count);
-    const double min_hist = *std::min_element(historic.begin(), historic.end());
-    EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
-              std::bit_cast<uint64_t>(min_ref));
-    EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
-              std::bit_cast<uint64_t>(min_hist));
-  }
-}
-
-TEST(SimdKernelTest, CosineProfileAndMinMatchScalarIncludingFlats) {
-  Rng rng(37);
-  for (size_t count : TestCounts()) {
-    for (bool query_flat : {false, true}) {
-      const size_t m = 2 + rng.Index(6);
-      const size_t n = count + m - 1;
-      // A zeroed stretch makes some window norms flat, so the blended
-      // convention lanes (both -> 0, one -> 1) are exercised.
-      std::vector<double> s = RandomSeries(rng, n, false);
-      if (n >= 8) {
-        const size_t start = rng.Index(n / 2);
-        for (size_t i = start; i < std::min(n, start + m + 2); ++i) s[i] = 0.0;
-      }
-      const std::vector<double> q =
-          query_flat ? std::vector<double>(m, 0.0) : RandomSeries(rng, m,
-                                                                  false);
+      const std::vector<double> q = RandomSeries(rng, m, false);
+      const std::vector<double> s = RandomSeries(rng, n, false);
 
       double qq = 0.0;
       for (double v : q) qq += v * v;
@@ -384,31 +179,22 @@ TEST(SimdKernelTest, CosineProfileAndMinMatchScalarIncludingFlats) {
       simd::scalar::SlidingDots(q.data(), m, s.data(), n, dots.data());
 
       std::vector<double> got(count), ref(count), historic(count);
-      simd::CosineProfileFromDots(qq, sq.data(), m, dots.data(), count,
-                                  got.data());
-      simd::scalar::CosineProfileFromDots(qq, sq.data(), m, dots.data(), count,
-                                          ref.data());
-      const double qn = std::sqrt(qq);
+      simd::RawProfileFromDots(qq, sq.data(), m, dots.data(), count,
+                               got.data());
+      simd::scalar::RawProfileFromDots(qq, sq.data(), m, dots.data(), count,
+                                       ref.data());
+      const double md = static_cast<double>(m);
       for (size_t i = 0; i < count; ++i) {
-        const double wn = std::sqrt(sq[i + m] - sq[i]);
-        const bool q_flat = qn < kFlatStdEpsilon;
-        const bool w_flat = wn < kFlatStdEpsilon;
-        if (q_flat && w_flat) {
-          historic[i] = 0.0;
-        } else if (q_flat || w_flat) {
-          historic[i] = 1.0;
-        } else {
-          historic[i] = std::max(0.0, 1.0 - dots[i] / (qn * wn));
-        }
+        const double window_sq = sq[i + m] - sq[i];
+        historic[i] = std::max(0.0, (qq - 2.0 * dots[i] + window_sq) / md);
       }
-      ExpectBitEqual(got, ref, "CosineProfileFromDots vs scalar");
-      ExpectBitEqual(got, historic, "CosineProfileFromDots vs historic loop");
+      ExpectBitEqual(got, ref, "RawProfileFromDots vs scalar");
+      ExpectBitEqual(got, historic, "RawProfileFromDots vs historic loop");
 
-      const double min_got =
-          simd::CosineMinFromDots(qq, sq.data(), m, dots.data(), count);
-      const double min_ref =
-          simd::scalar::CosineMinFromDots(qq, sq.data(), m, dots.data(),
-                                          count);
+      const double min_got = simd::RawMinFromDots(qq, sq.data(), m, dots.data(),
+                                                  count);
+      const double min_ref = simd::scalar::RawMinFromDots(qq, sq.data(), m,
+                                                          dots.data(), count);
       const double min_hist =
           *std::min_element(historic.begin(), historic.end());
       EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
@@ -416,64 +202,355 @@ TEST(SimdKernelTest, CosineProfileAndMinMatchScalarIncludingFlats) {
       EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
                 std::bit_cast<uint64_t>(min_hist));
     }
-  }
+  });
+}
+
+TEST(SimdKernelTest, ZNormProfileAndMinMatchScalarIncludingFlats) {
+  ForEachSimdBackend([] {
+    Rng rng(13);
+    for (size_t count : TestCounts()) {
+      for (bool query_flat : {false, true}) {
+        const size_t m = 2 + rng.Index(6);
+        const size_t n = count + m - 1;
+        const std::vector<double> s = RandomSeries(rng, n, /*with_flats=*/true);
+        const RollingStats stats = ComputeRollingStats(s, m);
+        ASSERT_EQ(stats.stds.size(), count);
+        std::vector<double> dots(count);
+        for (double& v : dots) v = rng.Gaussian(0.0, static_cast<double>(m));
+
+        std::vector<double> got(count), ref(count), historic(count);
+        simd::ZNormProfileFromDots(dots.data(), stats.stds.data(), count, m,
+                                   query_flat, got.data());
+        simd::scalar::ZNormProfileFromDots(dots.data(), stats.stds.data(),
+                                           count, m, query_flat, ref.data());
+        const double md = static_cast<double>(m);
+        for (size_t i = 0; i < count; ++i) {
+          const double sig = stats.stds[i];
+          const bool window_flat = sig < kFlatStdEpsilon;
+          if (query_flat && window_flat) {
+            historic[i] = 0.0;
+          } else if (query_flat || window_flat) {
+            historic[i] = std::sqrt(md);
+          } else {
+            historic[i] =
+                std::sqrt(std::max(0.0, 2.0 * md - 2.0 * dots[i] / sig));
+          }
+        }
+        ExpectBitEqual(got, ref, "ZNormProfileFromDots vs scalar");
+        ExpectBitEqual(got, historic, "ZNormProfileFromDots vs historic loop");
+
+        const double min_got = simd::ZNormMinFromDots(
+            dots.data(), stats.stds.data(), count, m, query_flat);
+        const double min_ref = simd::scalar::ZNormMinFromDots(
+            dots.data(), stats.stds.data(), count, m, query_flat);
+        const double min_hist =
+            *std::min_element(historic.begin(), historic.end());
+        EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
+                  std::bit_cast<uint64_t>(min_ref));
+        EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
+                  std::bit_cast<uint64_t>(min_hist));
+      }
+    }
+  });
+}
+
+TEST(SimdKernelTest, RollingMomentsMatchScalarIncludingFlats) {
+  ForEachSimdBackend([] {
+    Rng rng(17);
+    for (size_t count : TestCounts()) {
+      const size_t w = 2 + rng.Index(6);
+      const size_t n = count + w - 1;
+      const std::vector<double> x = RandomSeries(rng, n, /*with_flats=*/true);
+
+      double gm = 0.0;
+      for (double v : x) gm += v;
+      gm /= static_cast<double>(n);
+      std::vector<double> sum(n + 1, 0.0), sq(n + 1, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        const double c = x[i] - gm;
+        sum[i + 1] = sum[i] + c;
+        sq[i + 1] = sq[i] + c * c;
+      }
+
+      std::vector<double> means_got(count), stds_got(count);
+      std::vector<double> means_ref(count), stds_ref(count);
+      simd::RollingMomentsFromPrefix(sum.data(), sq.data(), count, w, gm,
+                                     means_got.data(), stds_got.data());
+      simd::scalar::RollingMomentsFromPrefix(sum.data(), sq.data(), count, w,
+                                             gm, means_ref.data(),
+                                             stds_ref.data());
+      ExpectBitEqual(means_got, means_ref, "RollingMoments means vs scalar");
+      ExpectBitEqual(stds_got, stds_ref, "RollingMoments stds vs scalar");
+
+      // And against the public entry point that routes through the kernel.
+      const RollingStats rs = ComputeRollingStats(x, w);
+      ExpectBitEqual(means_got, rs.means,
+                     "RollingMoments vs ComputeRollingStats");
+      ExpectBitEqual(stds_got, rs.stds,
+                     "RollingMoments vs ComputeRollingStats");
+    }
+  });
+}
+
+TEST(SimdKernelTest, QtRowAdvanceMatchesScalarAcrossChainedRows) {
+  ForEachSimdBackend([] {
+    Rng rng(19);
+    for (size_t count : TestCounts()) {
+      const size_t w = 3;
+      const size_t rows = 5;
+      const std::vector<double> a = RandomSeries(rng, rows + w - 1, false);
+      const std::vector<double> b = RandomSeries(rng, count + w - 1, false);
+
+      // Row 0 seed: dot products of a's first window against b's windows.
+      std::vector<double> qt_got(count), qt_ref(count), qt_hist(count);
+      simd::scalar::SlidingDots(a.data(), w, b.data(), b.size(), qt_got.data());
+      qt_ref = qt_got;
+      qt_hist = qt_got;
+
+      const std::span<const double> av(a), bv(b);
+      for (size_t i = 1; i < rows; ++i) {
+        // Chained updates: errors would compound across rows if any lane
+        // diverged, so the comparison after the loop is a strong check.
+        simd::QtRowAdvance(qt_got.data(), count, b.data(), w, a[i - 1],
+                           a[i + w - 1]);
+        simd::scalar::QtRowAdvance(qt_ref.data(), count, b.data(), w, a[i - 1],
+                                   a[i + w - 1]);
+        for (size_t j = count; j-- > 1;) {
+          qt_hist[j] = StompAdvance(qt_hist[j - 1], av, bv, i, j, w);
+        }
+        // The caller reseeds column 0 from cached products; replicate with the
+        // true dot product so later rows keep chaining.
+        double col0 = 0.0;
+        for (size_t k = 0; k < w; ++k) col0 += a[i + k] * b[k];
+        qt_got[0] = col0;
+        qt_ref[0] = col0;
+        qt_hist[0] = col0;
+      }
+      ExpectBitEqual(qt_got, qt_ref, "QtRowAdvance vs scalar");
+      ExpectBitEqual(qt_got, qt_hist, "QtRowAdvance vs StompAdvance loop");
+    }
+  });
+}
+
+TEST(SimdKernelTest, StompRowDistancesMatchesScalarAndStompZNormDistance) {
+  ForEachSimdBackend([] {
+    Rng rng(23);
+    for (size_t count : TestCounts()) {
+      const size_t w = 4;
+      const std::vector<double> b = RandomSeries(rng, count + w - 1,
+                                                 /*with_flats=*/true);
+      const RollingStats sb = ComputeRollingStats(b, w);
+      ASSERT_EQ(sb.stds.size(), count);
+      std::vector<double> qt(count);
+      for (double& v : qt) v = rng.Gaussian(0.0, static_cast<double>(w));
+
+      // Flat and non-flat row sides both matter: flat_a takes the early-out.
+      const double mu_flat = 0.7;
+      for (double sig_a : {1.3, 0.0}) {
+        const double mu_a = sig_a == 0.0 ? mu_flat : -0.4;
+        std::vector<double> got(count), ref(count), historic(count);
+        simd::StompRowDistances(qt.data(), sb.means.data(), sb.stds.data(),
+                                count, w, mu_a, sig_a, got.data());
+        simd::scalar::StompRowDistances(qt.data(), sb.means.data(),
+                                        sb.stds.data(), count, w, mu_a, sig_a,
+                                        ref.data());
+        for (size_t j = 0; j < count; ++j) {
+          historic[j] = StompZNormDistance(qt[j], w, mu_a, sig_a, sb.means[j],
+                                           sb.stds[j]);
+        }
+        ExpectBitEqual(got, ref, "StompRowDistances vs scalar");
+        ExpectBitEqual(got, historic,
+                       "StompRowDistances vs StompZNormDistance");
+      }
+    }
+  });
+}
+
+TEST(SimdKernelTest, SquaredEuclideanChainedMatchesHistoricLoop) {
+  ForEachSimdBackend([] {
+    Rng rng(29);
+    for (size_t n : TestCounts()) {
+      const std::vector<double> a = RandomSeries(rng, n, false);
+      const std::vector<double> b = RandomSeries(rng, n, false);
+      double s = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        const double d = a[i] - b[i];
+        s += d * d;
+      }
+      const double got = simd::SquaredEuclideanChained(a.data(), b.data(), n);
+      const double ref =
+          simd::scalar::SquaredEuclideanChained(a.data(), b.data(), n);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(s));
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(ref));
+    }
+  });
+}
+
+// ------------------------------------------------------- per-metric kernels
+
+TEST(SimdKernelTest, L2ProfileAndMinMatchScalarAndHistoricLoop) {
+  ForEachSimdBackend([] {
+    Rng rng(31);
+    for (size_t count : TestCounts()) {
+      const size_t m = 1 + rng.Index(8);
+      const size_t n = count + m - 1;
+      const std::vector<double> q = RandomSeries(rng, m, false);
+      const std::vector<double> s = RandomSeries(rng, n, false);
+
+      double qq = 0.0;
+      for (double v : q) qq += v * v;
+      std::vector<double> sq(n + 1, 0.0);
+      for (size_t i = 0; i < n; ++i) sq[i + 1] = sq[i] + s[i] * s[i];
+      std::vector<double> dots(count);
+      simd::scalar::SlidingDots(q.data(), m, s.data(), n, dots.data());
+
+      std::vector<double> got(count), ref(count), historic(count);
+      simd::L2ProfileFromDots(qq, sq.data(), m, dots.data(), count, got.data());
+      simd::scalar::L2ProfileFromDots(qq, sq.data(), m, dots.data(), count,
+                                      ref.data());
+      for (size_t i = 0; i < count; ++i) {
+        const double window_sq = sq[i + m] - sq[i];
+        historic[i] = std::sqrt(std::max(0.0, qq - 2.0 * dots[i] + window_sq));
+      }
+      ExpectBitEqual(got, ref, "L2ProfileFromDots vs scalar");
+      ExpectBitEqual(got, historic, "L2ProfileFromDots vs historic loop");
+
+      const double min_got =
+          simd::L2MinFromDots(qq, sq.data(), m, dots.data(), count);
+      const double min_ref =
+          simd::scalar::L2MinFromDots(qq, sq.data(), m, dots.data(), count);
+      const double min_hist =
+          *std::min_element(historic.begin(), historic.end());
+      EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
+                std::bit_cast<uint64_t>(min_ref));
+      EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
+                std::bit_cast<uint64_t>(min_hist));
+    }
+  });
+}
+
+TEST(SimdKernelTest, CosineProfileAndMinMatchScalarIncludingFlats) {
+  ForEachSimdBackend([] {
+    Rng rng(37);
+    for (size_t count : TestCounts()) {
+      for (bool query_flat : {false, true}) {
+        const size_t m = 2 + rng.Index(6);
+        const size_t n = count + m - 1;
+        // A zeroed stretch makes some window norms flat, so the blended
+        // convention lanes (both -> 0, one -> 1) are exercised.
+        std::vector<double> s = RandomSeries(rng, n, false);
+        if (n >= 8) {
+          const size_t start = rng.Index(n / 2);
+          for (size_t i = start; i < std::min(n, start + m + 2); ++i) {
+            s[i] = 0.0;
+          }
+        }
+        const std::vector<double> q =
+            query_flat ? std::vector<double>(m, 0.0) : RandomSeries(rng, m,
+                                                                    false);
+
+        double qq = 0.0;
+        for (double v : q) qq += v * v;
+        std::vector<double> sq(n + 1, 0.0);
+        for (size_t i = 0; i < n; ++i) sq[i + 1] = sq[i] + s[i] * s[i];
+        std::vector<double> dots(count);
+        simd::scalar::SlidingDots(q.data(), m, s.data(), n, dots.data());
+
+        std::vector<double> got(count), ref(count), historic(count);
+        simd::CosineProfileFromDots(qq, sq.data(), m, dots.data(), count,
+                                    got.data());
+        simd::scalar::CosineProfileFromDots(qq, sq.data(), m, dots.data(),
+                                            count, ref.data());
+        const double qn = std::sqrt(qq);
+        for (size_t i = 0; i < count; ++i) {
+          const double wn = std::sqrt(sq[i + m] - sq[i]);
+          const bool q_flat = qn < kFlatStdEpsilon;
+          const bool w_flat = wn < kFlatStdEpsilon;
+          if (q_flat && w_flat) {
+            historic[i] = 0.0;
+          } else if (q_flat || w_flat) {
+            historic[i] = 1.0;
+          } else {
+            historic[i] = std::max(0.0, 1.0 - dots[i] / (qn * wn));
+          }
+        }
+        ExpectBitEqual(got, ref, "CosineProfileFromDots vs scalar");
+        ExpectBitEqual(got, historic, "CosineProfileFromDots vs historic loop");
+
+        const double min_got =
+            simd::CosineMinFromDots(qq, sq.data(), m, dots.data(), count);
+        const double min_ref =
+            simd::scalar::CosineMinFromDots(qq, sq.data(), m, dots.data(),
+                                            count);
+        const double min_hist =
+            *std::min_element(historic.begin(), historic.end());
+        EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
+                  std::bit_cast<uint64_t>(min_ref));
+        EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
+                  std::bit_cast<uint64_t>(min_hist));
+      }
+    }
+  });
 }
 
 TEST(SimdKernelTest, StompRowDistancesRawL2CosineMatchScalarAndHelpers) {
-  Rng rng(41);
-  for (size_t count : TestCounts()) {
-    const size_t w = 4;
-    // Window energies of a series with a zeroed stretch: flat-norm lanes
-    // for the cosine row alongside ordinary ones.
-    std::vector<double> b = RandomSeries(rng, count + w - 1, false);
-    if (b.size() >= 8) {
-      const size_t start = rng.Index(b.size() / 2);
-      for (size_t i = start; i < std::min(b.size(), start + w + 2); ++i) {
-        b[i] = 0.0;
+  ForEachSimdBackend([] {
+    Rng rng(41);
+    for (size_t count : TestCounts()) {
+      const size_t w = 4;
+      // Window energies of a series with a zeroed stretch: flat-norm lanes
+      // for the cosine row alongside ordinary ones.
+      std::vector<double> b = RandomSeries(rng, count + w - 1, false);
+      if (b.size() >= 8) {
+        const size_t start = rng.Index(b.size() / 2);
+        for (size_t i = start; i < std::min(b.size(), start + w + 2); ++i) {
+          b[i] = 0.0;
+        }
+      }
+      const std::vector<double> energies = ComputeWindowEnergies(b, w);
+      ASSERT_EQ(energies.size(), count);
+      std::vector<double> qt(count);
+      for (double& v : qt) v = rng.Gaussian(0.0, static_cast<double>(w));
+
+      for (double ssq_a : {2.75, 0.0}) {
+        std::vector<double> got(count), ref(count), historic(count);
+
+        simd::StompRowDistancesRaw(qt.data(), energies.data(), count, w, ssq_a,
+                                   got.data());
+        simd::scalar::StompRowDistancesRaw(qt.data(), energies.data(), count, w,
+                                           ssq_a, ref.data());
+        for (size_t j = 0; j < count; ++j) {
+          historic[j] = StompRawDistance(qt[j], w, ssq_a, energies[j]);
+        }
+        ExpectBitEqual(got, ref, "StompRowDistancesRaw vs scalar");
+        ExpectBitEqual(got, historic,
+                       "StompRowDistancesRaw vs StompRawDistance");
+
+        simd::StompRowDistancesL2(qt.data(), energies.data(), count, w, ssq_a,
+                                  got.data());
+        simd::scalar::StompRowDistancesL2(qt.data(), energies.data(), count, w,
+                                          ssq_a, ref.data());
+        for (size_t j = 0; j < count; ++j) {
+          historic[j] = StompL2Distance(qt[j], ssq_a, energies[j]);
+        }
+        ExpectBitEqual(got, ref, "StompRowDistancesL2 vs scalar");
+        ExpectBitEqual(got, historic, "StompRowDistancesL2 vs StompL2Distance");
+
+        simd::StompRowDistancesCosine(qt.data(), energies.data(), count, w,
+                                      ssq_a, got.data());
+        simd::scalar::StompRowDistancesCosine(qt.data(), energies.data(), count,
+                                              w, ssq_a, ref.data());
+        const double norm_a = std::sqrt(ssq_a);
+        for (size_t j = 0; j < count; ++j) {
+          historic[j] = StompCosineDistance(qt[j], norm_a,
+                                            std::sqrt(energies[j]));
+        }
+        ExpectBitEqual(got, ref, "StompRowDistancesCosine vs scalar");
+        ExpectBitEqual(got, historic,
+                       "StompRowDistancesCosine vs StompCosineDistance");
       }
     }
-    const std::vector<double> energies = ComputeWindowEnergies(b, w);
-    ASSERT_EQ(energies.size(), count);
-    std::vector<double> qt(count);
-    for (double& v : qt) v = rng.Gaussian(0.0, static_cast<double>(w));
-
-    for (double ssq_a : {2.75, 0.0}) {
-      std::vector<double> got(count), ref(count), historic(count);
-
-      simd::StompRowDistancesRaw(qt.data(), energies.data(), count, w, ssq_a,
-                                 got.data());
-      simd::scalar::StompRowDistancesRaw(qt.data(), energies.data(), count, w,
-                                         ssq_a, ref.data());
-      for (size_t j = 0; j < count; ++j) {
-        historic[j] = StompRawDistance(qt[j], w, ssq_a, energies[j]);
-      }
-      ExpectBitEqual(got, ref, "StompRowDistancesRaw vs scalar");
-      ExpectBitEqual(got, historic, "StompRowDistancesRaw vs StompRawDistance");
-
-      simd::StompRowDistancesL2(qt.data(), energies.data(), count, w, ssq_a,
-                                got.data());
-      simd::scalar::StompRowDistancesL2(qt.data(), energies.data(), count, w,
-                                        ssq_a, ref.data());
-      for (size_t j = 0; j < count; ++j) {
-        historic[j] = StompL2Distance(qt[j], ssq_a, energies[j]);
-      }
-      ExpectBitEqual(got, ref, "StompRowDistancesL2 vs scalar");
-      ExpectBitEqual(got, historic, "StompRowDistancesL2 vs StompL2Distance");
-
-      simd::StompRowDistancesCosine(qt.data(), energies.data(), count, w,
-                                    ssq_a, got.data());
-      simd::scalar::StompRowDistancesCosine(qt.data(), energies.data(), count,
-                                            w, ssq_a, ref.data());
-      const double norm_a = std::sqrt(ssq_a);
-      for (size_t j = 0; j < count; ++j) {
-        historic[j] = StompCosineDistance(qt[j], norm_a,
-                                          std::sqrt(energies[j]));
-      }
-      ExpectBitEqual(got, ref, "StompRowDistancesCosine vs scalar");
-      ExpectBitEqual(got, historic,
-                     "StompRowDistancesCosine vs StompCosineDistance");
-    }
-  }
+  });
 }
 
 }  // namespace
