@@ -11,22 +11,29 @@
 // Timings are best-of-trials; checksums confirm each timed loop computed
 // real values (parity itself is asserted in tests/metric_test.cc).
 //
+// Output: {"experiment", "env" (bench_env.h), "metrics": [...], "report":
+// obs::ReportToJson over the whole run}.
+//
 // Usage: bench_metric [--out=PATH]   (default ./BENCH_metric.json)
 
 #include <chrono>
 #include <cstdio>
 
-#include <fstream>
 #include <functional>
-#include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_env.h"
 #include "core/metric.h"
 #include "core/rng.h"
 #include "data/generator.h"
 #include "ips/pipeline.h"
 #include "matrix_profile/mp_engine.h"
+#include "obs/export.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "transform/shapelet_transform.h"
 
 namespace ips {
@@ -61,6 +68,19 @@ struct MetricResult {
   double self_join_checksum = 0.0;
   double transform_checksum = 0.0;
   size_t shapelets = 0;
+
+  obs::JsonValue ToJson() const {
+    obs::JsonValue e = obs::JsonValue::Object();
+    e.Set("metric", metric);
+    e.Set("self_join_ns", self_join_ns);
+    e.Set("transform_ns", transform_ns);
+    e.Set("fit_ns", fit_ns);
+    e.Set("accuracy", accuracy);
+    e.Set("shapelets", shapelets);
+    e.Set("self_join_checksum", self_join_checksum);
+    e.Set("transform_checksum", transform_checksum);
+    return e;
+  }
 };
 
 MetricResult BenchOneMetric(MetricId metric, const std::vector<double>& series,
@@ -116,6 +136,10 @@ int Main(int argc, char** argv) {
     if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
   }
 
+  const obs::MetricsSnapshot metrics_before =
+      obs::MetricsRegistry::Instance().Snapshot();
+  const obs::TraceSnapshot trace_before =
+      obs::TraceRegistry::Instance().Snapshot();
   Rng rng(5);
   std::vector<double> series(4096);
   for (double& v : series) v = rng.Gaussian();
@@ -140,21 +164,20 @@ int Main(int argc, char** argv) {
                                      shapelets));
   }
 
-  std::ofstream out(out_path);
-  out << "{\n  \"metrics\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const MetricResult& r = results[i];
-    out << "    {\"metric\": \"" << r.metric
-        << "\", \"self_join_ns\": " << r.self_join_ns
-        << ", \"transform_ns\": " << r.transform_ns
-        << ", \"fit_ns\": " << r.fit_ns << ", \"accuracy\": " << r.accuracy
-        << ", \"shapelets\": " << r.shapelets
-        << ", \"self_join_checksum\": " << r.self_join_checksum
-        << ", \"transform_checksum\": " << r.transform_checksum << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
+  obs::JsonValue rows = obs::JsonValue::Array();
+  for (const MetricResult& r : results) rows.Append(r.ToJson());
+  obs::JsonValue doc = obs::JsonValue::Object();
+  doc.Set("experiment", "metric");
+  doc.Set("env", bench::BenchEnvJson());
+  doc.Set("metrics", std::move(rows));
+  doc.Set("report",
+          obs::ReportToJson(
+              obs::TraceRegistry::Instance().DeltaSince(trace_before),
+              obs::MetricsRegistry::Instance().DeltaSince(metrics_before)));
+  if (!obs::WriteJsonFile(doc, out_path)) {
+    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
+    return 1;
   }
-  out << "  ]\n}\n";
-  out.close();
 
   for (const MetricResult& r : results) {
     std::printf(
@@ -163,7 +186,7 @@ int Main(int argc, char** argv) {
         r.metric.c_str(), r.self_join_ns, r.transform_ns, r.fit_ns,
         r.accuracy, r.shapelets);
   }
-  std::cout << "wrote " << out_path << "\n";
+  std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }
 

@@ -10,6 +10,10 @@
 // outputs guards the benchmark itself (the strict assertions live in
 // tests/thread_pool_test.cc).
 //
+// Output: {"experiment", "env" (bench_env.h), "pool_workers", "regions":
+// [...], "report": obs::ReportToJson over the whole run, whose metrics
+// carry the pool.* counters}.
+//
 // Usage: bench_pool [--out=PATH]   (default ./BENCH_pool.json)
 // IPS_THREAD_POOL_WORKERS pins the pool's worker count, making the
 // comparison hardware-independent (spawn creates num_threads - 1 threads
@@ -19,13 +23,17 @@
 #include <chrono>
 #include <cstdio>
 
-#include <fstream>
 #include <functional>
-#include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_env.h"
+#include "obs/export.h"
+#include "obs/json.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
 
@@ -91,6 +99,19 @@ struct RegionResult {
   bool checksum_equal = false;
 
   double Speedup() const { return pool_ns > 0.0 ? spawn_ns / pool_ns : 0.0; }
+
+  obs::JsonValue ToJson() const {
+    obs::JsonValue e = obs::JsonValue::Object();
+    e.Set("name", name);
+    e.Set("items", items);
+    e.Set("threads", threads);
+    e.Set("serial_region_ns", region_ns);
+    e.Set("spawn_ns", spawn_ns);
+    e.Set("pool_ns", pool_ns);
+    e.Set("speedup", Speedup());
+    e.Set("checksum_equal", checksum_equal);
+    return e;
+  }
 };
 
 RegionResult BenchRegion(const std::string& name, size_t items, size_t iters,
@@ -146,7 +167,10 @@ int Main(int argc, char** argv) {
     if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
   }
 
-  const ThreadPoolCounters before = ThreadPool::Counters();
+  const obs::MetricsSnapshot metrics_before =
+      obs::MetricsRegistry::Instance().Snapshot();
+  const obs::TraceSnapshot trace_before =
+      obs::TraceRegistry::Instance().Snapshot();
   std::vector<RegionResult> results;
   for (size_t threads : {size_t{2}, size_t{8}}) {
     // Region serial work spans dispatch-bound (~empty) through ~1 ms, the
@@ -156,33 +180,22 @@ int Main(int argc, char** argv) {
     results.push_back(BenchRegion("region_250us", 64, 2500, threads));
     results.push_back(BenchRegion("region_1ms", 64, 10000, threads));
   }
-  const ThreadPoolCounters after = ThreadPool::Counters();
 
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"hardware_threads\": " << HardwareThreads() << ",\n";
-  out << "  \"pool_workers\": " << ThreadPool::Instance().worker_count()
-      << ",\n";
-  out << "  \"regions\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RegionResult& r = results[i];
-    out << "    {\"name\": \"" << r.name << "\", \"items\": " << r.items
-        << ", \"threads\": " << r.threads << ", \"serial_region_ns\": "
-        << static_cast<long long>(r.region_ns) << ", \"spawn_ns\": "
-        << static_cast<long long>(r.spawn_ns) << ", \"pool_ns\": "
-        << static_cast<long long>(r.pool_ns) << ", \"speedup\": " << r.Speedup()
-        << ", \"checksum_equal\": " << (r.checksum_equal ? "true" : "false")
-        << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+  obs::JsonValue rows = obs::JsonValue::Array();
+  for (const RegionResult& r : results) rows.Append(r.ToJson());
+  obs::JsonValue doc = obs::JsonValue::Object();
+  doc.Set("experiment", "pool");
+  doc.Set("env", bench::BenchEnvJson());
+  doc.Set("pool_workers", ThreadPool::Instance().worker_count());
+  doc.Set("regions", std::move(rows));
+  doc.Set("report",
+          obs::ReportToJson(
+              obs::TraceRegistry::Instance().DeltaSince(trace_before),
+              obs::MetricsRegistry::Instance().DeltaSince(metrics_before)));
+  if (!obs::WriteJsonFile(doc, out_path)) {
+    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
+    return 1;
   }
-  out << "  ],\n";
-  out << "  \"pool_counters\": {\"regions_dispatched\": "
-      << after.regions_dispatched - before.regions_dispatched
-      << ", \"regions_inline\": " << after.regions_inline - before.regions_inline
-      << ", \"tasks_run\": " << after.tasks_run - before.tasks_run
-      << ", \"chunk_steals\": " << after.chunk_steals - before.chunk_steals
-      << "}\n";
-  out << "}\n";
-  out.close();
 
   std::printf("%-14s %7s %8s %12s %12s %9s %s\n", "region", "threads",
               "serial", "spawn/launch", "pool/launch", "speedup", "ok");

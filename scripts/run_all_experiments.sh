@@ -80,6 +80,13 @@ echo "=== BENCH_metric ==="
 "$BENCH/bench_metric" --out="$OUT/BENCH_metric.json" |
   tee "$OUT/BENCH_metric.txt"
 
+# Spawn-per-region vs persistent-pool ParallelFor on short regions at 2
+# and 8 threads (per-launch cost, checksum equality, pool.* counters).
+# bench_pool writes the JSON itself and exits nonzero on a checksum
+# mismatch.
+echo "=== BENCH_pool ==="
+"$BENCH/bench_pool" --out="$OUT/BENCH_pool.json" | tee "$OUT/BENCH_pool.txt"
+
 # Early-abandon cascade vs exhaustive dense path (transform + PredictBatch,
 # favourable and prune-hostile data, per metric, 1 and 8 threads).
 # bench_eab writes the JSON itself and exits nonzero if the pruned and

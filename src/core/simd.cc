@@ -25,11 +25,12 @@ namespace {
 
 // ----------------------------------------------------------- backend choice
 //
-// The backends compiled for this architecture, narrowest first. Only the
-// widest may be missing from the CPU, so the supported ones are a prefix.
+// The backends compiled for this architecture, narrowest first. Each one
+// the CPU lacks makes every wider one unsupported too (TableOf), so the
+// supported ones are a prefix.
 #if defined(IPS_SIMD_X86)
 constexpr Backend kCompiled[] = {Backend::kScalar, Backend::kSse2,
-                                 Backend::kAvx2};
+                                 Backend::kAvx2, Backend::kAvx512};
 constexpr const KernelTable* kBaseline = &kSse2Kernels;
 #elif defined(IPS_SIMD_NEON)
 constexpr Backend kCompiled[] = {Backend::kScalar, Backend::kNeon};
@@ -50,6 +51,13 @@ const KernelTable* TableOf(Backend backend) {
     case Backend::kAvx2:
       __builtin_cpu_init();
       return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : nullptr;
+    case Backend::kAvx512:
+      // Requires AVX2 too, so the supported backends stay a prefix.
+      __builtin_cpu_init();
+      return __builtin_cpu_supports("avx2") &&
+                     __builtin_cpu_supports("avx512f")
+                 ? &kAvx512Kernels
+                 : nullptr;
 #elif defined(IPS_SIMD_NEON)
     case Backend::kNeon:
       return &kNeonKernels;
@@ -107,6 +115,8 @@ const char* BackendName(Backend backend) {
       return "sse2";
     case Backend::kAvx2:
       return "avx2";
+    case Backend::kAvx512:
+      return "avx512";
     case Backend::kNeon:
       return "neon";
     default:

@@ -17,12 +17,13 @@
 //
 // Backend selection is a run-time decision. Every backend the target
 // architecture has is compiled into the one binary, each vector backend in
-// its own translation unit (simd_sse2.cc, simd_avx2.cc -- the only file
-// built with -mavx2 -- and simd_neon.cc) that exports one table of kernel
-// function pointers. At start-up the widest backend the CPU supports
-// becomes active: AVX2 (4 lanes) when the CPU has it, else SSE2 (2 lanes,
-// the x86-64 baseline); NEON (2 lanes) on AArch64; the scalar kernels
-// elsewhere. The dispatched functions below call the active table.
+// its own translation unit (simd_sse2.cc, simd_avx2.cc and simd_avx512.cc
+// -- the only files built with -mavx2 and -mavx512f -- and simd_neon.cc)
+// that exports one table of kernel function pointers. At start-up the
+// widest backend the CPU supports becomes active: AVX-512 (8 lanes) when
+// the CPU reports AVX-512F, else AVX2 (4 lanes) when it has that, else
+// SSE2 (2 lanes, the x86-64 baseline); NEON (2 lanes) on AArch64; the
+// scalar kernels elsewhere. The dispatched functions below call the active table.
 // UseBackend switches it -- tests and tools use that to run every
 // supported backend in one process -- and no build option, environment
 // variable or run option selects it. The always-compiled `scalar::`
@@ -34,8 +35,9 @@
 // NOTE on fused multiply-add: the kernels never emit FMA. The scalar
 // baseline rounds after the multiply and again after the add, so a fused
 // contraction would change results; the build compiles with
-// -ffp-contract=off (top-level CMakeLists.txt) and the AVX2 unit is not
-// given -mfma, so neither the scalar code nor the intrinsic sequences are
+// -ffp-contract=off (top-level CMakeLists.txt) and no unit is given -mfma.
+// -mavx512f does make FMA available to the AVX-512 unit, so the flag is
+// what keeps the scalar code and the intrinsic sequences from being
 // contracted behind our back.
 
 #ifndef IPS_CORE_SIMD_H_
@@ -51,11 +53,11 @@ namespace simd {
 
 /// A kernel backend. Every backend computes bitwise-identical results; they
 /// differ only in speed.
-enum class Backend : uint8_t { kScalar, kSse2, kAvx2, kNeon };
+enum class Backend : uint8_t { kScalar, kSse2, kAvx2, kAvx512, kNeon };
 
-/// The backends this CPU can run, narrowest first: scalar, then SSE2 and
-/// AVX2 (when the CPU has it) on x86, or NEON on AArch64. The last entry is
-/// the one active at start-up.
+/// The backends this CPU can run, narrowest first: scalar, then SSE2, AVX2
+/// (when the CPU has it) and AVX-512 (when it also has AVX-512F) on x86, or
+/// NEON on AArch64. The last entry is the one active at start-up.
 std::span<const Backend> SupportedBackends();
 
 /// Makes `backend` the active one for every later kernel call in the
@@ -67,15 +69,15 @@ std::span<const Backend> SupportedBackends();
 /// The active backend.
 Backend ActiveBackend();
 
-/// "scalar", "sse2", "avx2" or "neon".
+/// "scalar", "sse2", "avx2", "avx512" or "neon".
 const char* BackendName(Backend backend);
 
 /// Name of the active backend. Used by benchmarks and logs.
 const char* BackendName();
 
-/// Doubles per vector of the active backend: 1 (scalar), 2 (SSE2, NEON) or
-/// 4 (AVX2). SlidingDots computes 4 * Lanes() outputs per register-blocked
-/// pass; tests aim remainder counts at both.
+/// Doubles per vector of the active backend: 1 (scalar), 2 (SSE2, NEON), 4
+/// (AVX2) or 8 (AVX-512). SlidingDots computes 4 * Lanes() outputs per
+/// register-blocked pass; tests aim remainder counts at both.
 size_t Lanes();
 
 // ---------------------------------------------------------------------------
@@ -87,8 +89,10 @@ size_t Lanes();
 /// Sliding dot products: out[i] = sum_j q[j] * s[i + j] for i in
 /// [0, n - m], accumulated in increasing j exactly as the naive kernel.
 /// Vectorised across Lanes() adjacent outputs i (each lane keeps its own
-/// scalar-order accumulator), 4 * Lanes() outputs per pass. `out`
-/// must hold n - m + 1 values.
+/// scalar-order accumulator), 4 * Lanes() outputs per pass. When at least
+/// one pass fits, the last pass ends at the last output and recomputes
+/// some already written, each to the same bits. `out` must hold n - m + 1
+/// values.
 void SlidingDots(const double* q, size_t m, const double* s, size_t n,
                  double* out);
 

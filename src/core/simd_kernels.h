@@ -1,17 +1,18 @@
 // Shared kernel templates of the SIMD layer (core/simd.h) and the table
 // each backend exports. Private to src/core: only the backend translation
 // units include it (simd.cc for the scalar reference, simd_sse2.cc,
-// simd_avx2.cc, simd_neon.cc).
+// simd_avx2.cc, simd_avx512.cc, simd_neon.cc).
 //
 // Everything a backend unit instantiates from this header lives in an
 // anonymous namespace, so each unit keeps its own copy. That matters for
-// simd_avx2.cc, the one unit compiled with -mavx2: were its instantiations
-// ordinary inline or template symbols, the linker would keep one copy per
-// name across units, and if it kept the AVX2 one, a CPU without AVX2 would
-// fault on the SSE2 or scalar path. For the same reason the kernels spell
-// out Max/Min instead of calling std::max/std::min (template instances an
-// unoptimised build emits out of line). The simd_avx2_symbols test fails
-// if the AVX2 object defines any weak or unique symbol.
+// simd_avx2.cc and simd_avx512.cc, the units compiled with -mavx2 and
+// -mavx512f: were their instantiations ordinary inline or template
+// symbols, the linker would keep one copy per name across units, and if it
+// kept an AVX2 or AVX-512 one, a CPU without that extension would fault on
+// a narrower path. For the same reason the kernels spell out Max/Min
+// instead of calling std::max/std::min (template instances an unoptimised
+// build emits out of line). The simd_avx2_symbols and simd_avx512_symbols
+// tests fail if either object defines any weak or unique symbol.
 
 #ifndef IPS_CORE_SIMD_KERNELS_H_
 #define IPS_CORE_SIMD_KERNELS_H_
@@ -73,6 +74,7 @@ struct KernelTable {
 extern const KernelTable kScalarKernels;
 extern const KernelTable kSse2Kernels;
 extern const KernelTable kAvx2Kernels;
+extern const KernelTable kAvx512Kernels;
 extern const KernelTable kNeonKernels;
 
 namespace {
@@ -93,8 +95,10 @@ inline double Min(double a, double b) { return b < a ? b : a; }
 //  * Min(a, b) / Max(a, b): value-level selection matching std::min(a, b) /
 //    std::max(a, b) for the non-NaN, non-(-0.0) inputs these kernels see.
 //  * CmpLt + Select(mask, a, b): lane-wise `cmp ? a : b` with a full-width
-//    mask, a pure bit-select (no arithmetic).
-// Vector backends (Sse2Ops, Avx2Ops, NeonOps) live in their own units.
+//    lane mask (a __mmask8 bit per lane on AVX-512), a pure bit-select (no
+//    arithmetic).
+// Vector backends (Sse2Ops, Avx2Ops, Avx512Ops, NeonOps) live in their own
+// units.
 
 struct ScalarOps {
   static constexpr size_t kWidth = 1;
@@ -124,9 +128,36 @@ struct ScalarOps {
 
 // The vector path is register-blocked: four independent accumulators cover
 // adjacent alignment blocks and share each broadcast q[j], so the adds of
-// different blocks overlap instead of waiting on one dependent chain. Every output still accumulates its own increasing-j
-// chain, so the blocking changes throughput, never a bit of the result.
-// Leftovers take the one-vector loop, then the scalar loop.
+// different blocks overlap instead of waiting on one dependent chain.
+// SlidingDotsBlockT computes the 4 * W outputs out[0 .. 4W) from s.
+template <typename Ops>
+void SlidingDotsBlockT(const double* q, size_t m, const double* s,
+                       double* out) {
+  constexpr size_t W = Ops::kWidth;
+  auto a0 = Ops::Set(0.0);
+  auto a1 = a0;
+  auto a2 = a0;
+  auto a3 = a0;
+  for (size_t j = 0; j < m; ++j) {
+    const auto qj = Ops::Set(q[j]);
+    a0 = Ops::Add(a0, Ops::Mul(qj, Ops::Load(s + j)));
+    a1 = Ops::Add(a1, Ops::Mul(qj, Ops::Load(s + j + W)));
+    a2 = Ops::Add(a2, Ops::Mul(qj, Ops::Load(s + j + 2 * W)));
+    a3 = Ops::Add(a3, Ops::Mul(qj, Ops::Load(s + j + 3 * W)));
+  }
+  Ops::Store(out, a0);
+  Ops::Store(out + W, a1);
+  Ops::Store(out + 2 * W, a2);
+  Ops::Store(out + 3 * W, a3);
+}
+
+// Every output accumulates its own increasing-j chain, so the blocking
+// changes throughput, never a bit of the result. When at least one block
+// fits, the leftovers are finished by one more block ending at `count`: it
+// overlaps outputs already written and rewrites them with the same chain,
+// hence the same bits, instead of running latency-bound one-vector and
+// scalar loops. Shorter counts take the one-vector loop, then the scalar
+// loop.
 template <typename Ops>
 void SlidingDotsT(const double* q, size_t m, const double* s, size_t n,
                   double* out) {
@@ -135,23 +166,14 @@ void SlidingDotsT(const double* q, size_t m, const double* s, size_t n,
   size_t i = 0;
   if constexpr (W > 1) {
     constexpr size_t kBlock = 4 * W;
-    for (; i + kBlock <= count; i += kBlock) {
-      const double* p = s + i;
-      auto a0 = Ops::Set(0.0);
-      auto a1 = a0;
-      auto a2 = a0;
-      auto a3 = a0;
-      for (size_t j = 0; j < m; ++j) {
-        const auto qj = Ops::Set(q[j]);
-        a0 = Ops::Add(a0, Ops::Mul(qj, Ops::Load(p + j)));
-        a1 = Ops::Add(a1, Ops::Mul(qj, Ops::Load(p + j + W)));
-        a2 = Ops::Add(a2, Ops::Mul(qj, Ops::Load(p + j + 2 * W)));
-        a3 = Ops::Add(a3, Ops::Mul(qj, Ops::Load(p + j + 3 * W)));
+    if (count >= kBlock) {
+      for (; i + kBlock <= count; i += kBlock) {
+        SlidingDotsBlockT<Ops>(q, m, s + i, out + i);
       }
-      Ops::Store(out + i, a0);
-      Ops::Store(out + i + W, a1);
-      Ops::Store(out + i + 2 * W, a2);
-      Ops::Store(out + i + 3 * W, a3);
+      if (i < count) {
+        SlidingDotsBlockT<Ops>(q, m, s + count - kBlock, out + count - kBlock);
+      }
+      return;
     }
     for (; i + W <= count; i += W) {
       auto acc = Ops::Set(0.0);

@@ -1,7 +1,8 @@
 # Fails when an object file defines a weak (nm type W or V) or unique (u)
 # symbol. Such a symbol is merged across translation units at link time,
-# so an instance compiled with extra target flags (the -mavx2 kernels)
-# could replace the baseline copy every other unit calls.
+# so an instance compiled with extra target flags (the -mavx2 and
+# -mavx512f kernels) could replace the baseline copy every other unit
+# calls.
 #
 # Usage: cmake -DNM=<nm> -DOBJECTS=<object;...> -P check_no_weak_symbols.cmake
 

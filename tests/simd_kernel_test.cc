@@ -78,15 +78,18 @@ TEST(SimdBackendTest, WidthAndNameAreConsistent) {
       EXPECT_EQ(simd::Lanes(), 1u);
     } else if (name == "sse2" || name == "neon") {
       EXPECT_EQ(simd::Lanes(), 2u);
-    } else {
-      EXPECT_EQ(name, "avx2");
+    } else if (name == "avx2") {
       EXPECT_EQ(simd::Lanes(), 4u);
+    } else {
+      EXPECT_EQ(name, "avx512");
+      EXPECT_EQ(simd::Lanes(), 8u);
     }
   });
 }
 
-// The start-up backend is the widest one the CPU supports: on x86-64, AVX2
-// exactly when the CPU reports it. The scalar reference is always there.
+// The start-up backend is the widest one the CPU supports: on x86-64,
+// AVX-512 exactly when the CPU reports AVX-512F, else AVX2 exactly when it
+// reports that. The scalar reference is always there.
 TEST(SimdBackendTest, DefaultIsWidestSupported) {
   const std::span<const simd::Backend> supported = simd::SupportedBackends();
   ASSERT_FALSE(supported.empty());
@@ -100,9 +103,11 @@ TEST(SimdBackendTest, DefaultIsWidestSupported) {
   }
 #if defined(__x86_64__) || defined(_M_X64)
   __builtin_cpu_init();
-  EXPECT_EQ(supported.back(), __builtin_cpu_supports("avx2")
-                                  ? simd::Backend::kAvx2
-                                  : simd::Backend::kSse2);
+  const simd::Backend widest =
+      __builtin_cpu_supports("avx512f") ? simd::Backend::kAvx512
+      : __builtin_cpu_supports("avx2")  ? simd::Backend::kAvx2
+                                        : simd::Backend::kSse2;
+  EXPECT_EQ(supported.back(), widest);
 #elif defined(__aarch64__) && defined(__ARM_NEON)
   EXPECT_EQ(supported.back(), simd::Backend::kNeon);
 #endif
@@ -110,14 +115,15 @@ TEST(SimdBackendTest, DefaultIsWidestSupported) {
 }
 
 // A backend the CPU cannot run is refused and leaves the active one alone.
-// Every CPU lacks at least one: x86 has no NEON, AArch64 no SSE2 or AVX2.
+// Every CPU lacks at least one: x86 has no NEON, AArch64 no SSE2, AVX2 or
+// AVX-512.
 TEST(SimdBackendTest, UseBackendRejectsUnsupported) {
   const std::span<const simd::Backend> supported = simd::SupportedBackends();
   const simd::Backend before = simd::ActiveBackend();
   size_t rejected = 0;
   for (const simd::Backend backend :
        {simd::Backend::kScalar, simd::Backend::kSse2, simd::Backend::kAvx2,
-        simd::Backend::kNeon}) {
+        simd::Backend::kAvx512, simd::Backend::kNeon}) {
     if (std::find(supported.begin(), supported.end(), backend) !=
         supported.end()) {
       continue;
@@ -132,13 +138,17 @@ TEST(SimdBackendTest, UseBackendRejectsUnsupported) {
 TEST(SimdKernelTest, SlidingDotsMatchesScalarAndHistoricLoop) {
   ForEachSimdBackend([] {
     Rng rng(7);
-    // Besides the shared counts, reach every tail of the register-blocked
-    // loop (4 * width outputs per pass): one short of a block, exactly one,
-    // one over, and two blocks plus a vector plus a scalar leftover.
+    // Besides the shared counts, reach every path of the register-blocked
+    // loop (4 * width outputs per pass): one short of a block (the
+    // one-vector and scalar loops), exactly one block, and then counts
+    // that end on an overlapped last block -- one over one block (it
+    // rewrites all but one output), one short of two, one over two, and
+    // two blocks plus width + 1.
     const size_t kW = simd::Lanes();
     const size_t kBlock = 4 * kW;
     std::vector<size_t> counts = TestCounts();
-    for (size_t c : {kBlock - 1, kBlock, kBlock + 1, 2 * kBlock + kW + 1}) {
+    for (size_t c : {kBlock - 1, kBlock, kBlock + 1, 2 * kBlock - 1,
+                     2 * kBlock + 1, 2 * kBlock + kW + 1}) {
       counts.push_back(c);
     }
     for (size_t count : counts) {
