@@ -8,7 +8,9 @@
 // reference on the same inputs, best-of-trials, with a checksum over the
 // outputs to confirm the two paths computed the same values (they are
 // bitwise identical; tests/simd_kernel_test.cc is the strict assertion,
-// the checksum here guards the benchmark itself). On top of the kernels,
+// the checksum here guards the benchmark itself; qt_sweep, the whole STOMP
+// row, compares every row and column minimum and index bit for bit
+// instead). On top of the kernels,
 // each row times IpsClassifier::PredictBatch on that backend, at one thread
 // and at every hardware thread, and checks its labels against the scalar
 // backend's. The run exits nonzero on any checksum or label mismatch.
@@ -21,8 +23,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,6 +83,11 @@ double Checksum(const std::vector<double>& v) {
   double s = 0.0;
   for (double x : v) s += x;
   return s;
+}
+
+bool BitEqual(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
 }
 
 std::vector<double> RandomSeries(size_t n, uint64_t seed) {
@@ -167,8 +176,10 @@ KernelResult BenchZNormProfile() {
   return r;
 }
 
-// One full STOMP row sweep: chained QT updates plus the per-row distance
-// evaluation, the engine's RowSweep inner loops.
+// One full STOMP AB-join row sweep, the engine's RowSweep inner loops:
+// chained QT updates, the per-row distance evaluation and the two-sided
+// min scan (the row's nearest column, and each column's nearest row).
+// Gated on every row and column minimum and index, bit for bit.
 KernelResult BenchQtSweep() {
   const size_t w = 64, n = 4096, l = n - w + 1, rows = 256;
   const auto a = RandomSeries(rows + w, 8);
@@ -178,34 +189,50 @@ KernelResult BenchQtSweep() {
   std::vector<double> qt0(l);
   simd::scalar::SlidingDots(a.data(), w, b.data(), n, qt0.data());
 
+  struct Profiles {
+    std::vector<double> row_val, row_idx, col_val, col_row;
+  };
   std::vector<double> qt(l), dist(l);
-  std::vector<double> sum_simd(1), sum_scalar(1);
+  Profiles out_simd, out_scalar;
 
-  const auto sweep = [&](bool use_simd) {
+  const auto sweep = [&](bool use_simd, Profiles& o) {
     qt = qt0;
-    double acc = 0.0;
+    o.row_val.assign(rows, 0.0);
+    o.row_idx.assign(rows, -1.0);
+    o.col_val.assign(l, std::numeric_limits<double>::infinity());
+    o.col_row.assign(l, -1.0);
+    const simd::RowMin none{std::numeric_limits<double>::infinity(), -1.0};
     for (size_t i = 1; i < rows; ++i) {
+      const double row = static_cast<double>(i);
+      simd::RowMin best;
       if (use_simd) {
         simd::QtRowAdvance(qt.data(), l, b.data(), w, a[i - 1], a[i + w - 1]);
         simd::StompRowDistances(qt.data(), sb.means.data(), sb.stds.data(), l,
                                 w, sa.means[i], sa.stds[i], dist.data());
+        best = simd::StompRowMins(dist.data(), l, 0.0, row, none,
+                                  o.col_val.data(), o.col_row.data());
       } else {
         simd::scalar::QtRowAdvance(qt.data(), l, b.data(), w, a[i - 1],
                                    a[i + w - 1]);
         simd::scalar::StompRowDistances(qt.data(), sb.means.data(),
                                         sb.stds.data(), l, w, sa.means[i],
                                         sa.stds[i], dist.data());
+        best = simd::scalar::StompRowMins(dist.data(), l, 0.0, row, none,
+                                          o.col_val.data(), o.col_row.data());
       }
-      acc += dist[i % l];
+      o.row_val[i] = best.value;
+      o.row_idx[i] = best.index;
     }
-    return acc;
   };
 
   KernelResult r;
   r.kernel = "qt_sweep";
-  r.simd_ns = BestOfNs([&] { sum_simd[0] = sweep(true); }, 3, 2);
-  r.scalar_ns = BestOfNs([&] { sum_scalar[0] = sweep(false); }, 3, 2);
-  r.checksum_equal = sum_simd[0] == sum_scalar[0];
+  r.simd_ns = BestOfNs([&] { sweep(true, out_simd); }, 3, 2);
+  r.scalar_ns = BestOfNs([&] { sweep(false, out_scalar); }, 3, 2);
+  r.checksum_equal = BitEqual(out_simd.row_val, out_scalar.row_val) &&
+                     BitEqual(out_simd.row_idx, out_scalar.row_idx) &&
+                     BitEqual(out_simd.col_val, out_scalar.col_val) &&
+                     BitEqual(out_simd.col_row, out_scalar.col_row);
   return r;
 }
 

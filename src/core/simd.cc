@@ -208,6 +208,13 @@ void StompRowDistancesCosine(const double* qt, const double* ssq_b,
   Active().stomp_row_cosine(qt, ssq_b, count, window, ssq_a, out);
 }
 
+RowMin StompRowMins(const double* dist, size_t count, double first_j,
+                    double row, RowMin init, double* col_val,
+                    double* col_row) {
+  return Active().stomp_row_mins(dist, count, first_j, row, init, col_val,
+                                 col_row);
+}
+
 double SquaredEuclideanChained(const double* a, const double* b, size_t n) {
   return SquaredEuclideanChainedT(a, b, n);
 }
@@ -293,6 +300,13 @@ void StompRowDistancesCosine(const double* qt, const double* ssq_b,
                              size_t count, size_t window, double ssq_a,
                              double* out) {
   StompRowCosineT<ScalarOps>(qt, ssq_b, count, window, ssq_a, out);
+}
+
+RowMin StompRowMins(const double* dist, size_t count, double first_j,
+                    double row, RowMin init, double* col_val,
+                    double* col_row) {
+  return StompRowMinsT<ScalarOps>(dist, count, first_j, row, init, col_val,
+                                  col_row);
 }
 
 double SquaredEuclideanChained(const double* a, const double* b, size_t n) {

@@ -9,11 +9,15 @@
 // scalar code at any vector width. Loops whose value is one chained
 // floating-point reduction (SquaredEuclidean's accumulator, prefix sums, the
 // per-diagonal QT chain) stay scalar by design -- splitting them into lane
-// partials would reassociate the rounding order. Min-reductions are the one
+// partials would reassociate the rounding order. Selections are the one
 // sanctioned exception: min/max selection involves no rounding, so a
 // lane-wise running minimum folded horizontally at the end selects exactly
-// the value the sequential loop selects (all inputs here are non-NaN and
-// non-negative, so IEEE min quirks around NaN and -0.0 never apply).
+// the value the sequential loop selects (the *MinFromDots inputs are
+// non-NaN and non-negative, so IEEE min quirks around NaN and -0.0 never
+// apply). Where an index tie-break matters too (the STOMP row's minima),
+// StompRowMins selects with strict < per lane, keeps each lane's first
+// index, and folds by value and then lowest index, taking the value from
+// the winning lane: the serial scan's result, NaN, -0.0 and ties included.
 //
 // Backend selection is a run-time decision. Every backend the target
 // architecture has is compiled into the one binary, each vector backend in
@@ -182,6 +186,29 @@ void StompRowDistancesCosine(const double* qt, const double* ssq_b,
                              size_t count, size_t window, double ssq_a,
                              double* out);
 
+/// The row side of StompRowMins: a running minimum and the column index
+/// where it was first reached. Indices travel as doubles, exact below
+/// 2^53; a negative index is the caller's "none".
+struct RowMin {
+  double value;
+  double index;
+};
+
+/// One STOMP row's two-sided min scan (matrix_profile RowSweep), where
+/// dist[k] is the distance of row `row` to column first_j + k:
+///   for k in [0, count): d = dist[k];
+///     if (d < best.value) best = {d, first_j + k};
+///     if (d < col_val[k]) { col_val[k] = d; col_row[k] = row; }
+/// and returns `best`, seeded with `init` (kept when nothing is smaller).
+/// Strict < throughout, so NaN is never selected and equal values keep the
+/// first column; a NaN in col_val is never replaced. Each lane keeps its
+/// own strict-< minimum and first index, and the lanes fold by smallest
+/// value, then lowest index, taking the value from the winning lane: the
+/// same bits as the serial scan, including which of -0.0 / +0.0 wins.
+RowMin StompRowMins(const double* dist, size_t count, double first_j,
+                    double row, RowMin init, double* col_val,
+                    double* col_row);
+
 // ---------------------------------------------------------------------------
 // Early-abandon min kernels (the lower-bound cascade of docs/pruning.md).
 //
@@ -337,6 +364,9 @@ void StompRowDistancesL2(const double* qt, const double* ssq_b, size_t count,
 void StompRowDistancesCosine(const double* qt, const double* ssq_b,
                              size_t count, size_t window, double ssq_a,
                              double* out);
+RowMin StompRowMins(const double* dist, size_t count, double first_j,
+                    double row, RowMin init, double* col_val,
+                    double* col_row);
 double SquaredEuclideanChained(const double* a, const double* b, size_t n);
 }  // namespace scalar
 

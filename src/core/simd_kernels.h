@@ -67,6 +67,9 @@ struct KernelTable {
   void (*stomp_row_cosine)(const double* qt, const double* ssq_b,
                            size_t count, size_t window, double ssq_a,
                            double* out);
+  RowMin (*stomp_row_mins)(const double* dist, size_t count, double first_j,
+                           double row, RowMin init, double* col_val,
+                           double* col_row);
 };
 
 // The tables the backend units export. Each is defined only where its unit
@@ -707,6 +710,75 @@ void StompRowCosineT(const double* qt, const double* ssq_b, size_t count,
   }
 }
 
+// Branch-free on purpose: the vector block has no data-dependent branch
+// and no per-lane write loop. (A version that skipped blocks with an empty
+// mask and wrote indices bit by bit won in isolation and lost end to end:
+// on real rows the masks are rarely empty and the branches mispredict.)
+// Column side: a per-lane select of value and row, the serial update cell
+// by cell. Row side: each lane keeps its own strict-< running minimum,
+// seeded with init.value, and the first column where it fell (-1 while the
+// lane has not gone below the seed). Lane l sees columns l, l + W, ... in
+// increasing order, so that is the first occurrence within the lane. The
+// fold takes the smallest improved value and, among equals, the lowest
+// column -- the first occurrence overall, which is what the serial scan
+// keeps -- with the value from that lane, so the sign of a zero matches.
+// Improved lanes are strictly below the seed, so they never tie with it.
+template <typename Ops>
+RowMin StompRowMinsT(const double* dist, size_t count, double first_j,
+                     double row, RowMin init, double* col_val,
+                     double* col_row) {
+  constexpr size_t W = Ops::kWidth;
+  RowMin best = init;
+  size_t k = 0;
+  if constexpr (W > 1) {
+    if (count >= W) {
+      double lane[W];
+      for (size_t l = 0; l < W; ++l) {
+        lane[l] = first_j + static_cast<double>(l);
+      }
+      auto col = Ops::Load(lane);
+      const auto step = Ops::Set(static_cast<double>(W));
+      const auto rowv = Ops::Set(row);
+      auto min_val = Ops::Set(init.value);
+      auto min_col = Ops::Set(-1.0);
+      for (; k + W <= count; k += W) {
+        const auto d = Ops::Load(dist + k);
+        const auto lower = Ops::CmpLt(d, min_val);
+        min_val = Ops::Select(lower, d, min_val);
+        min_col = Ops::Select(lower, col, min_col);
+        const auto cv = Ops::Load(col_val + k);
+        const auto take = Ops::CmpLt(d, cv);
+        Ops::Store(col_val + k, Ops::Select(take, d, cv));
+        Ops::Store(col_row + k,
+                   Ops::Select(take, rowv, Ops::Load(col_row + k)));
+        col = Ops::Add(col, step);
+      }
+      double vals[W];
+      double cols[W];
+      Ops::Store(vals, min_val);
+      Ops::Store(cols, min_col);
+      for (size_t l = 0; l < W; ++l) {
+        if (cols[l] >= 0.0 &&
+            (vals[l] < best.value ||
+             (vals[l] == best.value && cols[l] < best.index))) {
+          best = {vals[l], cols[l]};
+        }
+      }
+    }
+  }
+  for (; k < count; ++k) {
+    const double d = dist[k];
+    if (d < best.value) {
+      best = {d, first_j + static_cast<double>(k)};
+    }
+    if (d < col_val[k]) {
+      col_val[k] = d;
+      col_row[k] = row;
+    }
+  }
+  return best;
+}
+
 // The table of one backend: every kernel instantiated with `Ops`.
 template <typename Ops>
 constexpr KernelTable MakeKernelTable(Backend backend, const char* name) {
@@ -727,7 +799,8 @@ constexpr KernelTable MakeKernelTable(Backend backend, const char* name) {
                      &StompRowDistancesT<Ops>,
                      &StompRowRawT<Ops>,
                      &StompRowL2T<Ops>,
-                     &StompRowCosineT<Ops>};
+                     &StompRowCosineT<Ops>,
+                     &StompRowMinsT<Ops>};
 }
 
 }  // namespace

@@ -435,26 +435,31 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
   // one difference from the kernels is that each cell feeds BOTH sides'
   // minima -- the pair-symmetric halving.
   //
-  // Both row passes are vectorised (core/simd.h): QtRowAdvance performs the
-  // in-place update -- every new qt[j] reads only pre-update values, so
-  // blocks of lanes are independent outputs -- and the policy's stomp_row
-  // kernel evaluates the metric's per-cell distance into `dist`. The
-  // min/index scans stay scalar: they are selection recurrences whose
-  // result feeds the next comparison, and scalar is what preserves the
-  // serial kernels' rule below.
+  // All three row passes are vectorised (core/simd.h): QtRowAdvance
+  // performs the in-place update -- every new qt[j] reads only pre-update
+  // values, so blocks of lanes are independent outputs -- the policy's
+  // stomp_row kernel evaluates the metric's per-cell distance into `dist`,
+  // and StompRowMins runs the two-sided min scan: a per-lane select on the
+  // column side and lane minima folded by lowest index on the row side.
   //
   // Updates here use plain strict < (not the tie-aware UpdateMin): a full
   // row-order sweep visits cells in the kernels' own order -- for a fixed
   // row target i the candidates j arrive in increasing order, and for a
   // fixed column target j the candidates i do too -- so first-strictly-
-  // smaller-wins IS the serial tie rule. The tie-aware comparison is only
-  // needed when chunk partials merge out of visit order.
-  // The QT and distance rows come from the worker's arena (an inner scope,
-  // so nested sweeps on the caller thread rewind exactly their own carves).
+  // smaller-wins IS the serial tie rule, and StompRowMins reproduces it
+  // bitwise. The tie-aware comparison is only needed when chunk partials
+  // merge out of visit order.
+  //
+  // The QT, distance and column-winner rows come from the worker's arena
+  // (an inner scope, so nested sweeps on the caller thread rewind exactly
+  // their own carves). The kernel carries column winners' row numbers as
+  // doubles (-1 = untouched), converted to indices once per sweep.
   ScratchArena& arena = ScratchArena::ForCurrentThread();
   const ScratchArena::Scope scope(arena);
   const size_t qn = cx.row0->size();
-  std::span<double> rows = arena.Alloc<double>(RoundUpLane(qn) + cx.lb);
+  const size_t cols = cx.self ? cx.la : (cx.want_b ? cx.lb : 0);
+  std::span<double> rows = arena.Alloc<double>(RoundUpLane(qn) +
+                                               RoundUpLane(cx.lb) + cols);
   std::span<double> qt_row = rows.subspan(0, qn);
   std::copy(cx.row0->begin(), cx.row0->end(), qt_row.begin());
   double* const qt = qt_row.data();
@@ -462,6 +467,13 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
   double* const av = p.a_val.data();
   size_t* const ai = p.a_idx.data();
   double* const dist = rows.data() + RoundUpLane(qn);
+  double* const col_row = dist + RoundUpLane(cx.lb);
+  std::fill(col_row, col_row + cols, -1.0);
+  const auto take_col_rows = [&](size_t* idx) {
+    for (size_t j = 0; j < cols; ++j) {
+      if (col_row[j] >= 0.0) idx[j] = static_cast<size_t>(col_row[j]);
+    }
+  };
 
   if (cx.self) {
     const size_t l = cx.la;
@@ -474,48 +486,34 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
       if (start >= l) continue;
       kernels.stomp_row(qt + start, row_view(start), l - start, w, cell_at(i),
                         dist);
-      double best = av[i];
-      size_t best_j = ai[i];
-      for (size_t j = start; j < l; ++j) {
-        const double d = dist[j - start];
-        if (d < best) {
-          best = d;
-          best_j = j;
-        }
-        if (d < av[j]) {
-          av[j] = d;
-          ai[j] = i;
-        }
-      }
-      av[i] = best;
-      ai[i] = best_j;
+      // Row i's own minimum so far is its column-side one (rows < i).
+      const simd::RowMin best = simd::StompRowMins(
+          dist, l - start, static_cast<double>(start), static_cast<double>(i),
+          {av[i], col_row[i]}, av + start, col_row + start);
+      av[i] = best.value;
+      col_row[i] = best.index;
     }
+    take_col_rows(ai);
     return;
   }
 
   double* const bv = p.b_val.data();
-  size_t* const bi = p.b_idx.data();
   for (size_t i = 0; i < cx.la; ++i) {
     if (i > 0) {
       simd::QtRowAdvance(qt, cx.lb, b.data(), w, a[i - 1], a[i + w - 1]);
       qt[0] = col0[i];
     }
     kernels.stomp_row(qt, row_view(0), cx.lb, w, cell_at(i), dist);
-    double best = kInf;
-    size_t best_j = kNoNeighbor;
     if (cx.want_b) {
-      for (size_t j = 0; j < cx.lb; ++j) {
-        const double d = dist[j];
-        if (d < best) {
-          best = d;
-          best_j = j;
-        }
-        if (d < bv[j]) {
-          bv[j] = d;
-          bi[j] = i;
-        }
-      }
+      const simd::RowMin best =
+          simd::StompRowMins(dist, cx.lb, 0.0, static_cast<double>(i),
+                             {kInf, -1.0}, bv, col_row);
+      av[i] = best.value;
+      ai[i] = best.index < 0.0 ? kNoNeighbor
+                               : static_cast<size_t>(best.index);
     } else {
+      double best = kInf;
+      size_t best_j = kNoNeighbor;
       for (size_t j = 0; j < cx.lb; ++j) {
         const double d = dist[j];
         if (d < best) {
@@ -523,10 +521,11 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
           best_j = j;
         }
       }
+      av[i] = best;
+      ai[i] = best_j;
     }
-    av[i] = best;
-    ai[i] = best_j;
   }
+  if (cx.want_b) take_col_rows(p.b_idx.data());
 }
 
 void MatrixProfileEngine::MergePartial(const SweepContext& cx,

@@ -563,5 +563,204 @@ TEST(SimdKernelTest, StompRowDistancesRawL2CosineMatchScalarAndHelpers) {
   });
 }
 
+// ------------------------------------------------------ STOMP row min scan
+
+constexpr size_t kNoIndex = static_cast<size_t>(-1);
+
+struct HistoricRowMin {
+  double value;
+  size_t index;
+};
+
+// The serial two-sided scan RowSweep ran before StompRowMins, verbatim but
+// for the offset: strict < on both sides, size_t indices.
+HistoricRowMin HistoricRowMins(const std::vector<double>& dist,
+                               size_t first_j, size_t row,
+                               HistoricRowMin init,
+                               std::vector<double>& col_val,
+                               std::vector<size_t>& col_idx) {
+  double best = init.value;
+  size_t best_j = init.index;
+  for (size_t k = 0; k < dist.size(); ++k) {
+    const double d = dist[k];
+    if (d < best) {
+      best = d;
+      best_j = first_j + k;
+    }
+    if (d < col_val[k]) {
+      col_val[k] = d;
+      col_idx[k] = row;
+    }
+  }
+  return {best, best_j};
+}
+
+enum class RowMinCase {
+  kRandom,       // distinct values, +inf / ties / finite values in col_val
+  kTiedMinima,   // one minimum at several columns in different lanes
+  kSignedZeros,  // -0.0 and +0.0 minima in a random order
+  kNonFinite,    // NaN and +inf in dist, NaN in col_val
+  kSeedKept,     // the self-join's finite seed, below every cell
+  kSeedBeaten,   // the self-join's finite seed, inside the row's range
+};
+
+struct RowMinInput {
+  std::vector<double> dist;
+  std::vector<double> col_val;
+  std::vector<size_t> col_idx;  // kNoIndex = no winner yet
+  HistoricRowMin init{std::numeric_limits<double>::infinity(), kNoIndex};
+};
+
+// Columns count - 1, count - 1 - (lanes + 1), ...: every step moves one
+// lane over, so equal values land in different lanes (and blocks), and the
+// lowest column is placed last.
+std::vector<size_t> SpreadColumns(size_t count, size_t lanes, size_t max) {
+  std::vector<size_t> cols;
+  for (size_t c = count; c > 0 && cols.size() < max;) {
+    cols.push_back(c - 1);
+    c = c > lanes + 1 ? c - (lanes + 1) : 0;
+  }
+  return cols;
+}
+
+RowMinInput MakeRowMinInput(Rng& rng, size_t count, size_t lanes,
+                            RowMinCase kind) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  RowMinInput in;
+  in.dist.resize(count);
+  for (double& d : in.dist) d = 1.0 + std::abs(rng.Gaussian());
+  in.col_val.resize(count);
+  in.col_idx.assign(count, kNoIndex);
+  for (size_t k = 0; k < count; ++k) {
+    switch (rng.Index(3)) {
+      case 0:
+        in.col_val[k] = kInf;
+        break;
+      case 1:  // an equal value is never replaced
+        in.col_val[k] = in.dist[k];
+        in.col_idx[k] = rng.Index(50);
+        break;
+      default:
+        in.col_val[k] = 1.0 + std::abs(rng.Gaussian());
+        in.col_idx[k] = rng.Index(50);
+        break;
+    }
+  }
+  switch (kind) {
+    case RowMinCase::kRandom:
+      break;
+    case RowMinCase::kTiedMinima:
+      for (size_t c : SpreadColumns(count, lanes, 5)) in.dist[c] = 0.5;
+      break;
+    case RowMinCase::kSignedZeros:
+      for (size_t c : SpreadColumns(count, lanes, 6)) {
+        in.dist[c] = rng.Index(2) == 0 ? -0.0 : 0.0;
+      }
+      break;
+    case RowMinCase::kNonFinite:
+      for (size_t k = 0; k < count; ++k) {
+        switch (rng.Index(4)) {
+          case 0:
+            in.dist[k] = kNaN;
+            break;
+          case 1:
+            in.dist[k] = kInf;
+            break;
+          case 2:  // a small value a NaN column must still refuse
+            in.dist[k] = 0.25;
+            in.col_val[k] = kNaN;
+            break;
+          default:
+            break;
+        }
+      }
+      if (count > 0) in.dist[0] = kNaN;  // the first cell is never taken
+      break;
+    case RowMinCase::kSeedKept:  // nothing improves: index 7 is kept
+      in.init = {0.5, 7};
+      break;
+    case RowMinCase::kSeedBeaten:
+      in.init = {1.5, 7};
+      break;
+  }
+  return in;
+}
+
+std::vector<size_t> RowMinCounts() {
+  const size_t kW = simd::Lanes();
+  std::vector<size_t> counts = {0,          1,          kW - 1,     kW,
+                                kW + 1,     4 * kW - 1, 4 * kW + 1, 8 * kW + 3,
+                                31,         97,         257};
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  return counts;
+}
+
+// Bitwise against the historic serial loop and the scalar reference: the
+// row minimum's bits and column, every column value's bits and row.
+TEST(SimdKernelTest, StompRowMinsMatchesScalarAndHistoricLoop) {
+  ForEachSimdBackend([] {
+    Rng rng(41);
+    const auto to_index = [](double x) {
+      return x < 0.0 ? kNoIndex : static_cast<size_t>(x);
+    };
+    const auto to_rows = [](const std::vector<size_t>& idx) {
+      std::vector<double> rows(idx.size());
+      for (size_t k = 0; k < idx.size(); ++k) {
+        rows[k] = idx[k] == kNoIndex ? -1.0 : static_cast<double>(idx[k]);
+      }
+      return rows;
+    };
+    for (size_t count : RowMinCounts()) {
+      for (RowMinCase kind :
+           {RowMinCase::kRandom, RowMinCase::kTiedMinima,
+            RowMinCase::kSignedZeros, RowMinCase::kNonFinite,
+            RowMinCase::kSeedKept, RowMinCase::kSeedBeaten}) {
+        SCOPED_TRACE("count=" + std::to_string(count) +
+                     " case=" + std::to_string(static_cast<int>(kind)));
+        const RowMinInput in =
+            MakeRowMinInput(rng, count, simd::Lanes(), kind);
+        const size_t first_j = rng.Index(100);
+        const size_t row = rng.Index(1000);
+
+        std::vector<double> hist_val = in.col_val;
+        std::vector<size_t> hist_idx = in.col_idx;
+        const HistoricRowMin hist =
+            HistoricRowMins(in.dist, first_j, row, in.init, hist_val, hist_idx);
+
+        const simd::RowMin init{in.init.value,
+                                in.init.index == kNoIndex
+                                    ? -1.0
+                                    : static_cast<double>(in.init.index)};
+        std::vector<double> got_val = in.col_val;
+        std::vector<double> got_row = to_rows(in.col_idx);
+        const simd::RowMin got = simd::StompRowMins(
+            in.dist.data(), count, static_cast<double>(first_j),
+            static_cast<double>(row), init, got_val.data(), got_row.data());
+        std::vector<double> ref_val = in.col_val;
+        std::vector<double> ref_row = to_rows(in.col_idx);
+        const simd::RowMin ref = simd::scalar::StompRowMins(
+            in.dist.data(), count, static_cast<double>(first_j),
+            static_cast<double>(row), init, ref_val.data(), ref_row.data());
+
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.value),
+                  std::bit_cast<uint64_t>(hist.value));
+        EXPECT_EQ(to_index(got.index), hist.index);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.value),
+                  std::bit_cast<uint64_t>(ref.value));
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.index),
+                  std::bit_cast<uint64_t>(ref.index));
+        ExpectBitEqual(got_val, hist_val, "StompRowMins columns vs historic");
+        ExpectBitEqual(got_val, ref_val, "StompRowMins columns vs scalar");
+        ExpectBitEqual(got_row, ref_row, "StompRowMins rows vs scalar");
+        for (size_t k = 0; k < count; ++k) {
+          ASSERT_EQ(to_index(got_row[k]), hist_idx[k]) << "column " << k;
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 }  // namespace ips
