@@ -15,8 +15,7 @@
 // Each dataset runs twice per thread count: the paper's defaults (DABF
 // pruning, DT+CR utility), then a "naive" section with naive pruning and
 // exact utility, where every Def. 4 distance of discovery runs through the
-// DistanceEngine and its early-abandon cascade -- so every diff of this
-// output covers that engine too.
+// DistanceEngine -- so every diff of this output covers that engine too.
 //
 // Usage: discovery_fingerprint [--datasets=a,b,c] [--metric=NAME]
 //                              [--store_budget=BYTES]

@@ -9,7 +9,10 @@
 // same registry data. The artifact uses the obs/export.h report schema
 // shared by every BENCH_*.json. Per dataset, the sum of top-level stage
 // spans is checked against an independent end-to-end wall clock (within
-// 5%): the trace is accounting for the run, not sampling it.
+// 5%): the trace is accounting for the run, not sampling it. The paper's
+// claim is checked too: DABF pruning and DT+CR selection must each take
+// at most half the time of their exhaustive counterparts. The binary
+// exits 1 when either check fails.
 
 #include <cmath>
 #include <cstdio>
@@ -72,6 +75,13 @@ int Run(const BenchArgs& args) {
   const obs::TraceSnapshot run_trace_before =
       obs::TraceRegistry::Instance().Snapshot();
   bool wall_check_failed = false;
+  // Per dataset: prune_dabf / prune_naive and topk_dtcr / topk_exact.
+  struct StageRatios {
+    std::string dataset;
+    double dabf = 0.0;
+    double dtcr = 0.0;
+  };
+  std::vector<StageRatios> ratios;
 
   for (const std::string& name : datasets) {
     const TrainTestSplit data = GetDataset(name, args);
@@ -139,11 +149,19 @@ int Run(const BenchArgs& args) {
     const obs::MetricsSnapshot metrics =
         obs::MetricsRegistry::Instance().DeltaSince(metrics_before);
 
+    const double prune_naive_s = trace.LeafSeconds("prune_naive");
+    const double prune_dabf_s = trace.LeafSeconds("prune_dabf");
+    const double topk_exact_s = trace.LeafSeconds("topk_exact");
+    const double topk_dtcr_s = trace.LeafSeconds("topk_dtcr");
     table.AddRow({name, TablePrinter::Num(trace.LeafSeconds("candidate_gen"), 4),
-                  TablePrinter::Num(trace.LeafSeconds("prune_naive"), 4),
-                  TablePrinter::Num(trace.LeafSeconds("prune_dabf"), 4),
-                  TablePrinter::Num(trace.LeafSeconds("topk_exact"), 4),
-                  TablePrinter::Num(trace.LeafSeconds("topk_dtcr"), 4)});
+                  TablePrinter::Num(prune_naive_s, 4),
+                  TablePrinter::Num(prune_dabf_s, 4),
+                  TablePrinter::Num(topk_exact_s, 4),
+                  TablePrinter::Num(topk_dtcr_s, 4)});
+    if (obs::kTracingEnabled) {
+      ratios.push_back({name, prune_dabf_s / prune_naive_s,
+                        topk_dtcr_s / topk_exact_s});
+    }
 
     // Top-level spans (depth 0) partition the measured section: their sum
     // must track the independent wall clock. Child spans (instance_profile,
@@ -172,8 +190,20 @@ int Run(const BenchArgs& args) {
   }
   table.Print();
   std::printf(
-      "\nExpected shape (paper): DABF and DT+CR each cut their stage's time "
-      "by >= 50%%; candidate generation is a small share of the total.\n");
+      "\nPaper claim: DABF and DT+CR each cut their stage's time by >= 50%%; "
+      "candidate generation is a small share of the total.\n");
+  bool claim_failed = false;
+  for (const StageRatios& r : ratios) {
+    const bool failed = !(r.dabf <= 0.5 && r.dtcr <= 0.5);
+    claim_failed = claim_failed || failed;
+    std::printf(
+        "  %s: prune_dabf / prune_naive = %.3f, topk_dtcr / topk_exact = "
+        "%.3f%s\n",
+        r.dataset.c_str(), r.dabf, r.dtcr, failed ? "  (above 0.5)" : "");
+  }
+  if (claim_failed) {
+    std::fprintf(stderr, "FAIL: a stage ratio is above 0.5\n");
+  }
 
   // Whole-run registry deltas: the counter summary the table used to print
   // by hand, now one stats view plus the rendered span tree.
@@ -184,17 +214,6 @@ int Run(const BenchArgs& args) {
   const IpsRunStats stats = IpsRunStats::FromRegistry(run_metrics, run_trace);
   std::printf("\nDistanceEngine: %zu Def. 4 evaluations\n",
               stats.profiles_computed);
-  std::printf(
-      "Early-abandon cascade: %zu candidate alignments, %zu lb-pruned / %zu "
-      "abandoned / %zu full scans (%.1f%% skipped)\n",
-      stats.eab_candidates, stats.eab_lb_pruned, stats.eab_abandoned,
-      stats.eab_full,
-      stats.eab_candidates == 0
-          ? 0.0
-          : 100.0 *
-                static_cast<double>(stats.eab_lb_pruned +
-                                    stats.eab_abandoned) /
-                static_cast<double>(stats.eab_candidates));
   std::printf(
       "MatrixProfileEngine: %.3fs in instance profiles, %zu joins from %zu "
       "QT sweeps (%zu saved by pair symmetry)\n",
@@ -228,7 +247,7 @@ int Run(const BenchArgs& args) {
     return 1;
   }
   std::printf("\nwrote %s\n", json_path.c_str());
-  return wall_check_failed ? 1 : 0;
+  return wall_check_failed || claim_failed ? 1 : 0;
 }
 
 }  // namespace

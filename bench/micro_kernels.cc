@@ -642,277 +642,6 @@ void BM_PredictBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictBatch)->Arg(1)->Arg(8);
 
-// ---------------------------------------------------- early-abandon cascade
-//
-// Microbenchmarks of the lower-bound cascade (docs/pruning.md) at kernel
-// granularity: the pruned min against the dense min it must beat, the
-// tightness of the O(1) lower bounds (mean bound/true-distance ratio and
-// the fraction of alignments the bound alone prunes at the optimal
-// best-so-far), and the abandon point (mean fraction of the window a scan
-// covers before the partial sum crosses the true minimum). Favourable =
-// ramped carrier with a near-twin of the query embedded in every period;
-// unfavourable = white noise, where bounds are loose and the kernel
-// should bail out quickly.
-
-struct EabSetup {
-  std::vector<double> q, zq, s, sqp, qpre;
-  RollingStats stats;
-  bool query_flat = false;
-  const MetricPolicy* policy = nullptr;
-  simd::EabArgs args;
-
-  EabSetup(MetricId id, bool favourable) {
-    policy = &GetMetric(id);
-    // Same geometry as bench_eab: the ramp must be steep enough per
-    // carrier period that window energies separate alignments, or the
-    // O(1) energy guess cannot find the twin.
-    const size_t n = 512, m = 48;
-    if (favourable) {
-      auto carrier = [](size_t idx, size_t len) {
-        std::vector<double> v(len);
-        Rng rng(17 + idx);
-        for (size_t t = 0; t < len; ++t) {
-          const double ramp =
-              0.5 + 2.5 * static_cast<double>(t) / static_cast<double>(len);
-          v[t] = ramp * std::sin(0.0981747704246810387 *
-                                 static_cast<double>(t)) +
-                 0.02 * rng.Gaussian();
-        }
-        return v;
-      };
-      s = carrier(0, n);
-      const std::vector<double> twin = carrier(1, n);
-      q.assign(twin.begin() + 161, twin.begin() + 161 + m);
-    } else {
-      s = RandomSeries(n, 11);
-      q = RandomSeries(m, 13);
-    }
-    zq = ZNormalize(q);
-    stats = ComputeRollingStats(s, m);
-    sqp.resize(n + 1);
-    sqp[0] = 0.0;
-    for (size_t i = 0; i < n; ++i) sqp[i + 1] = sqp[i] + s[i] * s[i];
-    qpre.resize(m + 1);
-    qpre[0] = 0.0;
-    for (size_t i = 0; i < m; ++i) qpre[i + 1] = qpre[i] + q[i] * q[i];
-    query_flat =
-        std::all_of(zq.begin(), zq.end(), [](double v) { return v == 0.0; });
-
-    const bool zn = id == MetricId::kZNormEuclidean;
-    args.query = zn ? zq.data() : q.data();
-    args.window = m;
-    args.series = s.data();
-    args.count = n - m + 1;
-    args.qq = qpre.back();
-    args.sqp = sqp.data();
-    args.qpre = qpre.data();
-    args.means = stats.means.data();
-    args.stds = stats.stds.data();
-    args.query_flat = query_flat;
-    if (zn) {
-      for (double v : zq) {
-        args.zq_sum += v;
-        args.zq_sumsq += v * v;
-      }
-    }
-  }
-
-  // Dense per-alignment profile (the ground truth the bounds are measured
-  // against) via the metric's own kernels over naive sliding dots.
-  std::vector<double> DenseProfile() const {
-    std::vector<double> dots(args.count), out(args.count);
-    simd::SlidingDots(args.query, args.window, s.data(), s.size(),
-                      dots.data());
-    MetricProfileArgs p;
-    p.dots = dots.data();
-    p.count = args.count;
-    p.window = args.window;
-    p.qq = args.qq;
-    p.sqp = sqp.data();
-    p.stds = stats.stds.data();
-    p.query_flat = query_flat;
-    policy->kernels.profile_from_dots(p, out.data());
-    return out;
-  }
-};
-
-const std::vector<MetricId> kEabMetrics = {
-    MetricId::kZNormEuclidean, MetricId::kRawSquaredEuclidean,
-    MetricId::kEuclidean, MetricId::kCosine};
-
-void BM_EabMinKernel(benchmark::State& state) {
-  const EabSetup setup(kEabMetrics[static_cast<size_t>(state.range(0))],
-                       state.range(1) != 0);
-  simd::EabCounters c;
-  bool bailed = false;
-  for (auto _ : state) {
-    const simd::EabResult r = setup.policy->min_early_abandon(setup.args, c);
-    bailed = r.bailed_out;
-    benchmark::DoNotOptimize(r.min);
-  }
-  const double total = static_cast<double>(c.candidates);
-  state.counters["lb_pruned"] = 100.0 * static_cast<double>(c.lb_pruned) / total;
-  state.counters["abandoned"] = 100.0 * static_cast<double>(c.abandoned) / total;
-  state.counters["full"] = 100.0 * static_cast<double>(c.full) / total;
-  state.counters["bailed"] = bailed ? 1.0 : 0.0;
-  state.SetLabel(MetricName(setup.policy->id));
-}
-BENCHMARK(BM_EabMinKernel)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
-
-void BM_EabDenseMinBaseline(benchmark::State& state) {
-  const EabSetup setup(kEabMetrics[static_cast<size_t>(state.range(0))],
-                       state.range(1) != 0);
-  std::vector<double> dots(setup.args.count);
-  for (auto _ : state) {
-    simd::SlidingDots(setup.args.query, setup.args.window, setup.s.data(),
-                      setup.s.size(), dots.data());
-    MetricProfileArgs p;
-    p.dots = dots.data();
-    p.count = setup.args.count;
-    p.window = setup.args.window;
-    p.qq = setup.args.qq;
-    p.sqp = setup.sqp.data();
-    p.stds = setup.stats.stds.data();
-    p.query_flat = setup.query_flat;
-    benchmark::DoNotOptimize(setup.policy->kernels.min_from_dots(p));
-  }
-  state.SetLabel(MetricName(setup.policy->id));
-}
-BENCHMARK(BM_EabDenseMinBaseline)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
-
-// Tightness of the O(1) lower bounds: evaluates, per alignment, the same
-// admissible bound the kernels use (energy band for the dot family,
-// first/last z-scored coordinates for z-norm; cosine has no O(1) bound
-// and is excluded), and reports the mean bound/true ratio plus the
-// fraction of alignments the bound alone would prune with the best-so-far
-// already at the true minimum (the cascade's steady state). The timed
-// region is the bound sweep, so time-per-iteration is the cost of
-// bounding every alignment once.
-void BM_EabLbTightness(benchmark::State& state) {
-  const MetricId id = kEabMetrics[static_cast<size_t>(state.range(0))];
-  const EabSetup setup(id, state.range(1) != 0);
-  const std::vector<double> profile = setup.DenseProfile();
-  const double true_min = *std::min_element(profile.begin(), profile.end());
-  const size_t m = setup.args.window;
-  const double md = static_cast<double>(m);
-  const double qn = std::sqrt(setup.args.qq);
-
-  double ratio_sum = 0.0;
-  size_t pruned = 0, counted = 0;
-  for (auto _ : state) {
-    ratio_sum = 0.0;
-    pruned = counted = 0;
-    for (size_t i = 0; i < setup.args.count; ++i) {
-      const double wsq = setup.sqp[i + m] - setup.sqp[i];
-      double lb = 0.0, truth = profile[i];
-      if (id == MetricId::kZNormEuclidean) {
-        const double sig = setup.stats.stds[i];
-        if (sig < kFlatStdEpsilon) continue;
-        const double inv = 1.0 / sig;
-        const double mu = setup.stats.means[i];
-        const double e0 = setup.zq[0] - (setup.s[i] - mu) * inv;
-        const double e1 = setup.zq[m - 1] - (setup.s[i + m - 1] - mu) * inv;
-        lb = std::sqrt(std::max(0.0, e0 * e0 + e1 * e1));
-        // truth is already a distance; compare in the distance scale.
-      } else {
-        const double diff = qn - std::sqrt(wsq);
-        const double band = diff * diff;
-        if (id == MetricId::kRawSquaredEuclidean) {
-          lb = band / md;
-        } else {
-          lb = std::sqrt(band);
-        }
-      }
-      if (truth > 0.0) {
-        ratio_sum += lb / truth;
-        ++counted;
-      }
-      if (lb > true_min) ++pruned;
-    }
-    benchmark::DoNotOptimize(ratio_sum);
-  }
-  state.counters["mean_lb_ratio"] =
-      counted ? ratio_sum / static_cast<double>(counted) : 0.0;
-  state.counters["prunable"] =
-      100.0 * static_cast<double>(pruned) / static_cast<double>(setup.args.count);
-  state.SetLabel(MetricName(id));
-}
-BENCHMARK(BM_EabLbTightness)
-    ->ArgsProduct({{0, 1, 2}, {0, 1}});
-
-// Abandon point: with the best-so-far pinned at the true minimum (the
-// cascade's steady state after its first guess lands), how far into the
-// window does the running squared-error sum cross it? Reports the mean
-// crossing point as a fraction of m; the timed region is the abandoning
-// sweep itself, i.e. the steady-state scan cost of a query.
-void BM_EabAbandonPoint(benchmark::State& state) {
-  const MetricId id = kEabMetrics[static_cast<size_t>(state.range(0))];
-  const EabSetup setup(id, state.range(1) != 0);
-  const std::vector<double> profile = setup.DenseProfile();
-  const double true_min = *std::min_element(profile.begin(), profile.end());
-  const size_t m = setup.args.window;
-  // Compare in the scan's squared-error scale per metric.
-  const double md = static_cast<double>(m);
-  double thr = true_min;
-  if (id == MetricId::kRawSquaredEuclidean) thr = true_min * md;
-  if (id == MetricId::kEuclidean || id == MetricId::kZNormEuclidean) {
-    thr = true_min * true_min;
-  }
-
-  size_t scanned_total = 0, scans = 0;
-  for (auto _ : state) {
-    scanned_total = scans = 0;
-    for (size_t i = 0; i < setup.args.count; ++i) {
-      double acc = 0.0;
-      size_t j = 0;
-      if (id == MetricId::kZNormEuclidean) {
-        const double sig = setup.stats.stds[i];
-        if (sig < kFlatStdEpsilon) continue;
-        const double inv = 1.0 / sig;
-        const double mu = setup.stats.means[i];
-        for (; j < m && acc <= thr; ++j) {
-          const double e = setup.zq[j] - (setup.s[i + j] - mu) * inv;
-          acc += e * e;
-        }
-      } else if (id == MetricId::kCosine) {
-        // Cosine abandons on the Cauchy-Schwarz dot bound instead of a
-        // monotone error sum; its "abandon point" is where the bound
-        // first certifies the alignment can't beat the minimum.
-        const double wsq = setup.sqp[i + m] - setup.sqp[i];
-        const double qnwn = std::sqrt(setup.args.qq) * std::sqrt(wsq);
-        if (qnwn == 0.0) continue;
-        double dot = 0.0, wacc = 0.0;
-        for (; j < m; ++j) {
-          dot += setup.q[j] * setup.s[i + j];
-          const double sj = setup.s[i + j];
-          wacc += sj * sj;
-          const double ub = dot + std::sqrt(std::max(0.0, setup.args.qq -
-                                                              setup.qpre[j + 1]) *
-                                            std::max(0.0, wsq - wacc));
-          if (1.0 - ub / qnwn > true_min) break;
-        }
-      } else {
-        for (; j < m && acc <= thr; ++j) {
-          const double e = setup.q[j] - setup.s[i + j];
-          acc += e * e;
-        }
-      }
-      scanned_total += j;
-      ++scans;
-    }
-    benchmark::DoNotOptimize(scanned_total);
-  }
-  state.counters["mean_abandon_frac"] =
-      scans ? static_cast<double>(scanned_total) /
-                  (static_cast<double>(scans) * md)
-            : 0.0;
-  state.SetLabel(MetricName(id));
-}
-BENCHMARK(BM_EabAbandonPoint)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
-
 }  // namespace
 }  // namespace ips
 

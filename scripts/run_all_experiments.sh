@@ -87,13 +87,6 @@ echo "=== BENCH_metric ==="
 echo "=== BENCH_pool ==="
 "$BENCH/bench_pool" --out="$OUT/BENCH_pool.json" | tee "$OUT/BENCH_pool.txt"
 
-# Early-abandon cascade vs exhaustive dense path (transform + PredictBatch,
-# favourable and prune-hostile data, per metric, 1 and 8 threads).
-# bench_eab writes the JSON itself and exits nonzero if the pruned and
-# exhaustive outputs are not bitwise identical.
-echo "=== BENCH_eab ==="
-"$BENCH/bench_eab" --out="$OUT/BENCH_eab.json" | tee "$OUT/BENCH_eab.txt"
-
 # All-pairs join timings (engine batch and candidate generation, 1 and N
 # threads) and warm-batch allocation counts. bench_join writes the JSON
 # itself and exits nonzero if a checksum differs from the free

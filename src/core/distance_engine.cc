@@ -5,6 +5,7 @@
 
 #include "core/distance.h"
 #include "core/fft.h"
+#include "core/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -27,20 +28,10 @@ DistanceWorkspace& LocalWorkspace() {
 struct EngineMetrics {
   obs::Counter& profiles_computed;
   obs::Histogram& batch_items;
-  // Early-abandon cascade totals ("engine.eab.<stage>"), summed over every
-  // min query that took the pruned path (docs/pruning.md).
-  obs::Counter& eab_candidates;
-  obs::Counter& eab_lb_pruned;
-  obs::Counter& eab_abandoned;
-  obs::Counter& eab_full;
   // Per-metric slice of profiles_computed ("engine.profiles.<name>"), so a
   // mixed-metric run's obs output attributes work to metrics. The total
   // above is always bumped too, keeping historic dashboards intact.
   obs::Counter* profiles_by_metric[kMetricCount];
-  // Per-metric slice of the eab totals ("engine.eab.<stage>.<name>"),
-  // indexed [metric][stage] with stages ordered candidates, lb_pruned,
-  // abandoned, full.
-  obs::Counter* eab_by_metric[kMetricCount][4];
 };
 
 EngineMetrics& Metrics() {
@@ -49,46 +40,15 @@ EngineMetrics& Metrics() {
     auto* m =
         new EngineMetrics{registry.GetCounter("engine.profiles_computed"),
                           registry.GetHistogram("engine.batch_items"),
-                          registry.GetCounter("engine.eab.candidates"),
-                          registry.GetCounter("engine.eab.lb_pruned"),
-                          registry.GetCounter("engine.eab.abandoned"),
-                          registry.GetCounter("engine.eab.full"),
-                          {},
                           {}};
-    static constexpr const char* kEabStages[4] = {"candidates", "lb_pruned",
-                                                  "abandoned", "full"};
     for (size_t i = 0; i < kMetricCount; ++i) {
       const char* name = MetricName(static_cast<MetricId>(i));
       m->profiles_by_metric[i] =
           &registry.GetCounter(std::string("engine.profiles.") + name);
-      for (size_t s = 0; s < 4; ++s) {
-        m->eab_by_metric[i][s] = &registry.GetCounter(
-            std::string("engine.eab.") + kEabStages[s] + "." + name);
-      }
     }
     return m;
   }();
   return *metrics;
-}
-
-void CountEab(MetricId metric, const simd::EabCounters& c) {
-  EngineMetrics& m = Metrics();
-  m.eab_candidates.Add(c.candidates);
-  m.eab_lb_pruned.Add(c.lb_pruned);
-  m.eab_abandoned.Add(c.abandoned);
-  m.eab_full.Add(c.full);
-  obs::Counter** slice = m.eab_by_metric[static_cast<size_t>(metric)];
-  slice[0]->Add(c.candidates);
-  slice[1]->Add(c.lb_pruned);
-  slice[2]->Add(c.abandoned);
-  slice[3]->Add(c.full);
-}
-
-void AddEab(simd::EabCounters& into, const simd::EabCounters& c) {
-  into.candidates += c.candidates;
-  into.lb_pruned += c.lb_pruned;
-  into.abandoned += c.abandoned;
-  into.full += c.full;
 }
 
 // The FFT regime's sliding dot products: ws.dots[i] (count of them) from
@@ -199,10 +159,6 @@ ZnQuery MakeZnQuery(std::span<const double> q) {
   ZnQuery zq{ZNormalize(q)};
   zq.flat = std::all_of(zq.values.begin(), zq.values.end(),
                         [](double v) { return v == 0.0; });
-  for (double v : zq.values) {
-    zq.sum += v;
-    zq.sum_sq += v * v;
-  }
   return zq;
 }
 
@@ -255,58 +211,17 @@ const std::vector<std::complex<double>>& SeriesArtefacts::Fft(size_t padded) {
 // ------------------------------------------------------------ the min query
 
 double MinOfQuery(const QueryArtefacts& query, SeriesArtefacts& series,
-                  MetricId metric, bool cascade, size_t seed,
-                  DistanceWorkspace& ws, MinOutcome& outcome) {
+                  MetricId metric, DistanceWorkspace& ws) {
   const std::span<const double> s = series.series();
   const size_t m = query.values.size();
   const size_t n = s.size();
   IPS_CHECK(m >= 1 && m <= n);
   CountProfile(metric);
-  const MetricPolicy& policy = GetMetric(metric);
   const bool zn = metric == MetricId::kZNormEuclidean;
-  const bool fft = UsesFftDots(m, n);
-  // The early-abandon cascade only serves the naive sliding-dots regime:
-  // under FFT dots the dense kernel sees different (FFT-rounded) products,
-  // so pruning against exact scalar dots would break bitwise identity.
-  // Metrics whose registered kernel cannot win (eab_profitable false, e.g.
-  // cosine's prune-nothing Cauchy-Schwarz scan) take the dense path up
-  // front, before paying any cascade setup.
-  const bool eab = cascade && !fft && policy.min_early_abandon != nullptr &&
-                   policy.eab_profitable;
   const size_t count = n - m + 1;
-  const RollingStats* stats = zn ? &series.Stats(m) : nullptr;
   const std::span<const double> slid = zn ? query.zn->values : query.values;
 
-  if (eab) {
-    simd::EabArgs ea;
-    ea.query = slid.data();
-    ea.window = m;
-    ea.series = s.data();
-    ea.count = count;
-    ea.sqp = series.Prefix().data();
-    ea.seed = seed;
-    if (zn) {
-      ea.means = stats->means.data();
-      ea.stds = stats->stds.data();
-      ea.query_flat = query.zn->flat;
-      ea.zq_sum = query.zn->sum;
-      ea.zq_sumsq = query.zn->sum_sq;
-    } else {
-      ea.qq = query.prefix.back();
-      ea.qpre = query.prefix.data();
-    }
-    const simd::EabResult res = policy.min_early_abandon(ea, outcome.eab);
-    CountEab(metric, outcome.eab);
-    if (!res.bailed_out) {
-      outcome.argmin = res.argmin;
-      return res.min;
-    }
-    // Bailed out: pruning was losing to the vectorised dense kernel. Fall
-    // through to the dense path (identical result either way).
-    outcome.bailed_out = true;
-  }
-
-  if (fft) {
+  if (UsesFftDots(m, n)) {
     const size_t padded = NextPowerOfTwo(n + m);
     std::span<const std::complex<double>> fq = query.fft;
     if (fq.size() != padded) {
@@ -319,8 +234,9 @@ double MinOfQuery(const QueryArtefacts& query, SeriesArtefacts& series,
     simd::SlidingDots(slid.data(), m, s.data(), n, ws.dots.data());
   }
   if (zn) {
-    return simd::ZNormMinFromDots(ws.dots.data(), stats->stds.data(), count,
-                                  m, query.zn->flat);
+    return simd::ZNormMinFromDots(ws.dots.data(),
+                                  series.Stats(m).stds.data(), count, m,
+                                  query.zn->flat);
   }
   MetricProfileArgs args;
   args.dots = ws.dots.data();
@@ -328,7 +244,7 @@ double MinOfQuery(const QueryArtefacts& query, SeriesArtefacts& series,
   args.window = m;
   args.qq = query.prefix.back();
   args.sqp = series.Prefix().data();
-  return policy.kernels.min_from_dots(args);
+  return GetMetric(metric).kernels.min_from_dots(args);
 }
 
 // -------------------------------------------------------------- public API
@@ -344,12 +260,10 @@ double DistanceEngine::SubsequenceMinMetric(std::span<const double> a,
   PrefixSquaresInto(q, ws.query_prefix);
   if (metric == MetricId::kZNormEuclidean) ws.query_zn = MakeZnQuery(q);
   ws.series.Reset(a_query ? b : a);
-  MinOutcome outcome;
-  const double d = MinOfQuery({q, ws.query_prefix, &ws.query_zn, {}},
-                              ws.series, metric, early_abandon_,
-                              simd::kEabNoSeed, ws, outcome);
+  const double d =
+      MinOfQuery({q, ws.query_prefix, &ws.query_zn, {}}, ws.series, metric, ws);
   ws.series.Reset({});
-  Count(1, outcome.eab);
+  profiles_.fetch_add(1, std::memory_order_relaxed);
   return d;
 }
 
@@ -368,7 +282,6 @@ std::vector<double> DistanceEngine::MinForPairs(
     if (begin == end) return;
     DistanceWorkspace& ws = LocalWorkspace();
     ws.series.Reset(views[v], table.entries[v].prefix);
-    simd::EabCounters eab;
     for (size_t k = begin; k < end; ++k) {
       const size_t t = table.order[k];
       const uint32_t q =
@@ -379,43 +292,26 @@ std::vector<double> DistanceEngine::MinForPairs(
       for (const auto& [size, fft] : e.ffts) {
         if (size == padded) query.fft = fft;
       }
-      MinOutcome outcome;
-      out[t] = MinOfQuery(query, ws.series, metric, early_abandon_,
-                          simd::kEabNoSeed, ws, outcome);
-      AddEab(eab, outcome.eab);
+      out[t] = MinOfQuery(query, ws.series, metric, ws);
     }
     ws.series.Reset({});
-    Count(end - begin, eab);
+    profiles_.fetch_add(end - begin, std::memory_order_relaxed);
   });
   return out;
 }
 
-// ------------------------------------------------------- instrumentation
+void DistanceEngine::set_early_abandon(bool /*on*/) {}
 
-void DistanceEngine::Count(size_t profiles, const simd::EabCounters& eab) {
-  profiles_.fetch_add(profiles, std::memory_order_relaxed);
-  eab_candidates_.fetch_add(eab.candidates, std::memory_order_relaxed);
-  eab_lb_pruned_.fetch_add(eab.lb_pruned, std::memory_order_relaxed);
-  eab_abandoned_.fetch_add(eab.abandoned, std::memory_order_relaxed);
-  eab_full_.fetch_add(eab.full, std::memory_order_relaxed);
-}
+// ------------------------------------------------------- instrumentation
 
 EngineCounters DistanceEngine::counters() const {
   EngineCounters c;
   c.profiles_computed = profiles_.load(std::memory_order_relaxed);
-  c.eab_candidates = eab_candidates_.load(std::memory_order_relaxed);
-  c.eab_lb_pruned = eab_lb_pruned_.load(std::memory_order_relaxed);
-  c.eab_abandoned = eab_abandoned_.load(std::memory_order_relaxed);
-  c.eab_full = eab_full_.load(std::memory_order_relaxed);
   return c;
 }
 
 void DistanceEngine::ResetCounters() {
   profiles_.store(0, std::memory_order_relaxed);
-  eab_candidates_.store(0, std::memory_order_relaxed);
-  eab_lb_pruned_.store(0, std::memory_order_relaxed);
-  eab_abandoned_.store(0, std::memory_order_relaxed);
-  eab_full_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace ips

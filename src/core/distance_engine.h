@@ -25,11 +25,11 @@
 //    regardless of thread count, because each pair writes its own output
 //    slot and no pair reads another's state.
 //
-// Thread-safety contract: a DistanceEngine holds only its thread count, its
-// cascade flag and relaxed-atomic counters. Every public method may be
-// called concurrently from any number of threads on the same engine; each
-// call's artefacts live in its own table and in thread-local scratch, and
-// no call reads another call's.
+// Thread-safety contract: a DistanceEngine holds only its thread count and
+// relaxed-atomic counters. Every public method may be called concurrently
+// from any number of threads on the same engine; each call's artefacts
+// live in its own table and in thread-local scratch, and no call reads
+// another call's.
 //
 // Lifetime contract: nothing outlives the call that built it. The views a
 // call receives need only stay valid for that call, so an engine may be
@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "core/metric.h"
-#include "core/simd.h"
 #include "core/znorm.h"
 #include "util/parallel.h"
 
@@ -71,14 +70,10 @@ void PrefixSquaresInto(std::span<const double> s, std::vector<double>& out);
 void ForwardFftInto(std::span<const double> s, size_t padded, bool reversed,
                     std::vector<std::complex<double>>& out);
 
-/// A z-normalised query plus its all-zero (flat) flag and the value/square
-/// sums the early-abandon z-norm bound consumes (bound devices only -- they
-/// never enter a returned distance).
+/// A z-normalised query plus its all-zero (flat) flag.
 struct ZnQuery {
   std::vector<double> values;
   bool flat = false;
-  double sum = 0.0;
-  double sum_sq = 0.0;
 };
 ZnQuery MakeZnQuery(std::span<const double> q);
 
@@ -122,11 +117,6 @@ struct DistanceWorkspace {
   std::vector<double> query_prefix;           ///< single-pair query side
   ZnQuery query_zn;                           ///< (z-norm only)
   SeriesArtefacts series;                     ///< the current series' side
-  /// The last winning alignment per shapelet of the series this thread
-  /// transformed through a ShapeletBank: it seeds the next series'
-  /// cascade so abandonment triggers early. Only a visit order -- results
-  /// stay bitwise identical whatever it holds.
-  std::vector<size_t> eab_seed_hints;
 };
 
 /// The query side of a min query: the shorter operand's raw values and
@@ -141,24 +131,13 @@ struct QueryArtefacts {
   std::span<const std::complex<double>> fft;
 };
 
-/// What a min query reports back: the cascade's winning alignment (a seed
-/// for the caller's next query) or its bail-out, and its work accounting.
-struct MinOutcome {
-  size_t argmin = simd::kEabNoSeed;  ///< set when the cascade finished
-  bool bailed_out = false;           ///< the cascade gave up mid-flight
-  simd::EabCounters eab;
-};
-
 /// The min-alignment distance of `query` slid along the series `series`
 /// holds, under `metric`: bitwise equal to SubsequenceDistanceMetric for a
-/// query no longer than the series (the first operand on a tie). `cascade` lets the
-/// early-abandon cascade (docs/pruning.md) serve the naive sliding-dots
-/// regime, starting at alignment `seed`; it picks a path, never a value.
-/// Counts the query in the registry (CountProfile, and the cascade's
-/// stages) and fills `outcome`.
+/// query no longer than the series (the first operand on a tie). One dense
+/// path: sliding dot products (naive or FFT, by UsesFftDots), then the
+/// metric's min_from_dots. Counts the query in the registry (CountProfile).
 double MinOfQuery(const QueryArtefacts& query, SeriesArtefacts& series,
-                  MetricId metric, bool cascade, size_t seed,
-                  DistanceWorkspace& ws, MinOutcome& outcome);
+                  MetricId metric, DistanceWorkspace& ws);
 
 /// Process-wide registry accounting of one evaluated min query under
 /// `metric` (engine.profiles and engine.profiles.<name>). MinOfQuery calls
@@ -168,14 +147,6 @@ void CountProfile(MetricId metric);
 /// Monotonic instrumentation counters (snapshot via counters()).
 struct EngineCounters {
   size_t profiles_computed = 0;  ///< min queries evaluated
-  /// Early-abandon cascade accounting (docs/pruning.md), summed over every
-  /// min query that took the pruned path: alignments considered, skipped
-  /// whole by a lower bound, scans cut short, and scans run to completion.
-  /// candidates == lb_pruned + abandoned + full.
-  size_t eab_candidates = 0;
-  size_t eab_lb_pruned = 0;
-  size_t eab_abandoned = 0;
-  size_t eab_full = 0;
 };
 
 /// An ordered (query index, series index) work item for MinForPairs.
@@ -195,12 +166,10 @@ class DistanceEngine {
   size_t num_threads() const { return num_threads_; }
   void set_num_threads(size_t n) { num_threads_ = ResolveNumThreads(n); }
 
-  /// Whether the early-abandon lower-bound cascade (docs/pruning.md) serves
-  /// min queries in the naive sliding-dots regime. On by default; minima
-  /// are bitwise identical either way, so this is a pure performance knob
-  /// (IpsOptions::enable_early_abandon plumbs it per run).
-  bool early_abandon() const { return early_abandon_; }
-  void set_early_abandon(bool on) { early_abandon_ = on; }
+  /// Has no effect: every min query takes the one dense path. Kept only
+  /// because the benchmark harness (perfbench/) sets it; it goes when the
+  /// harness stops setting it.
+  void set_early_abandon(bool on);
 
   /// SubsequenceDistanceMetric(a, b, metric), bitwise identical, on
   /// thread-local scratch.
@@ -221,17 +190,9 @@ class DistanceEngine {
   void ResetCounters();
 
  private:
-  /// Folds one batch's (or query's) accounting into the counters.
-  void Count(size_t profiles, const simd::EabCounters& eab);
-
   size_t num_threads_;
-  bool early_abandon_ = true;
 
   std::atomic<size_t> profiles_{0};
-  std::atomic<size_t> eab_candidates_{0};
-  std::atomic<size_t> eab_lb_pruned_{0};
-  std::atomic<size_t> eab_abandoned_{0};
-  std::atomic<size_t> eab_full_{0};
 };
 
 }  // namespace ips

@@ -163,27 +163,25 @@ constexpr MetricPolicy kMetrics[kMetricCount] = {
      /*needs_window_energy=*/false,
      {ZnProfile, ZnMin, ZnRow},
      {ZnProfileScalar, ZnMinScalar, ZnRowScalar},
-     ZnPairwise, simd::ZNormMinEarlyAbandon, /*eab_profitable=*/true},
+     ZnPairwise},
     {MetricId::kRawSquaredEuclidean, "raw_sq_euclidean",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
      /*needs_window_energy=*/true,
      {RawProfile, RawMin, RawRow},
      {RawProfileScalar, RawMinScalar, RawRowScalar},
-     RawPairwise, simd::RawMinEarlyAbandon, /*eab_profitable=*/true},
+     RawPairwise},
     {MetricId::kEuclidean, "euclidean",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
      /*needs_window_energy=*/true,
      {L2Profile, L2Min, L2Row},
      {L2ProfileScalar, L2MinScalar, L2RowScalar},
-     L2Pairwise, simd::L2MinEarlyAbandon, /*eab_profitable=*/true},
+     L2Pairwise},
     {MetricId::kCosine, "cosine",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
      /*needs_window_energy=*/true,
      {CosineProfile, CosineMin, CosineRow},
      {CosineProfileScalar, CosineMinScalar, CosineRowScalar},
-     // Registered but routed around (eab_profitable): Cauchy-Schwarz
-     // abandonment alone prunes nothing in practice, see metric.h.
-     CosinePairwise, simd::CosineMinEarlyAbandon, /*eab_profitable=*/false},
+     CosinePairwise},
 };
 
 static_assert(static_cast<size_t>(MetricId::kZNormEuclidean) == 0);

@@ -41,8 +41,6 @@
 #include <span>
 #include <string_view>
 
-#include "core/simd.h"
-
 namespace ips {
 
 /// Identifies a distance function. Values are stable across releases: they
@@ -133,25 +131,6 @@ struct MetricPolicy {
   /// Direct O(window) distance between two equal-length windows, computed
   /// without any dot-product recurrence -- the brute-force reference.
   double (*pairwise)(std::span<const double> a, std::span<const double> b);
-  /// Optional early-abandon min kernel (the lower-bound cascade,
-  /// docs/pruning.md): same minimum as kernels.min_from_dots over naive
-  /// sliding dots, bitwise, but with admissible-lower-bound pruning and
-  /// partial-sum abandonment. One function serves both kernel tables (the
-  /// scans are inherently scalar). nullptr opts the metric out: the engine
-  /// then always runs the dense path. A registered kernel is only invoked
-  /// in the naive sliding-dots regime (never over FFT dots).
-  simd::EabResult (*min_early_abandon)(const simd::EabArgs& args,
-                                       simd::EabCounters& counters) = nullptr;
-  /// Whether the registered early-abandon kernel is expected to beat the
-  /// dense path. When false the engine's cost model routes min queries
-  /// straight to the dense kernels without entering the cascade (and skips
-  /// the cascade's per-query setup); the kernel itself stays registered and
-  /// directly callable, so tests and future bounds keep their hook. Cosine
-  /// sets this false: it has no admissible norm-based lower bound, so its
-  /// kernel can only Cauchy-Schwarz-abandon scan tails -- measured to prune
-  /// 0 of ~3.5M candidates while paying the scalar-scan penalty (~0.96x in
-  /// BENCH_eab.json).
-  bool eab_profitable = true;
 };
 
 /// The policy registered for `id`. Aborts on an out-of-range id.

@@ -209,117 +209,6 @@ RowMin StompRowMins(const double* dist, size_t count, double first_j,
                     double row, RowMin init, double* col_val,
                     double* col_row);
 
-// ---------------------------------------------------------------------------
-// Early-abandon min kernels (the lower-bound cascade of docs/pruning.md).
-//
-// Each kernel computes min_i d(query, series[i..i+m)) for one registered
-// metric -- the same minimum the corresponding *MinFromDots kernel selects
-// over a naive sliding-dots pass -- while skipping work three ways:
-//
-//   1. cheap admissible per-alignment lower bounds (a window-energy band
-//      for the dot family, first/last-coordinate bounds for the squared
-//      families) prune alignments in O(1) -- evaluated lazily at visit
-//      time against the current best-so-far, never materialised or sorted
-//      (an argsort of the alignments costs more than the dense kernel);
-//   2. the visit order front-loads likely minima -- the caller's `seed`
-//      hint first, then an O(1)-per-alignment guess (dot family: the
-//      alignment whose window energy is nearest the query's; z-norm: the
-//      alignment with the smallest scaled endpoint residuals) -- so the
-//      best-so-far drops fast and later alignments prune or abandon
-//      early;
-//   3. each scan accumulates the squared error in blocks and abandons once
-//      the monotone partial sum exceeds the best-so-far plus a conservative
-//      rounding-slack margin.
-//
-// Identity contract: the returned minimum is BITWISE identical to the
-// dispatched *MinFromDots kernel fed by simd::SlidingDots. Three facts make
-// that possible: SlidingDots accumulates each output as one increasing-j
-// scalar chain (so a per-alignment scalar dot loop reproduces dots[i]
-// exactly); min-selection never rounds (so evaluating any superset of the
-// potential argmins that contains the true argmin yields the exact
-// minimum); and every surviving alignment's value is computed with the
-// exact tail expression of the dense kernel from that exact dot. The slack
-// margins make every skip provable despite the cross-arithmetic rounding
-// difference between the scan's sum of squared differences and the dense
-// (qq - 2*dot + ss) tail; docs/pruning.md derives each margin.
-//
-// These kernels are inherently scalar (each alignment is one dependent
-// scan), so one implementation serves both the dispatched and the scalar
-// MetricPolicy kernel tables. Callers must stay in the naive sliding-dots
-// regime (core/distance.h's FFT dispatch predicate): under FFT dots the
-// dense kernels see different (FFT-rounded) dot products, and the engine
-// keeps that regime on the dense path instead.
-// ---------------------------------------------------------------------------
-
-/// Sentinel alignment index: "no seed" / "no argmin available".
-inline constexpr size_t kEabNoSeed = static_cast<size_t>(-1);
-
-/// Inputs of the early-abandon min kernels. Which fields a metric reads is
-/// fixed per metric (see each member); unused fields may be zero / null.
-struct EabArgs {
-  const double* query = nullptr;   ///< raw query; z-normalised for z-norm
-  size_t window = 0;               ///< query length m
-  const double* series = nullptr;  ///< raw series values, length n
-  size_t count = 0;                ///< alignments n - m + 1
-  double qq = 0.0;                 ///< query sum of squares (dot family)
-  const double* sqp = nullptr;     ///< series prefix sums of squares, n + 1
-  const double* qpre = nullptr;    ///< query prefix sums of squares, m + 1
-                                   ///  (cosine only: Cauchy-Schwarz tail)
-  const double* means = nullptr;   ///< rolling window means (z-norm only)
-  const double* stds = nullptr;    ///< rolling window stds (z-norm only)
-  bool query_flat = false;         ///< z-normalised query is all zero
-  double zq_sum = 0.0;             ///< sum of z-normalised query values
-  double zq_sumsq = 0.0;           ///< sum of their squares (z-norm only)
-  size_t seed = kEabNoSeed;        ///< alignment to evaluate first (clamped
-                                   ///  by validity; kEabNoSeed = none)
-};
-
-/// Work accounting, accumulated (+=) by each kernel call. On every
-/// successful (non-bailed) call, candidates == lb_pruned + abandoned + full.
-struct EabCounters {
-  size_t candidates = 0;  ///< alignments considered (one `count` per call)
-  size_t lb_pruned = 0;   ///< skipped whole by the lower bound
-  size_t abandoned = 0;   ///< scans cut short by the partial-sum test
-  size_t full = 0;        ///< scans that ran to completion
-};
-
-/// Result of one early-abandon min call. When `bailed_out` is set the
-/// kernel judged pruning ineffective mid-flight (scalar scans were losing
-/// to the vectorised dense kernel) and computed nothing usable: the caller
-/// must fall back to the dense sliding-dots path. min/argmin are then
-/// meaningless; the counters report the call as `count` full evaluations.
-struct EabResult {
-  double min = 0.0;
-  size_t argmin = kEabNoSeed;  ///< visit-order argmin (a seed hint, not an
-                               ///  identity contract: ties may differ from
-                               ///  the dense kernel's first-index tie rule)
-  bool bailed_out = false;
-};
-
-/// Early-abandon minimum of the raw (Def. 4) profile. Reads query, window,
-/// series, count, qq, sqp, seed. Lower bound: (|q| - |s_i|)^2 / m
-/// by the reverse triangle inequality on Euclidean norms.
-EabResult RawMinEarlyAbandon(const EabArgs& args, EabCounters& counters);
-
-/// Early-abandon minimum of the non-normalised L2 profile. Same inputs and
-/// bound family as the raw kernel (compared in squared scale).
-EabResult L2MinEarlyAbandon(const EabArgs& args, EabCounters& counters);
-
-/// Early-abandon minimum of the cosine profile. Reads query, window,
-/// series, count, qq, sqp, qpre, seed. Cosine is scale-invariant,
-/// so no norm-based lower bound exists (the cascade's LB stage is trivial);
-/// scans abandon via the Cauchy-Schwarz bound on the unseen dot-product
-/// tail: dot <= dot_k + sqrt(qq_rest * ss_rest).
-EabResult CosineMinEarlyAbandon(const EabArgs& args, EabCounters& counters);
-
-/// Early-abandon minimum of the z-normalised (MASS) profile. Reads query
-/// (z-normalised), window, series, count, sqp, means, stds, query_flat,
-/// zq_sum, zq_sumsq, seed. Lower bound: LB_Kim-style first/last
-/// z-scored coordinates, corrected by the exact structural gap between the
-/// z-score squared error and the kernel's 2m - 2*dot/sigma tail (see
-/// docs/pruning.md for the derivation).
-EabResult ZNormMinEarlyAbandon(const EabArgs& args, EabCounters& counters);
-
 /// Sum of squared differences, kept as ONE scalar accumulation chain for
 /// every backend: the value is a single dependent reduction, and the
 /// identity rule forbids splitting it into lane partials (that would

@@ -13,7 +13,9 @@ namespace ips {
 namespace {
 
 // Splits a line on tabs/commas/spaces into doubles; returns false on parse
-// failure of a non-empty token.
+// failure of a non-empty token, on an infinity, and on a NaN that a number
+// follows. So the only NaNs it keeps are trailing padding, which the caller
+// trims, and every other value -- the label included -- is finite.
 bool ParseLine(const std::string& line, std::vector<double>& out) {
   out.clear();
   std::string token;
@@ -22,14 +24,16 @@ bool ParseLine(const std::string& line, std::vector<double>& out) {
     if (c == '\t' || c == ',') c = ' ';
   }
   std::istringstream fields(normalized);
+  bool padding = false;  // a NaN has been read
   while (fields >> token) {
-    if (token == "NaN" || token == "nan") {
-      out.push_back(std::nan(""));
-      continue;
-    }
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end == token.c_str() || *end != '\0') return false;
+    if (std::isnan(value)) {
+      padding = true;
+    } else if (padding || std::isinf(value)) {
+      return false;
+    }
     out.push_back(value);
   }
   return true;

@@ -29,7 +29,8 @@ using UcrRowFn =
 /// RAM). Values separated by tabs, commas or spaces are accepted; NaN
 /// entries (variable-length padding) are trimmed from the tail of each
 /// series. Returns false when the file is missing or any row is
-/// unparsable, has no values, or is all padding.
+/// unparsable, has no values, is all padding, or holds any other
+/// non-finite value (an infinity, an interior NaN, a NaN label).
 bool ForEachUcrRow(const std::string& path, const UcrRowFn& fn);
 
 /// Loads one archive dataset. Returns nullopt when either split file is

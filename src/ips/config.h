@@ -81,11 +81,9 @@ struct IpsOptions {
   /// itself, not a profile choice.
   MetricId metric = MetricId::kZNormEuclidean;
 
-  /// Whether the DistanceEngine's early-abandon lower-bound cascade
-  /// (docs/pruning.md) serves min-alignment distance queries. Purely a
-  /// performance knob: minima are bitwise identical either way, so
-  /// discovery, transforms and predictions do not change. On by default;
-  /// exists so A/B parity runs and benchmarks can pin it off per run.
+  /// Has no effect: every min-alignment distance query takes one dense
+  /// path. Kept only because the benchmark harness (perfbench/) sets it;
+  /// it goes when the harness stops setting it.
   bool enable_early_abandon = true;
 
   /// Worker threads for candidate generation and the shapelet transform:

@@ -52,9 +52,8 @@ std::vector<Subsequence> RunDiscovery(const DatasetView& train,
   IPS_SPAN("discover");
 
   // One engine for every Def. 4 evaluation of the run: pruning and exact
-  // utility scoring share its thread count and cascade switch.
+  // utility scoring share its thread count.
   DistanceEngine engine(options.num_threads);
-  engine.set_early_abandon(options.enable_early_abandon);
 
   // (1)+(2) Candidate generation with the instance profile (Alg. 1).
   Rng rng(options.seed);
@@ -195,12 +194,11 @@ void IpsClassifier::FitBankAndBackend(const DatasetView& train) {
   {
     IPS_SPAN("transform");
     matrix.x.resize(train.size());
-    bank_ = ShapeletBank::FitTransform(
-        result_.shapelets, options_.metric, train,
-        options_.enable_early_abandon, options_.num_threads,
-        [&](size_t i, std::span<const double> row) {
-          matrix.x[i].assign(row.begin(), row.end());
-        });
+    bank_ = ShapeletBank(result_.shapelets, options_.metric, train);
+    bank_.Transform(train, options_.num_threads,
+                    [&](size_t i, std::span<const double> row) {
+                      matrix.x[i].assign(row.begin(), row.end());
+                    });
     matrix.y = train.Labels();
   }
   backend_ = MakeBackend(options_);

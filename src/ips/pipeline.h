@@ -73,7 +73,7 @@ class IpsClassifier final : public SeriesClassifier {
     return result_.shapelets;
   }
 
-  /// The shapelets' artefacts and cascade routes (valid after Fit()).
+  /// The shapelets' artefacts (valid after Fit()).
   const ShapeletBank& bank() const { return bank_; }
 
  private:
@@ -83,8 +83,8 @@ class IpsClassifier final : public SeriesClassifier {
 
   IpsOptions options_;
   std::unique_ptr<Classifier> backend_;
-  // The shapelets' artefacts and cascade routes, built by every fit from
-  // its training transform and read lock-free by every prediction.
+  // The shapelets' artefacts, built by every fit before its training
+  // transform and read lock-free by every prediction.
   ShapeletBank bank_;
   RunResult result_;
 };

@@ -45,9 +45,9 @@ PruneStats PruneWithDabf(CandidatePool& pool, const Dabf& dabf,
 ///
 /// All Def. 4 distances run through a DistanceEngine
 /// (core/distance_engine.h): pass `engine` to use the pipeline's thread
-/// count and cascade switch, or leave it null for a call-local engine
-/// sharded over `num_threads`. The pruning decisions are
-/// identical to the serial scan for every configuration.
+/// count, or leave it null for a call-local engine sharded over
+/// `num_threads`. The pruning decisions are identical to the serial scan
+/// for every configuration.
 PruneStats PruneNaive(CandidatePool& pool, size_t min_keep_motifs,
                       double majority_fraction = 0.5,
                       DistanceEngine* engine = nullptr,

@@ -24,11 +24,6 @@ IpsRunStats IpsRunStats::FromRegistry(const obs::MetricsSnapshot& metrics,
   s.stats_cache_hits = metrics.CounterValue("engine.stats_cache_hits");
   s.stats_cache_misses = metrics.CounterValue("engine.stats_cache_misses");
 
-  s.eab_candidates = metrics.CounterValue("engine.eab.candidates");
-  s.eab_lb_pruned = metrics.CounterValue("engine.eab.lb_pruned");
-  s.eab_abandoned = metrics.CounterValue("engine.eab.abandoned");
-  s.eab_full = metrics.CounterValue("engine.eab.full");
-
   s.mp_joins_computed = metrics.CounterValue("mp.joins_computed");
   s.mp_qt_sweeps = metrics.CounterValue("mp.qt_sweeps");
   s.mp_joins_halved = metrics.CounterValue("mp.joins_halved");

@@ -55,17 +55,6 @@ struct IpsRunStats {
   size_t stats_cache_hits = 0;
   size_t stats_cache_misses = 0;
 
-  /// Early-abandon cascade accounting over the run (docs/pruning.md),
-  /// summed across metrics: alignments considered by the pruned min path,
-  /// skipped whole by a lower bound, scans cut short by the partial-sum
-  /// test, and scans run to completion. All zero when the cascade is off
-  /// (IpsOptions::enable_early_abandon == false); otherwise
-  /// eab_candidates == eab_lb_pruned + eab_abandoned + eab_full.
-  size_t eab_candidates = 0;
-  size_t eab_lb_pruned = 0;
-  size_t eab_abandoned = 0;
-  size_t eab_full = 0;
-
   /// The instance-profile stage of candidate generation (a sub-interval of
   /// candidate_gen_seconds: Alg. 1 line 5 across all sampling tasks) and
   /// the MatrixProfileEngine totals over the per-task engines.

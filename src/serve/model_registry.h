@@ -50,7 +50,7 @@ namespace ips::serve {
 struct ModelSource {
   std::string artifact_path;
   std::string train_path;
-  /// Pipeline options for the rebuild (back-end, threads, early-abandon).
+  /// Pipeline options for the rebuild (back-end, threads).
   /// The metric is always overridden by the artifact's.
   IpsOptions options;
 };

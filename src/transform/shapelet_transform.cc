@@ -26,12 +26,11 @@ TransformedData ShapeletTransform(const DatasetView& data,
   IPS_CHECK(!shapelets.empty());
   TransformedData out;
   out.features.resize(data.size());
-  ShapeletBank::FitTransform(
-      shapelets, distance, data, engine == nullptr || engine->early_abandon(),
-      engine != nullptr ? engine->num_threads() : num_threads,
-      [&](size_t i, std::span<const double> row) {
-        out.features[i].assign(row.begin(), row.end());
-      });
+  ShapeletBank(shapelets, distance, data)
+      .Transform(data, engine != nullptr ? engine->num_threads() : num_threads,
+                 [&](size_t i, std::span<const double> row) {
+                   out.features[i].assign(row.begin(), row.end());
+                 });
   out.labels = data.Labels();
   return out;
 }

@@ -36,11 +36,10 @@ struct TransformedData {
 /// distance with the roles swapped (the distances are symmetric in
 /// min-alignment).
 ///
-/// Fits a ShapeletBank (transform/shapelet_bank.h) on `data` -- each
-/// shapelet's artefacts once, and its cascade route from the first rows --
-/// and streams the rows through it on `num_threads` threads. A non-null
-/// `engine` supplies the thread count and the early-abandon switch instead
-/// (nothing else of it is read). Results are identical for every thread
+/// Builds a ShapeletBank (transform/shapelet_bank.h) for `data` -- each
+/// shapelet's artefacts once -- and streams the rows through it on
+/// `num_threads` threads. A non-null `engine` supplies the thread count
+/// instead (nothing else of it is read). Results are identical for every thread
 /// count and engine.
 TransformedData ShapeletTransform(
     const DatasetView& data, const std::vector<Subsequence>& shapelets,

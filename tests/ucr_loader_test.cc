@@ -84,6 +84,30 @@ TEST_F(UcrLoaderTest, GarbageLineFailsCleanly) {
   EXPECT_FALSE(LoadUcrDataset(dir_.string(), "Demo").has_value());
 }
 
+// Only trailing NaN padding is trimmed: an interior NaN, an infinity or a
+// NaN label fails the load as a garbage line does.
+TEST_F(UcrLoaderTest, InteriorNanFailsCleanly) {
+  WriteFile("Demo/Demo_TRAIN.tsv", "0\t1.0\tNaN\t2.0\n1\t3.0\t4.0\t5.0\n");
+  WriteFile("Demo/Demo_TEST.tsv", "0\t1.0\t2.0\t3.0\n");
+  EXPECT_FALSE(LoadUcrDataset(dir_.string(), "Demo").has_value());
+}
+
+TEST_F(UcrLoaderTest, InfinitiesFailCleanly) {
+  WriteFile("inf.tsv", "0\t1.0\tinf\t2.0\n");
+  EXPECT_FALSE(LoadUcrFile((dir_ / "inf.tsv").string()).has_value());
+  WriteFile("neg_inf.tsv", "0\t1.0\t2.0\t-Infinity\n");
+  EXPECT_FALSE(LoadUcrFile((dir_ / "neg_inf.tsv").string()).has_value());
+  WriteFile("inf_label.tsv", "inf\t1.0\t2.0\n");
+  EXPECT_FALSE(LoadUcrFile((dir_ / "inf_label.tsv").string()).has_value());
+}
+
+TEST_F(UcrLoaderTest, NanLabelFailsCleanly) {
+  WriteFile("nan_label.tsv", "0\t1.0\t2.0\nNaN\t3.0\t4.0\n1\t5.0\t6.0\n");
+  EXPECT_FALSE(LoadUcrFile((dir_ / "nan_label.tsv").string()).has_value());
+  WriteFile("all_nan.tsv", "nan\tNaN\tNaN\n");
+  EXPECT_FALSE(LoadUcrFile((dir_ / "all_nan.tsv").string()).has_value());
+}
+
 TEST_F(UcrLoaderTest, EmptyLinesSkipped) {
   WriteFile("Demo/Demo_TRAIN.tsv", "0\t1.0\t2.0\n\n1\t3.0\t4.0\n\n");
   WriteFile("Demo/Demo_TEST.tsv", "0\t1.0\t2.0\n");
