@@ -1,11 +1,22 @@
 // Linear-kernel SVM trained by dual coordinate descent (Hsieh et al., ICML
-// 2008 -- the LIBLINEAR algorithm), with one-vs-rest reduction for
+// 2008 -- LIBLINEAR's L1-loss dual solver), with one-vs-rest reduction for
 // multiclass. This is the classification back-end the paper applies to the
 // shapelet-transformed data (§III-D "Remarks").
 //
 // Features are standardised internally (per-dimension mean/variance learned
 // at Fit time) so shapelet distances of different scales are weighted
-// comparably, and a bias term is learned via feature augmentation.
+// comparably, and a bias term is learned via feature augmentation. The
+// standardised matrix and its row norms are built once per Fit and shared
+// by every one-vs-rest problem.
+//
+// Each pass visits the active coordinates in an order shuffled by the
+// problem's own seed. Shrinking is always on: a coordinate whose alpha sits
+// at 0 with a gradient above the last pass's largest projected gradient,
+// or at C with one below the smallest, leaves the active set. A pass whose
+// projected gradients span at most `tolerance` (max - min) ends the solve
+// when nothing is shrunk; otherwise the full set is restored and the
+// passes go on. `max_passes` caps the passes per problem, and the
+// `classify.svm.passes` counter adds up the passes each problem ran.
 
 #ifndef IPS_CLASSIFY_SVM_H_
 #define IPS_CLASSIFY_SVM_H_
@@ -20,10 +31,10 @@ namespace ips {
 
 /// Hyper-parameters of the linear SVM.
 struct SvmOptions {
-  double c = 1.0;           ///< Soft-margin penalty.
-  size_t max_passes = 200;  ///< Maximum coordinate-descent epochs.
-  double tolerance = 1e-4;  ///< Projected-gradient stopping tolerance.
-  uint64_t seed = 13;       ///< Permutation seed.
+  double c = 1.0;            ///< Soft-margin penalty.
+  size_t max_passes = 1000;  ///< Pass cap per one-vs-rest problem.
+  double tolerance = 0.1;    ///< Bound on max - min projected gradient.
+  uint64_t seed = 13;        ///< Shuffle seed; class c uses seed + c.
 };
 
 /// One-vs-rest linear SVM.

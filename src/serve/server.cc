@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 
 #include <algorithm>
@@ -254,6 +255,11 @@ Frame Server::HandleClassify(const Frame& request) {
   for (const std::vector<double>& s : req.series) {
     if (s.empty()) {
       return logged_error(ErrorCode::kBadRequest, "empty series in batch");
+    }
+    if (!std::all_of(s.begin(), s.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      return logged_error(ErrorCode::kBadRequest,
+                          "non-finite value in series");
     }
   }
   const std::shared_ptr<const ServedModel> model = registry_->Get(req.model);

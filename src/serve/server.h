@@ -11,7 +11,8 @@
 //
 // Error contract: every decodable-but-unservable request is answered with
 // an explicit kError frame on the same connection (unknown op, unknown
-// model, empty batch, empty series, failed reload). Only unrecoverable
+// model, empty batch, empty series, a series holding NaN or +-Inf, failed
+// reload). Only unrecoverable
 // framing (bad magic, unsupported protocol version, oversized declared
 // payload) closes the connection, because nothing after a corrupt header
 // can be trusted.

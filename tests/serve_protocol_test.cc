@@ -15,6 +15,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "ips/pipeline.h"
 #include "ips/serialization.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/log_rotate.h"
 #include "serve/model_registry.h"
@@ -441,6 +443,20 @@ TEST_F(LoopbackTest, ErrorFramesNotDroppedConnections) {
   EXPECT_NE(error.find("unknown model"), std::string::npos) << error;
   EXPECT_FALSE(client_.Classify("demo", {}, &error).has_value());
   EXPECT_NE(error.find("empty"), std::string::npos) << error;
+
+  // A NaN or +Inf anywhere in the frame rejects the whole frame, and
+  // serve.errors counts each rejection.
+  const obs::Counter& errors =
+      obs::MetricsRegistry::Instance().GetCounter("serve.errors");
+  const uint64_t errors_before = errors.Value();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(client_.Classify("demo", {{1.0, 2.0}, {1.0, nan}}, &error)
+                   .has_value());
+  EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
+  EXPECT_FALSE(client_.Classify("demo", {{inf, 2.0}}, &error).has_value());
+  EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
+  EXPECT_EQ(errors.Value() - errors_before, 2u);
 
   // Malformed payload under a sound header: error frame, not a drop.
   Frame malformed;

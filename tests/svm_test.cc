@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "obs/metrics.h"
 
 namespace ips {
 namespace {
@@ -116,6 +117,93 @@ TEST(LinearSvmTest, DecisionValueSignMatchesPrediction) {
     const double other = svm.DecisionValue(data.x[i], 1 - predicted);
     EXPECT_GE(own, other);
   }
+}
+
+// Four overlapping Gaussian classes in 3-D: no hyperplane separates them,
+// so many alphas end strictly inside (0, C) and the solve has work to do.
+LabeledMatrix OverlappingFourClass(size_t per_class, Rng& rng) {
+  const std::vector<std::vector<double>> centers = {
+      {1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}, {1.0, 1.0, 1.0}};
+  LabeledMatrix data;
+  for (size_t i = 0; i < per_class; ++i) {
+    for (int c = 0; c < 4; ++c) {
+      std::vector<double> row;
+      for (double mean : centers[static_cast<size_t>(c)]) {
+        row.push_back(rng.Gaussian(mean, 0.6));
+      }
+      data.x.push_back(row);
+      data.y.push_back(c);
+    }
+  }
+  return data;
+}
+
+uint64_t SvmPasses() {
+  return obs::MetricsRegistry::Instance()
+      .GetCounter("classify.svm.passes")
+      .Value();
+}
+
+TEST(LinearSvmTest, DefaultStopAgreesWithTightSolve) {
+  Rng rng(8);
+  const LabeledMatrix train = OverlappingFourClass(150, rng);
+  const LabeledMatrix test = OverlappingFourClass(250, rng);
+  LinearSvm fast;
+  fast.Fit(train);
+  SvmOptions tight_options;
+  tight_options.tolerance = 1e-3;
+  tight_options.max_passes = 20000;
+  LinearSvm tight(tight_options);
+  tight.Fit(train);
+
+  size_t agree = 0;
+  for (const auto& row : test.x) {
+    if (fast.Predict(row) == tight.Predict(row)) ++agree;
+  }
+  EXPECT_GE(static_cast<double>(agree),
+            0.99 * static_cast<double>(test.size()));
+  EXPECT_NEAR(fast.Accuracy(test), tight.Accuracy(test), 0.01);
+  // The set overlaps: a trivial model would not reach this.
+  EXPECT_GE(tight.Accuracy(test), 0.5);
+}
+
+TEST(LinearSvmTest, RepeatedFitsAreBitwiseEqual) {
+  Rng rng(9);
+  const LabeledMatrix data = OverlappingFourClass(60, rng);
+  LinearSvm a;
+  LinearSvm b;
+  a.Fit(data);
+  b.Fit(data);
+  for (const auto& row : data.x) {
+    for (int c = 0; c < a.num_classes(); ++c) {
+      EXPECT_EQ(a.DecisionValue(row, c), b.DecisionValue(row, c));
+    }
+  }
+}
+
+TEST(LinearSvmTest, SeparableDataStopsBeforeThePassCap) {
+  Rng rng(10);
+  const LabeledMatrix data = LinearlySeparable2D(50, rng);
+  LinearSvm svm;
+  const uint64_t before = SvmPasses();
+  svm.Fit(data);
+  const uint64_t passes = SvmPasses() - before;
+  EXPECT_GE(passes, 2u);  // at least one pass per one-vs-rest problem
+  EXPECT_LT(passes, 2 * SvmOptions{}.max_passes);
+  EXPECT_GE(svm.Accuracy(data), 0.98);
+}
+
+TEST(LinearSvmTest, PassCapHolds) {
+  Rng rng(11);
+  const LabeledMatrix data = OverlappingFourClass(60, rng);
+  SvmOptions o;
+  o.max_passes = 3;
+  LinearSvm svm(o);
+  const uint64_t before = SvmPasses();
+  svm.Fit(data);
+  EXPECT_LE(SvmPasses() - before, 3u * 4u);
+  // Three passes already give a usable model.
+  EXPECT_GE(svm.Accuracy(data), 0.4);
 }
 
 TEST(LabeledMatrixTest, NumClasses) {
