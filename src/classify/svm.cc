@@ -120,6 +120,18 @@ std::vector<double> TrainBinary(const DesignMatrix& x,
 
 }  // namespace
 
+std::span<const double> LinearSvm::StandardizeToScratch(
+    std::span<const double> features) const {
+  IPS_CHECK(features.size() == feature_means_.size());
+  thread_local std::vector<double> row;
+  row.resize(features.size() + 1);
+  for (size_t j = 0; j < features.size(); ++j) {
+    row[j] = (features[j] - feature_means_[j]) / feature_stds_[j];
+  }
+  row[features.size()] = 1.0;
+  return row;
+}
+
 void LinearSvm::Fit(const LabeledMatrix& data) {
   IPS_CHECK(!data.x.empty());
   const size_t n = data.size();
@@ -174,21 +186,10 @@ void LinearSvm::Fit(const LabeledMatrix& data) {
   }
 }
 
-std::vector<double> LinearSvm::Standardize(
-    std::span<const double> features) const {
-  IPS_CHECK(features.size() == feature_means_.size());
-  std::vector<double> out(features.size() + 1);
-  for (size_t j = 0; j < features.size(); ++j) {
-    out[j] = (features[j] - feature_means_[j]) / feature_stds_[j];
-  }
-  out[features.size()] = 1.0;
-  return out;
-}
-
 double LinearSvm::DecisionValue(std::span<const double> features,
                                 int label) const {
   IPS_CHECK(label >= 0 && label < num_classes());
-  const std::vector<double> xs = Standardize(features);
+  const std::span<const double> xs = StandardizeToScratch(features);
   const auto& w = weights_[static_cast<size_t>(label)];
   double s = 0.0;
   for (size_t j = 0; j < xs.size(); ++j) s += w[j] * xs[j];
@@ -197,7 +198,7 @@ double LinearSvm::DecisionValue(std::span<const double> features,
 
 int LinearSvm::Predict(std::span<const double> features) const {
   IPS_CHECK(!weights_.empty());
-  const std::vector<double> xs = Standardize(features);
+  const std::span<const double> xs = StandardizeToScratch(features);
   int best = 0;
   double best_value = -1e300;
   for (int c = 0; c < num_classes(); ++c) {

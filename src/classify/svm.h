@@ -50,8 +50,20 @@ class LinearSvm final : public Classifier {
 
   int num_classes() const { return static_cast<int>(weights_.size()); }
 
+  /// The fitted model: class `label`'s weights over the standardised
+  /// features, the bias weight last, and the per-feature mean and standard
+  /// deviation that standardise a row before the dot product.
+  const std::vector<double>& weights(int label) const {
+    return weights_.at(static_cast<size_t>(label));
+  }
+  const std::vector<double>& feature_means() const { return feature_means_; }
+  const std::vector<double>& feature_stds() const { return feature_stds_; }
+
  private:
-  std::vector<double> Standardize(std::span<const double> features) const;
+  /// The standardised row with the bias feature 1.0 appended, written to
+  /// the calling thread's scratch; valid until that thread's next call.
+  std::span<const double> StandardizeToScratch(
+      std::span<const double> features) const;
 
   SvmOptions options_;
   std::vector<std::vector<double>> weights_;  // per class, incl. bias weight

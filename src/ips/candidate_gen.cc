@@ -115,9 +115,9 @@ CandidatePool GenerateCandidates(const DatasetView& train,
   const size_t outer = tasks.size() >= threads ? threads : 1;
   const size_t inner = outer == 1 ? threads : 1;
   const size_t min_length = train.MinLength();
-  // The span covers every task's profile computation (Alg. 1 line 5); its
-  // leaf feeds IpsRunStats::profile_seconds. The per-task engines publish
-  // their mp.* counters to the metrics registry as they run.
+  // The span covers every task's profiles and their motif/discord picks
+  // (Alg. 1 lines 5-6); it feeds IpsRunStats::profile_seconds. The per-task
+  // engines publish their mp.* counters to the registry as they run.
   {
     IPS_SPAN("instance_profile");
     ParallelFor(tasks.size(), outer, [&](size_t t) {

@@ -1,12 +1,9 @@
 #include "ips/instance_profile.h"
 
-#include <cmath>
-
 #include <algorithm>
-#include <limits>
-#include <numeric>
 
 #include "matrix_profile/matrix_profile.h"
+#include "matrix_profile/motif.h"
 #include "matrix_profile/mp_engine.h"
 #include "util/check.h"
 
@@ -119,31 +116,19 @@ InstanceProfile ComputeInstanceProfile(std::span<const SeriesView> sample,
 
 namespace {
 
+// Exclusion of half the window within one instance; entries of different
+// instances never clash.
 std::vector<size_t> SelectProfileEntries(const InstanceProfile& profile,
                                          size_t k, size_t window,
                                          bool smallest_first) {
-  std::vector<size_t> order(profile.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return smallest_first ? profile.values[a] < profile.values[b]
-                          : profile.values[a] > profile.values[b];
-  });
-
   const size_t exclusion = (window + 1) / 2;
-  std::vector<size_t> selected;
-  for (size_t e : order) {
-    if (selected.size() >= k) break;
-    if (!std::isfinite(profile.values[e])) continue;
-    const bool clashes = std::any_of(
-        selected.begin(), selected.end(), [&](size_t s) {
-          if (profile.instances[s] != profile.instances[e]) return false;
-          const size_t a = profile.offsets[s];
-          const size_t b = profile.offsets[e];
-          return (a > b ? a - b : b - a) <= exclusion;
-        });
-    if (!clashes) selected.push_back(e);
-  }
-  return selected;
+  return SelectWithExclusion(
+      profile.values, k, smallest_first, [&](size_t s, size_t e) {
+        const size_t a = profile.offsets[s];
+        const size_t b = profile.offsets[e];
+        return profile.instances[s] == profile.instances[e] &&
+               (a > b ? a - b : b - a) <= exclusion;
+      });
 }
 
 }  // namespace

@@ -68,13 +68,18 @@ InstanceProfile ComputeInstanceProfile(
     MatrixProfileEngine* engine = nullptr,
     MetricId metric = MetricId::kZNormEuclidean);
 
-/// Positions of the `k` smallest (motifs) profile entries, with an
-/// exclusion zone of half the window length between selections *within the
-/// same instance*.
+/// Positions of up to `k` of the smallest (motif) profile entries, taken
+/// greedily in (value, then entry position) order. Non-finite entries are
+/// skipped. Two selections of the same instance must be more than
+/// ceil(window / 2) offsets apart; entries of different instances never
+/// exclude each other. This is SelectWithExclusion's contract
+/// (matrix_profile/motif.h): selection i is the first entry in that order
+/// that clashes with none of the i-1 before it.
 std::vector<size_t> InstanceProfileMotifs(const InstanceProfile& profile,
                                           size_t k, size_t window);
 
-/// Positions of the `k` largest (discords) entries under the same rule.
+/// Positions of up to `k` of the largest (discord) entries: (value
+/// descending, then entry position) order under the same rule.
 std::vector<size_t> InstanceProfileDiscords(const InstanceProfile& profile,
                                             size_t k, size_t window);
 

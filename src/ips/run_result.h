@@ -56,7 +56,7 @@ struct IpsRunStats {
   size_t stats_cache_misses = 0;
 
   /// The instance-profile stage of candidate generation (a sub-interval of
-  /// candidate_gen_seconds: Alg. 1 line 5 across all sampling tasks) and
+  /// candidate_gen_seconds: Alg. 1 lines 5-6 across all tasks) and
   /// the MatrixProfileEngine totals over the per-task engines.
   /// mp_joins_halved counts directed joins served by a pair-symmetric
   /// sweep's far side -- work the pre-engine code computed from scratch.

@@ -1,51 +1,31 @@
 #include "matrix_profile/motif.h"
 
-#include <cmath>
-
-#include <algorithm>
-#include <numeric>
-
 #include "matrix_profile/mp_engine.h"
 
 namespace ips {
 
 namespace {
 
-// Shared greedy top-k with exclusion; `better(a, b)` returns true when value
-// a should be selected before value b.
-std::vector<size_t> SelectWithExclusion(std::span<const double> profile,
-                                        size_t k, size_t exclusion,
-                                        bool smallest_first) {
-  std::vector<size_t> order(profile.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return smallest_first ? profile[a] < profile[b] : profile[a] > profile[b];
-  });
-
-  std::vector<size_t> selected;
-  for (size_t idx : order) {
-    if (selected.size() >= k) break;
-    if (!std::isfinite(profile[idx])) continue;
-    const bool clashes = std::any_of(
-        selected.begin(), selected.end(), [&](size_t s) {
-          const size_t gap = s > idx ? s - idx : idx - s;
-          return gap <= exclusion;
-        });
-    if (!clashes) selected.push_back(idx);
+// Two profile positions clash when they are at most `exclusion` apart.
+struct WithinExclusion {
+  size_t exclusion;
+  bool operator()(size_t s, size_t e) const {
+    return (s > e ? s - e : e - s) <= exclusion;
   }
-  return selected;
-}
+};
 
 }  // namespace
 
 std::vector<size_t> FindMotifs(std::span<const double> profile, size_t k,
                                size_t exclusion) {
-  return SelectWithExclusion(profile, k, exclusion, /*smallest_first=*/true);
+  return SelectWithExclusion(profile, k, /*smallest_first=*/true,
+                             WithinExclusion{exclusion});
 }
 
 std::vector<size_t> FindDiscords(std::span<const double> profile, size_t k,
                                  size_t exclusion) {
-  return SelectWithExclusion(profile, k, exclusion, /*smallest_first=*/false);
+  return SelectWithExclusion(profile, k, /*smallest_first=*/false,
+                             WithinExclusion{exclusion});
 }
 
 SeriesMotifs ExploreSeries(std::span<const double> series, size_t window,

@@ -1,5 +1,7 @@
 #include "store/store_writer.h"
 
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 
 namespace ips::store {
@@ -79,6 +81,24 @@ bool StoreWriter::Append(std::span<const double> values, int label) {
     error_ = "label below kUnlabeledSeries";
     return false;
   }
+  // A NaN or infinity would reach every fit and reload that reads the
+  // segment, so the whole write fails instead. The sidecar starts with the
+  // grand mean, which is finite whenever every value is, so only a series
+  // whose mean is not finite is scanned for the culprit.
+  ComputeSidecar(values, &sidecar_scratch_);
+  if (!std::isfinite(sidecar_scratch_.front())) {
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (!std::isfinite(values[i])) {
+        char message[96];
+        std::snprintf(message, sizeof(message),
+                      "series %llu: non-finite value at position %zu",
+                      static_cast<unsigned long long>(num_series_), i);
+        ok_ = false;
+        error_ = message;
+        return false;
+      }
+    }
+  }
   if (labels_.empty()) chunk_first_series_ = num_series_;
 
   labels_.push_back(static_cast<int32_t>(label));
@@ -86,7 +106,6 @@ bool StoreWriter::Append(std::span<const double> values, int label) {
   value_offsets_.push_back(values_.size());
   sidecar_offsets_.push_back(sidecar_.size());
   values_.insert(values_.end(), values.begin(), values.end());
-  ComputeSidecar(values, &sidecar_scratch_);
   sidecar_.insert(sidecar_.end(), sidecar_scratch_.begin(),
                   sidecar_scratch_.end());
   ++num_series_;

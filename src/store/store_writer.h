@@ -49,10 +49,12 @@ class StoreWriter {
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
 
-  /// Appends one labelled series (length >= 1, label >= -1). Flushes a
-  /// chunk record to disk whenever the buffered value payload reaches the
-  /// chunk budget. Returns false (and records an error) on I/O failure or
-  /// invalid input.
+  /// Appends one labelled series (length >= 1, label >= -1, every value
+  /// finite). Flushes a chunk record to disk whenever the buffered value
+  /// payload reaches the chunk budget. Returns false (and records an error)
+  /// on I/O failure or invalid input; a NaN or infinity is named by its
+  /// series number (0-based, in append order) and position. After a
+  /// failure every later Append and Finish fails too.
   bool Append(std::span<const double> values, int label);
 
   /// Flushes the trailing chunk, writes the directory and the final

@@ -2,7 +2,10 @@
 
 #include <cmath>
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,6 +153,90 @@ TEST(InstanceProfileMotifsTest, ExclusionAppliesWithinInstanceOnly) {
   ASSERT_EQ(motifs.size(), 2u);
   EXPECT_EQ(ip.instances[motifs[0]], 0u);
   EXPECT_EQ(ip.instances[motifs[1]], 1u);
+}
+
+// The selection by its definition, the reference the k-pass scan must
+// reproduce element for element: stable-sort every entry by value, then
+// walk the order and keep each finite entry that is more than
+// ceil(window / 2) offsets from every kept entry of its instance.
+std::vector<size_t> SortWalkReference(const InstanceProfile& profile,
+                                      size_t k, size_t window,
+                                      bool smallest_first) {
+  std::vector<size_t> order(profile.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return smallest_first ? profile.values[a] < profile.values[b]
+                          : profile.values[a] > profile.values[b];
+  });
+  const size_t exclusion = (window + 1) / 2;
+  std::vector<size_t> selected;
+  for (size_t e : order) {
+    if (selected.size() >= k) break;
+    if (!std::isfinite(profile.values[e])) continue;
+    const bool clashes = std::any_of(
+        selected.begin(), selected.end(), [&](size_t s) {
+          if (profile.instances[s] != profile.instances[e]) return false;
+          const size_t a = profile.offsets[s];
+          const size_t b = profile.offsets[e];
+          return (a > b ? a - b : b - a) <= exclusion;
+        });
+    if (!clashes) selected.push_back(e);
+  }
+  return selected;
+}
+
+// A profile laid out as ComputeInstanceProfile lays it out: each instance's
+// windows in offset order, instance after instance. Values come from a small
+// set so ties are common, with some infinities.
+InstanceProfile RandomProfile(Rng& rng, size_t instances) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double palette[] = {0.0, 0.5, 0.5, 1.25, 2.0, 2.0, 4.0, inf, -inf};
+  InstanceProfile ip;
+  for (size_t m = 0; m < instances; ++m) {
+    const size_t windows = 1 + rng.Index(40);
+    for (size_t i = 0; i < windows; ++i) {
+      ip.values.push_back(palette[rng.Index(std::size(palette))]);
+      ip.instances.push_back(m);
+      ip.offsets.push_back(i);
+    }
+  }
+  return ip;
+}
+
+TEST(InstanceProfileMotifsTest, MatchesStableSortWalkOnRandomProfiles) {
+  Rng rng(909);
+  size_t nonempty = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const InstanceProfile ip = RandomProfile(rng, 1 + rng.Index(4));
+    const size_t window = 1 + rng.Index(20);
+    const size_t ks[] = {0, 1, 2, 3, 5, ip.size() + 1 + rng.Index(4)};
+    for (size_t k : ks) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " entries "
+                                      << ip.size() << " window " << window
+                                      << " k " << k);
+      const auto motifs = InstanceProfileMotifs(ip, k, window);
+      EXPECT_EQ(motifs, SortWalkReference(ip, k, window, true));
+      nonempty += motifs.empty() ? 0 : 1;
+      EXPECT_EQ(InstanceProfileDiscords(ip, k, window),
+                SortWalkReference(ip, k, window, false));
+    }
+  }
+  EXPECT_GT(nonempty, 2000u);
+}
+
+TEST(InstanceProfileMotifsTest, NeverTakesNan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  InstanceProfile ip;
+  ip.values = {nan, 0.3, nan, 0.1, 0.2, nan};
+  ip.instances = {0, 0, 1, 1, 2, 2};
+  ip.offsets = {0, 1, 0, 1, 0, 1};
+  for (size_t k : {1, 2, 3, 6}) {
+    for (const auto& taken : {InstanceProfileMotifs(ip, k, 2),
+                              InstanceProfileDiscords(ip, k, 2)}) {
+      EXPECT_EQ(taken.size(), std::min<size_t>(k, 3));
+      for (size_t e : taken) EXPECT_FALSE(std::isnan(ip.values[e])) << e;
+    }
+  }
 }
 
 TEST(InstanceProfileDiscordsTest, PicksLargest) {

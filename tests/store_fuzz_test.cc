@@ -3,7 +3,8 @@
 // run-artifact loader: truncations at every boundary, bit-flipped headers,
 // wrong majors, absurd declared counts and corrupted directory entries
 // must all come back as a clean nullptr + reason -- no crash, no multi-GB
-// allocation, no partially-initialised store.
+// allocation, no partially-initialised store. On the writing side, a NaN or
+// infinity in any series fails the write and leaves no segment that opens.
 
 #include "store/columnar_store.h"
 
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -262,6 +264,41 @@ TEST(StoreFuzzTest, NegativeLabelsBelowUnlabeledAreRejected) {
   std::string error;
   EXPECT_EQ(OpenBytes(bytes, "label", &error), nullptr);
   EXPECT_FALSE(error.empty());
+}
+
+TEST(StoreFuzzTest, NonFinitePayloadsFailTheWrite) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (double bad : bad_values) {
+    // In the first chunk and after earlier chunks were flushed; at the
+    // first, an interior and the last position of the series.
+    for (int series : {0, 4, 8}) {
+      const int length = 24 + series;
+      for (int position : {0, length / 2, length - 1}) {
+        SCOPED_TRACE(testing::Message() << "value " << bad << " series "
+                                        << series << " position "
+                                        << position);
+        const ScopedPath path(TempPath("nonfinite"));
+        store::StoreWriter::Options options;
+        options.chunk_target_bytes = 24 * sizeof(double) * 2;
+        store::StoreWriter writer(path.path, options);
+        ASSERT_TRUE(writer.ok());
+        for (int i = 0; i <= series; ++i) {
+          std::vector<double> values(static_cast<size_t>(24 + i), 0.5 * i);
+          if (i == series) values[static_cast<size_t>(position)] = bad;
+          EXPECT_EQ(writer.Append(values, i % 3), i != series);
+        }
+        EXPECT_EQ(writer.error(), "series " + std::to_string(series) +
+                                      ": non-finite value at position " +
+                                      std::to_string(position));
+        EXPECT_FALSE(writer.Finish());
+        std::string error;
+        EXPECT_EQ(store::ColumnarStore::Open(path.path, &error), nullptr);
+        EXPECT_FALSE(error.empty());
+      }
+    }
+  }
 }
 
 TEST(StoreFuzzTest, EmptyAndGarbageFilesFailCleanly) {

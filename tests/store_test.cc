@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -264,6 +265,34 @@ TEST(StoreTest, LooksLikeStoreSegmentSniffsMagic) {
   }
   EXPECT_FALSE(store::LooksLikeStoreSegment(text.path));
   EXPECT_FALSE(store::LooksLikeStoreSegment("/nonexistent/nope.ips"));
+}
+
+TEST(StoreTest, WriterRejectsNonFiniteValueNamingSeriesAndPosition) {
+  const ScopedPath path(TempSegmentPath("nonfinite"));
+  store::StoreWriter writer(path.path);
+  ASSERT_TRUE(writer.ok()) << writer.error();
+  const std::vector<double> clean = {0.5, -1.0, 2.0, 0.25, 3.0, 1.0};
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(writer.Append(clean, i % 2));
+
+  std::vector<double> poisoned = clean;
+  poisoned[4] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(writer.Append(poisoned, 0));
+  EXPECT_FALSE(writer.ok());
+  EXPECT_EQ(writer.error(), "series 3: non-finite value at position 4");
+  // The writer stays failed: nothing more is appended or finished.
+  EXPECT_FALSE(writer.Append(clean, 0));
+  EXPECT_FALSE(writer.Finish());
+  EXPECT_EQ(writer.series_written(), 3u);
+
+  // WriteDatasetToStore reports the same message.
+  Dataset data;
+  data.Add(TimeSeries(clean, 0));
+  std::vector<double> infinite = clean;
+  infinite[0] = -std::numeric_limits<double>::infinity();
+  data.Add(TimeSeries(std::move(infinite), 1));
+  std::string error;
+  EXPECT_FALSE(store::WriteDatasetToStore(data, path.path, {}, &error));
+  EXPECT_EQ(error, "series 1: non-finite value at position 0");
 }
 
 // ------------------------------------------------------------------ parity

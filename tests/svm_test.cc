@@ -1,5 +1,8 @@
 #include "classify/svm.h"
 
+#include <bit>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,6 +207,70 @@ TEST(LinearSvmTest, PassCapHolds) {
   EXPECT_LE(SvmPasses() - before, 3u * 4u);
   // Three passes already give a usable model.
   EXPECT_GE(svm.Accuracy(data), 0.4);
+}
+
+// Decision value of `label` by the model's formula, computed on its own: a
+// fresh standardised vector with the bias feature 1.0 appended, then one
+// increasing-index dot product. Predict and DecisionValue must match it
+// bitwise.
+double ReferenceDecisionValue(const LinearSvm& svm,
+                              const std::vector<double>& features,
+                              int label) {
+  std::vector<double> xs(features.size() + 1);
+  for (size_t j = 0; j < features.size(); ++j) {
+    xs[j] = (features[j] - svm.feature_means()[j]) / svm.feature_stds()[j];
+  }
+  xs[features.size()] = 1.0;
+  const std::vector<double>& w = svm.weights(label);
+  double s = 0.0;
+  for (size_t j = 0; j < xs.size(); ++j) s += w[j] * xs[j];
+  return s;
+}
+
+int ReferencePredict(const LinearSvm& svm,
+                     const std::vector<double>& features) {
+  int best = 0;
+  double best_value = -1e300;
+  for (int c = 0; c < svm.num_classes(); ++c) {
+    const double s = ReferenceDecisionValue(svm, features, c);
+    if (s > best_value) {
+      best_value = s;
+      best = c;
+    }
+  }
+  return best;
+}
+
+TEST(LinearSvmTest, PredictAndDecisionValueMatchReferenceBitwise) {
+  Rng rng(12);
+  LinearSvm svm;
+  svm.Fit(OverlappingFourClass(60, rng));
+  ASSERT_EQ(svm.num_classes(), 4);
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < 400; ++i) {
+    // Mostly near the training data, some far outside its scale.
+    const double scale = i % 5 == 0 ? 1e6 : 2.0;
+    rows.push_back({rng.Gaussian(0.5, scale), rng.Gaussian(0.5, scale),
+                    rng.Gaussian(0.5, scale)});
+  }
+  // Four threads at once: each standardises into its own scratch.
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::vector<double>& x : rows) {
+        if (svm.Predict(x) != ReferencePredict(svm, x)) ++mismatches[t];
+        for (int c = 0; c < svm.num_classes(); ++c) {
+          if (std::bit_cast<uint64_t>(svm.DecisionValue(x, c)) !=
+              std::bit_cast<uint64_t>(ReferenceDecisionValue(svm, x, c))) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int m : mismatches) EXPECT_EQ(m, 0);
 }
 
 TEST(LabeledMatrixTest, NumClasses) {
