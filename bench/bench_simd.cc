@@ -176,9 +176,38 @@ KernelResult BenchZNormProfile() {
   return r;
 }
 
+// The z-norm min tail on the same inputs: the transform's min query, which
+// selects over squared distances and roots the minimum once. Gated on the
+// minimum bit for bit.
+KernelResult BenchZNormMin() {
+  const size_t m = 64, n = 65536, count = n - m + 1;
+  const auto s = RandomSeries(n, 6);
+  const RollingStats stats = ComputeRollingStats(s, m);
+  const auto dots = RandomSeries(count, 7);
+  double min_simd = 0.0, min_scalar = 0.0;
+
+  KernelResult r;
+  r.kernel = "znorm_min";
+  r.simd_ns = BestOfNs(
+      [&] {
+        min_simd = simd::ZNormMinFromDots(dots.data(), stats.stds.data(), count,
+                                          m, false);
+      },
+      5, 10);
+  r.scalar_ns = BestOfNs(
+      [&] {
+        min_scalar = simd::scalar::ZNormMinFromDots(
+            dots.data(), stats.stds.data(), count, m, false);
+      },
+      5, 10);
+  r.checksum_equal = BitEqual({min_simd}, {min_scalar});
+  return r;
+}
+
 // One full STOMP AB-join row sweep, the engine's RowSweep inner loops:
-// chained QT updates, the per-row distance evaluation and the two-sided
-// min scan (the row's nearest column, and each column's nearest row).
+// chained QT updates, the per-row squared-distance evaluation and the
+// two-sided min scan (the row's nearest column, and each column's nearest
+// row).
 // Gated on every row and column minimum and index, bit for bit.
 KernelResult BenchQtSweep() {
   const size_t w = 64, n = 4096, l = n - w + 1, rows = 256;
@@ -360,7 +389,7 @@ int Main(int argc, char** argv) {
     if (!simd::UseBackend(backend)) return 1;
     const std::vector<KernelResult> kernels = {
         BenchSlidingDots(), BenchRawProfile(), BenchZNormProfile(),
-        BenchQtSweep(), BenchRollingStats()};
+        BenchZNormMin(), BenchQtSweep(), BenchRollingStats()};
     const std::vector<PredictResult> predict = BenchPredictBatch(fixture);
 
     std::printf("backend=%s width=%zu\n", simd::BackendName(),

@@ -120,7 +120,7 @@ double CosineMin(const MetricProfileArgs& a) {
 }
 void CosineRow(const double* qt, const MetricRowView& b, size_t count,
                size_t window, const MetricCell& a, double* out) {
-  simd::StompRowDistancesCosine(qt, b.energies, count, window, a.energy, out);
+  simd::StompRowDistancesCosine(qt, b.norms, count, window, a.energy, out);
 }
 void CosineProfileScalar(const MetricProfileArgs& a, double* out) {
   simd::scalar::CosineProfileFromDots(a.qq, a.sqp, a.window, a.dots, a.count,
@@ -132,8 +132,8 @@ double CosineMinScalar(const MetricProfileArgs& a) {
 }
 void CosineRowScalar(const double* qt, const MetricRowView& b, size_t count,
                      size_t window, const MetricCell& a, double* out) {
-  simd::scalar::StompRowDistancesCosine(qt, b.energies, count, window,
-                                        a.energy, out);
+  simd::scalar::StompRowDistancesCosine(qt, b.norms, count, window, a.energy,
+                                        out);
 }
 double CosinePairwise(std::span<const double> a, std::span<const double> b) {
   IPS_CHECK(a.size() == b.size());
@@ -160,25 +160,29 @@ double CosinePairwise(std::span<const double> a, std::span<const double> b) {
 constexpr MetricPolicy kMetrics[kMetricCount] = {
     {MetricId::kZNormEuclidean, "znorm_euclidean",
      /*normalizes_query=*/true, /*needs_rolling_stats=*/true,
-     /*needs_window_energy=*/false,
+     /*needs_window_energy=*/false, /*needs_window_norms=*/false,
+     /*row_squared=*/true,
      {ZnProfile, ZnMin, ZnRow},
      {ZnProfileScalar, ZnMinScalar, ZnRowScalar},
      ZnPairwise},
     {MetricId::kRawSquaredEuclidean, "raw_sq_euclidean",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
-     /*needs_window_energy=*/true,
+     /*needs_window_energy=*/true, /*needs_window_norms=*/false,
+     /*row_squared=*/false,
      {RawProfile, RawMin, RawRow},
      {RawProfileScalar, RawMinScalar, RawRowScalar},
      RawPairwise},
     {MetricId::kEuclidean, "euclidean",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
-     /*needs_window_energy=*/true,
+     /*needs_window_energy=*/true, /*needs_window_norms=*/false,
+     /*row_squared=*/true,
      {L2Profile, L2Min, L2Row},
      {L2ProfileScalar, L2MinScalar, L2RowScalar},
      L2Pairwise},
     {MetricId::kCosine, "cosine",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
-     /*needs_window_energy=*/true,
+     /*needs_window_energy=*/true, /*needs_window_norms=*/true,
+     /*row_squared=*/false,
      {CosineProfile, CosineMin, CosineRow},
      {CosineProfileScalar, CosineMinScalar, CosineRowScalar},
      CosinePairwise},

@@ -86,6 +86,7 @@ struct MetricRowView {
   const double* means = nullptr;     ///< rolling means (z-normalised)
   const double* stds = nullptr;      ///< rolling stds (z-normalised)
   const double* energies = nullptr;  ///< per-window sums of squares
+  const double* norms = nullptr;     ///< roots of the energies (cosine)
 };
 
 /// The same statistics for a single window (the sweep's row side).
@@ -107,8 +108,9 @@ struct MetricKernels {
   /// min-selection never rounds).
   double (*min_from_dots)(const MetricProfileArgs& args);
   /// One STOMP row: out[j] = d(window a, window b_j) given the row's QT
-  /// values. Used by the MatrixProfileEngine row sweep; must be bitwise
-  /// equal to the per-cell helpers in matrix_profile/stomp_common.h.
+  /// values, or its square when the policy's row_squared is set. Used by
+  /// the MatrixProfileEngine row sweep; must be bitwise equal to the
+  /// per-cell helpers in matrix_profile/stomp_common.h.
   void (*stomp_row)(const double* qt, const MetricRowView& b, size_t count,
                     size_t window, const MetricCell& a, double* out);
 };
@@ -126,6 +128,15 @@ struct MetricPolicy {
   bool needs_rolling_stats = false;
   /// Engines must supply per-window sums of squares (ComputeWindowEnergies).
   bool needs_window_energy = false;
+  /// The STOMP row reads the column side's window norms (MetricRowView::
+  /// norms), which the engine roots from the energies once per artefact
+  /// table instead of once per cell.
+  bool needs_window_norms = false;
+  /// The STOMP row writes squared distances. A join then takes every
+  /// minimum over squares and roots each profile entry once it is final:
+  /// sqrt is correctly rounded and monotone, so the values are bitwise the
+  /// minima over roots (stomp_common.h states the neighbour-index rule).
+  bool row_squared = false;
   MetricKernels kernels;         ///< build-time dispatched (SIMD) hooks
   MetricKernels scalar_kernels;  ///< width-1 scalar reference hooks
   /// Direct O(window) distance between two equal-length windows, computed

@@ -198,10 +198,10 @@ void StompRowDistancesL2(const double* qt, const double* ssq_b, size_t count,
   Active().stomp_row_l2(qt, ssq_b, count, window, ssq_a, out);
 }
 
-void StompRowDistancesCosine(const double* qt, const double* ssq_b,
+void StompRowDistancesCosine(const double* qt, const double* norm_b,
                              size_t count, size_t window, double ssq_a,
                              double* out) {
-  Active().stomp_row_cosine(qt, ssq_b, count, window, ssq_a, out);
+  Active().stomp_row_cosine(qt, norm_b, count, window, ssq_a, out);
 }
 
 RowMin StompRowMins(const double* dist, size_t count, double first_j,
@@ -292,10 +292,10 @@ void StompRowDistancesL2(const double* qt, const double* ssq_b, size_t count,
   StompRowL2T<ScalarOps>(qt, ssq_b, count, window, ssq_a, out);
 }
 
-void StompRowDistancesCosine(const double* qt, const double* ssq_b,
+void StompRowDistancesCosine(const double* qt, const double* norm_b,
                              size_t count, size_t window, double ssq_a,
                              double* out) {
-  StompRowCosineT<ScalarOps>(qt, ssq_b, count, window, ssq_a, out);
+  StompRowCosineT<ScalarOps>(qt, norm_b, count, window, ssq_a, out);
 }
 
 RowMin StompRowMins(const double* dist, size_t count, double first_j,

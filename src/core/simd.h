@@ -14,7 +14,12 @@
 // lane-wise running minimum folded horizontally at the end selects exactly
 // the value the sequential loop selects (the *MinFromDots inputs are
 // non-NaN and non-negative, so IEEE min quirks around NaN and -0.0 never
-// apply). Where an index tie-break matters too (the STOMP row's minima),
+// apply). The rooted metrics (z-normalised, L2) select over squares and
+// root once: sqrt is correctly rounded and monotone non-decreasing and the
+// squares are >= +0, so a minimum over roots is bitwise the root of the
+// minimum over squares. ZNormMinFromDots and L2MinFromDots root their
+// result; StompRowDistances and StompRowDistancesL2 write squares, and the
+// matrix-profile engines root each profile entry once it is final. Where an index tie-break matters too (the STOMP row's minima),
 // StompRowMins selects with strict < per lane, keeps each lane's first
 // index, and folds by value and then lowest index, taking the value from
 // the winning lane: the serial scan's result, NaN, -0.0 and ties included.
@@ -119,7 +124,9 @@ double RawMinFromDots(double qq, const double* sqp, size_t window,
 void ZNormProfileFromDots(const double* dots, const double* stds, size_t count,
                           size_t window, bool query_flat, double* out);
 
-/// Minimum of ZNormProfileFromDots without materialising the profile.
+/// Minimum of ZNormProfileFromDots without materialising the profile,
+/// bitwise: the minimum is taken over the squares (a flat window counts m)
+/// and rooted once.
 double ZNormMinFromDots(const double* dots, const double* stds, size_t count,
                         size_t window, bool query_flat);
 
@@ -130,7 +137,8 @@ double ZNormMinFromDots(const double* dots, const double* stds, size_t count,
 void L2ProfileFromDots(double qq, const double* sqp, size_t window,
                        const double* dots, size_t count, double* out);
 
-/// Minimum of L2ProfileFromDots without materialising the profile.
+/// Minimum of L2ProfileFromDots without materialising the profile,
+/// bitwise: the minimum is taken over the squares and rooted once.
 double L2MinFromDots(double qq, const double* sqp, size_t window,
                      const double* dots, size_t count);
 
@@ -161,9 +169,11 @@ void RollingMomentsFromPrefix(const double* sum, const double* sq,
 void QtRowAdvance(double* qt, size_t count, const double* b, size_t window,
                   double a_head, double a_tail);
 
-/// One STOMP row of z-normalised distances (stomp_common.h
-/// StompZNormDistance with the row side's mu_a/sig_a fixed):
-///   out[j] = StompZNormDistance(qt[j], w, mu_a, sig_a, mu_b[j], sig_b[j]).
+/// One STOMP row of squared z-normalised distances (stomp_common.h
+/// StompZNormSquared with the row side's mu_a/sig_a fixed):
+///   out[j] = StompZNormSquared(qt[j], w, mu_a, sig_a, mu_b[j], sig_b[j]).
+/// The distance is the root of each value; the engine takes it once per
+/// profile entry, after the min scan.
 void StompRowDistances(const double* qt, const double* mu_b,
                        const double* sig_b, size_t count, size_t window,
                        double mu_a, double sig_a, double* out);
@@ -174,15 +184,17 @@ void StompRowDistances(const double* qt, const double* mu_b,
 void StompRowDistancesRaw(const double* qt, const double* ssq_b, size_t count,
                           size_t window, double ssq_a, double* out);
 
-/// One STOMP row of non-normalised L2 distances (StompL2Distance):
-///   out[j] = sqrt(max(0, (ssq_a + ssq_b[j]) - 2*qt[j])).
+/// One STOMP row of squared non-normalised L2 distances (StompL2Squared):
+///   out[j] = max(0, (ssq_a + ssq_b[j]) - 2*qt[j]).
 void StompRowDistancesL2(const double* qt, const double* ssq_b, size_t count,
                          size_t window, double ssq_a, double* out);
 
 /// One STOMP row of cosine distances (StompCosineDistance with the row
-/// side's norm sqrt(ssq_a) fixed); norms under kFlatStdEpsilon follow the
-/// flat conventions (both -> 0, one -> 1).
-void StompRowDistancesCosine(const double* qt, const double* ssq_b,
+/// side's norm sqrt(ssq_a) fixed) from the column side's window norms
+/// norm_b[j] = sqrt(ssq_b[j]), which the caller roots once per series;
+/// norms under kFlatStdEpsilon follow the flat conventions (both -> 0,
+/// one -> 1).
+void StompRowDistancesCosine(const double* qt, const double* norm_b,
                              size_t count, size_t window, double ssq_a,
                              double* out);
 
@@ -195,7 +207,8 @@ struct RowMin {
 };
 
 /// One STOMP row's two-sided min scan (matrix_profile RowSweep), where
-/// dist[k] is the distance of row `row` to column first_j + k:
+/// dist[k] is the row kernel's value (a distance, or its square for the
+/// rooted metrics) of row `row` against column first_j + k:
 ///   for k in [0, count): d = dist[k];
 ///     if (d < best.value) best = {d, first_j + k};
 ///     if (d < col_val[k]) { col_val[k] = d; col_row[k] = row; }
@@ -250,7 +263,7 @@ void StompRowDistancesRaw(const double* qt, const double* ssq_b, size_t count,
                           size_t window, double ssq_a, double* out);
 void StompRowDistancesL2(const double* qt, const double* ssq_b, size_t count,
                          size_t window, double ssq_a, double* out);
-void StompRowDistancesCosine(const double* qt, const double* ssq_b,
+void StompRowDistancesCosine(const double* qt, const double* norm_b,
                              size_t count, size_t window, double ssq_a,
                              double* out);
 RowMin StompRowMins(const double* dist, size_t count, double first_j,

@@ -64,7 +64,7 @@ struct KernelTable {
                         size_t window, double ssq_a, double* out);
   void (*stomp_row_l2)(const double* qt, const double* ssq_b, size_t count,
                        size_t window, double ssq_a, double* out);
-  void (*stomp_row_cosine)(const double* qt, const double* ssq_b,
+  void (*stomp_row_cosine)(const double* qt, const double* norm_b,
                            size_t count, size_t window, double ssq_a,
                            double* out);
   RowMin (*stomp_row_mins)(const double* dist, size_t count, double first_j,
@@ -291,11 +291,13 @@ void ZNormProfileT(const double* dots, const double* stds, size_t count,
   }
 }
 
+// The minimum is taken over the squares (a flat window contributes md) and
+// rooted once: sqrt is correctly rounded and monotone, so the root of the
+// smallest square is bitwise the smallest distance ZNormProfileT writes.
 template <typename Ops>
 double ZNormMinT(const double* dots, const double* stds, size_t count,
                  size_t window, bool query_flat) {
   const double md = static_cast<double>(window);
-  const double sqrt_md = std::sqrt(md);
   constexpr size_t W = Ops::kWidth;
   double best = kInf;
   size_t i = 0;
@@ -303,48 +305,44 @@ double ZNormMinT(const double* dots, const double* stds, size_t count,
     if constexpr (W > 1) {
       const auto eps = Ops::Set(kFlatStdEpsilon);
       const auto zero = Ops::Set(0.0);
-      const auto smd = Ops::Set(sqrt_md);
+      const auto mdv = Ops::Set(md);
       auto acc = Ops::Set(kInf);
       for (; i + W <= count; i += W) {
         const auto flat = Ops::CmpLt(Ops::Load(stds + i), eps);
-        acc = Ops::Min(acc, Ops::Select(flat, zero, smd));
+        acc = Ops::Min(acc, Ops::Select(flat, zero, mdv));
       }
       best = Ops::ReduceMin(acc);
     }
     for (; i < count; ++i) {
-      const double d = stds[i] < kFlatStdEpsilon ? 0.0 : sqrt_md;
-      best = Min(best, d);
+      const double d2 = stds[i] < kFlatStdEpsilon ? 0.0 : md;
+      best = Min(best, d2);
     }
-    return best;
+    return std::sqrt(best);
   }
   if constexpr (W > 1) {
     const auto eps = Ops::Set(kFlatStdEpsilon);
     const auto zero = Ops::Set(0.0);
     const auto two = Ops::Set(2.0);
     const auto twomd = Ops::Set(2.0 * md);
-    const auto smd = Ops::Set(sqrt_md);
+    const auto mdv = Ops::Set(md);
     auto acc = Ops::Set(kInf);
     for (; i + W <= count; i += W) {
       const auto sig = Ops::Load(stds + i);
       const auto flat = Ops::CmpLt(sig, eps);
       const auto d2 = Ops::Max(
           zero, Ops::Sub(twomd, Ops::Div(Ops::Mul(two, Ops::Load(dots + i)), sig)));
-      acc = Ops::Min(acc, Ops::Select(flat, smd, Ops::Sqrt(d2)));
+      acc = Ops::Min(acc, Ops::Select(flat, mdv, d2));
     }
     best = Ops::ReduceMin(acc);
   }
   for (; i < count; ++i) {
     const double sig = stds[i];
-    double d;
-    if (sig < kFlatStdEpsilon) {
-      d = sqrt_md;
-    } else {
-      const double d2 = Max(0.0, 2.0 * md - 2.0 * dots[i] / sig);
-      d = std::sqrt(d2);
-    }
-    best = Min(best, d);
+    const double d2 = sig < kFlatStdEpsilon
+                          ? md
+                          : Max(0.0, 2.0 * md - 2.0 * dots[i] / sig);
+    best = Min(best, d2);
   }
-  return best;
+  return std::sqrt(best);
 }
 
 template <typename Ops>
@@ -368,6 +366,7 @@ void L2ProfileT(double qq, const double* sqp, size_t window,
   }
 }
 
+// Minimum over the squares, rooted once (see ZNormMinT).
 template <typename Ops>
 double L2MinT(double qq, const double* sqp, size_t window, const double* dots,
               size_t count) {
@@ -382,16 +381,15 @@ double L2MinT(double qq, const double* sqp, size_t window, const double* dots,
     for (; i + W <= count; i += W) {
       const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
       const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
-      acc = Ops::Min(acc, Ops::Sqrt(Ops::Max(zero, num)));
+      acc = Ops::Min(acc, Ops::Max(zero, num));
     }
     best = Ops::ReduceMin(acc);
   }
   for (; i < count; ++i) {
     const double window_sq = sqp[i + window] - sqp[i];
-    const double d = std::sqrt(Max(0.0, qq - 2.0 * dots[i] + window_sq));
-    best = Min(best, d);
+    best = Min(best, Max(0.0, qq - 2.0 * dots[i] + window_sq));
   }
-  return best;
+  return std::sqrt(best);
 }
 
 // NOTE on the cosine kernels: the window energies are prefix differences of
@@ -563,26 +561,27 @@ void QtRowAdvanceT(double* qt, size_t count, const double* b, size_t window,
   }
 }
 
+// Writes squared z-normalised distances; the engine roots each profile
+// entry once the sweep's minima are final (stomp_common.h).
 template <typename Ops>
 void StompRowDistancesT(const double* qt, const double* mu_b,
                         const double* sig_b, size_t count, size_t window,
                         double mu_a, double sig_a, double* out) {
   const double m = static_cast<double>(window);
-  const double sqrt_m = std::sqrt(m);
   constexpr size_t W = Ops::kWidth;
   size_t j = 0;
   if (sig_a < kFlatStdEpsilon) {
     if constexpr (W > 1) {
       const auto eps = Ops::Set(kFlatStdEpsilon);
       const auto zero = Ops::Set(0.0);
-      const auto sm = Ops::Set(sqrt_m);
+      const auto mv = Ops::Set(m);
       for (; j + W <= count; j += W) {
         const auto flat_b = Ops::CmpLt(Ops::Load(sig_b + j), eps);
-        Ops::Store(out + j, Ops::Select(flat_b, zero, sm));
+        Ops::Store(out + j, Ops::Select(flat_b, zero, mv));
       }
     }
     for (; j < count; ++j) {
-      out[j] = sig_b[j] < kFlatStdEpsilon ? 0.0 : sqrt_m;
+      out[j] = sig_b[j] < kFlatStdEpsilon ? 0.0 : m;
     }
     return;
   }
@@ -592,7 +591,6 @@ void StompRowDistancesT(const double* qt, const double* mu_b,
     const auto one = Ops::Set(1.0);
     const auto mv = Ops::Set(m);
     const auto twom = Ops::Set(2.0 * m);
-    const auto sm = Ops::Set(sqrt_m);
     const auto mua = Ops::Set(mu_a);
     const auto siga = Ops::Set(sig_a);
     for (; j + W <= count; j += W) {
@@ -603,19 +601,18 @@ void StompRowDistancesT(const double* qt, const double* mu_b,
       const auto den = Ops::Mul(mv, Ops::Mul(siga, sigb));
       const auto corr = Ops::Div(num, den);
       const auto d2 = Ops::Max(zero, Ops::Mul(twom, Ops::Sub(one, corr)));
-      Ops::Store(out + j, Ops::Select(flat_b, sm, Ops::Sqrt(d2)));
+      Ops::Store(out + j, Ops::Select(flat_b, mv, d2));
     }
   }
   for (; j < count; ++j) {
-    // The tail mirrors StompZNormDistance (stomp_common.h) with flat_a
+    // The tail mirrors StompZNormSquared (stomp_common.h) with flat_a
     // already known false; tests pin the two to bitwise agreement.
     if (sig_b[j] < kFlatStdEpsilon) {
-      out[j] = sqrt_m;
+      out[j] = m;
       continue;
     }
     const double corr = (qt[j] - m * (mu_a * mu_b[j])) / (m * (sig_a * sig_b[j]));
-    const double d2 = Max(0.0, 2.0 * m * (1.0 - corr));
-    out[j] = std::sqrt(d2);
+    out[j] = Max(0.0, 2.0 * m * (1.0 - corr));
   }
 }
 
@@ -643,6 +640,8 @@ void StompRowRawT(const double* qt, const double* ssq_b, size_t count,
   }
 }
 
+// Writes squared L2 distances, rooted once per profile entry like the
+// z-normalised row.
 template <typename Ops>
 void StompRowL2T(const double* qt, const double* ssq_b, size_t count,
                  size_t /*window*/, double ssq_a, double* out) {
@@ -655,17 +654,20 @@ void StompRowL2T(const double* qt, const double* ssq_b, size_t count,
     for (; j + W <= count; j += W) {
       const auto num = Ops::Sub(Ops::Add(sa, Ops::Load(ssq_b + j)),
                                 Ops::Mul(two, Ops::Load(qt + j)));
-      Ops::Store(out + j, Ops::Sqrt(Ops::Max(zero, num)));
+      Ops::Store(out + j, Ops::Max(zero, num));
     }
   }
   for (; j < count; ++j) {
-    // Mirrors StompL2Distance (stomp_common.h).
-    out[j] = std::sqrt(Max(0.0, (ssq_a + ssq_b[j]) - 2.0 * qt[j]));
+    // Mirrors StompL2Squared (stomp_common.h).
+    out[j] = Max(0.0, (ssq_a + ssq_b[j]) - 2.0 * qt[j]);
   }
 }
 
+// The column side arrives as window norms (roots of the energies), which
+// the engine takes once per series: the same sqrt of the same double, so
+// the row is bitwise what rooting every cell's energy gave.
 template <typename Ops>
-void StompRowCosineT(const double* qt, const double* ssq_b, size_t count,
+void StompRowCosineT(const double* qt, const double* norm_b, size_t count,
                      size_t /*window*/, double ssq_a, double* out) {
   const double na = std::sqrt(ssq_a);
   constexpr size_t W = Ops::kWidth;
@@ -676,12 +678,12 @@ void StompRowCosineT(const double* qt, const double* ssq_b, size_t count,
       const auto zero = Ops::Set(0.0);
       const auto one = Ops::Set(1.0);
       for (; j + W <= count; j += W) {
-        const auto nb = Ops::Sqrt(Ops::Load(ssq_b + j));
+        const auto nb = Ops::Load(norm_b + j);
         Ops::Store(out + j, Ops::Select(Ops::CmpLt(nb, eps), zero, one));
       }
     }
     for (; j < count; ++j) {
-      out[j] = std::sqrt(ssq_b[j]) < kFlatStdEpsilon ? 0.0 : 1.0;
+      out[j] = norm_b[j] < kFlatStdEpsilon ? 0.0 : 1.0;
     }
     return;
   }
@@ -691,7 +693,7 @@ void StompRowCosineT(const double* qt, const double* ssq_b, size_t count,
     const auto one = Ops::Set(1.0);
     const auto nav = Ops::Set(na);
     for (; j + W <= count; j += W) {
-      const auto nb = Ops::Sqrt(Ops::Load(ssq_b + j));
+      const auto nb = Ops::Load(norm_b + j);
       const auto flat = Ops::CmpLt(nb, eps);
       const auto sim = Ops::Div(Ops::Load(qt + j), Ops::Mul(nav, nb));
       Ops::Store(out + j,
@@ -700,7 +702,7 @@ void StompRowCosineT(const double* qt, const double* ssq_b, size_t count,
   }
   for (; j < count; ++j) {
     // Mirrors StompCosineDistance (stomp_common.h) with flat_a known false.
-    const double nb = std::sqrt(ssq_b[j]);
+    const double nb = norm_b[j];
     if (nb < kFlatStdEpsilon) {
       out[j] = 1.0;
       continue;

@@ -210,6 +210,7 @@ void IpsClassifier::FitBankAndBackend(const DatasetView& train) {
 
 int IpsClassifier::Predict(SeriesView series) const {
   IPS_CHECK(!result_.shapelets.empty());
+  CheckFiniteSeries(series.view(), 0);
   return backend_->Predict(bank_.TransformOne(series.view()));
 }
 

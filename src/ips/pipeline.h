@@ -36,6 +36,13 @@ RunResult DiscoverShapelets(const DatasetView& train,
 
 /// IPS as a drop-in time-series classifier: discovery + shapelet transform
 /// + a configurable back-end (linear SVM by default, per §III-D).
+///
+/// Fails closed on non-finite input: Fit, FitFromRunResult, Predict and
+/// PredictBatch abort on a series holding a NaN or an infinity, naming the
+/// series and the value position (CheckFiniteSeries), instead of returning
+/// a label. The check rides on the shapelet transform, the one pass every
+/// entry point makes over every series, so Fit meets a bad training series
+/// after discovery.
 class IpsClassifier final : public SeriesClassifier {
  public:
   explicit IpsClassifier(IpsOptions options = {});

@@ -48,9 +48,9 @@ MatrixProfile SelfJoinProfile(std::span<const double> series, size_t window,
   auto update = [&](size_t i, size_t j, double qt_ij) {
     const size_t gap = i > j ? i - j : j - i;
     if (gap <= exclusion) return;
-    const double d = StompZNormDistance(qt_ij, window, stats.means[i],
-                                        stats.stds[i], stats.means[j],
-                                        stats.stds[j]);
+    const double d = StompZNormSquared(qt_ij, window, stats.means[i],
+                                       stats.stds[i], stats.means[j],
+                                       stats.stds[j]);
     if (d < mp.values[i]) {
       mp.values[i] = d;
       mp.indices[i] = j;
@@ -74,6 +74,7 @@ MatrixProfile SelfJoinProfile(std::span<const double> series, size_t window,
     }
     for (size_t j = i + 1; j < l; ++j) update(i, j, qt[j]);
   }
+  StompRootProfile(mp.values);
   return mp;
 }
 
@@ -123,8 +124,8 @@ MatrixProfile SelfJoinProfileParallel(std::span<const double> series,
         const size_t gap = i > j ? i - j : j - i;
         if (gap <= exclusion) continue;
         const double d =
-            StompZNormDistance(qt[j], window, stats.means[i], stats.stds[i],
-                               stats.means[j], stats.stds[j]);
+            StompZNormSquared(qt[j], window, stats.means[i], stats.stds[i],
+                              stats.means[j], stats.stds[j]);
         if (d < mp.values[i]) {
           mp.values[i] = d;
           mp.indices[i] = j;
@@ -132,6 +133,7 @@ MatrixProfile SelfJoinProfileParallel(std::span<const double> series,
       }
     }
   });
+  StompRootProfile(mp.values);
   return mp;
 }
 
@@ -165,14 +167,15 @@ MatrixProfile AbJoinProfile(std::span<const double> a,
     }
     for (size_t j = 0; j < lb; ++j) {
       const double d =
-          StompZNormDistance(qt[j], window, stats_a.means[i], stats_a.stds[i],
-                             stats_b.means[j], stats_b.stds[j]);
+          StompZNormSquared(qt[j], window, stats_a.means[i], stats_a.stds[i],
+                            stats_b.means[j], stats_b.stds[j]);
       if (d < mp.values[i]) {
         mp.values[i] = d;
         mp.indices[i] = j;
       }
     }
   }
+  StompRootProfile(mp.values);
   return mp;
 }
 

@@ -24,7 +24,9 @@ namespace ips {
 inline constexpr size_t kNoNeighbor = static_cast<size_t>(-1);
 
 /// A matrix profile: per-window nearest-neighbour distance and the index of
-/// that neighbour.
+/// that neighbour. The neighbour is the window of the smallest squared
+/// distance, the earliest one among equal squares; two windows whose
+/// squares differ but round to one distance go to the smaller square.
 struct MatrixProfile {
   std::vector<double> values;
   std::vector<size_t> indices;

@@ -78,7 +78,9 @@ void ForwardFftInto(std::span<const double> s, size_t padded, bool reversed,
 // increasing-index order selects the smallest value and, among bitwise-equal
 // values, the smallest index. This update rule computes the same selection
 // from candidates arriving in ANY order, which is what makes diagonal
-// sweeps and chunk merges bitwise identical to the row-order kernels.
+// sweeps and chunk merges bitwise identical to the row-order kernels. For
+// the rooted metrics the values are squares, so two squares with one root
+// go to the smaller square, as in every other join.
 inline void UpdateMin(double d, size_t neighbor, double& val, size_t& idx) {
   if (d < val || (d == val && neighbor < idx)) {
     val = d;
@@ -96,7 +98,7 @@ inline size_t RoundUpLane(size_t count) {
 }  // namespace
 
 size_t ArtifactTable::entry_count() const {
-  size_t entries = stats.size() + energies.size();
+  size_t entries = stats.size() + energies.size() + norms.size();
   for (const auto& f : fft_series) entries += f.empty() ? 0 : 1;
   for (const auto& f : fft_query) entries += f.empty() ? 0 : 1;
   for (const auto& s : seeds) entries += s.empty() ? 0 : 1;
@@ -124,6 +126,10 @@ MatrixProfileEngine::SweepContext MatrixProfileEngine::ContextOf(
     cx.energy_a = &table.energies[i];
     cx.energy_b = &table.energies[j];
   }
+  if (policy.needs_window_norms) {
+    cx.norm_a = &table.norms[i];
+    cx.norm_b = &table.norms[j];
+  }
   cx.row0 = &table.seeds[i * n + j];
   cx.col0 = &table.seeds[j * n + i];
   return cx;
@@ -144,6 +150,7 @@ ArtifactTable MatrixProfileEngine::BuildTable(
   const MetricPolicy& policy = GetMetric(metric);
   if (policy.needs_rolling_stats) table.stats.resize(n);
   if (policy.needs_window_energy) table.energies.resize(n);
+  if (policy.needs_window_norms) table.norms.resize(n);
 
   // Distinct padded sizes among FFT-regime seed targets (usually none:
   // short windows use the naive seed kernel).
@@ -177,6 +184,13 @@ ArtifactTable MatrixProfileEngine::BuildTable(
          !stats_provider_->FillWindowEnergies(views[i], window,
                                               &table.energies[i]))) {
       table.energies[i] = ComputeWindowEnergies(views[i], window);
+    }
+    if (policy.needs_window_norms) {
+      // The same sqrt of the same double a per-cell root would take.
+      table.norms[i].resize(table.energies[i].size());
+      for (size_t k = 0; k < table.norms[i].size(); ++k) {
+        table.norms[i][k] = std::sqrt(table.energies[i][k]);
+      }
     }
     if (n_sizes != 0) {
       if (StompSeedUsesFft(window, views[i].size())) {
@@ -356,8 +370,8 @@ void MatrixProfileEngine::SweepDiagonals(const SweepContext& cx,
       const double* sb = cx.stats_b->stds.data();
       SweepDiagonalsImpl(cx, diag_begin, diag_end, p,
                          [=](size_t i, size_t j, double qt) {
-                           return StompZNormDistance(qt, w, ma[i], sa[i],
-                                                     mb[j], sb[j]);
+                           return StompZNormSquared(qt, w, ma[i], sa[i], mb[j],
+                                                    sb[j]);
                          });
       return;
     }
@@ -375,19 +389,16 @@ void MatrixProfileEngine::SweepDiagonals(const SweepContext& cx,
       const double* eb = cx.energy_b->data();
       SweepDiagonalsImpl(cx, diag_begin, diag_end, p,
                          [=](size_t i, size_t j, double qt) {
-                           return StompL2Distance(qt, ea[i], eb[j]);
+                           return StompL2Squared(qt, ea[i], eb[j]);
                          });
       return;
     }
     case MetricId::kCosine: {
-      // sqrt is correctly rounded, so recomputing the window norms per cell
-      // matches the row kernel's precomputed norms bitwise.
-      const double* ea = cx.energy_a->data();
-      const double* eb = cx.energy_b->data();
+      const double* na = cx.norm_a->data();
+      const double* nb = cx.norm_b->data();
       SweepDiagonalsImpl(cx, diag_begin, diag_end, p,
                          [=](size_t i, size_t j, double qt) {
-                           return StompCosineDistance(qt, std::sqrt(ea[i]),
-                                                      std::sqrt(eb[j]));
+                           return StompCosineDistance(qt, na[i], nb[j]);
                          });
       return;
     }
@@ -406,6 +417,7 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
   const double* sb = cx.stats_b ? cx.stats_b->stds.data() : nullptr;
   const double* ea = cx.energy_a ? cx.energy_a->data() : nullptr;
   const double* eb = cx.energy_b ? cx.energy_b->data() : nullptr;
+  const double* nb = cx.norm_b ? cx.norm_b->data() : nullptr;
   // Per-window statistics of the column side from offset `off`, and of one
   // row window -- the policy row kernel reads whichever arrays its metric
   // declared (needs_* flags); the rest stay null / zero.
@@ -416,6 +428,7 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
       v.stds = sb + off;
     }
     if (eb != nullptr) v.energies = eb + off;
+    if (nb != nullptr) v.norms = nb + off;
     return v;
   };
   const auto cell_at = [&](size_t i) {
@@ -438,9 +451,11 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
   // All three row passes are vectorised (core/simd.h): QtRowAdvance
   // performs the in-place update -- every new qt[j] reads only pre-update
   // values, so blocks of lanes are independent outputs -- the policy's
-  // stomp_row kernel evaluates the metric's per-cell distance into `dist`,
-  // and StompRowMins runs the two-sided min scan: a per-lane select on the
-  // column side and lane minima folded by lowest index on the row side.
+  // stomp_row kernel evaluates the metric's per-cell value into `dist` (the
+  // square for row_squared metrics, rooted by the caller once the profile
+  // is final), and StompRowMins runs the two-sided min scan: a per-lane
+  // select on the column side and lane minima folded by lowest index on
+  // the row side.
   //
   // Updates here use plain strict < (not the tie-aware UpdateMin): a full
   // row-order sweep visits cells in the kernels' own order -- for a fixed
@@ -587,6 +602,10 @@ void MatrixProfileEngine::RunSweep(const SweepContext& cx, size_t chunks,
   }
   for (size_t c = 0; c < parts; ++c) {
     MergePartial(cx, partials[c], a_out, b_out);
+  }
+  if (GetMetric(cx.metric).row_squared) {
+    StompRootProfile(a_out.values);
+    if (b_out != nullptr) StompRootProfile(b_out->values);
   }
 }
 
@@ -770,11 +789,18 @@ void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
 
   // Phase 3, serial merge in deterministic item order. Each pair's chunks
   // merge into that pair's own slots, and UpdateMin is visit-order
-  // independent.
+  // independent. The merged minima of a row_squared metric are squares;
+  // each entry is rooted once, after the last merge.
   for (size_t w = 0; w < item_count; ++w) {
     const WorkItem& it = items[w];
     MergePartial(contexts[it.pair], partials[w], joins[it.pair].a_vs_b,
                  &joins[it.pair].b_vs_a);
+  }
+  if (GetMetric(table.metric).row_squared) {
+    for (PairJoin& join : joins) {
+      StompRootProfile(join.a_vs_b.values);
+      StompRootProfile(join.b_vs_a.values);
+    }
   }
 }
 

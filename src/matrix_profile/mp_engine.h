@@ -26,11 +26,19 @@
 // Bitwise-identity argument, in full (tests/mp_engine_test.cc asserts it):
 // every QT value chains along its diagonal from a row-0 or column-0 seed by
 // the shared StompAdvance step, which both the serial kernels and the
-// engine apply in the same order from the same seeds; StompZNormDistance is
-// written to be exactly symmetric (stomp_common.h); and a serial kernel's
-// strict-< running minimum over candidates in increasing-index order equals
-// "smallest value, smallest index achieving it", which is what the
-// order-independent (value, index) merge rule computes.
+// engine apply in the same order from the same seeds; the per-cell helpers
+// (StompZNormSquared and the others) are written to be exactly symmetric
+// (stomp_common.h); and a serial kernel's strict-< running minimum over
+// candidates in increasing-index order equals "smallest value, smallest
+// index achieving it", which is what the order-independent (value, index)
+// merge rule computes. For the rooted metrics (z-normalised, L2) every
+// path -- the row sweep, the diagonal sweep with its merge, and the serial
+// kernels -- scans squares and roots each profile entry once when it is
+// final. A minimum over roots is the root of the minimum over squares
+// (sqrt is correctly rounded and monotone, every square is >= +0), so the
+// values are what a scan over roots gives; for the neighbour index, of two
+// different squares that share a root the smaller square wins, and since
+// all paths follow that rule they agree on values and indices alike.
 //
 // Thread-safety contract: the join, table and counter methods may be called
 // concurrently on one engine (the setters may not). The engine holds no shared mutable state except its
@@ -74,6 +82,9 @@ struct ArtifactTable {
   std::vector<RollingStats> stats;
   /// Per-series window energies (needs_window_energy metrics).
   std::vector<std::vector<double>> energies;
+  /// Per-series window norms, the roots of `energies` (needs_window_norms
+  /// metrics): rooted once per table, not once per cell of every sweep.
+  std::vector<std::vector<double>> norms;
   /// Distinct padded FFT sizes among the batch's FFT-regime targets,
   /// sorted. Empty at short windows (the naive-seed regime).
   std::vector<size_t> padded_sizes;
@@ -213,6 +224,8 @@ class MatrixProfileEngine {
     const RollingStats* stats_b = nullptr;
     const std::vector<double>* energy_a = nullptr;  // when needs_window_energy
     const std::vector<double>* energy_b = nullptr;
+    const std::vector<double>* norm_a = nullptr;  // when needs_window_norms
+    const std::vector<double>* norm_b = nullptr;
     const std::vector<double>* row0 = nullptr;  // QT(0, j)
     const std::vector<double>* col0 = nullptr;  // QT(i, 0)
     bool self = false;     // a and b are the same series

@@ -1,9 +1,13 @@
 #include "transform/shapelet_bank.h"
 
+#include <cmath>
+#include <cstdio>
+
 #include <algorithm>
 
 #include "core/distance.h"
 #include "core/fft.h"
+#include "util/check.h"
 #include "util/parallel.h"
 
 namespace ips {
@@ -36,6 +40,16 @@ void ForRows(size_t count, size_t num_threads, Fn&& fn) {
 }
 
 }  // namespace
+
+void CheckFiniteSeries(std::span<const double> values, size_t series) {
+  for (size_t k = 0; k < values.size(); ++k) {
+    if (std::isfinite(values[k])) continue;
+    char message[80];
+    std::snprintf(message, sizeof(message),
+                  "series %zu: non-finite value at position %zu", series, k);
+    IPS_CHECK_MSG(std::isfinite(values[k]), message);
+  }
+}
 
 ShapeletBank::ShapeletBank(const std::vector<Subsequence>& shapelets,
                            MetricId metric, const DatasetView& train)
@@ -74,6 +88,7 @@ void ShapeletBank::Transform(const DatasetView& data, size_t num_threads,
                              const RowFn& fn) const {
   data.ForEachChunk([&](size_t first, std::span<const SeriesView> chunk) {
     ForRows(chunk.size(), num_threads, [&](size_t k) {
+      CheckFiniteSeries(chunk[k].view(), first + k);
       fn(first + k, TransformOne(chunk[k].view()));
     });
   });

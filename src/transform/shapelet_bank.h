@@ -36,6 +36,12 @@
 
 namespace ips {
 
+/// Aborts when `values` holds a NaN or an infinity, naming `series` (its
+/// index in the caller's input) and the position of the first such value.
+/// A distance to a non-finite window is meaningless, and the min queries
+/// would silently skip or zero it, so the transform fails closed instead.
+void CheckFiniteSeries(std::span<const double> values, size_t series);
+
 class ShapeletBank {
  public:
   /// An empty bank: every row it transforms is empty.
@@ -51,7 +57,8 @@ class ShapeletBank {
   /// `row` is valid until fn returns. Streams chunk-granularly
   /// (ForEachChunk) and parallelises over the series of each chunk, so an
   /// out-of-core view's resident set stays one chunk; rows are bitwise
-  /// identical for any chunking and thread count.
+  /// identical for any chunking and thread count. Aborts on a series that
+  /// holds a NaN or an infinity (CheckFiniteSeries).
   using RowFn = std::function<void(size_t, std::span<const double>)>;
   void Transform(const DatasetView& data, size_t num_threads,
                  const RowFn& fn) const;

@@ -15,7 +15,9 @@ namespace ips {
 namespace {
 
 // Brute-force self-join reference: z-normalised distance between every
-// window pair outside the exclusion zone.
+// window pair outside the exclusion zone. Like the kernels it keeps the
+// smallest squared distance (the earliest among equal squares) and roots
+// each entry once at the end.
 MatrixProfile BruteSelfJoin(const std::vector<double>& s, size_t w,
                             size_t exclusion) {
   const size_t l = s.size() - w + 1;
@@ -30,13 +32,14 @@ MatrixProfile BruteSelfJoin(const std::vector<double>& s, size_t w,
       if (gap <= exclusion) continue;
       const std::vector<double> wj =
           ZNormalize(std::span<const double>(s).subspan(j, w));
-      const double d = Euclidean(wi, wj);
-      if (d < mp.values[i]) {
-        mp.values[i] = d;
+      const double d2 = SquaredEuclidean(wi, wj);
+      if (d2 < mp.values[i]) {
+        mp.values[i] = d2;
         mp.indices[i] = j;
       }
     }
   }
+  for (double& v : mp.values) v = std::sqrt(v);
   return mp;
 }
 
@@ -104,7 +107,7 @@ TEST(SelfJoinProfileTest, ValuesBoundedBy2SqrtM) {
   }
 }
 
-// Brute-force AB-join reference.
+// Brute-force AB-join reference, under the same smallest-square rule.
 MatrixProfile BruteAbJoin(const std::vector<double>& a,
                           const std::vector<double>& b, size_t w) {
   const size_t la = a.size() - w + 1;
@@ -118,13 +121,14 @@ MatrixProfile BruteAbJoin(const std::vector<double>& a,
     for (size_t j = 0; j < lb; ++j) {
       const std::vector<double> wj =
           ZNormalize(std::span<const double>(b).subspan(j, w));
-      const double d = Euclidean(wi, wj);
-      if (d < mp.values[i]) {
-        mp.values[i] = d;
+      const double d2 = SquaredEuclidean(wi, wj);
+      if (d2 < mp.values[i]) {
+        mp.values[i] = d2;
         mp.indices[i] = j;
       }
     }
   }
+  for (double& v : mp.values) v = std::sqrt(v);
   return mp;
 }
 

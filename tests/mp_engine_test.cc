@@ -9,17 +9,24 @@
 #include <cstddef>
 
 #include <algorithm>
+#include <cmath>
+#include <initializer_list>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "core/fft.h"
 #include "core/rng.h"
 #include "core/time_series.h"
+#include "core/znorm.h"
 #include "data/generator.h"
 #include "ips/candidate_gen.h"
 #include "ips/config.h"
 #include "ips/instance_profile.h"
 #include "matrix_profile/matrix_profile.h"
+#include "matrix_profile/stomp_common.h"
 #include "gtest/gtest.h"
+#include "simd_backends.h"
 
 namespace ips {
 namespace {
@@ -319,6 +326,213 @@ TEST(MpEngineCandidateGenTest, OutputIndependentOfThreadCount) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------ squared ties
+//
+// Every join scans squared distances and roots each profile entry once. Two
+// different squares can share a root; the join then keeps the smaller
+// square's neighbour, where a scan over roots kept the earlier one. The
+// fixtures plant exact copies of one pattern several times, so the squares
+// of their cells differ only by the rounding of their QT chains and window
+// statistics, and the search below walks seeds until a row (and a column)
+// shows the two rules apart.
+
+// The squares every join evaluates: QT(i, j) chained along its diagonal
+// from the row-0 / column-0 seed by StompAdvance, then StompZNormSquared.
+std::vector<std::vector<double>> JoinSquares(std::span<const double> a,
+                                             std::span<const double> b,
+                                             size_t w) {
+  const RollingStats sa = ComputeRollingStats(a, w);
+  const RollingStats sb = ComputeRollingStats(b, w);
+  const std::vector<double> row0 = SlidingDotProductsNaive(a.subspan(0, w), b);
+  const std::vector<double> col0 = SlidingDotProductsNaive(b.subspan(0, w), a);
+  const size_t la = a.size() - w + 1;
+  const size_t lb = b.size() - w + 1;
+  std::vector<std::vector<double>> qt(la, std::vector<double>(lb));
+  std::vector<std::vector<double>> sq(la, std::vector<double>(lb));
+  for (size_t i = 0; i < la; ++i) {
+    for (size_t j = 0; j < lb; ++j) {
+      qt[i][j] = i == 0   ? row0[j]
+                 : j == 0 ? col0[i]
+                          : StompAdvance(qt[i - 1][j - 1], a, b, i, j, w);
+      sq[i][j] = StompZNormSquared(qt[i][j], w, sa.means[i], sa.stds[i],
+                                   sb.means[j], sb.stds[j]);
+    }
+  }
+  return sq;
+}
+
+// The neighbour each rule picks among the `allowed` entries of `squares`:
+// the first smallest square, and the first smallest root.
+struct Picks {
+  size_t by_square = kNoNeighbor;
+  size_t by_root = kNoNeighbor;
+};
+
+Picks PickNeighbour(const std::vector<double>& squares,
+                    const std::vector<bool>& allowed) {
+  Picks p;
+  double best_square = std::numeric_limits<double>::infinity();
+  double best_root = best_square;
+  for (size_t k = 0; k < squares.size(); ++k) {
+    if (!allowed[k]) continue;
+    if (squares[k] < best_square) {
+      best_square = squares[k];
+      p.by_square = k;
+    }
+    if (std::sqrt(squares[k]) < best_root) {
+      best_root = std::sqrt(squares[k]);
+      p.by_root = k;
+    }
+  }
+  return p;
+}
+
+// A pattern planted exactly at `exact` and with noise at `noisy`, on a
+// random background.
+std::vector<double> Planted(Rng& rng, size_t n, const std::vector<double>& p,
+                            std::initializer_list<size_t> exact,
+                            std::initializer_list<size_t> noisy,
+                            double noise) {
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.Gaussian(0.0, 1.0);
+  for (size_t at : exact) std::copy(p.begin(), p.end(), x.begin() + at);
+  for (size_t at : noisy) {
+    for (size_t k = 0; k < p.size(); ++k) {
+      x[at + k] = p[k] + rng.Gaussian(0.0, noise);
+    }
+  }
+  return x;
+}
+
+constexpr size_t kTieWindow = 24;
+// Short enough that every join seeds with the naive sliding dots, as
+// JoinSquares does.
+static_assert(kTieWindow < kFftCutoff);
+constexpr size_t kTieSeeds = 500;
+
+TEST(MpEngineSquaredTieTest, AbJoinKeepsTheSmallerSquareOnBothSides) {
+  // Search for a row tie and a column tie: a = noisy copies, b = exact
+  // copies of one pattern (row side); the roles swap for the column side.
+  std::vector<double> row_a, row_b, col_a, col_b;
+  size_t row = kNoNeighbor, row_pick = 0, col = kNoNeighbor, col_pick = 0;
+  for (size_t seed = 1; seed <= kTieSeeds && (row == kNoNeighbor ||
+                                              col == kNoNeighbor);
+       ++seed) {
+    Rng rng(seed);
+    std::vector<double> p(kTieWindow);
+    for (double& v : p) v = rng.Gaussian(0.0, 1.0);
+    const std::vector<double> noisy =
+        Planted(rng, 160, p, {}, {10, 50, 90, 130}, 0.8);
+    const std::vector<double> exact =
+        Planted(rng, 200, p, {15, 60, 105, 150}, {}, 0.0);
+    if (row == kNoNeighbor) {
+      const auto sq = JoinSquares(noisy, exact, kTieWindow);
+      const std::vector<bool> all(sq[0].size(), true);
+      for (size_t i = 0; i < sq.size() && row == kNoNeighbor; ++i) {
+        const Picks picks = PickNeighbour(sq[i], all);
+        if (picks.by_square != picks.by_root) {
+          row = i;
+          row_pick = picks.by_square;
+          row_a = noisy;
+          row_b = exact;
+        }
+      }
+    }
+    if (col == kNoNeighbor) {
+      const auto sq = JoinSquares(exact, noisy, kTieWindow);
+      const std::vector<bool> all(sq.size(), true);
+      for (size_t j = 0; j < sq[0].size() && col == kNoNeighbor; ++j) {
+        std::vector<double> column(sq.size());
+        for (size_t i = 0; i < sq.size(); ++i) column[i] = sq[i][j];
+        const Picks picks = PickNeighbour(column, all);
+        if (picks.by_square != picks.by_root) {
+          col = j;
+          col_pick = picks.by_square;
+          col_a = exact;
+          col_b = noisy;
+        }
+      }
+    }
+  }
+  ASSERT_NE(row, kNoNeighbor) << "no row tie in " << kTieSeeds << " seeds";
+  ASSERT_NE(col, kNoNeighbor) << "no column tie in " << kTieSeeds << " seeds";
+
+  const MatrixProfile row_ab = AbJoinProfile(row_a, row_b, kTieWindow);
+  EXPECT_EQ(row_ab.indices[row], row_pick);
+  const MatrixProfile col_ab = AbJoinProfile(col_a, col_b, kTieWindow);
+  const MatrixProfile col_ba = AbJoinProfile(col_b, col_a, kTieWindow);
+  EXPECT_EQ(col_ba.indices[col], col_pick);
+
+  ForEachSimdBackend([&] {
+    for (size_t threads : {1u, 4u}) {
+      for (bool sharded : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << threads << " threads, sharded " << sharded);
+        MatrixProfileEngine engine(threads);
+        if (sharded) engine.set_min_cells_per_chunk(1);
+        ExpectProfilesIdentical(row_ab, engine.AbJoin(row_a, row_b, kTieWindow),
+                                "row tie, AbJoin");
+        const PairJoin both = engine.AbJoinBoth(col_a, col_b, kTieWindow);
+        ExpectProfilesIdentical(col_ab, both.a_vs_b, "column tie, a side");
+        ExpectProfilesIdentical(col_ba, both.b_vs_a, "column tie, b side");
+        const ArtifactTable table =
+            engine.BuildTable({col_a, col_b}, kTieWindow);
+        const std::vector<PairJoin> all = engine.JoinAllPairs(table);
+        ASSERT_EQ(all.size(), 1u);
+        ExpectProfilesIdentical(col_ab, all[0].a_vs_b, "column tie, all pairs");
+        ExpectProfilesIdentical(col_ba, all[0].b_vs_a, "column tie, all pairs");
+      }
+    }
+  });
+}
+
+TEST(MpEngineSquaredTieTest, SelfJoinKeepsTheSmallerSquare) {
+  const size_t exclusion = DefaultExclusionZone(kTieWindow);
+  std::vector<double> series;
+  size_t row = kNoNeighbor, pick = 0;
+  for (size_t seed = 1; seed <= kTieSeeds && row == kNoNeighbor; ++seed) {
+    Rng rng(seed);
+    std::vector<double> p(kTieWindow);
+    for (double& v : p) v = rng.Gaussian(0.0, 1.0);
+    const std::vector<double> s =
+        Planted(rng, 320, p, {40, 120, 200, 280}, {0, 80, 160, 240}, 0.8);
+    const auto sq = JoinSquares(s, s, kTieWindow);
+    for (size_t i = 0; i < sq.size() && row == kNoNeighbor; ++i) {
+      // The serial kernel evaluates each pair once, from the upper
+      // triangle, and feeds both of its windows.
+      std::vector<double> squares(sq.size());
+      std::vector<bool> allowed(sq.size());
+      for (size_t j = 0; j < sq.size(); ++j) {
+        squares[j] = i < j ? sq[i][j] : sq[j][i];
+        allowed[j] = (i > j ? i - j : j - i) > exclusion;
+      }
+      const Picks picks = PickNeighbour(squares, allowed);
+      if (picks.by_square != picks.by_root) {
+        row = i;
+        pick = picks.by_square;
+        series = s;
+      }
+    }
+  }
+  ASSERT_NE(row, kNoNeighbor) << "no self-join tie in " << kTieSeeds
+                              << " seeds";
+
+  const MatrixProfile expected = SelfJoinProfile(series, kTieWindow);
+  EXPECT_EQ(expected.indices[row], pick);
+  ForEachSimdBackend([&] {
+    for (size_t threads : {1u, 4u}) {
+      for (bool sharded : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << threads << " threads, sharded " << sharded);
+        MatrixProfileEngine engine(threads);
+        if (sharded) engine.set_min_cells_per_chunk(1);
+        ExpectProfilesIdentical(expected, engine.SelfJoin(series, kTieWindow),
+                                "self-join tie");
+      }
+    }
+  });
 }
 
 }  // namespace

@@ -358,19 +358,25 @@ TEST(SimdKernelTest, StompRowDistancesMatchesScalarAndStompZNormDistance) {
       const double mu_flat = 0.7;
       for (double sig_a : {1.3, 0.0}) {
         const double mu_a = sig_a == 0.0 ? mu_flat : -0.4;
-        std::vector<double> got(count), ref(count), historic(count);
+        // The row kernel writes squares; their roots are the distances.
+        std::vector<double> got(count), ref(count), squares(count),
+            roots(count), distances(count);
         simd::StompRowDistances(qt.data(), sb.means.data(), sb.stds.data(),
                                 count, w, mu_a, sig_a, got.data());
         simd::scalar::StompRowDistances(qt.data(), sb.means.data(),
                                         sb.stds.data(), count, w, mu_a, sig_a,
                                         ref.data());
         for (size_t j = 0; j < count; ++j) {
-          historic[j] = StompZNormDistance(qt[j], w, mu_a, sig_a, sb.means[j],
-                                           sb.stds[j]);
+          squares[j] = StompZNormSquared(qt[j], w, mu_a, sig_a, sb.means[j],
+                                         sb.stds[j]);
+          roots[j] = std::sqrt(got[j]);
+          distances[j] = StompZNormDistance(qt[j], w, mu_a, sig_a, sb.means[j],
+                                            sb.stds[j]);
         }
         ExpectBitEqual(got, ref, "StompRowDistances vs scalar");
-        ExpectBitEqual(got, historic,
-                       "StompRowDistances vs StompZNormDistance");
+        ExpectBitEqual(got, squares, "StompRowDistances vs StompZNormSquared");
+        ExpectBitEqual(roots, distances,
+                       "sqrt of StompRowDistances vs StompZNormDistance");
       }
     }
   });
@@ -438,6 +444,56 @@ TEST(SimdKernelTest, L2ProfileAndMinMatchScalarAndHistoricLoop) {
     }
   });
 }
+
+// ZNormMinFromDots and L2MinFromDots take their minimum over squares and
+// root it once; that must be bitwise the minimum of the rooted profile the
+// *ProfileFromDots kernels write. Shapes: no entries, fewer entries than
+// lanes, and rows long enough to run many vector blocks; flat query and
+// flat windows for the z-normalised tail.
+TEST(SimdKernelTest, MinFromDotsIsTheMinimumOfTheRootedProfile) {
+  ForEachSimdBackend([] {
+    Rng rng(43);
+    const size_t lanes = simd::Lanes();
+    std::vector<size_t> counts = {0, 1, 4099, 16 * lanes + 5};
+    if (lanes > 1) counts.push_back(lanes - 1);
+    for (size_t count : counts) {
+      const size_t m = 3 + rng.Index(6);
+      const size_t n = count + m - 1;
+      const std::vector<double> s = RandomSeries(rng, n, /*with_flats=*/true);
+      std::vector<double> dots(count);
+      for (double& v : dots) v = rng.Gaussian(0.0, static_cast<double>(m));
+      std::vector<double> profile(count);
+      const auto min_of = [&] {
+        double best = std::numeric_limits<double>::infinity();
+        for (double d : profile) best = std::min(best, d);
+        return best;
+      };
+
+      const RollingStats stats =
+          count == 0 ? RollingStats{} : ComputeRollingStats(s, m);
+      for (bool query_flat : {false, true}) {
+        simd::ZNormProfileFromDots(dots.data(), stats.stds.data(), count, m,
+                                   query_flat, profile.data());
+        const double got = simd::ZNormMinFromDots(
+            dots.data(), stats.stds.data(), count, m, query_flat);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(min_of()))
+            << "z-normalised, count " << count << ", query_flat " << query_flat;
+      }
+
+      double qq = 0.0;
+      for (double v : RandomSeries(rng, m, false)) qq += v * v;
+      std::vector<double> sq(n + 1, 0.0);
+      for (size_t i = 0; i < n; ++i) sq[i + 1] = sq[i] + s[i] * s[i];
+      simd::L2ProfileFromDots(qq, sq.data(), m, dots.data(), count,
+                              profile.data());
+      const double got =
+          simd::L2MinFromDots(qq, sq.data(), m, dots.data(), count);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(min_of()))
+          << "L2, count " << count;
+    }
+  });
+}
+
 
 TEST(SimdKernelTest, CosineProfileAndMinMatchScalarIncludingFlats) {
   ForEachSimdBackend([] {
@@ -536,20 +592,29 @@ TEST(SimdKernelTest, StompRowDistancesRawL2CosineMatchScalarAndHelpers) {
         ExpectBitEqual(got, historic,
                        "StompRowDistancesRaw vs StompRawDistance");
 
+        // The L2 row writes squares; their roots are the distances.
         simd::StompRowDistancesL2(qt.data(), energies.data(), count, w, ssq_a,
                                   got.data());
         simd::scalar::StompRowDistancesL2(qt.data(), energies.data(), count, w,
                                           ssq_a, ref.data());
+        std::vector<double> roots(count), distances(count);
         for (size_t j = 0; j < count; ++j) {
-          historic[j] = StompL2Distance(qt[j], ssq_a, energies[j]);
+          historic[j] = StompL2Squared(qt[j], ssq_a, energies[j]);
+          roots[j] = std::sqrt(got[j]);
+          distances[j] = StompL2Distance(qt[j], ssq_a, energies[j]);
         }
         ExpectBitEqual(got, ref, "StompRowDistancesL2 vs scalar");
-        ExpectBitEqual(got, historic, "StompRowDistancesL2 vs StompL2Distance");
+        ExpectBitEqual(got, historic, "StompRowDistancesL2 vs StompL2Squared");
+        ExpectBitEqual(roots, distances,
+                       "sqrt of StompRowDistancesL2 vs StompL2Distance");
 
-        simd::StompRowDistancesCosine(qt.data(), energies.data(), count, w,
-                                      ssq_a, got.data());
-        simd::scalar::StompRowDistancesCosine(qt.data(), energies.data(), count,
-                                              w, ssq_a, ref.data());
+        // The cosine row reads the column norms, rooted once by the caller.
+        std::vector<double> norms(count);
+        for (size_t j = 0; j < count; ++j) norms[j] = std::sqrt(energies[j]);
+        simd::StompRowDistancesCosine(qt.data(), norms.data(), count, w, ssq_a,
+                                      got.data());
+        simd::scalar::StompRowDistancesCosine(qt.data(), norms.data(), count, w,
+                                              ssq_a, ref.data());
         const double norm_a = std::sqrt(ssq_a);
         for (size_t j = 0; j < count; ++j) {
           historic[j] = StompCosineDistance(qt[j], norm_a,
