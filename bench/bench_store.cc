@@ -3,32 +3,43 @@
 // transform on a corpus several times larger than the chunk-residency
 // budget, holds both to bitwise identity with the in-RAM path, and FAILS
 // (non-zero exit) if the store's peak resident chunk bytes ever exceed
-// the budget -- the CI memory-budget job's contract.
+// the budget -- the CI memory-budget job's contract. It also times the
+// UCR text paths on the same corpus -- SaveUcrFile, LoadUcrFile and
+// ImportUcrFileToStore (best of three, with MB/s of the text file) -- and
+// fails unless the loaded and imported series are bitwise the corpus.
 //
 // Usage: bench_store [--full] [--json=PATH] [--metric=NAME]
 //
-// Writes BENCH_store.json: corpus/budget/chunk geometry, LRU counters,
-// per-path wall times and the parity verdicts.
+// Writes BENCH_store.json: the env block, corpus/budget/chunk geometry,
+// LRU counters, per-path wall times, the text rows and the parity
+// verdicts.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_env.h"
 #include "core/metric.h"
 #include "data/generator.h"
+#include "data/ucr_loader.h"
 #include "ips/pipeline.h"
 #include "ips/serialization.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "store/columnar_store.h"
 #include "store/store_writer.h"
+#include "store/ucr_import.h"
 #include "transform/shapelet_transform.h"
 
 namespace ips::bench {
@@ -59,6 +70,83 @@ uint64_t HashTransform(const TransformedData& t) {
   }
   for (const int label : t.labels) mix(static_cast<uint64_t>(label));
   return h;
+}
+
+/// True when `got` holds `want`'s series in order with equal labels and
+/// bitwise-equal values.
+bool SameSeries(const DatasetView& got, const DatasetView& want) {
+  if (got.size() != want.size()) return false;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const SeriesView a = got.At(i);
+    const SeriesView b = want.At(i);
+    if (a.label != b.label || a.length() != b.length() ||
+        std::memcmp(a.values.data(), b.values.data(),
+                    b.length() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One UCR text path timed on the corpus: best of three runs.
+struct TextRow {
+  const char* name;
+  double ms = 1e300;
+  bool identical = true;
+};
+
+/// Times `run` (which returns its parity verdict) three times; the row
+/// keeps the best time, and is identical only if every run was.
+TextRow TimeTextPath(const char* name, const std::function<bool()>& run) {
+  TextRow row{name};
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    row.identical = run() && row.identical;
+    row.ms = std::min(row.ms, MsSince(start));
+  }
+  return row;
+}
+
+/// The UCR text rows: SaveUcrFile writes the corpus (parity: it loads
+/// back bitwise), LoadUcrFile reads it, and ImportUcrFileToStore converts
+/// it into a segment whose series are compared with the corpus. Sets
+/// `*text_bytes` to the size of the text file.
+std::vector<TextRow> RunTextPaths(const Dataset& data,
+                                  const store::StoreWriter::Options& options,
+                                  const std::string& stem,
+                                  uint64_t* text_bytes) {
+  const std::string tsv_path = stem + ".tsv";
+  const std::string import_path = stem + "_import.ips";
+  const auto loads_back = [&] {
+    const std::optional<Dataset> loaded = LoadUcrFile(tsv_path);
+    return loaded.has_value() && SameSeries(*loaded, data);
+  };
+  std::vector<TextRow> rows;
+  rows.push_back(TimeTextPath(
+      "save_ucr_file", [&] { return SaveUcrFile(data, tsv_path); }));
+  rows.back().identical = rows.back().identical && loads_back();
+  std::error_code size_error;
+  *text_bytes = std::filesystem::file_size(tsv_path, size_error);
+  if (size_error) *text_bytes = 0;
+  rows.push_back(TimeTextPath("load_ucr_file", loads_back));
+  rows.push_back(TimeTextPath("import_ucr_file_to_store", [&] {
+    std::string error;
+    if (!store::ImportUcrFileToStore(tsv_path, import_path, options,
+                                     nullptr, &error)) {
+      std::fprintf(stderr, "import failed: %s\n", error.c_str());
+      return false;
+    }
+    const auto imported = store::ColumnarStore::Open(import_path, &error);
+    return imported != nullptr && SameSeries(*imported, data);
+  }));
+  ::unlink(tsv_path.c_str());
+  ::unlink(import_path.c_str());
+  return rows;
+}
+
+/// MiB of text per second of `ms`.
+double MbPerS(uint64_t bytes, double ms) {
+  return static_cast<double>(bytes) / (1 << 20) / (ms / 1000.0);
 }
 
 int Run(const BenchArgs& args) {
@@ -122,6 +210,19 @@ int Run(const BenchArgs& args) {
               segment->num_chunks(),
               static_cast<double>(segment->budget_bytes()) / (1 << 20));
 
+  // ---- UCR text paths on the same corpus.
+  uint64_t text_bytes = 0;
+  const std::vector<TextRow> text_rows = RunTextPaths(
+      data, write_options,
+      "/tmp/ips_bench_store_text_" + std::to_string(::getpid()), &text_bytes);
+  bool text_identical = true;
+  for (const TextRow& row : text_rows) {
+    std::printf("text:       %-25s %8.2f ms %8.1f MB/s -- %s\n", row.name,
+                row.ms, MbPerS(text_bytes, row.ms),
+                row.identical ? "bitwise identical" : "MISMATCH");
+    text_identical = text_identical && row.identical;
+  }
+
   // ---- In-RAM reference.
   auto start = std::chrono::steady_clock::now();
   const RunResult ram_run = DiscoverShapelets(data, options);
@@ -168,6 +269,7 @@ int Run(const BenchArgs& args) {
   if (!args.json_path.empty()) {
     obs::JsonValue doc = obs::JsonValue::Object();
     doc.Set("bench", "store");
+    doc.Set("env", BenchEnvJson());
     doc.Set("metric", MetricName(metric));
     doc.Set("corpus_bytes", corpus_bytes);
     doc.Set("segment_bytes", segment->mapped_bytes());
@@ -187,6 +289,18 @@ int Run(const BenchArgs& args) {
     doc.Set("transform_identical", transform_identical);
     doc.Set("budget_respected", budget_respected);
     doc.Set("evictions_exercised", evictions_exercised);
+    doc.Set("text_bytes", text_bytes);
+    obs::JsonValue text = obs::JsonValue::Array();
+    for (const TextRow& row : text_rows) {
+      obs::JsonValue entry = obs::JsonValue::Object();
+      entry.Set("path", row.name);
+      entry.Set("ms", row.ms);
+      entry.Set("mb_per_s", MbPerS(text_bytes, row.ms));
+      entry.Set("identical", row.identical);
+      text.Append(std::move(entry));
+    }
+    doc.Set("text", std::move(text));
+    doc.Set("text_identical", text_identical);
     if (!obs::WriteJsonFile(doc, args.json_path)) {
       std::fprintf(stderr, "failed to write %s\n", args.json_path.c_str());
       ::unlink(segment_path.c_str());
@@ -198,7 +312,7 @@ int Run(const BenchArgs& args) {
 
   const bool ok = corpus_exceeds_budget && discovery_identical &&
                   transform_identical && budget_respected &&
-                  evictions_exercised;
+                  evictions_exercised && text_identical;
   if (!ok) std::fprintf(stderr, "bench_store: ACCEPTANCE FAILURE\n");
   return ok ? 0 : 1;
 }

@@ -51,6 +51,14 @@ std::vector<Subsequence> RunDiscovery(const DatasetView& train,
   IPS_CHECK(!train.empty());
   IPS_SPAN("discover");
 
+  // A NaN or an infinity fails here, before any discovery work, in one
+  // chunk-ordered pass (a store-backed view loads each chunk once).
+  train.ForEachChunk([](size_t first, std::span<const SeriesView> chunk) {
+    for (size_t k = 0; k < chunk.size(); ++k) {
+      CheckFiniteSeries(chunk[k].view(), first + k);
+    }
+  });
+
   // One engine for every Def. 4 evaluation of the run: pruning and exact
   // utility scoring share its thread count.
   DistanceEngine engine(options.num_threads);

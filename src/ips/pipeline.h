@@ -30,7 +30,9 @@ namespace ips {
 
 /// Runs shapelet discovery (stages 1-5) on a training set and returns the
 /// shapelets together with the run's stats and span trace. Requires a
-/// non-empty training set whose shortest series has at least 4 points.
+/// non-empty training set whose shortest series has at least 4 points, and
+/// aborts before any discovery work when a series holds a NaN or an
+/// infinity (CheckFiniteSeries).
 RunResult DiscoverShapelets(const DatasetView& train,
                             const IpsOptions& options);
 
@@ -41,8 +43,8 @@ RunResult DiscoverShapelets(const DatasetView& train,
 /// PredictBatch abort on a series holding a NaN or an infinity, naming the
 /// series and the value position (CheckFiniteSeries), instead of returning
 /// a label. The check rides on the shapelet transform, the one pass every
-/// entry point makes over every series, so Fit meets a bad training series
-/// after discovery.
+/// entry point makes over every series; Fit (like DiscoverShapelets) also
+/// checks the training set before discovery starts.
 class IpsClassifier final : public SeriesClassifier {
  public:
   explicit IpsClassifier(IpsOptions options = {});

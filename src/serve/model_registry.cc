@@ -51,10 +51,10 @@ std::shared_ptr<ServedModel> ModelRegistry::Build(const std::string& name,
     }
     train = segment.get();
   } else {
-    loaded = LoadUcrFile(source.train_path);
+    loaded = LoadUcrFile(source.train_path, &load_error);
     if (!loaded) {
       return fail("cannot load training split \"" + source.train_path +
-                  "\"");
+                  "\": " + load_error);
     }
     train = &*loaded;
   }

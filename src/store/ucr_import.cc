@@ -10,13 +10,15 @@ bool ImportUcrFileToStore(const std::string& ucr_path,
                           const std::string& store_path,
                           const StoreWriter::Options& options,
                           ImportResult* result, std::string* error) {
+  // Labels must be dense before the first Append, so pass 1 reads only
+  // them and pass 2 appends.
   std::map<double, int> label_map;
   if (!ips::ForEachUcrRow(ucr_path,
                           [&](double raw, std::span<const double>) {
                             label_map.emplace(raw, 0);
                             return true;
-                          })) {
-    if (error != nullptr) *error = "cannot parse " + ucr_path;
+                          },
+                          error)) {
     return false;
   }
   int next = 0;
@@ -28,16 +30,17 @@ bool ImportUcrFileToStore(const std::string& ucr_path,
     return false;
   }
   bool append_ok = true;
+  std::string parse_error;
   if (!ips::ForEachUcrRow(ucr_path,
                           [&](double raw, std::span<const double> values) {
                             append_ok = writer.Append(values,
                                                       label_map.at(raw));
                             return append_ok;
-                          }) ||
+                          },
+                          &parse_error) ||
       !append_ok || !writer.Finish()) {
     if (error != nullptr) {
-      *error = writer.error().empty() ? "cannot parse " + ucr_path
-                                      : writer.error();
+      *error = writer.error().empty() ? parse_error : writer.error();
     }
     return false;
   }

@@ -101,6 +101,18 @@ TEST(CheckDeathTest, ClassifierFitRejectsNonFiniteTraining) {
   EXPECT_DEATH(IpsClassifier(ClassifierOptions())
                    .Fit(WithValue(data.train, 0, 63, -kInf)),
                "series 0: non-finite value at position 63");
+  // The check runs before discovery: with a sample count that candidate
+  // generation aborts on, the non-finite value is still what is reported,
+  // through Fit and through the discovery entry point.
+  IpsOptions no_samples = ClassifierOptions();
+  no_samples.sample_count = 0;
+  EXPECT_DEATH(
+      IpsClassifier(no_samples).Fit(WithValue(data.train, 3, 17, kNaN)),
+      "series 3: non-finite value at position 17");
+  EXPECT_DEATH(
+      DiscoverShapelets(WithValue(data.train, 0, 63, -kInf), no_samples),
+      "series 0: non-finite value at position 63");
+  EXPECT_DEATH(DiscoverShapelets(data.train, no_samples), "sample_count");
 }
 
 TEST(CheckDeathTest, ClassifierFitFromRunResultRejectsNonFiniteTraining) {

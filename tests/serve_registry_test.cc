@@ -368,6 +368,28 @@ TEST_F(RegistrySwapTest, ConcurrentReloadsSerialiseWithMonotonicVersions) {
   EXPECT_EQ(registry_.Get("m")->version(), all.back());
 }
 
+TEST_F(RegistrySwapTest, ReloadFromABadSplitNamesTheRowAndKeepsTheOldModel) {
+  const std::shared_ptr<const ServedModel> before = registry_.Get("m");
+  ASSERT_NE(before, nullptr);
+  // The split gains a row whose third value is an infinity.
+  {
+    std::ofstream out(train_path_, std::ios::app);
+    out << "0\t0.5\t1.5\t-inf\t2.5\n";
+  }
+  const size_t bad_line = data_.train.size() + 1;
+  std::string error;
+  EXPECT_EQ(registry_.Reload("m", &error), 0u);
+  EXPECT_EQ(error, "cannot load training split \"" + train_path_ + "\": " +
+                       train_path_ + ": line " + std::to_string(bad_line) +
+                       ", field 4: infinity");
+  // The failed reload swapped nothing: the same model object, version and
+  // labels keep serving.
+  const std::shared_ptr<const ServedModel> after = registry_.Get("m");
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(after->version(), 1u);
+  EXPECT_EQ(after->Classify(data_.test), expected_a_);
+}
+
 TEST(ModelRegistryTest, UnknownNamesAndBadSources) {
   ModelRegistry registry;
   EXPECT_EQ(registry.Get("nope"), nullptr);

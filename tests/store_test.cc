@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,9 +21,11 @@
 #include "core/metric.h"
 #include "core/znorm.h"
 #include "data/generator.h"
+#include "data/ucr_loader.h"
 #include "ips/pipeline.h"
 #include "ips/serialization.h"
 #include "store/store_writer.h"
+#include "store/ucr_import.h"
 
 namespace ips {
 namespace {
@@ -293,6 +297,62 @@ TEST(StoreTest, WriterRejectsNonFiniteValueNamingSeriesAndPosition) {
   std::string error;
   EXPECT_FALSE(store::WriteDatasetToStore(data, path.path, {}, &error));
   EXPECT_EQ(error, "series 1: non-finite value at position 0");
+}
+
+// ------------------------------------------------------------------ import
+
+TEST(StoreTest, ImportedSegmentEqualsLoadedSplitBitwise) {
+  const ScopedPath tsv(TempSegmentPath("import") + ".tsv");
+  const ScopedPath segment_path(TempSegmentPath("import"));
+  const Dataset data = MakeCorpus(20, 48);
+  ASSERT_TRUE(SaveUcrFile(data, tsv.path));
+  const std::optional<Dataset> loaded = LoadUcrFile(tsv.path);
+  ASSERT_TRUE(loaded.has_value());
+
+  store::StoreWriter::Options options;
+  options.chunk_target_bytes = 48 * sizeof(double) * 3;
+  store::ImportResult result;
+  std::string error;
+  ASSERT_TRUE(store::ImportUcrFileToStore(tsv.path, segment_path.path,
+                                          options, &result, &error))
+      << error;
+  EXPECT_EQ(result.series, data.size());
+  EXPECT_GT(result.chunks, 1u);
+  const auto segment = store::ColumnarStore::Open(segment_path.path, &error);
+  ASSERT_NE(segment, nullptr) << error;
+  ASSERT_EQ(segment->size(), data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    const SeriesView stored = segment->At(i);
+    EXPECT_EQ(stored.label, (*loaded)[i].label);
+    EXPECT_EQ(stored.label, data[i].label);
+    ASSERT_EQ(stored.length(), data[i].values.size());
+    EXPECT_EQ(std::memcmp(stored.values.data(), data[i].values.data(),
+                          stored.length() * sizeof(double)),
+              0)
+        << "series " << i;
+  }
+}
+
+TEST(StoreTest, ImportNamesTheFileLineAndFieldOfABadRow) {
+  const ScopedPath tsv(TempSegmentPath("bad_import") + ".tsv");
+  const ScopedPath segment_path(TempSegmentPath("bad_import"));
+  const auto import_error = [&](const std::string& text) {
+    std::ofstream(tsv.path, std::ios::trunc) << text;
+    std::string error;
+    EXPECT_FALSE(store::ImportUcrFileToStore(tsv.path, segment_path.path,
+                                             {}, nullptr, &error));
+    return error;
+  };
+  EXPECT_EQ(import_error("0\t1\t2\n1\t3\t4\n0\t5\tx6\n"),
+            tsv.path + ": line 3, field 3: unparsable token");
+  EXPECT_EQ(import_error("0\t1\t2\n\n1\t3\t-inf\t4\n"),
+            tsv.path + ": line 3, field 3: infinity");
+  EXPECT_EQ(import_error("\n\n"), tsv.path + ": no rows");
+  std::string error;
+  EXPECT_FALSE(store::ImportUcrFileToStore(tsv.path + ".missing",
+                                           segment_path.path, {}, nullptr,
+                                           &error));
+  EXPECT_EQ(error, tsv.path + ".missing: cannot open");
 }
 
 // ------------------------------------------------------------------ parity
