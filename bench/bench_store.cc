@@ -6,13 +6,16 @@
 // the budget -- the CI memory-budget job's contract. It also times the
 // UCR text paths on the same corpus -- SaveUcrFile, LoadUcrFile and
 // ImportUcrFileToStore (best of three, with MB/s of the text file) -- and
-// fails unless the loaded and imported series are bitwise the corpus.
+// fails unless the loaded and imported series are bitwise the corpus. It
+// times GenerateDataset on the two perfbench-shaped specs (best of three)
+// and fails unless each call's data hashes to its golden checksum
+// (bench/generator_checksum.h).
 //
 // Usage: bench_store [--full] [--json=PATH] [--metric=NAME]
 //
 // Writes BENCH_store.json: the env block, corpus/budget/chunk geometry,
-// LRU counters, per-path wall times, the text rows and the parity
-// verdicts.
+// LRU counters, per-path wall times, the text and generator rows and the
+// parity verdicts.
 
 #include <unistd.h>
 
@@ -30,6 +33,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_env.h"
+#include "bench/generator_checksum.h"
 #include "core/metric.h"
 #include "data/generator.h"
 #include "data/ucr_loader.h"
@@ -54,22 +58,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 /// FNV-1a over the exact bit patterns of every transform cell: two
 /// transforms hash equal iff they are bitwise identical.
 uint64_t HashTransform(const TransformedData& t) {
-  uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](uint64_t v) {
-    for (int b = 0; b < 64; b += 8) {
-      h ^= (v >> b) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const std::vector<double>& row : t.features) {
-    for (const double v : row) {
-      uint64_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      mix(bits);
-    }
-  }
-  for (const int label : t.labels) mix(static_cast<uint64_t>(label));
-  return h;
+  Fnv1a h;
+  for (const std::vector<double>& row : t.features) h.MixValues(row);
+  for (const int label : t.labels) h.MixLabel(label);
+  return h.value();
 }
 
 /// True when `got` holds `want`'s series in order with equal labels and
@@ -88,8 +80,8 @@ bool SameSeries(const DatasetView& got, const DatasetView& want) {
   return true;
 }
 
-/// One UCR text path timed on the corpus: best of three runs.
-struct TextRow {
+/// One path timed: best of three runs.
+struct TimedRow {
   const char* name;
   double ms = 1e300;
   bool identical = true;
@@ -97,8 +89,8 @@ struct TextRow {
 
 /// Times `run` (which returns its parity verdict) three times; the row
 /// keeps the best time, and is identical only if every run was.
-TextRow TimeTextPath(const char* name, const std::function<bool()>& run) {
-  TextRow row{name};
+TimedRow TimeTextPath(const char* name, const std::function<bool()>& run) {
+  TimedRow row{name};
   for (int rep = 0; rep < 3; ++rep) {
     const auto start = std::chrono::steady_clock::now();
     row.identical = run() && row.identical;
@@ -111,7 +103,7 @@ TextRow TimeTextPath(const char* name, const std::function<bool()>& run) {
 /// back bitwise), LoadUcrFile reads it, and ImportUcrFileToStore converts
 /// it into a segment whose series are compared with the corpus. Sets
 /// `*text_bytes` to the size of the text file.
-std::vector<TextRow> RunTextPaths(const Dataset& data,
+std::vector<TimedRow> RunTextPaths(const Dataset& data,
                                   const store::StoreWriter::Options& options,
                                   const std::string& stem,
                                   uint64_t* text_bytes) {
@@ -121,7 +113,7 @@ std::vector<TextRow> RunTextPaths(const Dataset& data,
     const std::optional<Dataset> loaded = LoadUcrFile(tsv_path);
     return loaded.has_value() && SameSeries(*loaded, data);
   };
-  std::vector<TextRow> rows;
+  std::vector<TimedRow> rows;
   rows.push_back(TimeTextPath(
       "save_ucr_file", [&] { return SaveUcrFile(data, tsv_path); }));
   rows.back().identical = rows.back().identical && loads_back();
@@ -141,6 +133,24 @@ std::vector<TextRow> RunTextPaths(const Dataset& data,
   }));
   ::unlink(tsv_path.c_str());
   ::unlink(import_path.c_str());
+  return rows;
+}
+
+/// GenerateDataset timed on each golden spec: best of three calls, identical
+/// only if every call's data hashed to the spec's golden checksum.
+std::vector<TimedRow> RunGenerateRows(const std::vector<GoldenSpec>& specs) {
+  std::vector<TimedRow> rows;
+  for (const GoldenSpec& golden : specs) {
+    TimedRow row{golden.spec.name.c_str()};
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      const TrainTestSplit split = GenerateDataset(golden.spec);
+      row.ms = std::min(row.ms, MsSince(start));
+      row.identical =
+          SplitChecksum(split) == golden.checksum && row.identical;
+    }
+    rows.push_back(row);
+  }
   return rows;
 }
 
@@ -212,15 +222,25 @@ int Run(const BenchArgs& args) {
 
   // ---- UCR text paths on the same corpus.
   uint64_t text_bytes = 0;
-  const std::vector<TextRow> text_rows = RunTextPaths(
+  const std::vector<TimedRow> text_rows = RunTextPaths(
       data, write_options,
       "/tmp/ips_bench_store_text_" + std::to_string(::getpid()), &text_bytes);
   bool text_identical = true;
-  for (const TextRow& row : text_rows) {
+  for (const TimedRow& row : text_rows) {
     std::printf("text:       %-25s %8.2f ms %8.1f MB/s -- %s\n", row.name,
                 row.ms, MbPerS(text_bytes, row.ms),
                 row.identical ? "bitwise identical" : "MISMATCH");
     text_identical = text_identical && row.identical;
+  }
+
+  // ---- GenerateDataset on the perfbench-shaped specs.
+  const std::vector<GoldenSpec> golden_specs = PerfbenchShapedSpecs();
+  const std::vector<TimedRow> generate_rows = RunGenerateRows(golden_specs);
+  bool generate_identical = true;
+  for (const TimedRow& row : generate_rows) {
+    std::printf("generate:   %-25s %8.2f ms -- %s\n", row.name, row.ms,
+                row.identical ? "golden checksum" : "MISMATCH");
+    generate_identical = generate_identical && row.identical;
   }
 
   // ---- In-RAM reference.
@@ -291,7 +311,7 @@ int Run(const BenchArgs& args) {
     doc.Set("evictions_exercised", evictions_exercised);
     doc.Set("text_bytes", text_bytes);
     obs::JsonValue text = obs::JsonValue::Array();
-    for (const TextRow& row : text_rows) {
+    for (const TimedRow& row : text_rows) {
       obs::JsonValue entry = obs::JsonValue::Object();
       entry.Set("path", row.name);
       entry.Set("ms", row.ms);
@@ -301,6 +321,16 @@ int Run(const BenchArgs& args) {
     }
     doc.Set("text", std::move(text));
     doc.Set("text_identical", text_identical);
+    obs::JsonValue generate = obs::JsonValue::Array();
+    for (const TimedRow& row : generate_rows) {
+      obs::JsonValue entry = obs::JsonValue::Object();
+      entry.Set("spec", row.name);
+      entry.Set("ms", row.ms);
+      entry.Set("identical", row.identical);
+      generate.Append(std::move(entry));
+    }
+    doc.Set("generate_dataset", std::move(generate));
+    doc.Set("generate_identical", generate_identical);
     if (!obs::WriteJsonFile(doc, args.json_path)) {
       std::fprintf(stderr, "failed to write %s\n", args.json_path.c_str());
       ::unlink(segment_path.c_str());
@@ -312,7 +342,8 @@ int Run(const BenchArgs& args) {
 
   const bool ok = corpus_exceeds_budget && discovery_identical &&
                   transform_identical && budget_respected &&
-                  evictions_exercised && text_identical;
+                  evictions_exercised && text_identical &&
+                  generate_identical;
   if (!ok) std::fprintf(stderr, "bench_store: ACCEPTANCE FAILURE\n");
   return ok ? 0 : 1;
 }

@@ -3,7 +3,9 @@
 #include <cmath>
 
 #include <algorithm>
+#include <map>
 #include <numbers>
+#include <tuple>
 #include <vector>
 
 #include "core/rng.h"
@@ -75,19 +77,6 @@ struct PatternTemplate {
   double anchor;     // nominal offset as a fraction of the free range
 };
 
-// Renders `tmpl` over `len` samples.
-std::vector<double> RenderPattern(const PatternTemplate& tmpl, size_t len) {
-  std::vector<double> out(len);
-  for (size_t i = 0; i < len; ++i) {
-    const double t = len > 1
-                         ? static_cast<double>(i) /
-                               static_cast<double>(len - 1)
-                         : 0.5;
-    out[i] = tmpl.amplitude * ShapeValue(tmpl.kind, t, tmpl.phase);
-  }
-  return out;
-}
-
 uint64_t HashName(const std::string& name) {
   uint64_t h = 1469598103934665603ULL;
   for (unsigned char c : name) {
@@ -97,60 +86,127 @@ uint64_t HashName(const std::string& name) {
   return h;
 }
 
-// One series: background + class patterns + optional distractor + noise.
-TimeSeries MakeSeries(const GeneratorSpec& spec, int label,
-                      const std::vector<std::vector<PatternTemplate>>& bank,
-                      const PatternTemplate& distractor, Rng& rng) {
-  const size_t n = spec.length;
+// Draws the series of one GenerateDataset call from its Rng. It owns the
+// call's pattern bank, the distractor, the unit waveforms rendered so far
+// and a noise buffer.
+class SeriesMaker {
+ public:
+  // Builds the bank; its draws come first in the stream.
+  SeriesMaker(const GeneratorSpec& spec, Rng& rng);
+
+  // One series: background + class patterns + optional distractor + noise.
+  TimeSeries Make(int label);
+
+ private:
+  // Adds `tmpl` under duration warp, amplitude and offset jitter.
+  void Embed(const PatternTemplate& tmpl, std::vector<double>& values);
+
+  // The unit-amplitude waveform of `tmpl` over `len` samples, rendered on
+  // first use: an embedded pattern is it times the jittered amplitude.
+  const std::vector<double>& UnitWaveform(const PatternTemplate& tmpl,
+                                          size_t len);
+
+  const GeneratorSpec& spec_;
+  Rng& rng_;
+  // Class c's patterns are bank_[c * per_class_, (c + 1) * per_class_).
+  int per_class_;
+  std::vector<PatternTemplate> bank_;
+  PatternTemplate distractor_;
+  std::map<std::tuple<ShapeKind, double, size_t>, std::vector<double>>
+      waveforms_;
+  std::vector<double> noise_;
+};
+
+SeriesMaker::SeriesMaker(const GeneratorSpec& spec, Rng& rng)
+    : spec_(spec),
+      rng_(rng),
+      per_class_(std::clamp(spec.patterns_per_class, 1, 2)),
+      bank_(static_cast<size_t>(spec.num_classes * per_class_)) {
+  // Distinct (kind, phase) pairs so no two classes share a characteristic
+  // waveform.
+  for (size_t i = 0; i < bank_.size(); ++i) {
+    PatternTemplate& tmpl = bank_[i];
+    tmpl.kind = static_cast<ShapeKind>(i % kNumShapeKinds);
+    // Classes that wrap around the shape bank get a distinct phase.
+    tmpl.phase = std::fmod(
+        0.17 * static_cast<double>(i) + rng.Uniform(0, 0.1), 1.0);
+    tmpl.amplitude = 1.6 + rng.Uniform(-0.2, 0.2);
+    tmpl.anchor = rng.Uniform(0.0, 1.0);
+  }
+  distractor_.kind = ShapeKind::kSineBurst;
+  distractor_.phase = 0.9;
+  distractor_.amplitude = 1.0;
+  distractor_.anchor = rng.Uniform(0.0, 1.0);
+}
+
+TimeSeries SeriesMaker::Make(int label) {
+  const size_t n = spec_.length;
   TimeSeries series;
   series.label = label;
   series.values.assign(n, 0.0);
 
   // Smoothed random-walk background.
-  if (spec.background_drift > 0.0) {
+  if (spec_.background_drift > 0.0) {
+    rng_.FillGaussian(series.values, 0.0, spec_.background_drift / 10.0);
     double level = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      level += rng.Gaussian(0.0, spec.background_drift / 10.0);
+    for (double& v : series.values) {
+      level += v;
       level *= 0.98;  // mean-revert so the walk stays bounded
-      series.values[i] = level;
+      v = level;
     }
   }
 
-  const size_t base_len = std::max<size_t>(
-      6, static_cast<size_t>(spec.pattern_fraction *
-                             static_cast<double>(n)));
-
-  auto embed = [&](const PatternTemplate& tmpl) {
-    // Duration warp and amplitude jitter.
-    const double warp = 1.0 + rng.Uniform(-spec.duration_warp,
-                                          spec.duration_warp);
-    size_t len = std::clamp<size_t>(
-        static_cast<size_t>(static_cast<double>(base_len) * warp), 4, n);
-    PatternTemplate jittered = tmpl;
-    jittered.amplitude *=
-        1.0 + rng.Uniform(-spec.amplitude_jitter, spec.amplitude_jitter);
-    const std::vector<double> pattern = RenderPattern(jittered, len);
-    // Anchor position +/- jitter, clamped to the valid range.
-    const double free = static_cast<double>(n - len);
-    const double jitter =
-        rng.Uniform(-spec.offset_jitter, spec.offset_jitter) *
-        static_cast<double>(n);
-    const double pos = std::clamp(tmpl.anchor * free + jitter, 0.0, free);
-    const size_t offset = static_cast<size_t>(pos);
-    for (size_t i = 0; i < len && offset + i < n; ++i) {
-      series.values[offset + i] += pattern[i];
-    }
-  };
-
-  for (const PatternTemplate& tmpl : bank[static_cast<size_t>(label)]) {
-    embed(tmpl);
+  for (int p = 0; p < per_class_; ++p) {
+    Embed(bank_[static_cast<size_t>(label * per_class_ + p)], series.values);
   }
-  if (spec.add_distractor) embed(distractor);
+  if (spec_.add_distractor) Embed(distractor_, series.values);
 
-  for (size_t i = 0; i < n; ++i) {
-    series.values[i] += rng.Gaussian(0.0, spec.noise);
-  }
+  noise_.resize(n);
+  rng_.FillGaussian(noise_, 0.0, spec_.noise);
+  for (size_t i = 0; i < n; ++i) series.values[i] += noise_[i];
   return series;
+}
+
+void SeriesMaker::Embed(const PatternTemplate& tmpl,
+                        std::vector<double>& values) {
+  const size_t n = values.size();
+  const size_t base_len = std::max<size_t>(
+      6, static_cast<size_t>(spec_.pattern_fraction *
+                             static_cast<double>(n)));
+  const double warp =
+      1.0 + rng_.Uniform(-spec_.duration_warp, spec_.duration_warp);
+  const size_t len = std::clamp<size_t>(
+      static_cast<size_t>(static_cast<double>(base_len) * warp), 4, n);
+  const double amplitude =
+      tmpl.amplitude *
+      (1.0 + rng_.Uniform(-spec_.amplitude_jitter, spec_.amplitude_jitter));
+  const std::vector<double>& unit = UnitWaveform(tmpl, len);
+  // Anchor position +/- jitter, clamped to the valid range.
+  const double free = static_cast<double>(n - len);
+  const double jitter =
+      rng_.Uniform(-spec_.offset_jitter, spec_.offset_jitter) *
+      static_cast<double>(n);
+  const double pos = std::clamp(tmpl.anchor * free + jitter, 0.0, free);
+  const size_t offset = static_cast<size_t>(pos);
+  for (size_t i = 0; i < len && offset + i < n; ++i) {
+    values[offset + i] += amplitude * unit[i];
+  }
+}
+
+const std::vector<double>& SeriesMaker::UnitWaveform(
+    const PatternTemplate& tmpl, size_t len) {
+  std::vector<double>& out = waveforms_[{tmpl.kind, tmpl.phase, len}];
+  if (out.empty()) {
+    out.resize(len);
+    for (size_t i = 0; i < len; ++i) {
+      const double t = len > 1
+                           ? static_cast<double>(i) /
+                                 static_cast<double>(len - 1)
+                           : 0.5;
+      out[i] = ShapeValue(tmpl.kind, t, tmpl.phase);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -161,42 +217,15 @@ TrainTestSplit GenerateDataset(const GeneratorSpec& spec) {
   IPS_CHECK(spec.train_size >= static_cast<size_t>(spec.num_classes));
   const uint64_t seed = spec.seed != 0 ? spec.seed : HashName(spec.name);
   Rng rng(seed);
-
-  // Per-class pattern bank: distinct (kind, phase) pairs so no two classes
-  // share a characteristic waveform.
-  std::vector<std::vector<PatternTemplate>> bank(
-      static_cast<size_t>(spec.num_classes));
-  const int per_class = std::clamp(spec.patterns_per_class, 1, 2);
-  for (int c = 0; c < spec.num_classes; ++c) {
-    for (int p = 0; p < per_class; ++p) {
-      PatternTemplate tmpl;
-      tmpl.kind = static_cast<ShapeKind>(
-          (c * per_class + p) % kNumShapeKinds);
-      // Classes that wrap around the shape bank get a distinct phase.
-      tmpl.phase = std::fmod(
-          0.17 * static_cast<double>(c * per_class + p) + rng.Uniform(0, 0.1),
-          1.0);
-      tmpl.amplitude = 1.6 + rng.Uniform(-0.2, 0.2);
-      tmpl.anchor = rng.Uniform(0.0, 1.0);
-      bank[static_cast<size_t>(c)].push_back(tmpl);
-    }
-  }
-  PatternTemplate distractor;
-  distractor.kind = ShapeKind::kSineBurst;
-  distractor.phase = 0.9;
-  distractor.amplitude = 1.0;
-  distractor.anchor = rng.Uniform(0.0, 1.0);
-
-  auto fill = [&](Dataset& out, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      const int label = static_cast<int>(i) % spec.num_classes;
-      out.Add(MakeSeries(spec, label, bank, distractor, rng));
-    }
-  };
+  SeriesMaker maker(spec, rng);
 
   TrainTestSplit split;
-  fill(split.train, spec.train_size);
-  fill(split.test, spec.test_size);
+  for (size_t i = 0; i < spec.train_size; ++i) {
+    split.train.Add(maker.Make(static_cast<int>(i) % spec.num_classes));
+  }
+  for (size_t i = 0; i < spec.test_size; ++i) {
+    split.test.Add(maker.Make(static_cast<int>(i) % spec.num_classes));
+  }
   return split;
 }
 

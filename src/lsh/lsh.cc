@@ -27,9 +27,7 @@ std::vector<std::vector<double>> DrawGaussianDirections(size_t num_hashes,
                                                         Rng& rng) {
   std::vector<std::vector<double>> dirs(num_hashes,
                                         std::vector<double>(dim));
-  for (auto& row : dirs) {
-    for (auto& v : row) v = rng.Gaussian();
-  }
+  for (auto& row : dirs) rng.FillGaussian(row);
   return dirs;
 }
 

@@ -66,7 +66,7 @@ MvTrainTestSplit GenerateMultivariateDataset(const MvGeneratorSpec& spec) {
                         std::vector<double>(spec.length, 0.0));
     // Background noise on every channel.
     for (auto& channel : out.channels) {
-      for (double& v : channel) v = rng.Gaussian(0.0, spec.noise);
+      rng.FillGaussian(channel, 0.0, spec.noise);
     }
     // Class patterns on the class's informative channels.
     const ClassPlan& plan = plans[static_cast<size_t>(label)];

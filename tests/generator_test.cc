@@ -1,11 +1,15 @@
 #include "data/generator.h"
 
+#include <optional>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/generator_checksum.h"
 #include "classify/nn.h"
+#include "data/ucr_catalog.h"
+#include "multivariate/mv_generator.h"
 
 namespace ips {
 namespace {
@@ -133,6 +137,48 @@ TEST(ItalyPowerLikeTest, WinterHasHigherMorningLoad) {
   }
   EXPECT_GT(winter_morning / static_cast<double>(winter_n),
             summer_morning / static_cast<double>(summer_n) + 0.5);
+}
+
+// Golden streams: each checksum (labels plus the bits of every value) was
+// recorded with the libstdc++ std::mt19937_64 / std::normal_distribution
+// implementation the Rng stream reproduces. A change here changes every
+// experiment's data.
+
+TEST(GeneratorGoldenTest, PerfbenchShapedSpecs) {
+  for (const bench::GoldenSpec& golden : bench::PerfbenchShapedSpecs()) {
+    EXPECT_EQ(bench::SplitChecksum(GenerateDataset(golden.spec)),
+              golden.checksum)
+        << golden.spec.name;
+  }
+}
+
+TEST(GeneratorGoldenTest, CatalogueSpecs) {
+  const std::pair<const char*, uint64_t> cases[] = {
+      {"Coffee", 0xc8ea8daff416098aULL},
+      {"ECG200", 0x5e7a9be596279088ULL},
+      {"ShapeletSim", 0xa9356c5adc82d1beULL},
+  };
+  for (const auto& [name, checksum] : cases) {
+    const std::optional<UcrDatasetInfo> info = FindUcrDataset(name);
+    ASSERT_TRUE(info.has_value()) << name;
+    EXPECT_EQ(bench::SplitChecksum(GenerateDataset(SpecFromCatalog(*info))),
+              checksum)
+        << name;
+  }
+}
+
+TEST(GeneratorGoldenTest, ItalyPowerLike) {
+  EXPECT_EQ(bench::SplitChecksum(GenerateItalyPowerLike(67, 1029, 99)),
+            0xae40a92ba9f15fdcULL);
+}
+
+TEST(GeneratorGoldenTest, Multivariate) {
+  MvGeneratorSpec spec;
+  spec.num_classes = 3;
+  spec.num_channels = 3;
+  spec.informative_channels = 1;
+  EXPECT_EQ(bench::SplitChecksum(GenerateMultivariateDataset(spec)),
+            0xe05721f7bfaa2106ULL);
 }
 
 }  // namespace

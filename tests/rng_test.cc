@@ -1,6 +1,8 @@
 #include "core/rng.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -105,6 +107,64 @@ TEST(ShuffleTest, PreservesMultiset) {
   rng.Shuffle(shuffled);
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, v);
+}
+
+TEST(Mt19937_64Test, MatchesStdMt19937_64) {
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{42}, ~uint64_t{0}}) {
+    Mt19937_64 block(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(block(), reference()) << "seed " << seed << ", output " << i;
+    }
+  }
+}
+
+#ifdef __GLIBCXX__
+// Uniform and Gaussian are libstdc++'s uniform_real_distribution and
+// normal_distribution written out; a fresh distribution per call over the
+// same engine must give the same bits.
+TEST(RngStreamTest, MatchesLibstdcxxDistributions) {
+  Rng rng(2024);
+  std::mt19937_64 reference(2024);
+  const double params[][2] = {
+      {0.0, 1.0}, {-3.5, 2.25}, {1e-3, 7.0}, {-1e6, 1e6}, {0.25, 0.25}};
+  for (int i = 0; i < 1000000; ++i) {
+    const double a = params[i % 5][0];
+    const double b = params[(i / 5) % 5][1];
+    if (i % 3 == 0) {
+      const double want =
+          std::uniform_real_distribution<double>(std::min(a, b),
+                                                 std::max(a, b))(reference);
+      ASSERT_EQ(rng.Uniform(std::min(a, b), std::max(a, b)), want) << i;
+    } else {
+      const double want = std::normal_distribution<double>(a, b)(reference);
+      ASSERT_EQ(rng.Gaussian(a, b), want) << i;
+    }
+  }
+}
+#endif
+
+// FillGaussian(n) equals n successive Gaussian calls and leaves the stream
+// where they do, from a block start and from odd and even positions inside
+// a block (one uniform draw consumes one engine word).
+TEST(RngStreamTest, FillGaussianMatchesSequentialCalls) {
+  for (const size_t n : {0, 1, 2, 311, 312, 313, 1000}) {
+    for (const int lead : {0, 1, 2, 311, 623}) {
+      Rng batched(77 + n), sequential(77 + n);
+      for (int i = 0; i < lead; ++i) {
+        batched.Uniform();
+        sequential.Uniform();
+      }
+      std::vector<double> got(n);
+      batched.FillGaussian(got, 0.5, 1.75);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], sequential.Gaussian(0.5, 1.75))
+            << "n " << n << ", lead " << lead << ", value " << i;
+      }
+      EXPECT_EQ(batched.Uniform(), sequential.Uniform())
+          << "n " << n << ", lead " << lead;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Hostile-input hardening of the run-artifact loader (ips/serialization.h)
 // and its consumer, the serving registry: truncations at every byte,
-// bit-flipped headers, wrong versions, unknown metrics and absurd declared
-// lengths must all come back as a clean error -- no crash, no multi-GB
-// allocation, and no partial state left in a registry whose reload fails.
+// bit-flipped headers, wrong versions, unknown metrics, absurd declared
+// lengths and non-finite shapelet values must all come back as a clean
+// error -- no crash, no multi-GB allocation, and no partial state left in a
+// registry whose reload fails.
 
 #include "ips/serialization.h"
 
@@ -10,6 +11,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +53,18 @@ const std::string& ArtifactText() {
       new std::string(SerializeRunResult(MakeArtifact()));
   return *text;
 }
+
+/// The artifact with one shapelet value replaced by `v`, as
+/// SerializeRunResult writes it.
+std::string ArtifactWithShapeletValue(double v) {
+  std::optional<RunResult> result = DeserializeRunResult(ArtifactText());
+  result->shapelets[0].values[1] = v;
+  return SerializeRunResult(*result);
+}
+
+const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
 
 TEST(SerializationFuzzTest, IntactArtifactParses) {
   std::string error = "sentinel";
@@ -176,6 +191,17 @@ TEST(SerializationFuzzTest, LoadFromFdMatchesLoadFromPath) {
   EXPECT_FALSE(fd_error.empty());
 }
 
+TEST(SerializationFuzzTest, NonFiniteShapeletValueRejected) {
+  for (const double v : kNonFinite) {
+    const std::string text = ArtifactWithShapeletValue(v);
+    ASSERT_NE(text, ArtifactText()) << v;
+    std::string error;
+    EXPECT_FALSE(DeserializeRunResult(text, &error).has_value()) << v;
+    EXPECT_NE(error.find("malformed shapelet block"), std::string::npos)
+        << v << ": " << error;
+  }
+}
+
 TEST(SerializationFuzzTest, FailedReloadLeavesRegistryServingOldModel) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() /
@@ -210,7 +236,7 @@ TEST(SerializationFuzzTest, FailedReloadLeavesRegistryServingOldModel) {
   // Corrupt the artifact on disk with each hostile shape; every reload
   // must fail AND leave the registry serving the original model object.
   const std::string good = ArtifactText();
-  const std::vector<std::string> corruptions = {
+  std::vector<std::string> corruptions = {
       "",                                  // empty file
       good.substr(0, good.size() / 3),     // truncation
       "ips-run v9.0\n" + good.substr(13),  // alien major
@@ -222,6 +248,9 @@ TEST(SerializationFuzzTest, FailedReloadLeavesRegistryServingOldModel) {
         return c;
       }(),
   };
+  for (const double v : kNonFinite) {  // nan, inf and -inf shapelet values
+    corruptions.push_back(ArtifactWithShapeletValue(v));
+  }
   for (size_t i = 0; i < corruptions.size(); ++i) {
     {
       std::ofstream out(artifact_path, std::ios::trunc);

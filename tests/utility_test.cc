@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
