@@ -15,11 +15,11 @@
 //                   cancel
 //
 // Every figure is gated on an FNV-1a checksum over the exact output bit
-// patterns: join outputs must equal the free serial AbJoinProfile kernel
-// in both directions of every pair, and candidate pools must be equal at 1
-// and N threads. The binary exits 1 on any mismatch (bitwise identity is
-// the contract, see tests/join_scheduler_test.cc for the strict
-// assertions).
+// patterns: the join's minima (values only -- the all-pairs join keeps no
+// neighbour indices) must equal AbJoinBoth's values in both directions of
+// every pair, and candidate pools must be equal at 1 and N threads. The
+// binary exits 1 on any mismatch (bitwise identity is the contract, see
+// tests/join_scheduler_test.cc for the strict assertions).
 //
 // Output: {"experiment", "env" (bench_env.h), "workloads" (shapes),
 // "cases": [...], "allocations", "report": obs::ReportToJson over the
@@ -44,7 +44,6 @@
 #include "core/rng.h"
 #include "ips/candidate_gen.h"
 #include "ips/config.h"
-#include "matrix_profile/matrix_profile.h"
 #include "matrix_profile/mp_engine.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -106,14 +105,13 @@ inline void FnvMix(uint64_t& h, uint64_t v) {
   }
 }
 
-uint64_t ChecksumJoins(const std::vector<PairJoin>& joins) {
+uint64_t ChecksumJoins(const std::vector<PairMinima>& joins) {
   uint64_t h = kFnvOffset;
-  for (const PairJoin& pj : joins) {
+  for (const PairMinima& pj : joins) {
     FnvMix(h, pj.a);
     FnvMix(h, pj.b);
-    for (const MatrixProfile* mp : {&pj.a_vs_b, &pj.b_vs_a}) {
-      for (double v : mp->values) FnvMix(h, std::bit_cast<uint64_t>(v));
-      for (size_t i : mp->indices) FnvMix(h, i);
+    for (const std::vector<double>* side : {&pj.a_vs_b, &pj.b_vs_a}) {
+      for (double v : *side) FnvMix(h, std::bit_cast<uint64_t>(v));
     }
   }
   return h;
@@ -159,18 +157,21 @@ std::vector<std::span<const double>> ViewsOf(
   return {series.begin(), series.end()};
 }
 
-// Both directions of every lexicographic pair from the free serial kernel.
-std::vector<PairJoin> ReferenceJoins(
+// Both directions' values of every lexicographic pair from AbJoinBoth, the
+// serial index-keeping join.
+std::vector<PairMinima> ReferenceJoins(
     const std::vector<std::span<const double>>& views, size_t window) {
-  std::vector<PairJoin> joins;
+  MatrixProfileEngine engine(1);
+  std::vector<PairMinima> joins;
   for (size_t i = 0; i < views.size(); ++i) {
     for (size_t j = i + 1; j < views.size(); ++j) {
-      PairJoin pj;
-      pj.a = i;
-      pj.b = j;
-      pj.a_vs_b = AbJoinProfile(views[i], views[j], window);
-      pj.b_vs_a = AbJoinProfile(views[j], views[i], window);
-      joins.push_back(std::move(pj));
+      PairJoin both = engine.AbJoinBoth(views[i], views[j], window);
+      PairMinima pm;
+      pm.a = i;
+      pm.b = j;
+      pm.a_vs_b = std::move(both.a_vs_b.values);
+      pm.b_vs_a = std::move(both.b_vs_a.values);
+      joins.push_back(std::move(pm));
     }
   }
   return joins;
@@ -220,7 +221,7 @@ Case BenchJoinBatch(const std::vector<std::span<const double>>& views,
   c.section = "join_batch";
   c.threads = threads;
   MatrixProfileEngine engine(threads);
-  std::vector<PairJoin> joins;
+  std::vector<PairMinima> joins;
   const auto run = [&] {
     engine.JoinAllPairsInto(engine.BuildTable(views, window), joins);
   };
@@ -256,7 +257,7 @@ Case BenchCandidateGen(const TrainTestSplit& data, size_t threads,
 // their slabs -- the state every batch after the first runs in. Counted
 // for the measuring thread AND the pool workers.
 size_t WarmBatchAllocs(MatrixProfileEngine& engine, const ArtifactTable& table,
-                       std::vector<PairJoin>& joins) {
+                       std::vector<PairMinima>& joins) {
   engine.JoinAllPairsInto(table, joins);  // size joins
   engine.JoinAllPairsInto(table, joins);  // settle arena high-water
   g_alloc_count.store(0, std::memory_order_relaxed);
@@ -314,14 +315,14 @@ int Main(int argc, char** argv) {
   {
     MatrixProfileEngine engine(n_threads);
     const ArtifactTable table = engine.BuildTable(small_views, window);
-    std::vector<PairJoin> joins;
+    std::vector<PairMinima> joins;
     allocs_small = WarmBatchAllocs(engine, table, joins);
     allocs_ok = allocs_ok && ChecksumJoins(joins) == small_reference;
   }
   {
     MatrixProfileEngine engine(n_threads);
     const ArtifactTable table = engine.BuildTable(views, window);
-    std::vector<PairJoin> joins;
+    std::vector<PairMinima> joins;
     allocs_large = WarmBatchAllocs(engine, table, joins);
     allocs_ok = allocs_ok && ChecksumJoins(joins) == reference;
   }
@@ -389,8 +390,8 @@ int Main(int argc, char** argv) {
   std::printf("wrote %s\n", json_path.c_str());
   if (!all_ok) {
     std::fprintf(stderr,
-                 "FAIL: checksums differ (joins must equal the free "
-                 "AbJoinProfile kernel, candidate pools must agree across "
+                 "FAIL: checksums differ (join minima must equal "
+                 "AbJoinBoth's values, candidate pools must agree across "
                  "thread counts)\n");
     return 1;
   }

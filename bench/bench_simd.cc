@@ -10,7 +10,8 @@
 // bitwise identical; tests/simd_kernel_test.cc is the strict assertion,
 // the checksum here guards the benchmark itself; qt_sweep, the whole STOMP
 // row, compares every row and column minimum and index bit for bit
-// instead). On top of the kernels,
+// instead, and qt_sweep_fused, the all-pairs join's fused row, every
+// minimum and the final QT row). On top of the kernels,
 // each row times IpsClassifier::PredictBatch on that backend, at one thread
 // and at every hardware thread, and checks its labels against the scalar
 // backend's. The run exits nonzero on any checksum or label mismatch.
@@ -265,6 +266,53 @@ KernelResult BenchQtSweep() {
   return r;
 }
 
+// The same sweep as the all-pairs join runs it: one fused pass per row
+// (StompRowFusedZNorm) that advances QT and folds each squared distance
+// into the row and column minima, values only. Gated on every row and
+// column minimum and the final QT row, bit for bit, against the scalar
+// instantiation.
+KernelResult BenchQtSweepFused() {
+  const size_t w = 64, n = 4096, l = n - w + 1, rows = 256;
+  const auto a = RandomSeries(rows + w, 8);
+  const auto b = RandomSeries(n, 9);
+  const RollingStats sb = ComputeRollingStats(b, w);
+  const RollingStats sa = ComputeRollingStats(a, w);
+  std::vector<double> qt0(l);
+  simd::scalar::SlidingDots(a.data(), w, b.data(), n, qt0.data());
+
+  struct Minima {
+    std::vector<double> qt, row_val, col_val;
+  };
+  Minima out_simd, out_scalar;
+
+  const auto sweep = [&](bool use_simd, Minima& o) {
+    o.qt = qt0;
+    o.row_val.assign(rows, 0.0);
+    o.col_val.assign(l, std::numeric_limits<double>::infinity());
+    for (size_t i = 1; i < rows; ++i) {
+      const simd::QtStep step{true, b.data(), a[i - 1], a[i + w - 1], qt0[0]};
+      o.row_val[i] =
+          use_simd
+              ? simd::StompRowFusedZNorm(o.qt.data(), l, w, step,
+                                         sb.means.data(), sb.stds.data(),
+                                         sa.means[i], sa.stds[i],
+                                         o.col_val.data())
+              : simd::scalar::StompRowFusedZNorm(
+                    o.qt.data(), l, w, step, sb.means.data(), sb.stds.data(),
+                    sa.means[i], sa.stds[i], o.col_val.data());
+    }
+  };
+
+  KernelResult r;
+  r.kernel = "qt_sweep_fused";
+  r.simd_ns = BestOfNs([&] { sweep(true, out_simd); }, 3, 2);
+  r.scalar_ns = BestOfNs([&] { sweep(false, out_scalar); }, 3, 2);
+  r.checksum_equal = BitEqual(out_simd.qt, out_scalar.qt) &&
+                     BitEqual(out_simd.row_val, out_scalar.row_val) &&
+                     BitEqual(out_simd.col_val, out_scalar.col_val);
+  return r;
+}
+
 // Rolling mean/std from centred prefix sums (ComputeRollingStats' kernel).
 KernelResult BenchRollingStats() {
   const size_t w = 64, n = 65536, count = n - w + 1;
@@ -389,7 +437,8 @@ int Main(int argc, char** argv) {
     if (!simd::UseBackend(backend)) return 1;
     const std::vector<KernelResult> kernels = {
         BenchSlidingDots(), BenchRawProfile(), BenchZNormProfile(),
-        BenchZNormMin(), BenchQtSweep(), BenchRollingStats()};
+        BenchZNormMin(), BenchQtSweep(), BenchQtSweepFused(),
+        BenchRollingStats()};
     const std::vector<PredictResult> predict = BenchPredictBatch(fixture);
 
     std::printf("backend=%s width=%zu\n", simd::BackendName(),

@@ -37,7 +37,7 @@ fi
 
 # The library functions whose speed the benchmark follows: the SIMD
 # kernels of the join and the transform, the transform row and the SVM.
-HOT_FUNCTIONS="SlidingDotsBlockT ZNormMinT StompRowDistancesT StompRowMinsT QtRowAdvanceT TransformOne TrainBinary"
+HOT_FUNCTIONS="SlidingDotsBlockT ZNormMinT StompRowDistancesT StompRowMinsT QtRowAdvanceT StompRowFusedZNormT TransformOne TrainBinary"
 
 probe_address() {
   local addr

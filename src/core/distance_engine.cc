@@ -166,10 +166,10 @@ bool UsesFftDots(size_t m, size_t n) {
   return m >= kFftCutoff && ShouldUseFftSlidingProducts(m, n);
 }
 
-void CountProfile(MetricId metric) {
+void CountProfiles(MetricId metric, size_t n) {
   EngineMetrics& m = Metrics();
-  m.profiles_computed.Add(1);
-  m.profiles_by_metric[static_cast<size_t>(metric)]->Add(1);
+  m.profiles_computed.Add(n);
+  m.profiles_by_metric[static_cast<size_t>(metric)]->Add(n);
 }
 
 // --------------------------------------------------------- series artefacts
@@ -216,7 +216,6 @@ double MinOfQuery(const QueryArtefacts& query, SeriesArtefacts& series,
   const size_t m = query.values.size();
   const size_t n = s.size();
   IPS_CHECK(m >= 1 && m <= n);
-  CountProfile(metric);
   const bool zn = metric == MetricId::kZNormEuclidean;
   const size_t count = n - m + 1;
   const std::span<const double> slid = zn ? query.zn->values : query.values;
@@ -264,6 +263,7 @@ double DistanceEngine::SubsequenceMinMetric(std::span<const double> a,
       MinOfQuery({q, ws.query_prefix, &ws.query_zn, {}}, ws.series, metric, ws);
   ws.series.Reset({});
   profiles_.fetch_add(1, std::memory_order_relaxed);
+  CountProfiles(metric, 1);
   return d;
 }
 
@@ -296,6 +296,7 @@ std::vector<double> DistanceEngine::MinForPairs(
     }
     ws.series.Reset({});
     profiles_.fetch_add(end - begin, std::memory_order_relaxed);
+    CountProfiles(metric, end - begin);
   });
   return out;
 }

@@ -135,14 +135,17 @@ struct QueryArtefacts {
 /// holds, under `metric`: bitwise equal to SubsequenceDistanceMetric for a
 /// query no longer than the series (the first operand on a tie). One dense
 /// path: sliding dot products (naive or FFT, by UsesFftDots), then the
-/// metric's min_from_dots. Counts the query in the registry (CountProfile).
+/// metric's min_from_dots. Does not touch the registry: its callers count
+/// their queries in bulk (CountProfiles).
 double MinOfQuery(const QueryArtefacts& query, SeriesArtefacts& series,
                   MetricId metric, DistanceWorkspace& ws);
 
-/// Process-wide registry accounting of one evaluated min query under
-/// `metric` (engine.profiles and engine.profiles.<name>). MinOfQuery calls
-/// it; callers that answer a query another way call it themselves.
-void CountProfile(MetricId metric);
+/// Process-wide registry accounting of `n` evaluated min queries under
+/// `metric` (engine.profiles_computed and engine.profiles.<name>), one add
+/// per counter. Every caller of MinOfQuery, and every caller that answers
+/// a query another way, counts its queries through it once per batch: per
+/// transform row, per MinForPairs series-side view, per single query.
+void CountProfiles(MetricId metric, size_t n);
 
 /// Monotonic instrumentation counters (snapshot via counters()).
 struct EngineCounters {

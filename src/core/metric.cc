@@ -47,6 +47,18 @@ void ZnRowScalar(const double* qt, const MetricRowView& b, size_t count,
   simd::scalar::StompRowDistances(qt, b.means, b.stds, count, window, a.mean,
                                   a.std, out);
 }
+double ZnFused(double* qt, size_t count, size_t window,
+               const simd::QtStep& step, const MetricRowView& b,
+               const MetricCell& a, double* col_val) {
+  return simd::StompRowFusedZNorm(qt, count, window, step, b.means, b.stds,
+                                  a.mean, a.std, col_val);
+}
+double ZnFusedScalar(double* qt, size_t count, size_t window,
+                     const simd::QtStep& step, const MetricRowView& b,
+                     const MetricCell& a, double* col_val) {
+  return simd::scalar::StompRowFusedZNorm(qt, count, window, step, b.means,
+                                          b.stds, a.mean, a.std, col_val);
+}
 double ZnPairwise(std::span<const double> a, std::span<const double> b) {
   IPS_CHECK(a.size() == b.size());
   return Euclidean(ZNormalize(a), ZNormalize(b));
@@ -76,6 +88,18 @@ void RawRowScalar(const double* qt, const MetricRowView& b, size_t count,
   simd::scalar::StompRowDistancesRaw(qt, b.energies, count, window, a.energy,
                                      out);
 }
+double RawFused(double* qt, size_t count, size_t window,
+                const simd::QtStep& step, const MetricRowView& b,
+                const MetricCell& a, double* col_val) {
+  return simd::StompRowFusedRaw(qt, count, window, step, b.energies, a.energy,
+                                col_val);
+}
+double RawFusedScalar(double* qt, size_t count, size_t window,
+                      const simd::QtStep& step, const MetricRowView& b,
+                      const MetricCell& a, double* col_val) {
+  return simd::scalar::StompRowFusedRaw(qt, count, window, step, b.energies,
+                                        a.energy, col_val);
+}
 double RawPairwise(std::span<const double> a, std::span<const double> b) {
   IPS_CHECK(a.size() == b.size());
   IPS_CHECK(!a.empty());
@@ -104,6 +128,18 @@ void L2RowScalar(const double* qt, const MetricRowView& b, size_t count,
                  size_t window, const MetricCell& a, double* out) {
   simd::scalar::StompRowDistancesL2(qt, b.energies, count, window, a.energy,
                                     out);
+}
+double L2Fused(double* qt, size_t count, size_t window,
+               const simd::QtStep& step, const MetricRowView& b,
+               const MetricCell& a, double* col_val) {
+  return simd::StompRowFusedL2(qt, count, window, step, b.energies, a.energy,
+                               col_val);
+}
+double L2FusedScalar(double* qt, size_t count, size_t window,
+                     const simd::QtStep& step, const MetricRowView& b,
+                     const MetricCell& a, double* col_val) {
+  return simd::scalar::StompRowFusedL2(qt, count, window, step, b.energies,
+                                       a.energy, col_val);
 }
 double L2Pairwise(std::span<const double> a, std::span<const double> b) {
   IPS_CHECK(a.size() == b.size());
@@ -135,6 +171,18 @@ void CosineRowScalar(const double* qt, const MetricRowView& b, size_t count,
   simd::scalar::StompRowDistancesCosine(qt, b.norms, count, window, a.energy,
                                         out);
 }
+double CosineFused(double* qt, size_t count, size_t window,
+                   const simd::QtStep& step, const MetricRowView& b,
+                   const MetricCell& a, double* col_val) {
+  return simd::StompRowFusedCosine(qt, count, window, step, b.norms, a.energy,
+                                   col_val);
+}
+double CosineFusedScalar(double* qt, size_t count, size_t window,
+                         const simd::QtStep& step, const MetricRowView& b,
+                         const MetricCell& a, double* col_val) {
+  return simd::scalar::StompRowFusedCosine(qt, count, window, step, b.norms,
+                                           a.energy, col_val);
+}
 double CosinePairwise(std::span<const double> a, std::span<const double> b) {
   IPS_CHECK(a.size() == b.size());
   double dot = 0.0, aa = 0.0, bb = 0.0;
@@ -162,29 +210,29 @@ constexpr MetricPolicy kMetrics[kMetricCount] = {
      /*normalizes_query=*/true, /*needs_rolling_stats=*/true,
      /*needs_window_energy=*/false, /*needs_window_norms=*/false,
      /*row_squared=*/true,
-     {ZnProfile, ZnMin, ZnRow},
-     {ZnProfileScalar, ZnMinScalar, ZnRowScalar},
+     {ZnProfile, ZnMin, ZnRow, ZnFused},
+     {ZnProfileScalar, ZnMinScalar, ZnRowScalar, ZnFusedScalar},
      ZnPairwise},
     {MetricId::kRawSquaredEuclidean, "raw_sq_euclidean",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
      /*needs_window_energy=*/true, /*needs_window_norms=*/false,
      /*row_squared=*/false,
-     {RawProfile, RawMin, RawRow},
-     {RawProfileScalar, RawMinScalar, RawRowScalar},
+     {RawProfile, RawMin, RawRow, RawFused},
+     {RawProfileScalar, RawMinScalar, RawRowScalar, RawFusedScalar},
      RawPairwise},
     {MetricId::kEuclidean, "euclidean",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
      /*needs_window_energy=*/true, /*needs_window_norms=*/false,
      /*row_squared=*/true,
-     {L2Profile, L2Min, L2Row},
-     {L2ProfileScalar, L2MinScalar, L2RowScalar},
+     {L2Profile, L2Min, L2Row, L2Fused},
+     {L2ProfileScalar, L2MinScalar, L2RowScalar, L2FusedScalar},
      L2Pairwise},
     {MetricId::kCosine, "cosine",
      /*normalizes_query=*/false, /*needs_rolling_stats=*/false,
      /*needs_window_energy=*/true, /*needs_window_norms=*/true,
      /*row_squared=*/false,
-     {CosineProfile, CosineMin, CosineRow},
-     {CosineProfileScalar, CosineMinScalar, CosineRowScalar},
+     {CosineProfile, CosineMin, CosineRow, CosineFused},
+     {CosineProfileScalar, CosineMinScalar, CosineRowScalar, CosineFusedScalar},
      CosinePairwise},
 };
 

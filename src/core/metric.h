@@ -8,9 +8,10 @@
 //  * the distance-profile tail kernels (profile / min from sliding dot
 //    products), in both the build-time dispatched SIMD flavour and the
 //    always-scalar reference flavour (core/simd.h's `scalar::` discipline);
-//  * the STOMP row kernel: one row of distances from the QT recurrence
+//  * the STOMP row kernels: one row of distances from the QT recurrence
 //    values plus per-window statistics, consumed by the
-//    MatrixProfileEngine's row-order sweep;
+//    MatrixProfileEngine's row-order sweep, and the fused all-pairs row
+//    that advances QT and folds the same cells straight into minima;
 //  * a direct O(window) pairwise reference distance between two
 //    equal-length windows -- the brute-force oracle the parity tests
 //    compare every engine against;
@@ -40,6 +41,8 @@
 
 #include <span>
 #include <string_view>
+
+#include "core/simd.h"
 
 namespace ips {
 
@@ -113,6 +116,13 @@ struct MetricKernels {
   /// per-cell helpers in matrix_profile/stomp_common.h.
   void (*stomp_row)(const double* qt, const MetricRowView& b, size_t count,
                     size_t window, const MetricCell& a, double* out);
+  /// One fused all-pairs row, values only (simd::StompRowFused*): advances
+  /// `qt` in place per `step`, folds each of stomp_row's cells into
+  /// col_val[j] by strict < and returns the smallest cell -- the join's
+  /// minima with no distance row and no neighbour index.
+  double (*stomp_row_fused)(double* qt, size_t count, size_t window,
+                            const simd::QtStep& step, const MetricRowView& b,
+                            const MetricCell& a, double* col_val);
 };
 
 /// One registered metric: identity, artefact requirements and kernels.

@@ -211,6 +211,35 @@ RowMin StompRowMins(const double* dist, size_t count, double first_j,
                                  col_row);
 }
 
+double StompRowFusedZNorm(double* qt, size_t count, size_t window,
+                          const QtStep& step, const double* mu_b,
+                          const double* sig_b, double mu_a, double sig_a,
+                          double* col_val) {
+  return Active().stomp_row_fused_znorm(qt, count, window, step, mu_b, sig_b,
+                                        mu_a, sig_a, col_val);
+}
+
+double StompRowFusedRaw(double* qt, size_t count, size_t window,
+                        const QtStep& step, const double* ssq_b, double ssq_a,
+                        double* col_val) {
+  return Active().stomp_row_fused_raw(qt, count, window, step, ssq_b, ssq_a,
+                                      col_val);
+}
+
+double StompRowFusedL2(double* qt, size_t count, size_t window,
+                       const QtStep& step, const double* ssq_b, double ssq_a,
+                       double* col_val) {
+  return Active().stomp_row_fused_l2(qt, count, window, step, ssq_b, ssq_a,
+                                     col_val);
+}
+
+double StompRowFusedCosine(double* qt, size_t count, size_t window,
+                           const QtStep& step, const double* norm_b,
+                           double ssq_a, double* col_val) {
+  return Active().stomp_row_fused_cosine(qt, count, window, step, norm_b,
+                                         ssq_a, col_val);
+}
+
 double SquaredEuclideanChained(const double* a, const double* b, size_t n) {
   return SquaredEuclideanChainedT(a, b, n);
 }
@@ -303,6 +332,35 @@ RowMin StompRowMins(const double* dist, size_t count, double first_j,
                     double* col_row) {
   return StompRowMinsT<ScalarOps>(dist, count, first_j, row, init, col_val,
                                   col_row);
+}
+
+double StompRowFusedZNorm(double* qt, size_t count, size_t window,
+                          const QtStep& step, const double* mu_b,
+                          const double* sig_b, double mu_a, double sig_a,
+                          double* col_val) {
+  return StompRowFusedZNormT<ScalarOps>(qt, count, window, step, mu_b, sig_b,
+                                        mu_a, sig_a, col_val);
+}
+
+double StompRowFusedRaw(double* qt, size_t count, size_t window,
+                        const QtStep& step, const double* ssq_b, double ssq_a,
+                        double* col_val) {
+  return StompRowFusedRawT<ScalarOps>(qt, count, window, step, ssq_b, ssq_a,
+                                      col_val);
+}
+
+double StompRowFusedL2(double* qt, size_t count, size_t window,
+                       const QtStep& step, const double* ssq_b, double ssq_a,
+                       double* col_val) {
+  return StompRowFusedL2T<ScalarOps>(qt, count, window, step, ssq_b, ssq_a,
+                                     col_val);
+}
+
+double StompRowFusedCosine(double* qt, size_t count, size_t window,
+                           const QtStep& step, const double* norm_b,
+                           double ssq_a, double* col_val) {
+  return StompRowFusedCosineT<ScalarOps>(qt, count, window, step, norm_b,
+                                         ssq_a, col_val);
 }
 
 double SquaredEuclideanChained(const double* a, const double* b, size_t n) {

@@ -12,17 +12,27 @@
 // partials would reassociate the rounding order. Selections are the one
 // sanctioned exception: min/max selection involves no rounding, so a
 // lane-wise running minimum folded horizontally at the end selects exactly
-// the value the sequential loop selects (the *MinFromDots inputs are
-// non-NaN and non-negative, so IEEE min quirks around NaN and -0.0 never
-// apply). The rooted metrics (z-normalised, L2) select over squares and
-// root once: sqrt is correctly rounded and monotone non-decreasing and the
-// squares are >= +0, so a minimum over roots is bitwise the root of the
-// minimum over squares. ZNormMinFromDots and L2MinFromDots root their
-// result; StompRowDistances and StompRowDistancesL2 write squares, and the
-// matrix-profile engines root each profile entry once it is final. Where an index tie-break matters too (the STOMP row's minima),
-// StompRowMins selects with strict < per lane, keeps each lane's first
-// index, and folds by value and then lowest index, taking the value from
-// the winning lane: the serial scan's result, NaN, -0.0 and ties included.
+// the value the sequential loop selects. Every backend's vector Min/Max is
+// the scalar selection (b < a ? b : a, a < b ? b : a) on every input, NaN
+// and signed zeros included, so a lane and the scalar tail compute the
+// same bits for any cell, and a running minimum Min(acc, x) never takes a
+// NaN x. The rooted
+// metrics (z-normalised, L2) select over squares and root once: sqrt is
+// correctly rounded and monotone non-decreasing and the squares are >= +0,
+// so a minimum over roots is bitwise the root of the minimum over squares.
+// ZNormMinFromDots and L2MinFromDots root their result; StompRowDistances
+// and StompRowDistancesL2 write squares, and the matrix-profile engines
+// root each profile entry once it is final. RawMinFromDots divides once,
+// after the minimum over numerators (x -> max(0, x / m) is monotone).
+// A values-only minimum (StompRowFused*, the all-pairs join) is an
+// order-free, overlap-safe selection: the cells are never -0.0, so neither
+// the order the cells arrive in nor folding a cell twice can change it, and
+// it folds by strict < (CmpLt + Select, the current value kept), so a NaN
+// is never taken and a NaN already held is never replaced. Where an index
+// tie-break matters too (the index-keeping STOMP joins), StompRowMins
+// selects with strict < per lane, keeps each lane's first index, and folds
+// by value and then lowest index, taking the value from the winning lane:
+// the serial scan's result, NaN, -0.0 and ties included.
 //
 // Backend selection is a run-time decision. Every backend the target
 // architecture has is compiled into the one binary, each vector backend in
@@ -222,6 +232,45 @@ RowMin StompRowMins(const double* dist, size_t count, double first_j,
                     double row, RowMin init, double* col_val,
                     double* col_row);
 
+/// The QT update of one fused all-pairs row (StompRowFused*): with
+/// `advance`, qt moves in place from the previous row to this one exactly
+/// as QtRowAdvance(qt, count, b, window, a_head, a_tail) moves it, and
+/// qt[0] becomes `seed` (the column-0 value QT(i, 0)); without it (a
+/// sweep's first row) qt is read as it is and the other fields are unused.
+struct QtStep {
+  bool advance = false;
+  const double* b = nullptr;
+  double a_head = 0.0;
+  double a_tail = 0.0;
+  double seed = 0.0;
+};
+
+/// One fused all-pairs STOMP row, values only: QtRowAdvance (per `step`),
+/// the metric's StompRowDistances* cell and StompRowMins' two-sided
+/// strict-< minimum in one pass over the row, with no distance row written
+/// and no neighbour index kept. Leaves qt advanced, folds every cell into
+///   col_val[j] = (d_j < col_val[j]) ? d_j : col_val[j]
+/// and returns the smallest cell (+inf when none is smaller), bitwise what
+/// QtRowAdvance, qt[0] = seed, the StompRowDistances* kernel of the same
+/// arguments and StompRowMins give. The four functions are one template,
+/// one per metric's cell: z-normalised squares (mu/sig as in
+/// StompRowDistances), raw distances and L2 squares from window energies,
+/// and cosine distances from the column side's window norms. `b` must
+/// extend to index count + window - 2 when step.advance is set.
+double StompRowFusedZNorm(double* qt, size_t count, size_t window,
+                          const QtStep& step, const double* mu_b,
+                          const double* sig_b, double mu_a, double sig_a,
+                          double* col_val);
+double StompRowFusedRaw(double* qt, size_t count, size_t window,
+                        const QtStep& step, const double* ssq_b, double ssq_a,
+                        double* col_val);
+double StompRowFusedL2(double* qt, size_t count, size_t window,
+                       const QtStep& step, const double* ssq_b, double ssq_a,
+                       double* col_val);
+double StompRowFusedCosine(double* qt, size_t count, size_t window,
+                           const QtStep& step, const double* norm_b,
+                           double ssq_a, double* col_val);
+
 /// Sum of squared differences, kept as ONE scalar accumulation chain for
 /// every backend: the value is a single dependent reduction, and the
 /// identity rule forbids splitting it into lane partials (that would
@@ -269,6 +318,19 @@ void StompRowDistancesCosine(const double* qt, const double* norm_b,
 RowMin StompRowMins(const double* dist, size_t count, double first_j,
                     double row, RowMin init, double* col_val,
                     double* col_row);
+double StompRowFusedZNorm(double* qt, size_t count, size_t window,
+                          const QtStep& step, const double* mu_b,
+                          const double* sig_b, double mu_a, double sig_a,
+                          double* col_val);
+double StompRowFusedRaw(double* qt, size_t count, size_t window,
+                        const QtStep& step, const double* ssq_b, double ssq_a,
+                        double* col_val);
+double StompRowFusedL2(double* qt, size_t count, size_t window,
+                       const QtStep& step, const double* ssq_b, double ssq_a,
+                       double* col_val);
+double StompRowFusedCosine(double* qt, size_t count, size_t window,
+                           const QtStep& step, const double* norm_b,
+                           double ssq_a, double* col_val);
 double SquaredEuclideanChained(const double* a, const double* b, size_t n);
 }  // namespace scalar
 

@@ -35,8 +35,10 @@ struct Avx2Ops {
   static Vec Mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
   static Vec Div(Vec a, Vec b) { return _mm256_div_pd(a, b); }
   static Vec Sqrt(Vec a) { return _mm256_sqrt_pd(a); }
-  static Vec Min(Vec a, Vec b) { return _mm256_min_pd(a, b); }
-  static Vec Max(Vec a, Vec b) { return _mm256_max_pd(a, b); }
+  // Operands swapped: the scalar Min/Max on NaN and signed zeros too (see
+  // Sse2Ops).
+  static Vec Min(Vec a, Vec b) { return _mm256_min_pd(b, a); }
+  static Vec Max(Vec a, Vec b) { return _mm256_max_pd(b, a); }
   static Mask CmpLt(Vec a, Vec b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
   static Vec Select(Mask m, Vec a, Vec b) {
     return _mm256_blendv_pd(b, a, m);

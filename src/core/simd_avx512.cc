@@ -41,8 +41,10 @@ struct Avx512Ops {
   // intrinsic with a full mask, which is the plain operation: GCC 12's
   // unmasked forms pass an uninitialised vector through and warn about it.
   static Vec Sqrt(Vec a) { return _mm512_maskz_sqrt_pd(kAll, a); }
-  static Vec Min(Vec a, Vec b) { return _mm512_maskz_min_pd(kAll, a, b); }
-  static Vec Max(Vec a, Vec b) { return _mm512_maskz_max_pd(kAll, a, b); }
+  // Min and Max swap their operands: the scalar Min/Max on NaN and signed
+  // zeros too (see Sse2Ops).
+  static Vec Min(Vec a, Vec b) { return _mm512_maskz_min_pd(kAll, b, a); }
+  static Vec Max(Vec a, Vec b) { return _mm512_maskz_max_pd(kAll, b, a); }
   static Mask CmpLt(Vec a, Vec b) {
     return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
   }

@@ -70,6 +70,19 @@ struct KernelTable {
   RowMin (*stomp_row_mins)(const double* dist, size_t count, double first_j,
                            double row, RowMin init, double* col_val,
                            double* col_row);
+  double (*stomp_row_fused_znorm)(double* qt, size_t count, size_t window,
+                                  const QtStep& step, const double* mu_b,
+                                  const double* sig_b, double mu_a,
+                                  double sig_a, double* col_val);
+  double (*stomp_row_fused_raw)(double* qt, size_t count, size_t window,
+                                const QtStep& step, const double* ssq_b,
+                                double ssq_a, double* col_val);
+  double (*stomp_row_fused_l2)(double* qt, size_t count, size_t window,
+                               const QtStep& step, const double* ssq_b,
+                               double ssq_a, double* col_val);
+  double (*stomp_row_fused_cosine)(double* qt, size_t count, size_t window,
+                                   const QtStep& step, const double* norm_b,
+                                   double ssq_a, double* col_val);
 };
 
 // The tables the backend units export. Each is defined only where its unit
@@ -95,8 +108,10 @@ inline double Min(double a, double b) { return b < a ? b : a; }
 // scalar code bit-for-bit:
 //  * Add/Sub/Mul/Div/Sqrt: one correctly-rounded IEEE-754 operation per
 //    lane -- exactly what the scalar expression performs. No FMA.
-//  * Min(a, b) / Max(a, b): value-level selection matching std::min(a, b) /
-//    std::max(a, b) for the non-NaN, non-(-0.0) inputs these kernels see.
+//  * Min(a, b) / Max(a, b): the selections b < a ? b : a and a < b ? b : a
+//    (std::min / std::max, the scalar Min / Max above) on every input, NaN
+//    and signed zeros included, so a vector lane and the scalar tail agree
+//    on every cell.
 //  * CmpLt + Select(mask, a, b): lane-wise `cmp ? a : b` with a full-width
 //    lane mask (a __mmask8 bit per lane on AVX-512), a pure bit-select (no
 //    arithmetic).
@@ -216,32 +231,36 @@ void RawProfileT(double qq, const double* sqp, size_t window,
   }
 }
 
+// The minimum is taken over the numerators and divided once: x ->
+// Max(0, x / md) is monotone non-decreasing and maps both zeros to +0, so
+// the result is bitwise the minimum of the per-entry values RawProfileT
+// writes. A NaN numerator's entry is Max(0, NaN) = +0, which is also the
+// value of -inf's, so each numerator enters the minimum as Max(-inf, x):
+// NaN becomes -inf and every other value stays.
 template <typename Ops>
 double RawMinT(double qq, const double* sqp, size_t window, const double* dots,
                size_t count) {
   const double md = static_cast<double>(window);
   constexpr size_t W = Ops::kWidth;
-  double best = kInf;
+  double lo = kInf;
   size_t i = 0;
   if constexpr (W > 1) {
     const auto qqv = Ops::Set(qq);
     const auto two = Ops::Set(2.0);
-    const auto mdv = Ops::Set(md);
-    const auto zero = Ops::Set(0.0);
+    const auto ninf = Ops::Set(-kInf);
     auto acc = Ops::Set(kInf);
     for (; i + W <= count; i += W) {
       const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
       const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
-      acc = Ops::Min(acc, Ops::Max(zero, Ops::Div(num, mdv)));
+      acc = Ops::Min(acc, Ops::Max(ninf, num));
     }
-    best = Ops::ReduceMin(acc);
+    lo = Ops::ReduceMin(acc);
   }
   for (; i < count; ++i) {
     const double window_sq = sqp[i + window] - sqp[i];
-    const double d = Max(0.0, (qq - 2.0 * dots[i] + window_sq) / md);
-    best = Min(best, d);
+    lo = Min(lo, Max(-kInf, qq - 2.0 * dots[i] + window_sq));
   }
-  return best;
+  return Max(0.0, lo / md);
 }
 
 template <typename Ops>
@@ -561,155 +580,303 @@ void QtRowAdvanceT(double* qt, size_t count, const double* b, size_t window,
   }
 }
 
-// Writes squared z-normalised distances; the engine roots each profile
-// entry once the sweep's minima are final (stomp_common.h).
+// ------------------------------------------------------------- STOMP cells
+//
+// The per-cell arithmetic of each metric's STOMP row, defined once and
+// shared by the row kernels (StompRowApplyT writes it out) and the fused
+// all-pairs row (StompRowFusedT folds it into minima in registers).
+// Vec(qt, j) evaluates cells j .. j + W from their QT values, Scalar(qt, j)
+// cell j; both perform the per-cell helper's operation sequence
+// (stomp_common.h), and with Min/Max the scalar selections on every backend
+// the two agree on every input, so a cell's value never depends on which of
+// them evaluates it. Every cell is a constant or Max(+0, x), never -0.0.
+// The flat-row cells (the row window is flat) ignore QT.
+
+// Squared z-normalised distances (StompZNormSquared with the row side's
+// mu_a / sig_a fixed and not flat); the engine roots each profile entry once
+// the sweep's minima are final.
+template <typename Ops>
+struct ZNormCell {
+  using V = typename Ops::Vec;
+  const double* mu_b;
+  const double* sig_b;
+  double m, mu_a, sig_a;
+  V eps = Ops::Set(kFlatStdEpsilon), zero = Ops::Set(0.0), one = Ops::Set(1.0),
+    mv = Ops::Set(m), twom = Ops::Set(2.0 * m), mua = Ops::Set(mu_a),
+    siga = Ops::Set(sig_a);
+  V Vec(V qt, size_t j) const {
+    const V sigb = Ops::Load(sig_b + j);
+    const auto flat_b = Ops::CmpLt(sigb, eps);
+    const V num =
+        Ops::Sub(qt, Ops::Mul(mv, Ops::Mul(mua, Ops::Load(mu_b + j))));
+    const V den = Ops::Mul(mv, Ops::Mul(siga, sigb));
+    const V corr = Ops::Div(num, den);
+    const V d2 = Ops::Max(zero, Ops::Mul(twom, Ops::Sub(one, corr)));
+    return Ops::Select(flat_b, mv, d2);
+  }
+  double Scalar(double qt, size_t j) const {
+    if (sig_b[j] < kFlatStdEpsilon) return m;
+    const double corr = (qt - m * (mu_a * mu_b[j])) / (m * (sig_a * sig_b[j]));
+    return Max(0.0, 2.0 * m * (1.0 - corr));
+  }
+};
+
+// A flat z-normalised row window: 0 against a flat column, m otherwise.
+template <typename Ops>
+struct ZNormFlatCell {
+  using V = typename Ops::Vec;
+  const double* sig_b;
+  double m;
+  V eps = Ops::Set(kFlatStdEpsilon), zero = Ops::Set(0.0), mv = Ops::Set(m);
+  V Vec(V /*qt*/, size_t j) const {
+    return Ops::Select(Ops::CmpLt(Ops::Load(sig_b + j), eps), zero, mv);
+  }
+  double Scalar(double /*qt*/, size_t j) const {
+    return sig_b[j] < kFlatStdEpsilon ? 0.0 : m;
+  }
+};
+
+// Raw (Def. 4) distances from window energies (StompRawDistance); the
+// (ssq_a + ssq_b) grouping makes the value bitwise symmetric under
+// exchanging sides.
+template <typename Ops>
+struct RawCell {
+  using V = typename Ops::Vec;
+  const double* ssq_b;
+  double m, ssq_a;
+  V zero = Ops::Set(0.0), two = Ops::Set(2.0), mv = Ops::Set(m),
+    sa = Ops::Set(ssq_a);
+  V Vec(V qt, size_t j) const {
+    const V num =
+        Ops::Sub(Ops::Add(sa, Ops::Load(ssq_b + j)), Ops::Mul(two, qt));
+    return Ops::Max(zero, Ops::Div(num, mv));
+  }
+  double Scalar(double qt, size_t j) const {
+    return Max(0.0, ((ssq_a + ssq_b[j]) - 2.0 * qt) / m);
+  }
+};
+
+// Squared L2 distances (StompL2Squared), rooted once per profile entry like
+// the z-normalised ones.
+template <typename Ops>
+struct L2Cell {
+  using V = typename Ops::Vec;
+  const double* ssq_b;
+  double ssq_a;
+  V zero = Ops::Set(0.0), two = Ops::Set(2.0), sa = Ops::Set(ssq_a);
+  V Vec(V qt, size_t j) const {
+    return Ops::Max(
+        zero, Ops::Sub(Ops::Add(sa, Ops::Load(ssq_b + j)), Ops::Mul(two, qt)));
+  }
+  double Scalar(double qt, size_t j) const {
+    return Max(0.0, (ssq_a + ssq_b[j]) - 2.0 * qt);
+  }
+};
+
+// Cosine distances (StompCosineDistance with the row side's norm na fixed
+// and not flat). The column side arrives as window norms, which the engine
+// roots once per series: the same sqrt of the same double, so the cell is
+// bitwise what rooting its energy gave. A flat column still evaluates the
+// division -- the quotient may be inf/nan, but Select discards it.
+template <typename Ops>
+struct CosineCell {
+  using V = typename Ops::Vec;
+  const double* norm_b;
+  double na;
+  V eps = Ops::Set(kFlatStdEpsilon), zero = Ops::Set(0.0), one = Ops::Set(1.0),
+    nav = Ops::Set(na);
+  V Vec(V qt, size_t j) const {
+    const V nb = Ops::Load(norm_b + j);
+    const auto flat = Ops::CmpLt(nb, eps);
+    const V sim = Ops::Div(qt, Ops::Mul(nav, nb));
+    return Ops::Select(flat, one, Ops::Max(zero, Ops::Sub(one, sim)));
+  }
+  double Scalar(double qt, size_t j) const {
+    const double nb = norm_b[j];
+    if (nb < kFlatStdEpsilon) return 1.0;
+    return Max(0.0, 1.0 - qt / (na * nb));
+  }
+};
+
+// A flat cosine row window: 0 against a flat column, 1 otherwise.
+template <typename Ops>
+struct CosineFlatCell {
+  using V = typename Ops::Vec;
+  const double* norm_b;
+  V eps = Ops::Set(kFlatStdEpsilon), zero = Ops::Set(0.0), one = Ops::Set(1.0);
+  V Vec(V /*qt*/, size_t j) const {
+    return Ops::Select(Ops::CmpLt(Ops::Load(norm_b + j), eps), zero, one);
+  }
+  double Scalar(double /*qt*/, size_t j) const {
+    return norm_b[j] < kFlatStdEpsilon ? 0.0 : 1.0;
+  }
+};
+
+// out[j] = the cell's value of qt[j], left to right: whole vectors, then
+// the scalar tail.
+template <typename Ops, typename Cell>
+void StompRowApplyT(const Cell& cell, const double* qt, size_t count,
+                    double* out) {
+  constexpr size_t W = Ops::kWidth;
+  size_t j = 0;
+  if constexpr (W > 1) {
+    for (; j + W <= count; j += W) {
+      Ops::Store(out + j, cell.Vec(Ops::Load(qt + j), j));
+    }
+  }
+  for (; j < count; ++j) out[j] = cell.Scalar(qt[j], j);
+}
+
 template <typename Ops>
 void StompRowDistancesT(const double* qt, const double* mu_b,
                         const double* sig_b, size_t count, size_t window,
                         double mu_a, double sig_a, double* out) {
   const double m = static_cast<double>(window);
-  constexpr size_t W = Ops::kWidth;
-  size_t j = 0;
   if (sig_a < kFlatStdEpsilon) {
-    if constexpr (W > 1) {
-      const auto eps = Ops::Set(kFlatStdEpsilon);
-      const auto zero = Ops::Set(0.0);
-      const auto mv = Ops::Set(m);
-      for (; j + W <= count; j += W) {
-        const auto flat_b = Ops::CmpLt(Ops::Load(sig_b + j), eps);
-        Ops::Store(out + j, Ops::Select(flat_b, zero, mv));
-      }
-    }
-    for (; j < count; ++j) {
-      out[j] = sig_b[j] < kFlatStdEpsilon ? 0.0 : m;
-    }
-    return;
-  }
-  if constexpr (W > 1) {
-    const auto eps = Ops::Set(kFlatStdEpsilon);
-    const auto zero = Ops::Set(0.0);
-    const auto one = Ops::Set(1.0);
-    const auto mv = Ops::Set(m);
-    const auto twom = Ops::Set(2.0 * m);
-    const auto mua = Ops::Set(mu_a);
-    const auto siga = Ops::Set(sig_a);
-    for (; j + W <= count; j += W) {
-      const auto sigb = Ops::Load(sig_b + j);
-      const auto flat_b = Ops::CmpLt(sigb, eps);
-      const auto num =
-          Ops::Sub(Ops::Load(qt + j), Ops::Mul(mv, Ops::Mul(mua, Ops::Load(mu_b + j))));
-      const auto den = Ops::Mul(mv, Ops::Mul(siga, sigb));
-      const auto corr = Ops::Div(num, den);
-      const auto d2 = Ops::Max(zero, Ops::Mul(twom, Ops::Sub(one, corr)));
-      Ops::Store(out + j, Ops::Select(flat_b, mv, d2));
-    }
-  }
-  for (; j < count; ++j) {
-    // The tail mirrors StompZNormSquared (stomp_common.h) with flat_a
-    // already known false; tests pin the two to bitwise agreement.
-    if (sig_b[j] < kFlatStdEpsilon) {
-      out[j] = m;
-      continue;
-    }
-    const double corr = (qt[j] - m * (mu_a * mu_b[j])) / (m * (sig_a * sig_b[j]));
-    out[j] = Max(0.0, 2.0 * m * (1.0 - corr));
+    StompRowApplyT<Ops>(ZNormFlatCell<Ops>{sig_b, m}, qt, count, out);
+  } else {
+    StompRowApplyT<Ops>(ZNormCell<Ops>{mu_b, sig_b, m, mu_a, sig_a}, qt,
+                        count, out);
   }
 }
 
 template <typename Ops>
 void StompRowRawT(const double* qt, const double* ssq_b, size_t count,
                   size_t window, double ssq_a, double* out) {
-  const double m = static_cast<double>(window);
-  constexpr size_t W = Ops::kWidth;
-  size_t j = 0;
-  if constexpr (W > 1) {
-    const auto zero = Ops::Set(0.0);
-    const auto two = Ops::Set(2.0);
-    const auto mv = Ops::Set(m);
-    const auto sa = Ops::Set(ssq_a);
-    for (; j + W <= count; j += W) {
-      const auto num = Ops::Sub(Ops::Add(sa, Ops::Load(ssq_b + j)),
-                                Ops::Mul(two, Ops::Load(qt + j)));
-      Ops::Store(out + j, Ops::Max(zero, Ops::Div(num, mv)));
-    }
-  }
-  for (; j < count; ++j) {
-    // Mirrors StompRawDistance (stomp_common.h); the (ssq_a + ssq_b)
-    // grouping makes the value bitwise symmetric under exchanging sides.
-    out[j] = Max(0.0, ((ssq_a + ssq_b[j]) - 2.0 * qt[j]) / m);
-  }
+  StompRowApplyT<Ops>(
+      RawCell<Ops>{ssq_b, static_cast<double>(window), ssq_a}, qt, count, out);
 }
 
-// Writes squared L2 distances, rooted once per profile entry like the
-// z-normalised row.
 template <typename Ops>
 void StompRowL2T(const double* qt, const double* ssq_b, size_t count,
                  size_t /*window*/, double ssq_a, double* out) {
-  constexpr size_t W = Ops::kWidth;
-  size_t j = 0;
-  if constexpr (W > 1) {
-    const auto zero = Ops::Set(0.0);
-    const auto two = Ops::Set(2.0);
-    const auto sa = Ops::Set(ssq_a);
-    for (; j + W <= count; j += W) {
-      const auto num = Ops::Sub(Ops::Add(sa, Ops::Load(ssq_b + j)),
-                                Ops::Mul(two, Ops::Load(qt + j)));
-      Ops::Store(out + j, Ops::Max(zero, num));
-    }
-  }
-  for (; j < count; ++j) {
-    // Mirrors StompL2Squared (stomp_common.h).
-    out[j] = Max(0.0, (ssq_a + ssq_b[j]) - 2.0 * qt[j]);
-  }
+  StompRowApplyT<Ops>(L2Cell<Ops>{ssq_b, ssq_a}, qt, count, out);
 }
 
-// The column side arrives as window norms (roots of the energies), which
-// the engine takes once per series: the same sqrt of the same double, so
-// the row is bitwise what rooting every cell's energy gave.
 template <typename Ops>
 void StompRowCosineT(const double* qt, const double* norm_b, size_t count,
                      size_t /*window*/, double ssq_a, double* out) {
   const double na = std::sqrt(ssq_a);
-  constexpr size_t W = Ops::kWidth;
-  size_t j = 0;
   if (na < kFlatStdEpsilon) {
-    if constexpr (W > 1) {
-      const auto eps = Ops::Set(kFlatStdEpsilon);
-      const auto zero = Ops::Set(0.0);
-      const auto one = Ops::Set(1.0);
-      for (; j + W <= count; j += W) {
-        const auto nb = Ops::Load(norm_b + j);
-        Ops::Store(out + j, Ops::Select(Ops::CmpLt(nb, eps), zero, one));
-      }
-    }
-    for (; j < count; ++j) {
-      out[j] = norm_b[j] < kFlatStdEpsilon ? 0.0 : 1.0;
-    }
-    return;
+    StompRowApplyT<Ops>(CosineFlatCell<Ops>{norm_b}, qt, count, out);
+  } else {
+    StompRowApplyT<Ops>(CosineCell<Ops>{norm_b, na}, qt, count, out);
   }
+}
+
+// One fused all-pairs row: the QT advance, the cell and the two-sided
+// minimum in one right-to-left pass, values only. Each vector block
+// [jb, jb + W) loads the old qt[jb - 1 ..] before it stores its new values
+// (QtRowAdvanceT's order, so the QT row is bitwise the same), evaluates its
+// cells from the new values in registers and folds them into col_val and
+// a lane-wise row minimum. The cells left of the last whole block are
+// advanced by the scalar loop, qt[0] takes the seed, and one last block at
+// offset 0 evaluates [0, W), overlapping cells already folded. That is
+// exact: a values-only minimum is a selection, so neither the visiting
+// order nor folding a cell twice can change it. Both folds are strict-<
+// selects (CmpLt + Select, the current value kept), StompRowMinsT's rule:
+// a NaN is never taken and a NaN in col_val is never replaced -- Ops::Min
+// would not do (x86 minpd returns its second operand on a NaN). Rows
+// shorter than W run the scalar loops.
+template <typename Ops, typename Cell>
+double StompRowFusedT(const Cell& cell, double* qt, size_t count,
+                      size_t window, const QtStep& step, double* col_val) {
+  constexpr size_t W = Ops::kWidth;
+  const double* const b = step.b;
   if constexpr (W > 1) {
-    const auto eps = Ops::Set(kFlatStdEpsilon);
-    const auto zero = Ops::Set(0.0);
-    const auto one = Ops::Set(1.0);
-    const auto nav = Ops::Set(na);
-    for (; j + W <= count; j += W) {
-      const auto nb = Ops::Load(norm_b + j);
-      const auto flat = Ops::CmpLt(nb, eps);
-      const auto sim = Ops::Div(Ops::Load(qt + j), Ops::Mul(nav, nb));
-      Ops::Store(out + j,
-                 Ops::Select(flat, one, Ops::Max(zero, Ops::Sub(one, sim))));
+    if (count >= W) {
+      auto row_min = Ops::Set(kInf);
+      const auto fold = [&](size_t jb, typename Ops::Vec d) {
+        row_min = Ops::Select(Ops::CmpLt(d, row_min), d, row_min);
+        const auto cv = Ops::Load(col_val + jb);
+        Ops::Store(col_val + jb, Ops::Select(Ops::CmpLt(d, cv), d, cv));
+      };
+      size_t j = count;  // exclusive upper bound of the unvisited cells
+      if (step.advance) {
+        const auto ah = Ops::Set(step.a_head);
+        const auto at = Ops::Set(step.a_tail);
+        while (j >= 1 + W) {
+          const size_t jb = j - W;  // block [jb, jb + W), jb >= 1
+          const auto prev = Ops::Load(qt + jb - 1);
+          const auto drop = Ops::Mul(ah, Ops::Load(b + jb - 1));
+          const auto add = Ops::Mul(at, Ops::Load(b + jb + window - 1));
+          const auto q = Ops::Add(Ops::Sub(prev, drop), add);
+          Ops::Store(qt + jb, q);
+          fold(jb, cell.Vec(q, jb));
+          j = jb;
+        }
+        for (size_t k = j; k-- > 1;) {
+          qt[k] = qt[k - 1] - step.a_head * b[k - 1] +
+                  step.a_tail * b[k + window - 1];
+        }
+        qt[0] = step.seed;
+      } else {
+        for (; j >= W; j -= W) {
+          fold(j - W, cell.Vec(Ops::Load(qt + j - W), j - W));
+        }
+      }
+      if (j > 0) fold(0, cell.Vec(Ops::Load(qt), 0));
+      return Ops::ReduceMin(row_min);
     }
   }
-  for (; j < count; ++j) {
-    // Mirrors StompCosineDistance (stomp_common.h) with flat_a known false.
-    const double nb = norm_b[j];
-    if (nb < kFlatStdEpsilon) {
-      out[j] = 1.0;
-      continue;
+  if (step.advance) {
+    for (size_t k = count; k-- > 1;) {
+      qt[k] = qt[k - 1] - step.a_head * b[k - 1] +
+              step.a_tail * b[k + window - 1];
     }
-    const double sim = qt[j] / (na * nb);
-    out[j] = Max(0.0, 1.0 - sim);
+    qt[0] = step.seed;
   }
+  double best = kInf;
+  for (size_t k = 0; k < count; ++k) {
+    const double d = cell.Scalar(qt[k], k);
+    if (d < best) best = d;
+    if (d < col_val[k]) col_val[k] = d;
+  }
+  return best;
+}
+
+template <typename Ops>
+double StompRowFusedZNormT(double* qt, size_t count, size_t window,
+                           const QtStep& step, const double* mu_b,
+                           const double* sig_b, double mu_a, double sig_a,
+                           double* col_val) {
+  const double m = static_cast<double>(window);
+  if (sig_a < kFlatStdEpsilon) {
+    return StompRowFusedT<Ops>(ZNormFlatCell<Ops>{sig_b, m}, qt, count,
+                               window, step, col_val);
+  }
+  return StompRowFusedT<Ops>(ZNormCell<Ops>{mu_b, sig_b, m, mu_a, sig_a}, qt,
+                             count, window, step, col_val);
+}
+
+template <typename Ops>
+double StompRowFusedRawT(double* qt, size_t count, size_t window,
+                         const QtStep& step, const double* ssq_b,
+                         double ssq_a, double* col_val) {
+  return StompRowFusedT<Ops>(
+      RawCell<Ops>{ssq_b, static_cast<double>(window), ssq_a}, qt, count,
+      window, step, col_val);
+}
+
+template <typename Ops>
+double StompRowFusedL2T(double* qt, size_t count, size_t window,
+                        const QtStep& step, const double* ssq_b, double ssq_a,
+                        double* col_val) {
+  return StompRowFusedT<Ops>(L2Cell<Ops>{ssq_b, ssq_a}, qt, count, window,
+                             step, col_val);
+}
+
+template <typename Ops>
+double StompRowFusedCosineT(double* qt, size_t count, size_t window,
+                            const QtStep& step, const double* norm_b,
+                            double ssq_a, double* col_val) {
+  const double na = std::sqrt(ssq_a);
+  if (na < kFlatStdEpsilon) {
+    return StompRowFusedT<Ops>(CosineFlatCell<Ops>{norm_b}, qt, count, window,
+                               step, col_val);
+  }
+  return StompRowFusedT<Ops>(CosineCell<Ops>{norm_b, na}, qt, count, window,
+                             step, col_val);
 }
 
 // Branch-free on purpose: the vector block has no data-dependent branch
@@ -802,7 +969,11 @@ constexpr KernelTable MakeKernelTable(Backend backend, const char* name) {
                      &StompRowRawT<Ops>,
                      &StompRowL2T<Ops>,
                      &StompRowCosineT<Ops>,
-                     &StompRowMinsT<Ops>};
+                     &StompRowMinsT<Ops>,
+                     &StompRowFusedZNormT<Ops>,
+                     &StompRowFusedRawT<Ops>,
+                     &StompRowFusedL2T<Ops>,
+                     &StompRowFusedCosineT<Ops>};
 }
 
 }  // namespace

@@ -25,8 +25,10 @@ struct NeonOps {
   static Vec Mul(Vec a, Vec b) { return vmulq_f64(a, b); }
   static Vec Div(Vec a, Vec b) { return vdivq_f64(a, b); }
   static Vec Sqrt(Vec a) { return vsqrtq_f64(a); }
-  static Vec Min(Vec a, Vec b) { return vminq_f64(a, b); }
-  static Vec Max(Vec a, Vec b) { return vmaxq_f64(a, b); }
+  // vminq/vmaxq propagate NaN, so Min and Max select instead: b < a ? b : a
+  // and a < b ? b : a, the scalar Min/Max on every input.
+  static Vec Min(Vec a, Vec b) { return vbslq_f64(vcltq_f64(b, a), b, a); }
+  static Vec Max(Vec a, Vec b) { return vbslq_f64(vcltq_f64(a, b), b, a); }
   static Mask CmpLt(Vec a, Vec b) { return vcltq_f64(a, b); }
   static Vec Select(Mask m, Vec a, Vec b) { return vbslq_f64(m, a, b); }
   static double ReduceMin(Vec a) {

@@ -24,8 +24,11 @@ struct Sse2Ops {
   static Vec Mul(Vec a, Vec b) { return _mm_mul_pd(a, b); }
   static Vec Div(Vec a, Vec b) { return _mm_div_pd(a, b); }
   static Vec Sqrt(Vec a) { return _mm_sqrt_pd(a); }
-  static Vec Min(Vec a, Vec b) { return _mm_min_pd(a, b); }
-  static Vec Max(Vec a, Vec b) { return _mm_max_pd(a, b); }
+  // minpd/maxpd return their second operand on a NaN or a signed-zero
+  // tie, so the operands go in swapped: b < a ? b : a and a < b ? b : a,
+  // the scalar Min/Max on every input.
+  static Vec Min(Vec a, Vec b) { return _mm_min_pd(b, a); }
+  static Vec Max(Vec a, Vec b) { return _mm_max_pd(b, a); }
   static Mask CmpLt(Vec a, Vec b) { return _mm_cmplt_pd(a, b); }
   static Vec Select(Mask m, Vec a, Vec b) {
     // SSE2 has no blendv; the mask lanes are all-ones/all-zeros, so a bit

@@ -69,7 +69,7 @@ InstanceProfile ComputeInstanceProfile(std::span<const SeriesView> sample,
   // forward FFTs, QT seed rows) for the whole batch, built before the
   // O(|sample|^2) pair loop so its sweeps read artifacts lock-free by
   // index. The table lives for this call only.
-  const std::vector<PairJoin> joins =
+  const std::vector<PairMinima> joins =
       eng.JoinAllPairs(eng.BuildTable(views, window, metric));
 
   // Flat num_windows x |others| scatter buffer per usable instance: row i
@@ -82,17 +82,17 @@ InstanceProfile ComputeInstanceProfile(std::span<const SeriesView> sample,
     num_windows[u] = sample[usable[u]].length() - window + 1;
     per_instance[u].resize(num_windows[u] * others);
   }
-  for (const PairJoin& pj : joins) {
+  for (const PairMinima& pj : joins) {
     // Column of v in u's buffer: usable order with u itself skipped.
     const size_t col_b = pj.b > pj.a ? pj.b - 1 : pj.b;
     const size_t col_a = pj.a > pj.b ? pj.a - 1 : pj.a;
     std::vector<double>& buf_a = per_instance[pj.a];
     for (size_t i = 0; i < num_windows[pj.a]; ++i) {
-      buf_a[i * others + col_b] = pj.a_vs_b.values[i];
+      buf_a[i * others + col_b] = pj.a_vs_b[i];
     }
     std::vector<double>& buf_b = per_instance[pj.b];
     for (size_t j = 0; j < num_windows[pj.b]; ++j) {
-      buf_b[j * others + col_a] = pj.b_vs_a.values[j];
+      buf_b[j * others + col_a] = pj.b_vs_a[j];
     }
   }
 

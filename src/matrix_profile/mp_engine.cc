@@ -305,17 +305,19 @@ size_t MatrixProfileEngine::ChunkDiagonalsInto(const SweepContext& cx,
 }
 
 void MatrixProfileEngine::SweepPartial::Reset(const SweepContext& cx) {
-  IPS_CHECK(a_val.size() == cx.la && a_idx.size() == cx.la);
+  IPS_CHECK(a_val.size() == cx.la &&
+            a_idx.size() == (cx.values_only ? 0 : cx.la));
   std::fill(a_val.begin(), a_val.end(), kInf);
   std::fill(a_idx.begin(), a_idx.end(), kNoNeighbor);
   if (cx.want_b) {
-    IPS_CHECK(b_val.size() == cx.lb && b_idx.size() == cx.lb);
+    IPS_CHECK(b_val.size() == cx.lb &&
+              b_idx.size() == (cx.values_only ? 0 : cx.lb));
     std::fill(b_val.begin(), b_val.end(), kInf);
     std::fill(b_idx.begin(), b_idx.end(), kNoNeighbor);
   }
 }
 
-template <typename CellFn>
+template <bool kIndex, typename CellFn>
 void MatrixProfileEngine::SweepDiagonalsImpl(const SweepContext& cx,
                                              size_t diag_begin,
                                              size_t diag_end, SweepPartial& p,
@@ -344,11 +346,18 @@ void MatrixProfileEngine::SweepDiagonalsImpl(const SweepContext& cx,
 
     for (size_t s = 0;; ++s) {
       const double d = cell(i, j, qt);
-      UpdateMin(d, j, p.a_val[i], p.a_idx[i]);
-      if (cx.self) {
-        UpdateMin(d, i, p.a_val[j], p.a_idx[j]);
-      } else if (cx.want_b) {
-        UpdateMin(d, i, p.b_val[j], p.b_idx[j]);
+      if constexpr (kIndex) {
+        UpdateMin(d, j, p.a_val[i], p.a_idx[i]);
+        if (cx.self) {
+          UpdateMin(d, i, p.a_val[j], p.a_idx[j]);
+        } else if (cx.want_b) {
+          UpdateMin(d, i, p.b_val[j], p.b_idx[j]);
+        }
+      } else {
+        // Values only (an all-pairs AB sweep): strict-< selects, the fused
+        // row's rule.
+        if (d < p.a_val[i]) p.a_val[i] = d;
+        if (d < p.b_val[j]) p.b_val[j] = d;
       }
       if (s + 1 >= cells) break;
       ++i;
@@ -362,44 +371,46 @@ void MatrixProfileEngine::SweepDiagonals(const SweepContext& cx,
                                          size_t diag_begin, size_t diag_end,
                                          SweepPartial& p) {
   const size_t w = cx.window;
+  const auto walk = [&](auto cell) {
+    if (cx.values_only) {
+      SweepDiagonalsImpl<false>(cx, diag_begin, diag_end, p, cell);
+    } else {
+      SweepDiagonalsImpl<true>(cx, diag_begin, diag_end, p, cell);
+    }
+  };
   switch (cx.metric) {
     case MetricId::kZNormEuclidean: {
       const double* ma = cx.stats_a->means.data();
       const double* sa = cx.stats_a->stds.data();
       const double* mb = cx.stats_b->means.data();
       const double* sb = cx.stats_b->stds.data();
-      SweepDiagonalsImpl(cx, diag_begin, diag_end, p,
-                         [=](size_t i, size_t j, double qt) {
-                           return StompZNormSquared(qt, w, ma[i], sa[i], mb[j],
-                                                    sb[j]);
-                         });
+      walk([=](size_t i, size_t j, double qt) {
+        return StompZNormSquared(qt, w, ma[i], sa[i], mb[j], sb[j]);
+      });
       return;
     }
     case MetricId::kRawSquaredEuclidean: {
       const double* ea = cx.energy_a->data();
       const double* eb = cx.energy_b->data();
-      SweepDiagonalsImpl(cx, diag_begin, diag_end, p,
-                         [=](size_t i, size_t j, double qt) {
-                           return StompRawDistance(qt, w, ea[i], eb[j]);
-                         });
+      walk([=](size_t i, size_t j, double qt) {
+        return StompRawDistance(qt, w, ea[i], eb[j]);
+      });
       return;
     }
     case MetricId::kEuclidean: {
       const double* ea = cx.energy_a->data();
       const double* eb = cx.energy_b->data();
-      SweepDiagonalsImpl(cx, diag_begin, diag_end, p,
-                         [=](size_t i, size_t j, double qt) {
-                           return StompL2Squared(qt, ea[i], eb[j]);
-                         });
+      walk([=](size_t i, size_t j, double qt) {
+        return StompL2Squared(qt, ea[i], eb[j]);
+      });
       return;
     }
     case MetricId::kCosine: {
       const double* na = cx.norm_a->data();
       const double* nb = cx.norm_b->data();
-      SweepDiagonalsImpl(cx, diag_begin, diag_end, p,
-                         [=](size_t i, size_t j, double qt) {
-                           return StompCosineDistance(qt, na[i], nb[j]);
-                         });
+      walk([=](size_t i, size_t j, double qt) {
+        return StompCosineDistance(qt, na[i], nb[j]);
+      });
       return;
     }
   }
@@ -448,14 +459,39 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
   // one difference from the kernels is that each cell feeds BOTH sides'
   // minima -- the pair-symmetric halving.
   //
-  // All three row passes are vectorised (core/simd.h): QtRowAdvance
-  // performs the in-place update -- every new qt[j] reads only pre-update
-  // values, so blocks of lanes are independent outputs -- the policy's
-  // stomp_row kernel evaluates the metric's per-cell value into `dist` (the
-  // square for row_squared metrics, rooted by the caller once the profile
-  // is final), and StompRowMins runs the two-sided min scan: a per-lane
-  // select on the column side and lane minima folded by lowest index on
-  // the row side.
+  // The QT row comes from the worker's arena (an inner scope, so nested
+  // sweeps on the caller thread rewind exactly their own carves).
+  ScratchArena& arena = ScratchArena::ForCurrentThread();
+  const ScratchArena::Scope scope(arena);
+  const size_t qn = cx.row0->size();
+  double* const qt = arena.Alloc<double>(qn).data();
+  std::copy(cx.row0->begin(), cx.row0->end(), qt);
+  const std::vector<double>& col0 = *cx.col0;
+  double* const av = p.a_val.data();
+
+  if (cx.values_only) {
+    // The all-pairs join keeps minima only, so each row is one fused pass
+    // per vector block (core/simd.h StompRowFused*): the QT advance, the
+    // metric's cell and the fold into both sides' minima, in registers --
+    // no distance row, no neighbour index.
+    double* const bv = p.b_val.data();
+    for (size_t i = 0; i < cx.la; ++i) {
+      simd::QtStep step;
+      if (i > 0) step = {true, b.data(), a[i - 1], a[i + w - 1], col0[i]};
+      av[i] = kernels.stomp_row_fused(qt, cx.lb, w, step, row_view(0),
+                                      cell_at(i), bv);
+    }
+    return;
+  }
+
+  // The index-keeping joins run three vectorised passes per row
+  // (core/simd.h): QtRowAdvance performs the in-place update -- every new
+  // qt[j] reads only pre-update values, so blocks of lanes are independent
+  // outputs -- the policy's stomp_row kernel evaluates the metric's
+  // per-cell value into `dist` (the square for row_squared metrics, rooted
+  // by the caller once the profile is final), and StompRowMins runs the
+  // two-sided min scan: a per-lane select on the column side and lane
+  // minima folded by lowest index on the row side.
   //
   // Updates here use plain strict < (not the tie-aware UpdateMin): a full
   // row-order sweep visits cells in the kernels' own order -- for a fixed
@@ -465,23 +501,12 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
   // bitwise. The tie-aware comparison is only needed when chunk partials
   // merge out of visit order.
   //
-  // The QT, distance and column-winner rows come from the worker's arena
-  // (an inner scope, so nested sweeps on the caller thread rewind exactly
-  // their own carves). The kernel carries column winners' row numbers as
-  // doubles (-1 = untouched), converted to indices once per sweep.
-  ScratchArena& arena = ScratchArena::ForCurrentThread();
-  const ScratchArena::Scope scope(arena);
-  const size_t qn = cx.row0->size();
+  // The distance and column-winner rows come from the arena too. The
+  // kernel carries column winners' row numbers as doubles (-1 =
+  // untouched), converted to indices once per sweep.
   const size_t cols = cx.self ? cx.la : (cx.want_b ? cx.lb : 0);
-  std::span<double> rows = arena.Alloc<double>(RoundUpLane(qn) +
-                                               RoundUpLane(cx.lb) + cols);
-  std::span<double> qt_row = rows.subspan(0, qn);
-  std::copy(cx.row0->begin(), cx.row0->end(), qt_row.begin());
-  double* const qt = qt_row.data();
-  const std::vector<double>& col0 = *cx.col0;
-  double* const av = p.a_val.data();
+  double* const dist = arena.Alloc<double>(RoundUpLane(cx.lb) + cols).data();
   size_t* const ai = p.a_idx.data();
-  double* const dist = rows.data() + RoundUpLane(qn);
   double* const col_row = dist + RoundUpLane(cx.lb);
   std::fill(col_row, col_row + cols, -1.0);
   const auto take_col_rows = [&](size_t* idx) {
@@ -545,14 +570,26 @@ void MatrixProfileEngine::RowSweep(const SweepContext& cx, SweepPartial& p) {
 
 void MatrixProfileEngine::MergePartial(const SweepContext& cx,
                                        const SweepPartial& p,
-                                       MatrixProfile& a_out,
-                                       MatrixProfile* b_out) {
-  for (size_t i = 0; i < cx.la; ++i) {
-    UpdateMin(p.a_val[i], p.a_idx[i], a_out.values[i], a_out.indices[i]);
-  }
-  if (cx.want_b && b_out != nullptr) {
+                                       std::span<double> a_val,
+                                       std::span<size_t> a_idx,
+                                       std::span<double> b_val,
+                                       std::span<size_t> b_idx) {
+  if (cx.values_only) {
+    // A plain minimum: a selection, so the merge order cannot matter.
+    for (size_t i = 0; i < cx.la; ++i) {
+      if (p.a_val[i] < a_val[i]) a_val[i] = p.a_val[i];
+    }
     for (size_t j = 0; j < cx.lb; ++j) {
-      UpdateMin(p.b_val[j], p.b_idx[j], b_out->values[j], b_out->indices[j]);
+      if (p.b_val[j] < b_val[j]) b_val[j] = p.b_val[j];
+    }
+    return;
+  }
+  for (size_t i = 0; i < cx.la; ++i) {
+    UpdateMin(p.a_val[i], p.a_idx[i], a_val[i], a_idx[i]);
+  }
+  if (cx.want_b && !b_val.empty()) {
+    for (size_t j = 0; j < cx.lb; ++j) {
+      UpdateMin(p.b_val[j], p.b_idx[j], b_val[j], b_idx[j]);
     }
   }
 }
@@ -600,8 +637,14 @@ void MatrixProfileEngine::RunSweep(const SweepContext& cx, size_t chunks,
       SweepDiagonals(cx, bounds[c], bounds[c + 1], partials[c]);
     });
   }
+  std::span<double> b_val;
+  std::span<size_t> b_idx;
+  if (b_out != nullptr) {
+    b_val = b_out->values;
+    b_idx = b_out->indices;
+  }
   for (size_t c = 0; c < parts; ++c) {
-    MergePartial(cx, partials[c], a_out, b_out);
+    MergePartial(cx, partials[c], a_out.values, a_out.indices, b_val, b_idx);
   }
   if (GetMetric(cx.metric).row_squared) {
     StompRootProfile(a_out.values);
@@ -678,15 +721,15 @@ PairJoin MatrixProfileEngine::AbJoinBoth(std::span<const double> a,
   return join;
 }
 
-std::vector<PairJoin> MatrixProfileEngine::JoinAllPairs(
+std::vector<PairMinima> MatrixProfileEngine::JoinAllPairs(
     const ArtifactTable& table) {
-  std::vector<PairJoin> joins;
+  std::vector<PairMinima> joins;
   JoinAllPairsInto(table, joins);
   return joins;
 }
 
 void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
-                                           std::vector<PairJoin>& joins) {
+                                           std::vector<PairMinima>& joins) {
   const size_t n = table.views.size();
   const size_t pair_count = n < 2 ? 0 : n * (n - 1) / 2;
   joins.resize(pair_count);
@@ -714,8 +757,8 @@ void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
   ScratchArena& arena = ScratchArena::ForCurrentThread();
   const ScratchArena::Scope scope(arena);
 
-  // Phase 1, parallel over pairs: contexts from the table, per-pair chunk
-  // boundaries and output profile buffers (assign reuses capacity on
+  // Phase 1, parallel over pairs: contexts from the table (values only),
+  // per-pair chunk boundaries and output minima (assign reuses capacity on
   // repeat batches). With more threads than pairs, each pair's diagonals
   // are split so every worker stays busy.
   const size_t chunks_per_pair =
@@ -729,13 +772,12 @@ void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
   ParallelFor(pair_count, num_threads_, [&](size_t t) {
     SweepContext& cx = *new (&contexts[t])
         SweepContext(ContextOf(table, joins[t].a, joins[t].b));
+    cx.values_only = true;
     parts[t] = ChunkDiagonalsInto(cx, chunks_per_pair,
                                   bounds.subspan(t * bstride, bstride)) -
                1;
-    joins[t].a_vs_b.values.assign(cx.la, kInf);
-    joins[t].a_vs_b.indices.assign(cx.la, kNoNeighbor);
-    joins[t].b_vs_a.values.assign(cx.lb, kInf);
-    joins[t].b_vs_a.indices.assign(cx.lb, kNoNeighbor);
+    joins[t].a_vs_b.assign(cx.la, kInf);
+    joins[t].b_vs_a.assign(cx.lb, kInf);
   });
 
   // Phase 2 layout: (pair, chunk) work items in lexicographic pair order,
@@ -754,7 +796,6 @@ void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
   std::span<WorkItem> items = arena.Alloc<WorkItem>(item_count);
   std::span<SweepPartial> partials = arena.Alloc<SweepPartial>(item_count);
   std::span<double> vals = arena.Alloc<double>(value_count);
-  std::span<size_t> idxs = arena.Alloc<size_t>(value_count);
   {
     size_t pos = 0;
     size_t off = 0;
@@ -765,9 +806,7 @@ void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
         new (&items[pos]) WorkItem{t, c};
         SweepPartial& p = *new (&partials[pos]) SweepPartial();
         p.a_val = vals.subspan(off, contexts[t].la);
-        p.a_idx = idxs.subspan(off, contexts[t].la);
         p.b_val = vals.subspan(off + va, contexts[t].lb);
-        p.b_idx = idxs.subspan(off + va, contexts[t].lb);
       }
     }
   }
@@ -778,8 +817,8 @@ void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
     const SweepContext& cx = contexts[it.pair];
     partials[w].Reset(cx);
     if (parts[it.pair] == 1) {
-      // Unsharded pair: the row-order fast path (bitwise identical to the
-      // diagonal walk -- same seeds, same chained QT values).
+      // Unsharded pair: the fused row-order fast path (bitwise the
+      // diagonal walk's minima -- same seeds, same chained QT values).
       RowSweep(cx, partials[w]);
     } else {
       SweepDiagonals(cx, bounds[it.pair * bstride + it.chunk],
@@ -788,18 +827,18 @@ void MatrixProfileEngine::JoinAllPairsInto(const ArtifactTable& table,
   });
 
   // Phase 3, serial merge in deterministic item order. Each pair's chunks
-  // merge into that pair's own slots, and UpdateMin is visit-order
-  // independent. The merged minima of a row_squared metric are squares;
-  // each entry is rooted once, after the last merge.
+  // merge into that pair's own minima by a plain minimum. The merged
+  // minima of a row_squared metric are squares; each entry is rooted once,
+  // after the last merge.
   for (size_t w = 0; w < item_count; ++w) {
-    const WorkItem& it = items[w];
-    MergePartial(contexts[it.pair], partials[w], joins[it.pair].a_vs_b,
-                 &joins[it.pair].b_vs_a);
+    PairMinima& join = joins[items[w].pair];
+    MergePartial(contexts[items[w].pair], partials[w], join.a_vs_b, {},
+                 join.b_vs_a, {});
   }
   if (GetMetric(table.metric).row_squared) {
-    for (PairJoin& join : joins) {
-      StompRootProfile(join.a_vs_b.values);
-      StompRootProfile(join.b_vs_a.values);
+    for (PairMinima& join : joins) {
+      StompRootProfile(join.a_vs_b);
+      StompRootProfile(join.b_vs_a);
     }
   }
 }

@@ -21,7 +21,11 @@
 //    chunks over worker threads, each with private scratch, and the
 //    per-chunk partial minima are merged serially -- so profiles are
 //    bitwise identical to AbJoinProfile / SelfJoinProfile at every thread
-//    count.
+//    count;
+//  * minima only where only minima are read: the all-pairs join (the
+//    instance profile's, Defs. 8-9) keeps no neighbour indices, so each of
+//    its rows is one fused pass that advances QT and folds every cell into
+//    both sides' minima in registers (core/simd.h StompRowFused*).
 //
 // Bitwise-identity argument, in full (tests/mp_engine_test.cc asserts it):
 // every QT value chains along its diagonal from a row-0 or column-0 seed by
@@ -123,6 +127,18 @@ struct PairJoin {
   MatrixProfile b_vs_a;
 };
 
+/// Both directions of one unordered pair's all-pairs join, values only:
+/// `a_vs_b[i]` is window i of the pair's first series' nearest-neighbour
+/// distance to the second series (== AbJoinProfile(a, b, window).values[i]
+/// bitwise) and `b_vs_a` the reverse. No neighbour indices: the instance
+/// profile (paper Defs. 8-9) needs only the distances.
+struct PairMinima {
+  size_t a = 0;  ///< batch index of the first series
+  size_t b = 0;  ///< batch index of the second series
+  std::vector<double> a_vs_b;
+  std::vector<double> b_vs_a;
+};
+
 class MatrixProfileEngine {
  public:
   /// `num_threads` shards every join and batch (1 = serial, 0 = auto:
@@ -180,19 +196,22 @@ class MatrixProfileEngine {
                            size_t window,
                            MetricId metric = MetricId::kZNormEuclidean);
 
-  /// Every unordered pair (i < j) of the table's series, each computed once
-  /// via the pair-symmetric sweep, sharded over threads with per-chunk
-  /// scratch and a serial deterministic merge. Result t covers the t-th
-  /// pair of the lexicographic (i, j) enumeration; all profiles are bitwise
-  /// identical to the serial AbJoinProfile in both directions, for any
-  /// thread count.
-  std::vector<PairJoin> JoinAllPairs(const ArtifactTable& table);
+  /// The minima of every unordered pair (i < j) of the table's series, both
+  /// directions, each pair computed once via the pair-symmetric sweep,
+  /// sharded over threads with per-chunk scratch and a serial
+  /// deterministic merge. Minima only: profile values, no neighbour
+  /// indices -- the join neither computes nor returns them. Result t
+  /// covers the t-th pair of the lexicographic (i, j) enumeration; its
+  /// values are bitwise the serial AbJoinProfile's (and AbJoinBoth's) in
+  /// both directions, for any thread count. An unsharded pair runs one
+  /// fused pass per row (core/simd.h StompRowFused*).
+  std::vector<PairMinima> JoinAllPairs(const ArtifactTable& table);
 
-  /// JoinAllPairs writing into `joins`: profiles reuse whatever capacity
+  /// JoinAllPairs writing into `joins`: the minima reuse whatever capacity
   /// `joins` already holds, so repeat batches over one table perform no
   /// heap allocations (the serving-loop form). Same results, bitwise.
   void JoinAllPairsInto(const ArtifactTable& table,
-                        std::vector<PairJoin>& joins);
+                        std::vector<PairMinima>& joins);
 
   /// Provider of precomputed per-series rolling statistics (core/znorm.h),
   /// typically DatasetView::stats_provider() of a store-backed view. When
@@ -231,6 +250,9 @@ class MatrixProfileEngine {
     bool self = false;     // a and b are the same series
     size_t exclusion = 0;  // self-join trivial-match half-width
     bool want_b = true;    // collect column minima (the b-side profile)
+    // Minima only, no neighbour indices (JoinAllPairs; an AB sweep with
+    // want_b): the partials carry no index spans and merge by plain min.
+    bool values_only = false;
   };
 
   /// Running minima for (a chunk of) one sweep, viewing storage carved by
@@ -238,12 +260,13 @@ class MatrixProfileEngine {
   /// whole arrays of partials live in arena memory. The merge rule --
   /// smaller value wins, bitwise-equal values go to the smaller neighbour
   /// index -- is visit-order independent, so chunk boundaries never affect
-  /// results.
+  /// results. A values-only sweep's partials have no index spans and merge
+  /// by plain minimum, a selection and so order-free too.
   struct SweepPartial {
     std::span<double> a_val;
-    std::span<size_t> a_idx;
+    std::span<size_t> a_idx;  // empty when values_only
     std::span<double> b_val;  // empty for self joins / want_b == false
-    std::span<size_t> b_idx;
+    std::span<size_t> b_idx;  // empty when values_only
     void Reset(const SweepContext& cx);
   };
 
@@ -262,15 +285,17 @@ class MatrixProfileEngine {
 
   /// The diagonal walk with the per-cell distance step `cell(i, j, qt)`
   /// inlined per metric (one instantiation each, so the hot loop carries no
-  /// per-cell dispatch).
-  template <typename CellFn>
+  /// per-cell dispatch), keeping neighbour indices when kIndex is set.
+  template <bool kIndex, typename CellFn>
   static void SweepDiagonalsImpl(const SweepContext& cx, size_t diag_begin,
                                  size_t diag_end, SweepPartial& partial,
                                  CellFn cell);
 
   /// Full sweep in row order (the kernels' in-place right-to-left
   /// recurrence), the serial fast path: no loop-carried QT stall, bitwise
-  /// identical to SweepDiagonals over every diagonal.
+  /// identical to SweepDiagonals over every diagonal. A values-only sweep
+  /// runs one fused pass per row; the others run QT advance, distance row
+  /// and two-sided min scan.
   static void RowSweep(const SweepContext& cx, SweepPartial& partial);
 
   /// Number of diagonals of the sweep and of cells on one diagonal.
@@ -284,9 +309,13 @@ class MatrixProfileEngine {
   size_t ChunkDiagonalsInto(const SweepContext& cx, size_t chunks,
                             std::span<size_t> out) const;
 
-  /// Merges a partial into the sweep's output profiles (serial).
+  /// Merges a partial into the sweep's output minima (serial): values and
+  /// indices by UpdateMin, or values by plain minimum when the sweep is
+  /// values_only (the index spans are then empty). Empty b spans skip the
+  /// b side.
   static void MergePartial(const SweepContext& cx, const SweepPartial& partial,
-                           MatrixProfile& a_out, MatrixProfile* b_out);
+                           std::span<double> a_val, std::span<size_t> a_idx,
+                           std::span<double> b_val, std::span<size_t> b_idx);
 
   /// Runs one sweep with its diagonals sharded over `chunks` workers.
   void RunSweep(const SweepContext& cx, size_t chunks, MatrixProfile& a_out,

@@ -77,7 +77,6 @@ double ShapeletBank::Distance(const Entry& e, DistanceWorkspace& ws) const {
     // The series is the query operand here (min alignment takes the first
     // operand as the query on a tie), so the shapelet's artefacts do not
     // apply: the serial kernel answers.
-    CountProfile(metric_);
     return SubsequenceDistanceMetric(series, e.values, metric_);
   }
   return MinOfQuery({e.values, e.prefix, &e.zn, e.fft}, ws.series, metric_,
@@ -104,6 +103,8 @@ std::span<const double> ShapeletBank::TransformOne(
     row[s] = Distance(entries_[s], ws);
   }
   ws.series.Reset({});
+  // One registry add per row, whichever way each query was answered.
+  CountProfiles(metric_, entries_.size());
   return row;
 }
 

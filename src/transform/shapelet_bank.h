@@ -64,7 +64,9 @@ class ShapeletBank {
                  const RowFn& fn) const;
 
   /// One transform row, computed on the calling thread into its scratch:
-  /// valid until the thread's next transform through any bank.
+  /// valid until the thread's next transform through any bank. Counts the
+  /// row's size() queries in the registry with one add per counter
+  /// (CountProfiles).
   std::span<const double> TransformOne(std::span<const double> series) const;
 
   size_t size() const { return entries_.size(); }

@@ -100,7 +100,7 @@ std::vector<std::vector<double>> MakeBatch(size_t count, size_t len) {
 // Allocations during one steady-state batch over a held table: warm twice
 // (sizes the output, grows the arenas), then count the third run.
 size_t WarmBatchAllocs(MatrixProfileEngine& engine, const ArtifactTable& table,
-                       std::vector<PairJoin>& joins) {
+                       std::vector<PairMinima>& joins) {
   engine.JoinAllPairsInto(table, joins);
   engine.JoinAllPairsInto(table, joins);
   g_alloc_count.store(0, std::memory_order_relaxed);
@@ -117,7 +117,7 @@ TEST(AllocRegressionTest, WarmBatchStaysUnderConstantBound) {
                                                    series.end());
   MatrixProfileEngine engine(1);
   const ArtifactTable table = engine.BuildTable(views, 8);
-  std::vector<PairJoin> joins;
+  std::vector<PairMinima> joins;
   const size_t allocs = WarmBatchAllocs(engine, table, joins);
   // Per-batch bookkeeping only (obs span path strings and the like); the
   // 276 pairs themselves must contribute nothing. The bound is a small
@@ -138,13 +138,13 @@ TEST(AllocRegressionTest, PerPairAllocationSlopeIsZero) {
   {
     MatrixProfileEngine engine(1);
     const ArtifactTable table = engine.BuildTable(small_views, 8);
-    std::vector<PairJoin> joins;
+    std::vector<PairMinima> joins;
     allocs_small = WarmBatchAllocs(engine, table, joins);
   }
   {
     MatrixProfileEngine engine(1);
     const ArtifactTable table = engine.BuildTable(large_views, 8);
-    std::vector<PairJoin> joins;
+    std::vector<PairMinima> joins;
     allocs_large = WarmBatchAllocs(engine, table, joins);
   }
   // 4x the pairs, same per-batch constants: any growth is a per-pair
@@ -159,7 +159,7 @@ TEST(AllocRegressionTest, ArenaSlabsAreStableAcrossWarmBatches) {
                                                    series.end());
   MatrixProfileEngine engine(1);
   const ArtifactTable table = engine.BuildTable(views, 9);
-  std::vector<PairJoin> joins;
+  std::vector<PairMinima> joins;
   engine.JoinAllPairsInto(table, joins);
   engine.JoinAllPairsInto(table, joins);
 

@@ -1,15 +1,19 @@
 // Bitwise-identity suite for the all-pairs join scheduler
-// (docs/memory.md): JoinAllPairs over one artifact table must reproduce the
-// free serial AbJoinProfile kernel EXACTLY, in both directions of every
-// pair, at threads {1, 2, 8} -- the scheduler shards work and reuses
-// memory, it never changes arithmetic. The CI fingerprint diffs hold
-// end-to-end discovery to the same bar; this suite pins the engine layer
-// directly, including the FFT-seed regime and every registered metric.
+// (docs/memory.md): the minima JoinAllPairs computes over one artifact
+// table must reproduce the free serial AbJoinProfile kernel's values
+// EXACTLY, in both directions of every pair, at threads {1, 2, 8}, and
+// equal AbJoinBoth's values sharded and unsharded -- the scheduler shards
+// work and reuses memory, it never changes arithmetic. The join keeps no
+// neighbour indices, so there are none to compare. The CI fingerprint
+// diffs hold end-to-end discovery to the same bar; this suite pins the
+// engine layer directly, including the FFT-seed regime and every
+// registered metric.
 
 #include "matrix_profile/mp_engine.h"
 
 #include <cstdint>
 
+#include <bit>
 #include <span>
 #include <string>
 #include <utility>
@@ -21,6 +25,7 @@
 #include "core/rng.h"
 #include "matrix_profile/matrix_profile.h"
 #include "matrix_profile/stomp_common.h"
+#include "simd_backends.h"
 
 namespace ips {
 namespace {
@@ -48,23 +53,21 @@ std::vector<std::span<const double>> ViewsOf(
   return {series.begin(), series.end()};
 }
 
-void ExpectJoinsBitwiseEqual(const std::vector<PairJoin>& expected,
-                             const std::vector<PairJoin>& actual,
+void ExpectJoinsBitwiseEqual(const std::vector<PairMinima>& expected,
+                             const std::vector<PairMinima>& actual,
                              const std::string& config) {
   ASSERT_EQ(expected.size(), actual.size()) << config;
   for (size_t t = 0; t < expected.size(); ++t) {
     ASSERT_EQ(expected[t].a, actual[t].a) << config << " pair " << t;
     ASSERT_EQ(expected[t].b, actual[t].b) << config << " pair " << t;
-    const auto check = [&](const MatrixProfile& e, const MatrixProfile& a,
-                           const char* side) {
-      ASSERT_EQ(e.values.size(), a.values.size()) << config;
-      for (size_t i = 0; i < e.values.size(); ++i) {
+    const auto check = [&](const std::vector<double>& e,
+                           const std::vector<double>& a, const char* side) {
+      ASSERT_EQ(e.size(), a.size()) << config;
+      for (size_t i = 0; i < e.size(); ++i) {
         // Exact equality: scheduling and memory reuse must not perturb a
-        // single bit. EXPECT_EQ on doubles is deliberate.
-        ASSERT_EQ(e.values[i], a.values[i])
+        // single bit.
+        ASSERT_EQ(std::bit_cast<uint64_t>(e[i]), std::bit_cast<uint64_t>(a[i]))
             << config << " pair " << t << " " << side << " value " << i;
-        ASSERT_EQ(e.indices[i], a.indices[i])
-            << config << " pair " << t << " " << side << " index " << i;
       }
     };
     check(expected[t].a_vs_b, actual[t].a_vs_b, "a_vs_b");
@@ -78,24 +81,45 @@ void ExpectJoinsBitwiseEqual(const std::vector<PairJoin>& expected,
 // single-threaded engine AbJoin, whose row sweep metric_test holds to a
 // brute-force loop. Neither collects column minima, so the b side of
 // every batch profile is checked against an independent computation.
-std::vector<PairJoin> ReferenceJoins(
+std::vector<PairMinima> ReferenceJoins(
     const std::vector<std::span<const double>>& views, size_t window,
     MetricId metric) {
   MatrixProfileEngine serial(1);
   const auto one_way = [&](size_t x, size_t y) {
     return metric == MetricId::kZNormEuclidean
-               ? AbJoinProfile(views[x], views[y], window)
-               : serial.AbJoin(views[x], views[y], window, metric);
+               ? AbJoinProfile(views[x], views[y], window).values
+               : serial.AbJoin(views[x], views[y], window, metric).values;
   };
-  std::vector<PairJoin> joins;
+  std::vector<PairMinima> joins;
   for (size_t i = 0; i < views.size(); ++i) {
     for (size_t j = i + 1; j < views.size(); ++j) {
-      PairJoin pj;
-      pj.a = i;
-      pj.b = j;
-      pj.a_vs_b = one_way(i, j);
-      pj.b_vs_a = one_way(j, i);
-      joins.push_back(std::move(pj));
+      PairMinima pm;
+      pm.a = i;
+      pm.b = j;
+      pm.a_vs_b = one_way(i, j);
+      pm.b_vs_a = one_way(j, i);
+      joins.push_back(std::move(pm));
+    }
+  }
+  return joins;
+}
+
+// The same, from AbJoinBoth (one sweep, both directions, indices kept) of
+// `engine`.
+std::vector<PairMinima> AbJoinBothValues(
+    MatrixProfileEngine& engine,
+    const std::vector<std::span<const double>>& views, size_t window,
+    MetricId metric) {
+  std::vector<PairMinima> joins;
+  for (size_t i = 0; i < views.size(); ++i) {
+    for (size_t j = i + 1; j < views.size(); ++j) {
+      PairJoin both = engine.AbJoinBoth(views[i], views[j], window, metric);
+      PairMinima pm;
+      pm.a = i;
+      pm.b = j;
+      pm.a_vs_b = std::move(both.a_vs_b.values);
+      pm.b_vs_a = std::move(both.b_vs_a.values);
+      joins.push_back(std::move(pm));
     }
   }
   return joins;
@@ -103,11 +127,11 @@ std::vector<PairJoin> ReferenceJoins(
 
 void RunConfigMatrix(const std::vector<std::span<const double>>& views,
                      size_t window, MetricId metric) {
-  const std::vector<PairJoin> expected =
+  const std::vector<PairMinima> expected =
       ReferenceJoins(views, window, metric);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     MatrixProfileEngine engine(threads);
-    const std::vector<PairJoin> actual =
+    const std::vector<PairMinima> actual =
         engine.JoinAllPairs(engine.BuildTable(views, window, metric));
     const std::string config = "threads=" + std::to_string(threads) +
                                " metric=" + MetricName(metric);
@@ -137,14 +161,14 @@ TEST(JoinSchedulerTest, ConfigMatrixHoldsInTheFftSeedRegime) {
 TEST(JoinSchedulerTest, RepeatBatchesIntoSameVectorMatch) {
   const auto series = MakeSeries(23, {70, 85, 64, 90});
   const auto views = ViewsOf(series);
-  const std::vector<PairJoin> expected =
+  const std::vector<PairMinima> expected =
       ReferenceJoins(views, 10, MetricId::kZNormEuclidean);
 
   MatrixProfileEngine engine(2);
   const ArtifactTable table = engine.BuildTable(views, 10);
   EXPECT_EQ(table.window, 10u);
   EXPECT_GT(table.entry_count(), 0u);
-  std::vector<PairJoin> joins;
+  std::vector<PairMinima> joins;
   for (int rep = 0; rep < 3; ++rep) {
     // Capacity reuse across repeats (the serving-loop form) and sweeping
     // one table again must not change a bit.
@@ -153,6 +177,42 @@ TEST(JoinSchedulerTest, RepeatBatchesIntoSameVectorMatch) {
                             "rep " + std::to_string(rep));
   }
   EXPECT_EQ(engine.counters().table_builds, 1u);
+}
+
+// JoinAllPairs' minima equal AbJoinBoth's values for every metric on every
+// backend, at 1 and 4 threads, unsharded (the fused row sweep) and sharded
+// (the values-only diagonal walk and plain-minimum merge). A two-series
+// table at 4 threads with one cell per chunk splits its one pair four ways;
+// the four-series table at 1 thread runs every pair unsharded. Flat
+// stretches put flat rows and columns in every metric's cells.
+TEST(JoinSchedulerTest, MinimaEqualAbJoinBothShardedAndUnsharded) {
+  auto series = MakeSeries(29, {58, 71, 64, 49});
+  for (size_t k = 20; k < 34; ++k) series[1][k] = 0.0;
+  for (size_t k = 5; k < 19; ++k) series[2][k] = 1.5;
+  const auto views = ViewsOf(series);
+  const std::vector<std::span<const double>> two = {views[1], views[2]};
+  ForEachSimdBackend([&] {
+    for (size_t m = 0; m < kMetricCount; ++m) {
+      const MetricId metric = static_cast<MetricId>(m);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        for (bool sharded : {false, true}) {
+          for (const auto* batch : {&views, &two}) {
+            MatrixProfileEngine engine(threads);
+            if (sharded) engine.set_min_cells_per_chunk(1);
+            const std::string config =
+                std::string("metric=") + MetricName(metric) +
+                " threads=" + std::to_string(threads) +
+                (sharded ? " sharded" : "") +
+                " series=" + std::to_string(batch->size());
+            ExpectJoinsBitwiseEqual(
+                AbJoinBothValues(engine, *batch, 12, metric),
+                engine.JoinAllPairs(engine.BuildTable(*batch, 12, metric)),
+                config);
+          }
+        }
+      }
+    }
+  });
 }
 
 }  // namespace

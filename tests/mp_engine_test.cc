@@ -50,6 +50,16 @@ void ExpectProfilesIdentical(const MatrixProfile& expected,
   }
 }
 
+// The all-pairs join keeps minima only: its values against a profile's.
+void ExpectValuesIdentical(const MatrixProfile& expected,
+                           const std::vector<double>& actual,
+                           const char* what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected.values[i], actual[i]) << what << " value " << i;
+  }
+}
+
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
 TEST(MpEngineSelfJoinTest, BitwiseIdenticalToSerialKernel) {
@@ -175,7 +185,7 @@ TEST(MpEngineJoinAllPairsTest, EveryPairBothDirections) {
   for (size_t threads : kThreadCounts) {
     MatrixProfileEngine engine(threads);
     engine.set_min_cells_per_chunk(1);
-    const std::vector<PairJoin> joins =
+    const std::vector<PairMinima> joins =
         engine.JoinAllPairs(engine.BuildTable(views, window));
     ASSERT_EQ(joins.size(), 6u);  // C(4, 2)
     size_t t = 0;
@@ -183,10 +193,10 @@ TEST(MpEngineJoinAllPairsTest, EveryPairBothDirections) {
       for (size_t j = i + 1; j < views.size(); ++j, ++t) {
         ASSERT_EQ(joins[t].a, i);
         ASSERT_EQ(joins[t].b, j);
-        ExpectProfilesIdentical(AbJoinProfile(views[i], views[j], window),
-                                joins[t].a_vs_b, "batch a side");
-        ExpectProfilesIdentical(AbJoinProfile(views[j], views[i], window),
-                                joins[t].b_vs_a, "batch b side");
+        ExpectValuesIdentical(AbJoinProfile(views[i], views[j], window),
+                              joins[t].a_vs_b, "batch a side");
+        ExpectValuesIdentical(AbJoinProfile(views[j], views[i], window),
+                              joins[t].b_vs_a, "batch b side");
       }
     }
   }
@@ -252,14 +262,14 @@ TEST(MpEngineStaleBufferTest, RefilledBuffersGiveFreshProfiles) {
                               both.a_vs_b, "refilled pair a side");
       ExpectProfilesIdentical(AbJoinProfile(views[1], views[0], window),
                               both.b_vs_a, "refilled pair b side");
-      const std::vector<PairJoin> joins =
+      const std::vector<PairMinima> joins =
           engine.JoinAllPairs(engine.BuildTable(views, window));
       ASSERT_EQ(joins.size(), 3u);
-      for (const PairJoin& pj : joins) {
-        ExpectProfilesIdentical(AbJoinProfile(views[pj.a], views[pj.b], window),
-                                pj.a_vs_b, "refilled batch a side");
-        ExpectProfilesIdentical(AbJoinProfile(views[pj.b], views[pj.a], window),
-                                pj.b_vs_a, "refilled batch b side");
+      for (const PairMinima& pj : joins) {
+        ExpectValuesIdentical(AbJoinProfile(views[pj.a], views[pj.b], window),
+                              pj.a_vs_b, "refilled batch a side");
+        ExpectValuesIdentical(AbJoinProfile(views[pj.b], views[pj.a], window),
+                              pj.b_vs_a, "refilled batch b side");
       }
     }
   }
@@ -479,10 +489,10 @@ TEST(MpEngineSquaredTieTest, AbJoinKeepsTheSmallerSquareOnBothSides) {
         ExpectProfilesIdentical(col_ba, both.b_vs_a, "column tie, b side");
         const ArtifactTable table =
             engine.BuildTable({col_a, col_b}, kTieWindow);
-        const std::vector<PairJoin> all = engine.JoinAllPairs(table);
+        const std::vector<PairMinima> all = engine.JoinAllPairs(table);
         ASSERT_EQ(all.size(), 1u);
-        ExpectProfilesIdentical(col_ab, all[0].a_vs_b, "column tie, all pairs");
-        ExpectProfilesIdentical(col_ba, all[0].b_vs_a, "column tie, all pairs");
+        ExpectValuesIdentical(col_ab, all[0].a_vs_b, "column tie, all pairs");
+        ExpectValuesIdentical(col_ba, all[0].b_vs_a, "column tie, all pairs");
       }
     }
   });

@@ -20,6 +20,7 @@
 #include "core/metric.h"
 #include "data/generator.h"
 #include "ips/pipeline.h"
+#include "obs/metrics.h"
 #include "simd_backends.h"
 #include "transform/shapelet_transform.h"
 
@@ -138,6 +139,97 @@ TEST_P(ShapeletBankMetricTest, TrainingAndUnseenLengthsMatchDense) {
         bank.TransformOne(queries[queries.size() - 1].view());
     EXPECT_EQ(std::vector<double>(row.begin(), row.end()),
               want_queries.back());
+  }
+}
+
+// The registry's profile counters: engine.profiles_computed and the
+// metric's engine.profiles.<name>.
+struct ProfileCounts {
+  uint64_t total = 0;
+  uint64_t by_metric = 0;
+};
+
+ProfileCounts ProfileCountsNow(MetricId metric) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
+  return {snap.CounterValue("engine.profiles_computed"),
+          snap.CounterValue(std::string("engine.profiles.") +
+                            MetricName(metric))};
+}
+
+// Transform, TransformOne and PredictBatch count one profile per (series,
+// shapelet) in the registry, in bulk per row: the same totals the
+// per-query count gave, over both of the bank's query paths (a shapelet
+// longer than the series takes the serial kernel) and at any thread count.
+TEST_P(ShapeletBankMetricTest, RegistryCountsOneProfilePerSeriesAndShapelet) {
+  const MetricId metric = GetParam();
+  GeneratorSpec spec;
+  spec.name = "bank-counts";
+  spec.train_size = 24;
+  spec.test_size = 12;
+  const TrainTestSplit data = GenerateDataset(spec);
+  std::vector<Subsequence> shapelets;
+  const size_t length = data.train[0].values.size();
+  for (size_t len : {size_t{7}, size_t{20}, length}) {
+    shapelets.push_back(ExtractSubsequence(data.train[1], 0, len));
+  }
+  Dataset shorter;
+  shorter.Add(TimeSeries(std::vector<double>(data.test[0].values.begin(),
+                                             data.test[0].values.begin() + 30),
+                         0));
+  const ShapeletBank bank(shapelets, metric, data.train);
+  const auto expect_delta = [&](const ProfileCounts& before, uint64_t want,
+                                const char* what) {
+    const ProfileCounts after = ProfileCountsNow(metric);
+    EXPECT_EQ(after.total - before.total, want) << what;
+    EXPECT_EQ(after.by_metric - before.by_metric, want) << what;
+  };
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ProfileCounts before = ProfileCountsNow(metric);
+    Rows(bank, data.test, threads);
+    expect_delta(before, data.test.size() * bank.size(), "Transform");
+    before = ProfileCountsNow(metric);
+    Rows(bank, shorter, threads);
+    expect_delta(before, bank.size(), "Transform, shorter series");
+  }
+  ProfileCounts before = ProfileCountsNow(metric);
+  bank.TransformOne(data.test[2].view());
+  expect_delta(before, bank.size(), "TransformOne");
+
+  IpsOptions options;
+  options.metric = metric;
+  options.sample_count = 4;
+  options.sample_size = 3;
+  IpsClassifier clf(options);
+  clf.Fit(data.train);
+  before = ProfileCountsNow(metric);
+  clf.PredictBatch(data.test);
+  expect_delta(before, data.test.size() * clf.bank().size(), "PredictBatch");
+}
+
+// MinForPairs counts each of its pairs once, in one add per series-side
+// view, and SubsequenceMinMetric its one query.
+TEST_P(ShapeletBankMetricTest, RegistryCountsEveryPairOfMinForPairs) {
+  const MetricId metric = GetParam();
+  const std::vector<double> a = Wave(40, 0.0);
+  const std::vector<double> b = Wave(96, 0.5);
+  const std::vector<double> c = Wave(70, 1.0);
+  const std::vector<std::span<const double>> views = {a, b, c};
+  const std::vector<IndexPair> pairs = {{0, 1}, {1, 0}, {2, 1}, {0, 2},
+                                        {1, 2}, {0, 0}, {2, 0}};
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    DistanceEngine engine(threads);
+    ProfileCounts before = ProfileCountsNow(metric);
+    engine.MinForPairs(views, pairs, metric);
+    ProfileCounts after = ProfileCountsNow(metric);
+    EXPECT_EQ(after.total - before.total, pairs.size());
+    EXPECT_EQ(after.by_metric - before.by_metric, pairs.size());
+    before = after;
+    engine.SubsequenceMinMetric(a, b, metric);
+    after = ProfileCountsNow(metric);
+    EXPECT_EQ(after.total - before.total, 1u);
+    EXPECT_EQ(after.by_metric - before.by_metric, 1u);
   }
 }
 

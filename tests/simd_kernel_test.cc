@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metric.h"
 #include "core/rng.h"
 #include "core/znorm.h"
 #include "gtest/gtest.h"
@@ -211,6 +212,58 @@ TEST(SimdKernelTest, RawProfileAndMinMatchScalar) {
                 std::bit_cast<uint64_t>(min_ref));
       EXPECT_EQ(std::bit_cast<uint64_t>(min_got),
                 std::bit_cast<uint64_t>(min_hist));
+    }
+  });
+}
+
+// RawMinFromDots divides once, after the minimum over numerators. Pinned on
+// every backend to the per-entry form it replaced: the minimum of
+// max(0, numerator / m) taken entry by entry. Numerators of both signs
+// (dot products above the energy terms make them negative), counts below,
+// at and around the vector width and 4 W, and NaN numerators, whose entries
+// are max(0, NaN) = 0 under std::max.
+TEST(SimdKernelTest, RawMinDividesOnceBitwiseThePerEntryMinimum) {
+  ForEachSimdBackend([] {
+    Rng rng(12);
+    const size_t kW = simd::Lanes();
+    std::vector<size_t> counts = {1, 2, 3, kW, 4 * kW - 1, 4 * kW + 1, 31};
+    if (kW > 1) counts.push_back(kW - 1);
+    for (size_t count : counts) {
+      for (int variant = 0; variant < 3; ++variant) {
+        SCOPED_TRACE("count=" + std::to_string(count) +
+                     " variant=" + std::to_string(variant));
+        const size_t m = 1 + rng.Index(7);
+        const size_t n = count + m - 1;
+        const std::vector<double> s = RandomSeries(rng, n, false);
+        std::vector<double> sq(n + 1, 0.0);
+        for (size_t i = 0; i < n; ++i) sq[i + 1] = sq[i] + s[i] * s[i];
+        const double qq = 0.5 + std::abs(rng.Gaussian());
+        std::vector<double> dots(count);
+        for (double& d : dots) {
+          // variant 0: mostly positive numerators; 1 and 2: about half of
+          // them negative; 2 also has NaN numerators.
+          const double scale = variant == 0 ? 0.2 : 4.0;
+          d = rng.Gaussian(0.0, scale) * static_cast<double>(m);
+          if (variant == 2 && rng.Index(3) == 0) {
+            d = std::numeric_limits<double>::quiet_NaN();
+          }
+        }
+        const double md = static_cast<double>(m);
+        double per_entry = std::numeric_limits<double>::infinity();
+        for (size_t i = 0; i < count; ++i) {
+          const double window_sq = sq[i + m] - sq[i];
+          per_entry = std::min(
+              per_entry, std::max(0.0, (qq - 2.0 * dots[i] + window_sq) / md));
+        }
+        const double got =
+            simd::RawMinFromDots(qq, sq.data(), m, dots.data(), count);
+        const double ref =
+            simd::scalar::RawMinFromDots(qq, sq.data(), m, dots.data(), count);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                  std::bit_cast<uint64_t>(per_entry));
+        EXPECT_EQ(std::bit_cast<uint64_t>(ref),
+                  std::bit_cast<uint64_t>(per_entry));
+      }
     }
   });
 }
@@ -822,6 +875,211 @@ TEST(SimdKernelTest, StompRowMinsMatchesScalarAndHistoricLoop) {
         for (size_t k = 0; k < count; ++k) {
           ASSERT_EQ(to_index(got_row[k]), hist_idx[k]) << "column " << k;
         }
+      }
+    }
+  });
+}
+
+// ------------------------------------------------------ fused all-pairs row
+
+// Counts below, at and above the width W and 4 W, plus longer rows.
+std::vector<size_t> FusedCounts() {
+  const size_t kW = simd::Lanes();
+  std::vector<size_t> counts = {1,      2,      kW,         kW + 1,
+                                4 * kW, 4 * kW + 1, 8 * kW + 3, 31,
+                                97,     257};
+  if (kW > 1) counts.push_back(kW - 1);
+  if (kW > 1) counts.push_back(4 * kW - 1);
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  return counts;
+}
+
+enum class FusedCase {
+  kRandom,     // ordinary rows
+  kFlat,       // flat row window; columns at and just below the epsilon
+  kEpsilon,    // the row window exactly at the epsilon (not flat)
+  kNonFinite,  // huge values and non-finite QT / statistics / col_val
+};
+
+// The column side's statistics and one row window's, for every metric.
+struct FusedStats {
+  std::vector<double> means, stds, energies, norms;
+  MetricCell row;
+  MetricRowView View() const {
+    return {means.data(), stds.data(), energies.data(), norms.data()};
+  }
+};
+
+// The fused row pinned to the three passes it replaces: QtRowAdvance,
+// qt[0] = seed, the metric's stomp_row and StompRowMins -- row minimum,
+// column minima and the advanced QT row, bit for bit -- and to its scalar
+// instantiation, for every metric on every backend. Row 0 (no advance) and
+// later rows; flat rows and columns at kFlatStdEpsilon; QT rows and
+// statistics holding +-inf and NaN (from huge but finite series values),
+// whose cells every backend evaluates to the same bits; NaN and +inf in
+// col_val, which a cell must never replace or must beat.
+TEST(SimdKernelTest, StompRowFusedMatchesTheThreePassRowAndScalar) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double below = std::nextafter(kFlatStdEpsilon, 0.0);
+  ForEachSimdBackend([&] {
+    Rng rng(53);
+    for (size_t count : FusedCounts()) {
+      for (FusedCase kind : {FusedCase::kRandom, FusedCase::kFlat,
+                             FusedCase::kEpsilon, FusedCase::kNonFinite}) {
+        for (size_t row : {size_t{0}, size_t{1}, size_t{4}}) {
+          const size_t w = 5;
+          std::vector<double> b = RandomSeries(rng, count + w - 1, true);
+          std::vector<double> a = RandomSeries(rng, row + w, false);
+          if (kind == FusedCase::kNonFinite) {
+            for (double& v : b) {
+              if (rng.Index(4) == 0) v *= 1e200;
+            }
+            a[row + w - 1] = 3e200;
+          }
+          FusedStats st;
+          const RollingStats rs = ComputeRollingStats(b, w);
+          st.means = rs.means;
+          st.stds = rs.stds;
+          st.energies = ComputeWindowEnergies(b, w);
+          st.norms.resize(count);
+          for (size_t j = 0; j < count; ++j) {
+            st.norms[j] = std::sqrt(st.energies[j]);
+          }
+          st.row = {rng.Gaussian(), 0.5 + std::abs(rng.Gaussian()),
+                    1.0 + std::abs(rng.Gaussian())};
+          std::vector<double> qt(count);
+          for (double& v : qt) v = rng.Gaussian(0.0, static_cast<double>(w));
+          std::vector<double> col_val(count);
+          for (double& v : col_val) {
+            v = rng.Index(3) == 0 ? kInf : std::abs(rng.Gaussian()) * 8.0;
+          }
+          switch (kind) {
+            case FusedCase::kRandom:
+              break;
+            case FusedCase::kFlat:
+            case FusedCase::kEpsilon:
+              for (size_t j = 0; j < count; ++j) {
+                if (rng.Index(3) != 0) continue;
+                const double at = rng.Index(2) == 0 ? kFlatStdEpsilon : below;
+                st.stds[j] = at;
+                st.norms[j] = at;
+              }
+              st.row.std = kind == FusedCase::kFlat ? below : kFlatStdEpsilon;
+              st.row.energy = kind == FusedCase::kFlat ? 0.0 : 1e-24;
+              break;
+            case FusedCase::kNonFinite:
+              for (size_t j = 0; j < count; ++j) {
+                switch (rng.Index(6)) {
+                  case 0:
+                    qt[j] = kInf;
+                    break;
+                  case 1:
+                    qt[j] = -kInf;
+                    break;
+                  case 2:
+                    qt[j] = kNaN;
+                    break;
+                  case 3:
+                    st.energies[j] = kInf;
+                    st.norms[j] = kInf;
+                    st.stds[j] = kInf;
+                    break;
+                  case 4:
+                    col_val[j] = kNaN;
+                    break;
+                  default:
+                    break;
+                }
+              }
+              st.row.energy = kInf;
+              break;
+          }
+          simd::QtStep step;
+          if (row > 0) {
+            step = {true, b.data(), a[row - 1], a[row + w - 1],
+                    rng.Gaussian()};
+          }
+
+          for (size_t m = 0; m < kMetricCount; ++m) {
+            const MetricPolicy& policy = GetMetric(static_cast<MetricId>(m));
+            SCOPED_TRACE(std::string(policy.name) +
+                         " count=" + std::to_string(count) + " case=" +
+                         std::to_string(static_cast<int>(kind)) +
+                         " row=" + std::to_string(row));
+            // The three-pass reference.
+            std::vector<double> want_qt = qt;
+            if (step.advance) {
+              simd::QtRowAdvance(want_qt.data(), count, b.data(), w,
+                                 step.a_head, step.a_tail);
+              want_qt[0] = step.seed;
+            }
+            std::vector<double> dist(count);
+            policy.kernels.stomp_row(want_qt.data(), st.View(), count, w,
+                                     st.row, dist.data());
+            std::vector<double> want_col = col_val;
+            std::vector<double> col_row(count, -1.0);
+            const simd::RowMin want = simd::StompRowMins(
+                dist.data(), count, 0.0, static_cast<double>(row),
+                {kInf, -1.0}, want_col.data(), col_row.data());
+
+            std::vector<double> got_qt = qt;
+            std::vector<double> got_col = col_val;
+            const double got = policy.kernels.stomp_row_fused(
+                got_qt.data(), count, w, step, st.View(), st.row,
+                got_col.data());
+            std::vector<double> ref_qt = qt;
+            std::vector<double> ref_col = col_val;
+            const double ref = policy.scalar_kernels.stomp_row_fused(
+                ref_qt.data(), count, w, step, st.View(), st.row,
+                ref_col.data());
+
+            EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                      std::bit_cast<uint64_t>(want.value));
+            EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                      std::bit_cast<uint64_t>(ref));
+            ExpectBitEqual(got_qt, want_qt, "fused QT vs QtRowAdvance");
+            ExpectBitEqual(got_qt, ref_qt, "fused QT vs scalar");
+            ExpectBitEqual(got_col, want_col, "fused columns vs StompRowMins");
+            ExpectBitEqual(got_col, ref_col, "fused columns vs scalar");
+          }
+        }
+      }
+    }
+  });
+}
+
+// Every row kernel equals its scalar reference on huge but finite series
+// values: QT, energies and statistics overflow to +-inf, and the cells'
+// intermediates turn NaN, which Max(+0, NaN) maps to +0 in a vector lane
+// and in the scalar tail alike (Ops::Max is the scalar selection on every
+// backend).
+TEST(SimdKernelTest, StompRowsMatchScalarOnOverflowingInput) {
+  ForEachSimdBackend([] {
+    Rng rng(59);
+    for (size_t count : TestCounts()) {
+      const size_t w = 4;
+      std::vector<double> b = RandomSeries(rng, count + w - 1, false);
+      for (double& v : b) v *= 1e200;
+      const RollingStats rs = ComputeRollingStats(b, w);
+      const std::vector<double> energies = ComputeWindowEnergies(b, w);
+      std::vector<double> norms(count);
+      for (size_t j = 0; j < count; ++j) norms[j] = std::sqrt(energies[j]);
+      std::vector<double> qt(count);
+      simd::scalar::SlidingDots(b.data(), w, b.data(), b.size(), qt.data());
+      const MetricRowView view{rs.means.data(), rs.stds.data(),
+                               energies.data(), norms.data()};
+      const MetricCell cell{rs.means[0], rs.stds[0], energies[0]};
+      for (size_t m = 0; m < kMetricCount; ++m) {
+        const MetricPolicy& policy = GetMetric(static_cast<MetricId>(m));
+        SCOPED_TRACE(std::string(policy.name) +
+                     " count=" + std::to_string(count));
+        std::vector<double> got(count), ref(count);
+        policy.kernels.stomp_row(qt.data(), view, count, w, cell, got.data());
+        policy.scalar_kernels.stomp_row(qt.data(), view, count, w, cell,
+                                        ref.data());
+        ExpectBitEqual(got, ref, "stomp_row vs scalar on overflow");
       }
     }
   });
