@@ -83,12 +83,19 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+// Every delete form frees through one out-of-line function: inlined into
+// a caller, a bare std::free of the pointer an operator new returned is a
+// pairing GCC's -Wmismatched-new-delete cannot tell from a real mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace ips::bench {
 namespace {

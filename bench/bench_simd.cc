@@ -11,7 +11,9 @@
 // the checksum here guards the benchmark itself; qt_sweep, the whole STOMP
 // row, compares every row and column minimum and index bit for bit
 // instead, and qt_sweep_fused, the all-pairs join's fused row, every
-// minimum and the final QT row). On top of the kernels,
+// minimum and the final QT row; transform_group, the transform row's
+// grouped kernel, also times and gates the per-query path it replaces).
+// On top of the kernels,
 // each row times IpsClassifier::PredictBatch on that backend, at one thread
 // and at every hardware thread, and checks its labels against the scalar
 // backend's. The run exits nonzero on any checksum or label mismatch.
@@ -27,6 +29,7 @@
 #include <cstring>
 
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -52,6 +55,10 @@ struct KernelResult {
   double scalar_ns = 0.0;
   double simd_ns = 0.0;
   bool checksum_equal = false;
+  /// transform_group only: the same minima one query at a time on this
+  /// backend (SlidingDots, then the min tail), which the grouped kernel
+  /// replaces.
+  double per_query_ns = 0.0;
 
   double Speedup() const { return simd_ns > 0.0 ? scalar_ns / simd_ns : 0.0; }
 
@@ -61,6 +68,10 @@ struct KernelResult {
     e.Set("scalar_ns", scalar_ns);
     e.Set("backend_ns", simd_ns);
     e.Set("speedup", Speedup());
+    if (per_query_ns > 0.0) {
+      e.Set("per_query_ns", per_query_ns);
+      e.Set("group_speedup", per_query_ns / simd_ns);
+    }
     e.Set("checksum_equal", checksum_equal);
     return e;
   }
@@ -313,6 +324,86 @@ KernelResult BenchQtSweepFused() {
   return r;
 }
 
+// The transform row on the store_reload shape: 64 series of length 256
+// against 40 z-normalised shapelets, 8 of each length 25, 51, 76, 102 and
+// 128, answered kGroupSize at a time by SlidingMinGroup (backend_ns; the
+// scalar instantiation is scalar_ns) and one query at a time by
+// SlidingDots + ZNormMinFromDots on the same backend (per_query_ns). The
+// rolling stds are built outside the timing. Gated on every minimum of all
+// three, bit for bit.
+KernelResult BenchTransformGroup() {
+  constexpr size_t G = simd::kGroupSize;
+  const size_t n = 256, num_series = 64, per_length = 8;
+  const size_t lengths[] = {25, 51, 76, 102, 128};
+  std::vector<std::vector<double>> series;
+  for (size_t i = 0; i < num_series; ++i) {
+    series.push_back(RandomSeries(n, 100 + i));
+  }
+  std::vector<std::vector<double>> queries;
+  std::vector<std::vector<double>> stds;  // per series, then length
+  for (size_t m : lengths) {
+    for (size_t k = 0; k < per_length; ++k) {
+      queries.push_back(ZNormalize(RandomSeries(m, 1000 + m + k)));
+    }
+  }
+  for (const std::vector<double>& s : series) {
+    for (size_t m : lengths) stds.push_back(ComputeRollingStats(s, m).stds);
+  }
+  const size_t num_queries = queries.size();
+  std::vector<double> grouped(num_series * num_queries);
+  std::vector<double> reference(grouped.size());
+  std::vector<double> per_query(grouped.size());
+  std::vector<double> dots(n);
+
+  const auto run_grouped = [&](bool use_simd, std::vector<double>& out) {
+    for (size_t i = 0; i < num_series; ++i) {
+      for (size_t l = 0; l < std::size(lengths); ++l) {
+        const size_t m = lengths[l];
+        const double* sig = stds[i * std::size(lengths) + l].data();
+        for (size_t k = 0; k < per_length; k += G) {
+          const double* q[G];
+          for (size_t g = 0; g < G; ++g) {
+            q[g] = queries[l * per_length + k + g].data();
+          }
+          double* dst = &out[i * num_queries + l * per_length + k];
+          if (use_simd) {
+            simd::SlidingMinGroup(simd::MinTail::kZNorm, q, nullptr, m,
+                                  series[i].data(), n, sig, nullptr, dst);
+          } else {
+            simd::scalar::SlidingMinGroup(simd::MinTail::kZNorm, q, nullptr,
+                                          m, series[i].data(), n, sig,
+                                          nullptr, dst);
+          }
+        }
+      }
+    }
+  };
+  const auto run_per_query = [&] {
+    for (size_t i = 0; i < num_series; ++i) {
+      for (size_t l = 0; l < std::size(lengths); ++l) {
+        const size_t m = lengths[l];
+        const double* sig = stds[i * std::size(lengths) + l].data();
+        for (size_t k = 0; k < per_length; ++k) {
+          const size_t j = l * per_length + k;
+          simd::SlidingDots(queries[j].data(), m, series[i].data(), n,
+                            dots.data());
+          per_query[i * num_queries + j] =
+              simd::ZNormMinFromDots(dots.data(), sig, n - m + 1, m, false);
+        }
+      }
+    }
+  };
+
+  KernelResult r;
+  r.kernel = "transform_group";
+  r.simd_ns = BestOfNs([&] { run_grouped(true, grouped); }, 5, 3);
+  r.scalar_ns = BestOfNs([&] { run_grouped(false, reference); }, 3, 1);
+  r.per_query_ns = BestOfNs(run_per_query, 5, 3);
+  r.checksum_equal =
+      BitEqual(grouped, reference) && BitEqual(grouped, per_query);
+  return r;
+}
+
 // Rolling mean/std from centred prefix sums (ComputeRollingStats' kernel).
 KernelResult BenchRollingStats() {
   const size_t w = 64, n = 65536, count = n - w + 1;
@@ -438,7 +529,7 @@ int Main(int argc, char** argv) {
     const std::vector<KernelResult> kernels = {
         BenchSlidingDots(), BenchRawProfile(), BenchZNormProfile(),
         BenchZNormMin(), BenchQtSweep(), BenchQtSweepFused(),
-        BenchRollingStats()};
+        BenchTransformGroup(), BenchRollingStats()};
     const std::vector<PredictResult> predict = BenchPredictBatch(fixture);
 
     std::printf("backend=%s width=%zu\n", simd::BackendName(),
@@ -449,6 +540,10 @@ int Main(int argc, char** argv) {
           "  %-14s scalar %10.0f ns  %-6s %10.0f ns  speedup %5.2fx  %s\n",
           k.kernel.c_str(), k.scalar_ns, simd::BackendName(), k.simd_ns,
           k.Speedup(), k.checksum_equal ? "checksum OK" : "CHECKSUM MISMATCH");
+      if (k.per_query_ns > 0.0) {
+        std::printf("  %-14s per-query %8.0f ns  grouped speedup %5.2fx\n",
+                    "", k.per_query_ns, k.per_query_ns / k.simd_ns);
+      }
       ok = ok && k.checksum_equal;
       kernel_rows.Append(k.ToJson());
     }

@@ -37,7 +37,7 @@ fi
 
 # The library functions whose speed the benchmark follows: the SIMD
 # kernels of the join and the transform, the transform row and the SVM.
-HOT_FUNCTIONS="SlidingDotsBlockT ZNormMinT StompRowDistancesT StompRowMinsT QtRowAdvanceT StompRowFusedZNormT TransformOne TrainBinary"
+HOT_FUNCTIONS="SlidingDotsBlockT ZNormMinT StompRowDistancesT StompRowMinsT QtRowAdvanceT StompRowFusedZNormT SlidingMinGroupEntryT TransformOne TrainBinary"
 
 probe_address() {
   local addr
@@ -67,7 +67,8 @@ main_slack() {
 }
 
 # "LABEL ADDRESS" per hot function of a binary; a kernel template's label
-# names its backend, e.g. ZNormMinT<Avx512Ops>. Cold clones are skipped.
+# names its backend (its first template argument), e.g. ZNormMinT<Avx512Ops>.
+# Cold clones are skipped.
 hot_symbols() {
   nm -C "$1" | awk -v hot="$HOT_FUNCTIONS" '
     BEGIN { n = split(hot, names, " ") }
@@ -82,6 +83,7 @@ hot_symbols() {
         if (index(name, "::" h "<") != 0) {
           ops = substr(name, at + length(h) + 3)
           sub(/>.*/, "", ops)
+          sub(/,.*/, "", ops)
           sub(/.*::/, "", ops)
           label = h "<" ops ">"
         }
@@ -99,7 +101,7 @@ hot_report() {
       [[ $before != none ]] && p=$(printf '0x%02x' $((16#$before % 64)))
       [[ $after != none ]] && c=$(printf '0x%02x' $((16#$after % 64)))
       [[ $p != "$c" ]] && mark="  moved"
-      printf '  %-30s %s -> %s%s\n' "$label" "$p" "$c" "$mark"
+      printf '  %-34s %s -> %s%s\n' "$label" "$p" "$c" "$mark"
     done
 }
 

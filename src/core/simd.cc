@@ -240,6 +240,12 @@ double StompRowFusedCosine(double* qt, size_t count, size_t window,
                                          ssq_a, col_val);
 }
 
+void SlidingMinGroup(MinTail tail, const double* const* q, const double* qq,
+                     size_t m, const double* s, size_t n, const double* stds,
+                     const double* sqp, double* out) {
+  Active().sliding_min_group(tail, q, qq, m, s, n, stds, sqp, out);
+}
+
 double SquaredEuclideanChained(const double* a, const double* b, size_t n) {
   return SquaredEuclideanChainedT(a, b, n);
 }
@@ -361,6 +367,13 @@ double StompRowFusedCosine(double* qt, size_t count, size_t window,
                            double ssq_a, double* col_val) {
   return StompRowFusedCosineT<ScalarOps>(qt, count, window, step, norm_b,
                                          ssq_a, col_val);
+}
+
+void SlidingMinGroup(MinTail tail, const double* const* q, const double* qq,
+                     size_t m, const double* s, size_t n, const double* stds,
+                     const double* sqp, double* out) {
+  SlidingMinGroupEntryT<ScalarOps, kGroupVectors<ScalarOps>>(
+      tail, q, qq, m, s, n, stds, sqp, out);
 }
 
 double SquaredEuclideanChained(const double* a, const double* b, size_t n) {

@@ -32,7 +32,12 @@
 // tie-break matters too (the index-keeping STOMP joins), StompRowMins
 // selects with strict < per lane, keeps each lane's first index, and folds
 // by value and then lowest index, taking the value from the winning lane:
-// the serial scan's result, NaN, -0.0 and ties included.
+// the serial scan's result, NaN, -0.0 and ties included. The transform
+// row's grouped minimum (SlidingMinGroup) is values-only too: its cells are
+// those of the *MinFromDots tails, never NaN and -0.0 only as a raw
+// numerator, which the final division maps to +0 like +0 itself, so it
+// equals the per-query minimum whatever order and overlap its blocks fold
+// in.
 //
 // Backend selection is a run-time decision. Every backend the target
 // architecture has is compiled into the one binary, each vector backend in
@@ -271,6 +276,41 @@ double StompRowFusedCosine(double* qt, size_t count, size_t window,
                            const QtStep& step, const double* norm_b,
                            double ssq_a, double* col_val);
 
+/// The min tail a SlidingMinGroup query folds its dot products into: the
+/// cell of ZNormMinFromDots (non-flat and flat query), RawMinFromDots,
+/// L2MinFromDots or CosineMinFromDots (non-flat and flat query, a query
+/// norm sqrt(qq) under kFlatStdEpsilon being flat).
+enum class MinTail : uint8_t {
+  kZNorm,
+  kZNormFlat,
+  kRaw,
+  kL2,
+  kCosine,
+  kCosineFlat,
+};
+
+/// Queries per SlidingMinGroup call, on every backend.
+inline constexpr size_t kGroupSize = 4;
+
+/// The minima of kGroupSize queries of one length m (1 <= m <= n) slid
+/// along one series s of length n, in one pass: out[g] is bitwise
+///   SlidingDots(q[g], m, s, n, dots) followed by the tail's *MinFromDots
+/// on those dots -- ZNormMinFromDots(dots, stds, count, m, flat) for the
+/// z-normalised tails (q[g] the z-normalised query), and RawMinFromDots,
+/// L2MinFromDots or CosineMinFromDots(qq[g], sqp, m, dots, count) for the
+/// others -- with no dots buffer and no second pass. Each dot product keeps
+/// its increasing-j mul-then-add chain, and a minimum is an exact
+/// selection over cells that are never NaN, so neither the blocking, nor
+/// the overlapping last block, nor the order the cells fold in changes a
+/// bit. stds (the rolling stds of window m) is read by the z-normalised
+/// tails only, qq (one per query) and sqp (the series' n + 1 prefix sums of
+/// squares) by the others. The dot products are the naive ones: a caller
+/// whose per-query path takes FFT dot products for some length
+/// (UsesFftDots) keeps that path for it, since those round differently.
+void SlidingMinGroup(MinTail tail, const double* const* q, const double* qq,
+                     size_t m, const double* s, size_t n, const double* stds,
+                     const double* sqp, double* out);
+
 /// Sum of squared differences, kept as ONE scalar accumulation chain for
 /// every backend: the value is a single dependent reduction, and the
 /// identity rule forbids splitting it into lane partials (that would
@@ -331,6 +371,9 @@ double StompRowFusedL2(double* qt, size_t count, size_t window,
 double StompRowFusedCosine(double* qt, size_t count, size_t window,
                            const QtStep& step, const double* norm_b,
                            double ssq_a, double* col_val);
+void SlidingMinGroup(MinTail tail, const double* const* q, const double* qq,
+                     size_t m, const double* s, size_t n, const double* stds,
+                     const double* sqp, double* out);
 double SquaredEuclideanChained(const double* a, const double* b, size_t n);
 }  // namespace scalar
 

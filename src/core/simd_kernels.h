@@ -21,6 +21,7 @@
 #include <cstddef>
 
 #include <limits>
+#include <utility>
 
 #include "core/simd.h"
 #include "core/znorm.h"
@@ -83,6 +84,10 @@ struct KernelTable {
   double (*stomp_row_fused_cosine)(double* qt, size_t count, size_t window,
                                    const QtStep& step, const double* norm_b,
                                    double ssq_a, double* col_val);
+  void (*sliding_min_group)(MinTail tail, const double* const* q,
+                            const double* qq, size_t m, const double* s,
+                            size_t n, const double* stds, const double* sqp,
+                            double* out);
 };
 
 // The tables the backend units export. Each is defined only where its unit
@@ -208,261 +213,250 @@ void SlidingDotsT(const double* q, size_t m, const double* s, size_t n,
   }
 }
 
+// ------------------------------------------------------------- dots cells
+//
+// The per-entry arithmetic of each metric's distance-profile tail, defined
+// once and shared by the kernels over a dots buffer (ProfileFromDotsT,
+// MinFromDotsT) and by the grouped transform kernel (SlidingMinGroupT),
+// which evaluates it on dot products still in registers. Vec(dots, i)
+// evaluates entries i .. i + W from their dot products, Scalar(dot, i)
+// entry i; both perform the same operation sequence, and with Min/Max the
+// scalar selections on every backend the two agree on every input. The
+// cell is what a minimum selects over: a z-normalised or L2 square, the raw
+// numerator, or the cosine distance. Finish maps a cell to its distance (a
+// root, a division or nothing) and FinishVec does so per lane; each is
+// monotone non-decreasing, so the distance of the smallest cell is the
+// smallest distance, and rooting or dividing once per minimum gives the
+// bits of the profile's smallest entry. No cell is NaN, and only a raw
+// numerator can be -0.0, which its Finish maps to +0 like +0 itself, so
+// neither the order cells are folded in nor folding one twice can change
+// a minimum.
+
+// Squared z-normalised distances of a non-flat query: 2m - 2 dots / std,
+// clamped at 0, and m against a flat window.
+template <typename Ops>
+struct ZNormDotsCell {
+  using V = typename Ops::Vec;
+  const double* stds;
+  double md;
+  V eps = Ops::Set(kFlatStdEpsilon), zero = Ops::Set(0.0), two = Ops::Set(2.0),
+    twomd = Ops::Set(2.0 * md), mdv = Ops::Set(md);
+  V Vec(V dots, size_t i) const {
+    const V sig = Ops::Load(stds + i);
+    const V d2 =
+        Ops::Max(zero, Ops::Sub(twomd, Ops::Div(Ops::Mul(two, dots), sig)));
+    return Ops::Select(Ops::CmpLt(sig, eps), mdv, d2);
+  }
+  double Scalar(double dot, size_t i) const {
+    const double sig = stds[i];
+    return sig < kFlatStdEpsilon ? md : Max(0.0, 2.0 * md - 2.0 * dot / sig);
+  }
+  V FinishVec(V c) const { return Ops::Sqrt(c); }
+  double Finish(double c) const { return std::sqrt(c); }
+};
+
+// A flat z-normalised query: 0 against a flat window, m otherwise.
+template <typename Ops>
+struct ZNormFlatDotsCell {
+  using V = typename Ops::Vec;
+  const double* stds;
+  double md;
+  V eps = Ops::Set(kFlatStdEpsilon), zero = Ops::Set(0.0), mdv = Ops::Set(md);
+  V Vec(V /*dots*/, size_t i) const {
+    return Ops::Select(Ops::CmpLt(Ops::Load(stds + i), eps), zero, mdv);
+  }
+  double Scalar(double /*dot*/, size_t i) const {
+    return stds[i] < kFlatStdEpsilon ? 0.0 : md;
+  }
+  V FinishVec(V c) const { return Ops::Sqrt(c); }
+  double Finish(double c) const { return std::sqrt(c); }
+};
+
+// Raw (Def. 4) numerators qq - 2 dots + window energy; the distance is
+// Max(0, numerator / m). A NaN numerator's distance is Max(0, NaN) = +0,
+// which is also -inf's, so each numerator enters as Max(-inf, x): NaN
+// becomes -inf and every other value stays.
+template <typename Ops>
+struct RawDotsCell {
+  using V = typename Ops::Vec;
+  double qq;
+  const double* sqp;
+  size_t window;
+  double md = static_cast<double>(window);
+  V qqv = Ops::Set(qq), two = Ops::Set(2.0), ninf = Ops::Set(-kInf),
+    zero = Ops::Set(0.0), mdv = Ops::Set(md);
+  V Vec(V dots, size_t i) const {
+    const V wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
+    return Ops::Max(ninf, Ops::Add(Ops::Sub(qqv, Ops::Mul(two, dots)), wsq));
+  }
+  double Scalar(double dot, size_t i) const {
+    const double window_sq = sqp[i + window] - sqp[i];
+    return Max(-kInf, qq - 2.0 * dot + window_sq);
+  }
+  V FinishVec(V c) const { return Ops::Max(zero, Ops::Div(c, mdv)); }
+  double Finish(double c) const { return Max(0.0, c / md); }
+};
+
+// Squared L2 distances qq - 2 dots + window energy, clamped at 0.
+template <typename Ops>
+struct L2DotsCell {
+  using V = typename Ops::Vec;
+  double qq;
+  const double* sqp;
+  size_t window;
+  V qqv = Ops::Set(qq), two = Ops::Set(2.0), zero = Ops::Set(0.0);
+  V Vec(V dots, size_t i) const {
+    const V wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
+    return Ops::Max(zero, Ops::Add(Ops::Sub(qqv, Ops::Mul(two, dots)), wsq));
+  }
+  double Scalar(double dot, size_t i) const {
+    const double window_sq = sqp[i + window] - sqp[i];
+    return Max(0.0, qq - 2.0 * dot + window_sq);
+  }
+  V FinishVec(V c) const { return Ops::Sqrt(c); }
+  double Finish(double c) const { return std::sqrt(c); }
+};
+
+// NOTE on the cosine cells: the window energies are prefix differences of
+// a non-decreasing prefix (each step adds a non-negative square under
+// monotone rounding), so sqp[i+m] - sqp[i] >= 0 exactly and the Sqrt is
+// always defined. Flat (near-zero-norm) lanes still evaluate the division
+// in the vector form -- the quotient may be inf/nan but Select discards it
+// bit-for-bit, the same convention ZNormDotsCell uses for flat stds.
+
+// Cosine distances of a query of norm qn (not flat): 1 against a flat
+// window, else Max(0, 1 - dots / (qn * wn)).
+template <typename Ops>
+struct CosineDotsCell {
+  using V = typename Ops::Vec;
+  double qn;
+  const double* sqp;
+  size_t window;
+  V eps = Ops::Set(kFlatStdEpsilon), zero = Ops::Set(0.0), one = Ops::Set(1.0),
+    qnv = Ops::Set(qn);
+  V Vec(V dots, size_t i) const {
+    const V wn =
+        Ops::Sqrt(Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
+    const V sim = Ops::Div(dots, Ops::Mul(qnv, wn));
+    return Ops::Select(Ops::CmpLt(wn, eps), one,
+                       Ops::Max(zero, Ops::Sub(one, sim)));
+  }
+  double Scalar(double dot, size_t i) const {
+    const double wn = std::sqrt(sqp[i + window] - sqp[i]);
+    if (wn < kFlatStdEpsilon) return 1.0;
+    return Max(0.0, 1.0 - dot / (qn * wn));
+  }
+  V FinishVec(V c) const { return c; }
+  double Finish(double c) const { return c; }
+};
+
+// A flat cosine query: 0 against a flat window, 1 otherwise.
+template <typename Ops>
+struct CosineFlatDotsCell {
+  using V = typename Ops::Vec;
+  const double* sqp;
+  size_t window;
+  V eps = Ops::Set(kFlatStdEpsilon), zero = Ops::Set(0.0), one = Ops::Set(1.0);
+  V Vec(V /*dots*/, size_t i) const {
+    const V wn =
+        Ops::Sqrt(Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
+    return Ops::Select(Ops::CmpLt(wn, eps), zero, one);
+  }
+  double Scalar(double /*dot*/, size_t i) const {
+    return std::sqrt(sqp[i + window] - sqp[i]) < kFlatStdEpsilon ? 0.0 : 1.0;
+  }
+  V FinishVec(V c) const { return c; }
+  double Finish(double c) const { return c; }
+};
+
+// out[i] = the distance of entry i: whole vectors, then the scalar tail.
+template <typename Ops, typename Cell>
+void ProfileFromDotsT(const Cell& cell, const double* dots, size_t count,
+                      double* out) {
+  constexpr size_t W = Ops::kWidth;
+  size_t i = 0;
+  if constexpr (W > 1) {
+    for (; i + W <= count; i += W) {
+      Ops::Store(out + i, cell.FinishVec(cell.Vec(Ops::Load(dots + i), i)));
+    }
+  }
+  for (; i < count; ++i) out[i] = cell.Finish(cell.Scalar(dots[i], i));
+}
+
+// The smallest entry's distance without materialising the profile: a
+// lane-wise minimum over the cells, folded horizontally, then the scalar
+// tail, finished once.
+template <typename Ops, typename Cell>
+double MinFromDotsT(const Cell& cell, const double* dots, size_t count) {
+  constexpr size_t W = Ops::kWidth;
+  double best = kInf;
+  size_t i = 0;
+  if constexpr (W > 1) {
+    auto acc = Ops::Set(kInf);
+    for (; i + W <= count; i += W) {
+      acc = Ops::Min(acc, cell.Vec(Ops::Load(dots + i), i));
+    }
+    best = Ops::ReduceMin(acc);
+  }
+  for (; i < count; ++i) best = Min(best, cell.Scalar(dots[i], i));
+  return cell.Finish(best);
+}
+
 template <typename Ops>
 void RawProfileT(double qq, const double* sqp, size_t window,
                  const double* dots, size_t count, double* out) {
-  const double md = static_cast<double>(window);
-  constexpr size_t W = Ops::kWidth;
-  size_t i = 0;
-  if constexpr (W > 1) {
-    const auto qqv = Ops::Set(qq);
-    const auto two = Ops::Set(2.0);
-    const auto mdv = Ops::Set(md);
-    const auto zero = Ops::Set(0.0);
-    for (; i + W <= count; i += W) {
-      const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
-      const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
-      Ops::Store(out + i, Ops::Max(zero, Ops::Div(num, mdv)));
-    }
-  }
-  for (; i < count; ++i) {
-    const double window_sq = sqp[i + window] - sqp[i];
-    out[i] = Max(0.0, (qq - 2.0 * dots[i] + window_sq) / md);
-  }
+  ProfileFromDotsT<Ops>(RawDotsCell<Ops>{qq, sqp, window}, dots, count, out);
 }
 
-// The minimum is taken over the numerators and divided once: x ->
-// Max(0, x / md) is monotone non-decreasing and maps both zeros to +0, so
-// the result is bitwise the minimum of the per-entry values RawProfileT
-// writes. A NaN numerator's entry is Max(0, NaN) = +0, which is also the
-// value of -inf's, so each numerator enters the minimum as Max(-inf, x):
-// NaN becomes -inf and every other value stays.
 template <typename Ops>
 double RawMinT(double qq, const double* sqp, size_t window, const double* dots,
                size_t count) {
-  const double md = static_cast<double>(window);
-  constexpr size_t W = Ops::kWidth;
-  double lo = kInf;
-  size_t i = 0;
-  if constexpr (W > 1) {
-    const auto qqv = Ops::Set(qq);
-    const auto two = Ops::Set(2.0);
-    const auto ninf = Ops::Set(-kInf);
-    auto acc = Ops::Set(kInf);
-    for (; i + W <= count; i += W) {
-      const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
-      const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
-      acc = Ops::Min(acc, Ops::Max(ninf, num));
-    }
-    lo = Ops::ReduceMin(acc);
-  }
-  for (; i < count; ++i) {
-    const double window_sq = sqp[i + window] - sqp[i];
-    lo = Min(lo, Max(-kInf, qq - 2.0 * dots[i] + window_sq));
-  }
-  return Max(0.0, lo / md);
+  return MinFromDotsT<Ops>(RawDotsCell<Ops>{qq, sqp, window}, dots, count);
 }
 
 template <typename Ops>
 void ZNormProfileT(const double* dots, const double* stds, size_t count,
                    size_t window, bool query_flat, double* out) {
   const double md = static_cast<double>(window);
-  const double sqrt_md = std::sqrt(md);
-  constexpr size_t W = Ops::kWidth;
-  size_t i = 0;
   if (query_flat) {
-    if constexpr (W > 1) {
-      const auto eps = Ops::Set(kFlatStdEpsilon);
-      const auto zero = Ops::Set(0.0);
-      const auto smd = Ops::Set(sqrt_md);
-      for (; i + W <= count; i += W) {
-        const auto flat = Ops::CmpLt(Ops::Load(stds + i), eps);
-        Ops::Store(out + i, Ops::Select(flat, zero, smd));
-      }
-    }
-    for (; i < count; ++i) {
-      out[i] = stds[i] < kFlatStdEpsilon ? 0.0 : sqrt_md;
-    }
-    return;
-  }
-  if constexpr (W > 1) {
-    const auto eps = Ops::Set(kFlatStdEpsilon);
-    const auto zero = Ops::Set(0.0);
-    const auto two = Ops::Set(2.0);
-    const auto twomd = Ops::Set(2.0 * md);
-    const auto smd = Ops::Set(sqrt_md);
-    for (; i + W <= count; i += W) {
-      const auto sig = Ops::Load(stds + i);
-      const auto flat = Ops::CmpLt(sig, eps);
-      const auto d2 = Ops::Max(
-          zero, Ops::Sub(twomd, Ops::Div(Ops::Mul(two, Ops::Load(dots + i)), sig)));
-      Ops::Store(out + i, Ops::Select(flat, smd, Ops::Sqrt(d2)));
-    }
-  }
-  for (; i < count; ++i) {
-    const double sig = stds[i];
-    if (sig < kFlatStdEpsilon) {
-      out[i] = sqrt_md;
-    } else {
-      const double d2 = Max(0.0, 2.0 * md - 2.0 * dots[i] / sig);
-      out[i] = std::sqrt(d2);
-    }
+    ProfileFromDotsT<Ops>(ZNormFlatDotsCell<Ops>{stds, md}, dots, count, out);
+  } else {
+    ProfileFromDotsT<Ops>(ZNormDotsCell<Ops>{stds, md}, dots, count, out);
   }
 }
 
-// The minimum is taken over the squares (a flat window contributes md) and
-// rooted once: sqrt is correctly rounded and monotone, so the root of the
-// smallest square is bitwise the smallest distance ZNormProfileT writes.
 template <typename Ops>
 double ZNormMinT(const double* dots, const double* stds, size_t count,
                  size_t window, bool query_flat) {
   const double md = static_cast<double>(window);
-  constexpr size_t W = Ops::kWidth;
-  double best = kInf;
-  size_t i = 0;
   if (query_flat) {
-    if constexpr (W > 1) {
-      const auto eps = Ops::Set(kFlatStdEpsilon);
-      const auto zero = Ops::Set(0.0);
-      const auto mdv = Ops::Set(md);
-      auto acc = Ops::Set(kInf);
-      for (; i + W <= count; i += W) {
-        const auto flat = Ops::CmpLt(Ops::Load(stds + i), eps);
-        acc = Ops::Min(acc, Ops::Select(flat, zero, mdv));
-      }
-      best = Ops::ReduceMin(acc);
-    }
-    for (; i < count; ++i) {
-      const double d2 = stds[i] < kFlatStdEpsilon ? 0.0 : md;
-      best = Min(best, d2);
-    }
-    return std::sqrt(best);
+    return MinFromDotsT<Ops>(ZNormFlatDotsCell<Ops>{stds, md}, dots, count);
   }
-  if constexpr (W > 1) {
-    const auto eps = Ops::Set(kFlatStdEpsilon);
-    const auto zero = Ops::Set(0.0);
-    const auto two = Ops::Set(2.0);
-    const auto twomd = Ops::Set(2.0 * md);
-    const auto mdv = Ops::Set(md);
-    auto acc = Ops::Set(kInf);
-    for (; i + W <= count; i += W) {
-      const auto sig = Ops::Load(stds + i);
-      const auto flat = Ops::CmpLt(sig, eps);
-      const auto d2 = Ops::Max(
-          zero, Ops::Sub(twomd, Ops::Div(Ops::Mul(two, Ops::Load(dots + i)), sig)));
-      acc = Ops::Min(acc, Ops::Select(flat, mdv, d2));
-    }
-    best = Ops::ReduceMin(acc);
-  }
-  for (; i < count; ++i) {
-    const double sig = stds[i];
-    const double d2 = sig < kFlatStdEpsilon
-                          ? md
-                          : Max(0.0, 2.0 * md - 2.0 * dots[i] / sig);
-    best = Min(best, d2);
-  }
-  return std::sqrt(best);
+  return MinFromDotsT<Ops>(ZNormDotsCell<Ops>{stds, md}, dots, count);
 }
 
 template <typename Ops>
 void L2ProfileT(double qq, const double* sqp, size_t window,
                 const double* dots, size_t count, double* out) {
-  constexpr size_t W = Ops::kWidth;
-  size_t i = 0;
-  if constexpr (W > 1) {
-    const auto qqv = Ops::Set(qq);
-    const auto two = Ops::Set(2.0);
-    const auto zero = Ops::Set(0.0);
-    for (; i + W <= count; i += W) {
-      const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
-      const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
-      Ops::Store(out + i, Ops::Sqrt(Ops::Max(zero, num)));
-    }
-  }
-  for (; i < count; ++i) {
-    const double window_sq = sqp[i + window] - sqp[i];
-    out[i] = std::sqrt(Max(0.0, qq - 2.0 * dots[i] + window_sq));
-  }
+  ProfileFromDotsT<Ops>(L2DotsCell<Ops>{qq, sqp, window}, dots, count, out);
 }
 
-// Minimum over the squares, rooted once (see ZNormMinT).
 template <typename Ops>
 double L2MinT(double qq, const double* sqp, size_t window, const double* dots,
               size_t count) {
-  constexpr size_t W = Ops::kWidth;
-  double best = kInf;
-  size_t i = 0;
-  if constexpr (W > 1) {
-    const auto qqv = Ops::Set(qq);
-    const auto two = Ops::Set(2.0);
-    const auto zero = Ops::Set(0.0);
-    auto acc = Ops::Set(kInf);
-    for (; i + W <= count; i += W) {
-      const auto wsq = Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i));
-      const auto num = Ops::Add(Ops::Sub(qqv, Ops::Mul(two, Ops::Load(dots + i))), wsq);
-      acc = Ops::Min(acc, Ops::Max(zero, num));
-    }
-    best = Ops::ReduceMin(acc);
-  }
-  for (; i < count; ++i) {
-    const double window_sq = sqp[i + window] - sqp[i];
-    best = Min(best, Max(0.0, qq - 2.0 * dots[i] + window_sq));
-  }
-  return std::sqrt(best);
+  return MinFromDotsT<Ops>(L2DotsCell<Ops>{qq, sqp, window}, dots, count);
 }
-
-// NOTE on the cosine kernels: the window energies are prefix differences of
-// a non-decreasing prefix (each step adds a non-negative square under
-// monotone rounding), so sqp[i+m] - sqp[i] >= 0 exactly and the Sqrt is
-// always defined. Flat (near-zero-norm) lanes still evaluate the division
-// in the vector block -- the quotient may be inf/nan but Select discards it
-// bit-for-bit, the same convention ZNormProfileT uses for flat stds.
 
 template <typename Ops>
 void CosineProfileT(double qq, const double* sqp, size_t window,
                     const double* dots, size_t count, double* out) {
   const double qn = std::sqrt(qq);
-  constexpr size_t W = Ops::kWidth;
-  size_t i = 0;
   if (qn < kFlatStdEpsilon) {
-    if constexpr (W > 1) {
-      const auto eps = Ops::Set(kFlatStdEpsilon);
-      const auto zero = Ops::Set(0.0);
-      const auto one = Ops::Set(1.0);
-      for (; i + W <= count; i += W) {
-        const auto wn = Ops::Sqrt(
-            Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
-        Ops::Store(out + i, Ops::Select(Ops::CmpLt(wn, eps), zero, one));
-      }
-    }
-    for (; i < count; ++i) {
-      const double wn = std::sqrt(sqp[i + window] - sqp[i]);
-      out[i] = wn < kFlatStdEpsilon ? 0.0 : 1.0;
-    }
-    return;
-  }
-  if constexpr (W > 1) {
-    const auto eps = Ops::Set(kFlatStdEpsilon);
-    const auto zero = Ops::Set(0.0);
-    const auto one = Ops::Set(1.0);
-    const auto qnv = Ops::Set(qn);
-    for (; i + W <= count; i += W) {
-      const auto wn = Ops::Sqrt(
-          Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
-      const auto flat = Ops::CmpLt(wn, eps);
-      const auto sim = Ops::Div(Ops::Load(dots + i), Ops::Mul(qnv, wn));
-      Ops::Store(out + i,
-                 Ops::Select(flat, one, Ops::Max(zero, Ops::Sub(one, sim))));
-    }
-  }
-  for (; i < count; ++i) {
-    const double wn = std::sqrt(sqp[i + window] - sqp[i]);
-    if (wn < kFlatStdEpsilon) {
-      out[i] = 1.0;
-    } else {
-      const double sim = dots[i] / (qn * wn);
-      out[i] = Max(0.0, 1.0 - sim);
-    }
+    ProfileFromDotsT<Ops>(CosineFlatDotsCell<Ops>{sqp, window}, dots, count,
+                          out);
+  } else {
+    ProfileFromDotsT<Ops>(CosineDotsCell<Ops>{qn, sqp, window}, dots, count,
+                          out);
   }
 }
 
@@ -470,57 +464,149 @@ template <typename Ops>
 double CosineMinT(double qq, const double* sqp, size_t window,
                   const double* dots, size_t count) {
   const double qn = std::sqrt(qq);
-  constexpr size_t W = Ops::kWidth;
-  double best = kInf;
-  size_t i = 0;
   if (qn < kFlatStdEpsilon) {
-    if constexpr (W > 1) {
-      const auto eps = Ops::Set(kFlatStdEpsilon);
-      const auto zero = Ops::Set(0.0);
-      const auto one = Ops::Set(1.0);
-      auto acc = Ops::Set(kInf);
-      for (; i + W <= count; i += W) {
-        const auto wn = Ops::Sqrt(
-            Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
-        acc = Ops::Min(acc, Ops::Select(Ops::CmpLt(wn, eps), zero, one));
+    return MinFromDotsT<Ops>(CosineFlatDotsCell<Ops>{sqp, window}, dots,
+                             count);
+  }
+  return MinFromDotsT<Ops>(CosineDotsCell<Ops>{qn, sqp, window}, dots, count);
+}
+
+// ------------------------------------------------------- grouped minimum
+//
+// The transform row's kernel: G queries of one length m slid along one
+// series in one pass, each answered with its cell's minimum, bitwise what
+// SlidingDotsT and MinFromDotsT give query by query. A block covers B * W
+// adjacent outputs for all G queries at once: G * B accumulators, each
+// output's own increasing-j mul-then-add chain (SlidingDotsBlockT's), and
+// every load of the series serves all G queries. The block's dot products
+// go through each query's cell in registers and fold into that query's
+// lane minima by strict < (CmpLt + Select, the current value kept); no
+// dots buffer is written. When one block fits, the last block ends at the
+// last output and overlaps outputs already folded, and shorter counts run
+// one-vector blocks the same way: exact, since no cell is NaN and a
+// minimum is a selection (see the dots cells). Counts below W run the
+// scalar chains. The small loops over g and b are unrolled so the
+// accumulators stay in registers at -O2.
+template <typename Ops, size_t G, size_t B, typename Cell>
+void SlidingMinGroupBlockT(const Cell* cells, const double* const* q,
+                           size_t m, const double* s, size_t i,
+                           typename Ops::Vec* best) {
+  constexpr size_t W = Ops::kWidth;
+  using V = typename Ops::Vec;
+  V acc[G][B];
+#pragma GCC unroll 16
+  for (size_t g = 0; g < G; ++g) {
+#pragma GCC unroll 16
+    for (size_t b = 0; b < B; ++b) acc[g][b] = Ops::Set(0.0);
+  }
+  for (size_t j = 0; j < m; ++j) {
+    V sv[B];
+#pragma GCC unroll 16
+    for (size_t b = 0; b < B; ++b) sv[b] = Ops::Load(s + i + j + b * W);
+#pragma GCC unroll 16
+    for (size_t g = 0; g < G; ++g) {
+      const V qj = Ops::Set(q[g][j]);
+#pragma GCC unroll 16
+      for (size_t b = 0; b < B; ++b) {
+        acc[g][b] = Ops::Add(acc[g][b], Ops::Mul(qj, sv[b]));
       }
-      best = Ops::ReduceMin(acc);
     }
-    for (; i < count; ++i) {
-      const double wn = std::sqrt(sqp[i + window] - sqp[i]);
-      const double d = wn < kFlatStdEpsilon ? 0.0 : 1.0;
-      best = Min(best, d);
-    }
-    return best;
   }
-  if constexpr (W > 1) {
-    const auto eps = Ops::Set(kFlatStdEpsilon);
-    const auto zero = Ops::Set(0.0);
-    const auto one = Ops::Set(1.0);
-    const auto qnv = Ops::Set(qn);
-    auto acc = Ops::Set(kInf);
-    for (; i + W <= count; i += W) {
-      const auto wn = Ops::Sqrt(
-          Ops::Sub(Ops::Load(sqp + i + window), Ops::Load(sqp + i)));
-      const auto flat = Ops::CmpLt(wn, eps);
-      const auto sim = Ops::Div(Ops::Load(dots + i), Ops::Mul(qnv, wn));
-      acc = Ops::Min(acc,
-                     Ops::Select(flat, one, Ops::Max(zero, Ops::Sub(one, sim))));
+#pragma GCC unroll 16
+  for (size_t g = 0; g < G; ++g) {
+#pragma GCC unroll 16
+    for (size_t b = 0; b < B; ++b) {
+      const V d = cells[g].Vec(acc[g][b], i + b * W);
+      best[g] = Ops::Select(Ops::CmpLt(d, best[g]), d, best[g]);
     }
-    best = Ops::ReduceMin(acc);
   }
-  for (; i < count; ++i) {
-    const double wn = std::sqrt(sqp[i + window] - sqp[i]);
-    double d;
-    if (wn < kFlatStdEpsilon) {
-      d = 1.0;
+}
+
+// The G queries' cells are make(0) .. make(G - 1), one per index of the
+// sequence.
+template <typename Ops, size_t B, typename Make, size_t... k>
+void SlidingMinGroupT(Make make, std::index_sequence<k...>,
+                      const double* const* queries, size_t m, const double* s,
+                      size_t n, double* out) {
+  constexpr size_t W = Ops::kWidth;
+  constexpr size_t G = sizeof...(k);
+  const decltype(make(size_t{0})) cells[G] = {make(k)...};
+  const double* const q[G] = {queries[k]...};
+  const size_t count = n - m + 1;
+  if (count >= W) {
+    typename Ops::Vec best[G];
+    for (size_t g = 0; g < G; ++g) best[g] = Ops::Set(kInf);
+    constexpr size_t kBlock = B * W;
+    if (count >= kBlock) {
+      size_t i = 0;
+      for (; i + kBlock <= count; i += kBlock) {
+        SlidingMinGroupBlockT<Ops, G, B>(cells, q, m, s, i, best);
+      }
+      if (i < count) {
+        SlidingMinGroupBlockT<Ops, G, B>(cells, q, m, s, count - kBlock, best);
+      }
     } else {
-      const double sim = dots[i] / (qn * wn);
-      d = Max(0.0, 1.0 - sim);
+      size_t i = 0;
+      for (; i + W <= count; i += W) {
+        SlidingMinGroupBlockT<Ops, G, 1>(cells, q, m, s, i, best);
+      }
+      if (i < count) {
+        SlidingMinGroupBlockT<Ops, G, 1>(cells, q, m, s, count - W, best);
+      }
     }
-    best = Min(best, d);
+    for (size_t g = 0; g < G; ++g) {
+      out[g] = cells[g].Finish(Ops::ReduceMin(best[g]));
+    }
+    return;
   }
-  return best;
+  for (size_t g = 0; g < G; ++g) {
+    double lo = kInf;
+    for (size_t i = 0; i < count; ++i) {
+      double acc = 0.0;
+      for (size_t j = 0; j < m; ++j) acc += q[g][j] * s[i + j];
+      const double d = cells[g].Scalar(acc, i);
+      lo = d < lo ? d : lo;
+    }
+    out[g] = cells[g].Finish(lo);
+  }
+}
+
+// Vectors per grouped block: kGroupSize * 4 accumulators fill half of
+// AVX-512's 32 registers. AVX2, with 16, takes 2; with 4 its group ran
+// 1.10x the per-query path instead of 1.19x (n = 256 series against
+// m = 25 .. 128 queries). SSE2's 2-lane blocks need 4 to reach 1.0x.
+template <typename Ops>
+inline constexpr size_t kGroupVectors = Ops::kWidth == 4 ? 2 : 4;
+
+// SlidingMinGroup: the tail's cells, kGroupSize of them, each query's from
+// its qq (dot family) and the series' stds or prefix squares. Flattened, so
+// each backend has one out-of-line function with every tail's loops in it.
+template <typename Ops, size_t B>
+[[gnu::flatten]] void SlidingMinGroupEntryT(MinTail tail, const double* const* q,
+                           const double* qq, size_t m, const double* s,
+                           size_t n, const double* stds, const double* sqp,
+                           double* out) {
+  const auto run = [&](auto make) {
+    SlidingMinGroupT<Ops, B>(make, std::make_index_sequence<kGroupSize>(), q,
+                             m, s, n, out);
+  };
+  const double md = static_cast<double>(m);
+  switch (tail) {
+    case MinTail::kZNorm:
+      return run([&](size_t) { return ZNormDotsCell<Ops>{stds, md}; });
+    case MinTail::kZNormFlat:
+      return run([&](size_t) { return ZNormFlatDotsCell<Ops>{stds, md}; });
+    case MinTail::kRaw:
+      return run([&](size_t g) { return RawDotsCell<Ops>{qq[g], sqp, m}; });
+    case MinTail::kL2:
+      return run([&](size_t g) { return L2DotsCell<Ops>{qq[g], sqp, m}; });
+    case MinTail::kCosine:
+      return run([&](size_t g) {
+        return CosineDotsCell<Ops>{std::sqrt(qq[g]), sqp, m};
+      });
+    case MinTail::kCosineFlat:
+      return run([&](size_t) { return CosineFlatDotsCell<Ops>{sqp, m}; });
+  }
 }
 
 template <typename Ops>
@@ -973,7 +1059,8 @@ constexpr KernelTable MakeKernelTable(Backend backend, const char* name) {
                      &StompRowFusedZNormT<Ops>,
                      &StompRowFusedRawT<Ops>,
                      &StompRowFusedL2T<Ops>,
-                     &StompRowFusedCosineT<Ops>};
+                     &StompRowFusedCosineT<Ops>,
+                     &SlidingMinGroupEntryT<Ops, kGroupVectors<Ops>>};
 }
 
 }  // namespace

@@ -21,14 +21,10 @@ IpsRunStats IpsRunStats::FromRegistry(const obs::MetricsSnapshot& metrics,
   s.shapelets = metrics.CounterValue("ips.shapelets_selected");
 
   s.profiles_computed = metrics.CounterValue("engine.profiles_computed");
-  s.stats_cache_hits = metrics.CounterValue("engine.stats_cache_hits");
-  s.stats_cache_misses = metrics.CounterValue("engine.stats_cache_misses");
 
   s.mp_joins_computed = metrics.CounterValue("mp.joins_computed");
   s.mp_qt_sweeps = metrics.CounterValue("mp.qt_sweeps");
   s.mp_joins_halved = metrics.CounterValue("mp.joins_halved");
-  s.mp_cache_hits = metrics.CounterValue("mp.cache_hits");
-  s.mp_cache_misses = metrics.CounterValue("mp.cache_misses");
 
   s.artifact_tables_built = metrics.CounterValue("engine.artifact_table.builds");
   s.artifact_entries = metrics.CounterValue("engine.artifact_table.entries");

@@ -49,11 +49,6 @@ struct IpsRunStats {
   /// DistanceEngine activity over the run: Def. 4 evaluations (min
   /// queries).
   size_t profiles_computed = 0;
-  /// Kept so the run-artifact format is unchanged. The engine has no
-  /// artefact caches any more and nothing publishes engine.stats_cache_*,
-  /// so both read 0.
-  size_t stats_cache_hits = 0;
-  size_t stats_cache_misses = 0;
 
   /// The instance-profile stage of candidate generation (a sub-interval of
   /// candidate_gen_seconds: Alg. 1 lines 5-6 across all tasks) and
@@ -64,11 +59,6 @@ struct IpsRunStats {
   size_t mp_joins_computed = 0;
   size_t mp_qt_sweeps = 0;
   size_t mp_joins_halved = 0;
-  /// Kept so the run-artifact format is unchanged. The engine has no
-  /// artefact caches any more and nothing publishes mp.cache_*, so both
-  /// read 0.
-  size_t mp_cache_hits = 0;
-  size_t mp_cache_misses = 0;
 
   /// Artifact-table accounting (docs/memory.md): immutable tables built by
   /// the engine's parallel precompute pass and entries materialised in

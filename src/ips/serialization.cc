@@ -140,14 +140,10 @@ obs::JsonValue RunStatsToJson(const IpsRunStats& stats) {
   json.Set("discords_after_prune", stats.discords_after_prune);
   json.Set("shapelets", stats.shapelets);
   json.Set("profiles_computed", stats.profiles_computed);
-  json.Set("stats_cache_hits", stats.stats_cache_hits);
-  json.Set("stats_cache_misses", stats.stats_cache_misses);
   json.Set("profile_seconds", stats.profile_seconds);
   json.Set("mp_joins_computed", stats.mp_joins_computed);
   json.Set("mp_qt_sweeps", stats.mp_qt_sweeps);
   json.Set("mp_joins_halved", stats.mp_joins_halved);
-  json.Set("mp_cache_hits", stats.mp_cache_hits);
-  json.Set("mp_cache_misses", stats.mp_cache_misses);
   json.Set("pool_regions", stats.pool_regions);
   json.Set("pool_inline_regions", stats.pool_inline_regions);
   json.Set("pool_tasks_run", stats.pool_tasks_run);
@@ -183,14 +179,10 @@ std::optional<IpsRunStats> RunStatsFromJson(const obs::JsonValue& json) {
       read_count("discords_after_prune", s.discords_after_prune) &&
       read_count("shapelets", s.shapelets) &&
       read_count("profiles_computed", s.profiles_computed) &&
-      read_count("stats_cache_hits", s.stats_cache_hits) &&
-      read_count("stats_cache_misses", s.stats_cache_misses) &&
       read_double("profile_seconds", s.profile_seconds) &&
       read_count("mp_joins_computed", s.mp_joins_computed) &&
       read_count("mp_qt_sweeps", s.mp_qt_sweeps) &&
       read_count("mp_joins_halved", s.mp_joins_halved) &&
-      read_count("mp_cache_hits", s.mp_cache_hits) &&
-      read_count("mp_cache_misses", s.mp_cache_misses) &&
       read_count("pool_regions", s.pool_regions) &&
       read_count("pool_inline_regions", s.pool_inline_regions) &&
       read_count("pool_tasks_run", s.pool_tasks_run) &&

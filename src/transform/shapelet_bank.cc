@@ -39,6 +39,21 @@ void ForRows(size_t count, size_t num_threads, Fn&& fn) {
   ParallelFor(count, workers, fn);
 }
 
+// The min tail of a shapelet under `metric`, given its z-normalised
+// flatness and its sum of squares: a flat z-normalised or cosine query has
+// its own.
+simd::MinTail TailOf(MetricId metric, bool zn_flat, double qq) {
+  using simd::MinTail;
+  if (metric == MetricId::kZNormEuclidean) {
+    return zn_flat ? MinTail::kZNormFlat : MinTail::kZNorm;
+  }
+  if (metric == MetricId::kCosine) {
+    return std::sqrt(qq) < kFlatStdEpsilon ? MinTail::kCosineFlat
+                                            : MinTail::kCosine;
+  }
+  return metric == MetricId::kEuclidean ? MinTail::kL2 : MinTail::kRaw;
+}
+
 }  // namespace
 
 void CheckFiniteSeries(std::span<const double> values, size_t series) {
@@ -57,6 +72,7 @@ ShapeletBank::ShapeletBank(const std::vector<Subsequence>& shapelets,
   // Artefacts, with the reversed FFT for the training length (that of the
   // first series) when it puts the shapelet in the FFT regime.
   const size_t n = train.empty() ? 0 : train.At(0).view().size();
+  size_t groups = 0;
   for (size_t s = 0; s < shapelets.size(); ++s) {
     Entry& e = entries_[s];
     e.values = shapelets[s].values;
@@ -67,6 +83,21 @@ ShapeletBank::ShapeletBank(const std::vector<Subsequence>& shapelets,
       ForwardFftInto(metric_ == MetricId::kZNormEuclidean ? e.zn.values
                                                           : e.values,
                      NextPowerOfTwo(n + m), /*reversed=*/true, e.fft);
+    }
+    e.tail = TailOf(metric_, e.zn.flat, e.prefix.back());
+    e.group = groups;
+    for (size_t t = 0; t < s; ++t) {
+      if (entries_[t].values.size() == m && entries_[t].tail == e.tail) {
+        e.group = entries_[t].group;
+        break;
+      }
+    }
+    if (e.group == groups) ++groups;
+  }
+  order_.reserve(entries_.size());
+  for (size_t g = 0; g < groups; ++g) {
+    for (size_t s = 0; s < entries_.size(); ++s) {
+      if (entries_[s].group == g) order_.push_back(s);
     }
   }
 }
@@ -81,6 +112,38 @@ double ShapeletBank::Distance(const Entry& e, DistanceWorkspace& ws) const {
   }
   return MinOfQuery({e.values, e.prefix, &e.zn, e.fft}, ws.series, metric_,
                     ws);
+}
+
+void ShapeletBank::GroupDistances(std::span<const size_t> group,
+                                  DistanceWorkspace& ws,
+                                  std::span<double> row) const {
+  constexpr size_t G = simd::kGroupSize;
+  const std::span<const double> series = ws.series.series();
+  const Entry& first = entries_[group[0]];
+  const size_t m = first.values.size();
+  const size_t n = series.size();
+  size_t k = 0;
+  if (m < n && !UsesFftDots(m, n) && group.size() >= G) {
+    const bool zn = metric_ == MetricId::kZNormEuclidean;
+    const double* stds = zn ? ws.series.Stats(m).stds.data() : nullptr;
+    const double* sqp = zn ? nullptr : ws.series.Prefix().data();
+    const double* q[G];
+    double qq[G];
+    double out[G];
+    for (; k + G <= group.size(); k += G) {
+      for (size_t g = 0; g < G; ++g) {
+        const Entry& e = entries_[group[k + g]];
+        q[g] = zn ? e.zn.values.data() : e.values.data();
+        qq[g] = e.prefix.back();
+      }
+      simd::SlidingMinGroup(first.tail, q, qq, m, series.data(), n, stds, sqp,
+                            out);
+      for (size_t g = 0; g < G; ++g) row[group[k + g]] = out[g];
+    }
+  }
+  for (; k < group.size(); ++k) {
+    row[group[k]] = Distance(entries_[group[k]], ws);
+  }
 }
 
 void ShapeletBank::Transform(const DatasetView& data, size_t num_threads,
@@ -99,8 +162,10 @@ std::span<const double> ShapeletBank::TransformOne(
   std::vector<double>& row = Local().row;
   row.resize(entries_.size());
   ws.series.Reset(series);
-  for (size_t s = 0; s < entries_.size(); ++s) {
-    row[s] = Distance(entries_[s], ws);
+  for (size_t begin = 0, end = 0; begin < order_.size(); begin = end) {
+    const size_t group = entries_[order_[begin]].group;
+    while (end < order_.size() && entries_[order_[end]].group == group) ++end;
+    GroupDistances({order_.data() + begin, end - begin}, ws, row);
   }
   ws.series.Reset({});
   // One registry add per row, whichever way each query was answered.

@@ -12,9 +12,21 @@
 //    the shapelet in the FFT regime (another length computes its FFT per
 //    call, with the same function).
 //
-// Identity: the artefacts come from the engine's artefact functions and
-// every min query runs MinOfQuery, the engine's one min function
-// (core/distance_engine.h), so every row is bitwise equal to
+// The bank also groups its shapelets by length (and by min tail: a flat
+// z-normalised or cosine query has its own) when it is built. A row
+// answers each group simd::kGroupSize shapelets at a time with
+// simd::SlidingMinGroup, one pass over the series whose every load serves
+// all of them, and writes each minimum at its shapelet's place in bank
+// order.
+//
+// Identity: the artefacts come from the engine's artefact functions. A
+// grouped query is bitwise what MinOfQuery, the engine's one min function
+// (core/distance_engine.h), gives for it: the same dot-product chains and
+// the same cells, minimised by exact selection. The queries MinOfQuery
+// still answers are a group's leftovers (fewer than kGroupSize), every
+// query of a length in the FFT regime for the series (UsesFftDots), whose
+// dot products round differently, and a shapelet at least as long as the
+// series, which takes the serial kernel. So every row is bitwise equal to
 // TransformSeries.
 //
 // Thread-safety: immutable once constructed. Transform and TransformOne
@@ -32,6 +44,7 @@
 
 #include "core/distance_engine.h"
 #include "core/metric.h"
+#include "core/simd.h"
 #include "core/time_series.h"
 
 namespace ips {
@@ -80,14 +93,25 @@ class ShapeletBank {
     /// otherwise) at the training length's padded size; empty when that
     /// length is not in the FFT regime.
     std::vector<std::complex<double>> fft;
+    simd::MinTail tail = simd::MinTail::kZNorm;
+    /// The entry's (length, tail) group, numbered in order of first
+    /// appearance.
+    size_t group = 0;
   };
 
   /// The distance between `series` (ws.series holds it) and shapelet `e`,
   /// operand order (series, shapelet) as TransformSeries.
   double Distance(const Entry& e, DistanceWorkspace& ws) const;
 
+  /// Writes row[s] for every bank index s in `group`, the members of one
+  /// group in bank order, with ws.series holding the series.
+  void GroupDistances(std::span<const size_t> group, DistanceWorkspace& ws,
+                      std::span<double> row) const;
+
   MetricId metric_ = MetricId::kZNormEuclidean;
   std::vector<Entry> entries_;
+  /// The bank indices group by group, each group's in bank order.
+  std::vector<size_t> order_;
 };
 
 }  // namespace ips

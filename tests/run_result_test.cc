@@ -39,13 +39,9 @@ TEST(FromRegistryTest, MapsEveryCounterByName) {
   EXPECT_EQ(s.discords_after_prune, 3u);
   EXPECT_EQ(s.shapelets, 6u);
   EXPECT_EQ(s.profiles_computed, 100u);
-  EXPECT_EQ(s.stats_cache_hits, 20u);
-  EXPECT_EQ(s.stats_cache_misses, 5u);
   EXPECT_EQ(s.mp_joins_computed, 50u);
   EXPECT_EQ(s.mp_qt_sweeps, 25u);
   EXPECT_EQ(s.mp_joins_halved, 12u);
-  EXPECT_EQ(s.mp_cache_hits, 7u);
-  EXPECT_EQ(s.mp_cache_misses, 2u);
   EXPECT_EQ(s.pool_regions, 11u);
   EXPECT_EQ(s.pool_inline_regions, 13u);
   EXPECT_EQ(s.pool_tasks_run, 1000u);

@@ -126,13 +126,9 @@ IpsRunStats SampleStats() {
   s.discords_after_prune = 30;
   s.shapelets = 6;
   s.profiles_computed = 12345;
-  s.stats_cache_hits = 11;
-  s.stats_cache_misses = 7;
   s.mp_joins_computed = 222;
   s.mp_qt_sweeps = 111;
   s.mp_joins_halved = 55;
-  s.mp_cache_hits = 9;
-  s.mp_cache_misses = 4;
   s.pool_regions = 17;
   s.pool_inline_regions = 3;
   s.pool_tasks_run = 5000;
@@ -154,13 +150,9 @@ void ExpectStatsEqual(const IpsRunStats& a, const IpsRunStats& b) {
   EXPECT_EQ(a.discords_after_prune, b.discords_after_prune);
   EXPECT_EQ(a.shapelets, b.shapelets);
   EXPECT_EQ(a.profiles_computed, b.profiles_computed);
-  EXPECT_EQ(a.stats_cache_hits, b.stats_cache_hits);
-  EXPECT_EQ(a.stats_cache_misses, b.stats_cache_misses);
   EXPECT_EQ(a.mp_joins_computed, b.mp_joins_computed);
   EXPECT_EQ(a.mp_qt_sweeps, b.mp_qt_sweeps);
   EXPECT_EQ(a.mp_joins_halved, b.mp_joins_halved);
-  EXPECT_EQ(a.mp_cache_hits, b.mp_cache_hits);
-  EXPECT_EQ(a.mp_cache_misses, b.mp_cache_misses);
   EXPECT_EQ(a.pool_regions, b.pool_regions);
   EXPECT_EQ(a.pool_inline_regions, b.pool_inline_regions);
   EXPECT_EQ(a.pool_tasks_run, b.pool_tasks_run);
@@ -288,6 +280,57 @@ TEST(RunSerializationTest, V20ArtifactDefaultsToZNormMetric) {
   const auto restored = DeserializeRunResult(text, &error);
   ASSERT_TRUE(restored.has_value()) << error;
   EXPECT_EQ(restored->metric, MetricId::kZNormEuclidean);
+}
+
+// A v2.1 artifact as written before IpsRunStats dropped its four cache
+// counters (stats_cache_hits / _misses, mp_cache_hits / _misses, which
+// always read 0): it still loads, every remaining field and the shapelets
+// bit for bit, and writing it again leaves the dropped keys out.
+TEST(RunSerializationTest, LoadsArtifactWithTheDroppedCacheCounters) {
+  const std::string golden =
+      "ips-run v2.1\n"
+      "metric euclidean\n"
+      "stats {\"candidate_gen_seconds\":1.25,\"dabf_build_seconds\":0.5,"
+      "\"pruning_seconds\":0.125,\"selection_seconds\":2,"
+      "\"transform_seconds\":0.75,\"backend_fit_seconds\":0.0625,"
+      "\"motifs_generated\":100,\"discords_generated\":90,"
+      "\"motifs_after_prune\":40,\"discords_after_prune\":30,"
+      "\"shapelets\":2,\"profiles_computed\":12345,"
+      "\"stats_cache_hits\":0,\"stats_cache_misses\":0,"
+      "\"profile_seconds\":1,\"mp_joins_computed\":222,"
+      "\"mp_qt_sweeps\":111,\"mp_joins_halved\":55,\"mp_cache_hits\":0,"
+      "\"mp_cache_misses\":0,\"pool_regions\":17,"
+      "\"pool_inline_regions\":3,\"pool_tasks_run\":5000,"
+      "\"pool_steals\":21}\n"
+      "trace {\"spans\":[{\"path\":\"discover/candidate_gen\",\"count\":2,"
+      "\"seconds\":0.375}]}\n"
+      "ips-shapelets v1\n"
+      "2\n"
+      "0 7 12 5 1.5 -2.25 0 1.0000000000000001e-17 3.1415926535897931\n"
+      "3 -1 0 1 -1\n";
+  std::string error;
+  const auto restored = DeserializeRunResult(golden, &error);
+  ASSERT_TRUE(restored.has_value()) << error;
+  EXPECT_EQ(restored->metric, MetricId::kEuclidean);
+  IpsRunStats want = SampleStats();
+  want.shapelets = 2;
+  ExpectStatsEqual(restored->stats, want);
+  const std::vector<Subsequence> shapelets = SampleShapelets();
+  ASSERT_EQ(restored->shapelets.size(), shapelets.size());
+  for (size_t i = 0; i < shapelets.size(); ++i) {
+    EXPECT_EQ(restored->shapelets[i].values, shapelets[i].values);
+    EXPECT_EQ(restored->shapelets[i].label, shapelets[i].label);
+    EXPECT_EQ(restored->shapelets[i].series_index,
+              shapelets[i].series_index);
+    EXPECT_EQ(restored->shapelets[i].start, shapelets[i].start);
+  }
+  ASSERT_EQ(restored->trace.spans.size(), 1u);
+  EXPECT_EQ(restored->trace.spans[0].seconds, 0.375);
+  const std::string rewritten = SerializeRunResult(*restored);
+  for (const char* key : {"stats_cache_hits", "stats_cache_misses",
+                          "mp_cache_hits", "mp_cache_misses"}) {
+    EXPECT_EQ(rewritten.find(key), std::string::npos) << key;
+  }
 }
 
 TEST(RunSerializationTest, RejectsGarbageAndV1OnlyInput) {

@@ -299,6 +299,86 @@ TEST_P(ShapeletBankMetricTest, CornerInputsMatchSerialOnEveryBackend) {
   });
 }
 
+// The grouped rows: shapelets of seven lengths, one to nine of each,
+// interleaved in bank order, plus five flat (constant) and five all-zero
+// ones of one length -- flat z-normalised queries, and flat cosine ones for
+// the zeros -- a group as long as the training series and one longer, and
+// a group in the FFT regime against the 512-long series. Series of every
+// length from 2 to 130 (lengths the training set never had, so every count
+// below, at and above one 4 * Lanes() block, and shapelets at least as
+// long as the series), the 512-long one, and copies scaled to huge but
+// finite values whose squares overflow. Every row is bitwise the serial
+// kernel's, shapelet by shapelet, on every backend, and the registry still
+// counts one profile per series and shapelet.
+TEST_P(ShapeletBankMetricTest, GroupedRowsMatchPerShapeletOnEveryBackend) {
+  const MetricId metric = GetParam();
+  Dataset train;
+  for (size_t k = 0; k < 4; ++k) {
+    std::vector<double> v = Wave(96, 0.3 * static_cast<double>(k));
+    std::fill(v.begin() + 10 + k, v.begin() + 30 + k, 1.25);
+    train.Add(TimeSeries(v, static_cast<int>(k % 2)));
+  }
+  const std::vector<double> long_wave = Wave(512, 0.9);
+  std::vector<Subsequence> shapelets;
+  const size_t lengths[] = {3, 7, 12, 20, 33, 40, 57};
+  for (size_t round = 0; round < 9; ++round) {
+    for (size_t l = 0; l < std::size(lengths); ++l) {
+      // Length l gets 9 - l shapelets, one per round.
+      if (round + l >= 9) continue;
+      const TimeSeries& from = train[(round + l) % train.size()];
+      shapelets.push_back(
+          ExtractSubsequence(from, (5 * round + l) % (96 - lengths[l]),
+                             lengths[l]));
+    }
+  }
+  for (size_t k = 0; k < 5; ++k) {
+    shapelets.push_back(ExtractSubsequence(train[k % 4], 12 + k, 16));
+    Subsequence zeros = shapelets.back();
+    std::fill(zeros.values.begin(), zeros.values.end(), 0.0);
+    shapelets.push_back(zeros);
+  }
+  for (size_t k = 0; k < 4; ++k) {
+    shapelets.push_back(ExtractSubsequence(train[k], 0, 96));
+    Subsequence longer = shapelets.back();
+    longer.values.push_back(0.5);
+    shapelets.push_back(longer);
+    Subsequence fft;
+    fft.values.assign(long_wave.begin() + 10 * k,
+                      long_wave.begin() + 10 * k + 300);
+    shapelets.push_back(fft);
+  }
+
+  Dataset data;
+  for (size_t n = 2; n <= 130; ++n) {
+    data.Add(TimeSeries(Wave(n, 0.05 * static_cast<double>(n)), 0));
+  }
+  data.Add(TimeSeries(long_wave, 1));
+  for (size_t k = 0; k < 4; ++k) {
+    std::vector<double> huge = train[k].values;
+    for (double& v : huge) v *= 1e200;
+    data.Add(TimeSeries(huge, 1));
+  }
+  const std::vector<std::vector<double>> want =
+      SerialRows(data, shapelets, metric);
+
+  ForEachSimdBackend([&] {
+    const ShapeletBank bank(shapelets, metric, train);
+    for (size_t threads : {1, 2}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      const ProfileCounts before = ProfileCountsNow(metric);
+      EXPECT_EQ(Rows(bank, data, threads), want);
+      const ProfileCounts after = ProfileCountsNow(metric);
+      EXPECT_EQ(after.total - before.total, data.size() * bank.size());
+      EXPECT_EQ(after.by_metric - before.by_metric,
+                data.size() * bank.size());
+    }
+    for (size_t i = 0; i < data.size(); ++i) {
+      const std::span<const double> row = bank.TransformOne(data[i].view());
+      EXPECT_EQ(std::vector<double>(row.begin(), row.end()), want[i]) << i;
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     EveryMetric, ShapeletBankMetricTest,
     ::testing::Values(MetricId::kZNormEuclidean,

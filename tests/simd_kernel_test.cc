@@ -1085,5 +1085,95 @@ TEST(SimdKernelTest, StompRowsMatchScalarOnOverflowingInput) {
   });
 }
 
+// The per-query reference of one SlidingMinGroup query: the scalar sliding
+// dot products, then the tail's scalar min kernel.
+double PerQueryMin(simd::MinTail tail, const double* q, double qq, size_t m,
+                   const std::vector<double>& s, const double* stds,
+                   const double* sqp) {
+  const size_t count = s.size() - m + 1;
+  std::vector<double> dots(count);
+  simd::scalar::SlidingDots(q, m, s.data(), s.size(), dots.data());
+  switch (tail) {
+    case simd::MinTail::kZNorm:
+    case simd::MinTail::kZNormFlat:
+      return simd::scalar::ZNormMinFromDots(dots.data(), stds, count, m,
+                                            tail == simd::MinTail::kZNormFlat);
+    case simd::MinTail::kRaw:
+      return simd::scalar::RawMinFromDots(qq, sqp, m, dots.data(), count);
+    case simd::MinTail::kL2:
+      return simd::scalar::L2MinFromDots(qq, sqp, m, dots.data(), count);
+    case simd::MinTail::kCosine:
+    case simd::MinTail::kCosineFlat:
+      return simd::scalar::CosineMinFromDots(qq, sqp, m, dots.data(), count);
+  }
+  return 0.0;
+}
+
+// SlidingMinGroup equals, query by query, the scalar sliding dot products
+// followed by the tail's min kernel, on every backend and every tail: both z-normalised ones (a flat query's values are zeros) and
+// the raw, L2 and both cosine ones. Counts run below, at and above one
+// block of 4 * Lanes() outputs and one vector; the series holds flat
+// stretches, and a second pass scales it to huge but finite values whose
+// squares overflow, so stds, energies and dot products turn +-inf and the
+// cells' intermediates NaN.
+TEST(SimdKernelTest, SlidingMinGroupMatchesPerQueryMinimaOnEveryTail) {
+  constexpr size_t G = simd::kGroupSize;
+  const simd::MinTail kTails[] = {
+      simd::MinTail::kZNorm,  simd::MinTail::kZNormFlat,
+      simd::MinTail::kRaw,    simd::MinTail::kL2,
+      simd::MinTail::kCosine, simd::MinTail::kCosineFlat};
+  ForEachSimdBackend([&] {
+    Rng rng(61);
+    std::vector<size_t> counts = TestCounts();
+    for (size_t extra : {4 * simd::Lanes() - 1, 4 * simd::Lanes(),
+                         8 * simd::Lanes() + 5}) {
+      counts.push_back(extra);
+    }
+    for (double scale : {1.0, 1e200}) {
+      for (size_t count : counts) {
+        for (size_t m : {size_t{1}, size_t{5}, size_t{23}}) {
+          std::vector<double> s = RandomSeries(rng, count + m - 1, true);
+          for (double& v : s) v *= scale;
+          const RollingStats stats = ComputeRollingStats(s, m);
+          std::vector<double> sqp(s.size() + 1, 0.0);
+          for (size_t i = 0; i < s.size(); ++i) {
+            sqp[i + 1] = sqp[i] + s[i] * s[i];
+          }
+          for (const simd::MinTail tail : kTails) {
+            SCOPED_TRACE("tail " + std::to_string(static_cast<int>(tail)) +
+                         " count " + std::to_string(count) + " m " +
+                         std::to_string(m) + " scale " + std::to_string(scale));
+            const bool flat = tail == simd::MinTail::kZNormFlat ||
+                              tail == simd::MinTail::kCosineFlat;
+            std::vector<std::vector<double>> queries(G);
+            const double* q[G];
+            double qq[G];
+            for (size_t g = 0; g < G; ++g) {
+              queries[g] = flat ? std::vector<double>(m, 0.0)
+                                : RandomSeries(rng, m, false);
+              for (double& v : queries[g]) v *= scale;
+              qq[g] = 0.0;
+              for (double v : queries[g]) qq[g] += v * v;
+              q[g] = queries[g].data();
+            }
+            std::vector<double> got(G), ref(G), want(G);
+            simd::SlidingMinGroup(tail, q, qq, m, s.data(), s.size(),
+                                  stats.stds.data(), sqp.data(), got.data());
+            simd::scalar::SlidingMinGroup(tail, q, qq, m, s.data(), s.size(),
+                                          stats.stds.data(), sqp.data(),
+                                          ref.data());
+            for (size_t g = 0; g < G; ++g) {
+              want[g] = PerQueryMin(tail, q[g], qq[g], m, s,
+                                    stats.stds.data(), sqp.data());
+            }
+            ExpectBitEqual(got, want, "group vs per-query scalar minima");
+            ExpectBitEqual(ref, want, "scalar group vs per-query minima");
+          }
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 }  // namespace ips

@@ -224,8 +224,10 @@ TEST(StoreFuzzTest, CorruptedChunkColumnsAreRejected) {
   store::ChunkDirEntry first;
   std::memcpy(&first, intact.data() + header.directory_offset, sizeof(first));
 
-  // The first chunk's two payload-size words and its first length /
-  // offset entries, each set to values that cannot cover the record.
+  // The first chunk's two payload-size words and its first length, value
+  // offset and sidecar offset entries (the sidecar offsets are the last
+  // column, ending the column block), each set to values that cannot cover
+  // the record.
   struct Mutation {
     const char* name;
     uint64_t offset;  // within the chunk record
@@ -241,6 +243,7 @@ TEST(StoreFuzzTest, CorruptedChunkColumnsAreRejected) {
       {"length_zero", 16 + labels_bytes, 0},
       {"length_huge", 16 + labels_bytes, uint64_t{1} << 40},
       {"value_offset_nonzero", 16 + labels_bytes + 8 * first.num_series, 13},
+      {"sidecar_offset_nonzero", columns - 8 * first.num_series, 13},
   };
   for (const Mutation& m : mutations) {
     std::vector<uint8_t> bytes = intact;
